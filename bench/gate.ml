@@ -19,16 +19,9 @@
    ceiling is parity with the dense solve it replaced, which CG beats
    by a few percent at this (smallest, least favourable) size.
 
-   Two packed-storage pins ride on the same rows (ISSUE 10):
-   - the serial cobra_step on packed int32 storage must stay within
-     [repr_tolerance] of the boxed row measured under the identical
-     min-over-reps protocol (measured at parity: the step is RNG- and
-     bitset-bound, so packing must never cost speed for its 2x memory
-     win), and the full neighbour scan within [scan_tolerance] (the
-     packed scan trades ~7% of sequential-streaming speed for half the
-     bytes; the ceiling keeps that trade from silently growing);
-   - the packed CSR must report <= 4.5 bytes per directed adjacency
-     entry on the builder ingest row (4 + 4(n+1)/2m, ~4.25 for ba:8).
+   One storage pin rides on the ingest rows: the int32 CSR must report
+   <= 4.5 bytes per directed adjacency entry on the builder ingest row
+   (4 + 4(n+1)/2m, ~4.25 for ba:8).
 
    The gate refuses to pass vacuously: a bench file with no scaling
    rows, no spectral rows, no ingest rows, or rows missing the required
@@ -81,26 +74,11 @@ let () =
       (fun r -> r.kernel = kernel && r.domains = domains && r.family = family && r.n = n)
       rows
   in
-  let repr_tolerance = 1.08 in
-  let scan_tolerance = 1.25 in
   let max_bytes_per_entry = 4.5 in
   let failures = ref 0 in
   let checked = ref 0 in
   List.iter
     (fun (family, n) ->
-      (match (find "cobra_step_boxed" 1 family n, find "cobra_step_packed" 1 family n) with
-      | Some boxed, Some packed ->
-          incr checked;
-          let ratio = packed.ns /. boxed.ns in
-          let ok = ratio <= repr_tolerance in
-          Printf.printf
-            "%s %s n=%d: packed cobra_step %.2f ms vs boxed %.2f ms (%.2fx, limit %.2fx)\n"
-            (if ok then "PASS" else "FAIL")
-            family n (packed.ns /. 1e6) (boxed.ns /. 1e6) ratio repr_tolerance;
-          if not ok then incr failures
-      | _ ->
-          Printf.printf "FAIL %s n=%d: missing boxed or packed serial scaling row\n" family n;
-          incr failures);
       match (find "cobra_step" 1 family n, find "cobra_step_keyed" 2 family n) with
       | Some serial, Some keyed2 ->
           incr checked;
@@ -158,7 +136,7 @@ let () =
           Printf.printf "FAIL spectral %s n=%d: row missing\n" kernel n;
           incr failures)
     ceilings;
-  (* --- Packed-storage memory and scan ceilings (ingest rows) --- *)
+  (* --- CSR memory ceiling (ingest rows) --- *)
   let ingest_rows =
     match Json.member doc "ingest" with
     | Some (Json.List items) ->
@@ -186,23 +164,10 @@ let () =
         bytes max_bytes_per_entry;
       if not ok then incr failures
   | Some (_, _, None) ->
-      Printf.printf "FAIL ingest builder_finish: bytes_per_entry missing — boxed fallback?\n";
+      Printf.printf "FAIL ingest builder_finish: bytes_per_entry missing\n";
       incr failures
   | None ->
       Printf.printf "FAIL ingest: builder_finish row missing\n";
-      incr failures);
-  (match (find_ingest "scan_boxed", find_ingest "scan_packed") with
-  | Some (_, boxed_ms, _), Some (_, packed_ms, _) ->
-      incr checked;
-      let ratio = packed_ms /. boxed_ms in
-      let ok = ratio <= scan_tolerance in
-      Printf.printf
-        "%s ingest neighbour scan: packed %.2f ms vs boxed %.2f ms (%.2fx, limit %.2fx)\n"
-        (if ok then "PASS" else "FAIL")
-        packed_ms boxed_ms ratio scan_tolerance;
-      if not ok then incr failures
-  | _ ->
-      Printf.printf "FAIL ingest: scan_boxed / scan_packed row pair missing\n";
       incr failures);
   if !failures > 0 then begin
     Printf.eprintf "bench gate: %d of %d checks failed\n" !failures !checked;

@@ -138,39 +138,6 @@ let scaling_rows ~quick =
     done;
     Cobra_obs.Timer.elapsed_s timer *. 1e9 /. float_of_int rounds
   in
-  (* Storage ablation: the same serial dense rounds on explicitly boxed
-     and explicitly packed storage.  These two rows feed an A-vs-B gate
-     (packed must not be slower than boxed), so unlike the scheduling
-     rows they take the minimum over a few repetitions — the comparison
-     must not flip on one GC pause. *)
-  let time_rounds_min step =
-    let best = ref Float.infinity in
-    for _ = 1 to 3 do
-      best := Float.min !best (time_rounds step)
-    done;
-    !best
-  in
-  let repr_rows family gname g =
-    List.map
-      (fun (kernel, variant) ->
-        let seq_rng = Rng.create 11 in
-        let scratch = Array.make Process.sparse_frontier_threshold 0 in
-        {
-          sc_name = Printf.sprintf "scaling: %s %s" kernel gname;
-          sc_kernel = kernel;
-          sc_family = family;
-          sc_n = n;
-          sc_domains = 1;
-          sc_ns =
-            time_rounds_min (fun ~round:_ ~current ~next ->
-                Process.cobra_step ~scratch variant seq_rng ~branching:(Process.Fixed 2)
-                  ~lazy_:false ~current ~next);
-        })
-      [
-        ("cobra_step_boxed", Cobra_graph.Graph.to_boxed g);
-        ("cobra_step_packed", Cobra_graph.Graph.pack g);
-      ]
-  in
   List.concat_map
     (fun (family, gname, g) ->
       let serial =
@@ -206,7 +173,7 @@ let scaling_rows ~quick =
                 }))
           widths
       in
-      (serial :: repr_rows family gname g) @ keyed)
+      serial :: keyed)
     graphs
 
 let run_scaling ~quick =
@@ -426,8 +393,8 @@ let run_spectral ~quick =
 (* --- Part 0.9: web-scale build and ingest throughput ---
 
    Single-shot wall-clock rows for the graph-construction layer: the
-   counting-sort Builder against the tuple-array path it replaces, the
-   power-law generators, and the streaming SNAP ingester reading back a
+   counting-sort Builder and of_edge_array (the same assembly fed from
+   a tuple array), the power-law generators, and the streaming SNAP ingester reading back a
    file it just wrote.  Like the spectral rows these are deterministic
    single solves, so minimum-over-reps wall clock is the right measure
    and bechamel's sampling is not.  Rows carry (kernel, family, n, m) so
@@ -528,9 +495,8 @@ let ingest_rows ~quick =
                    ~finally:(fun () -> close_in ic)
                    (fun () -> Cobra_graph.Graph_io.read_stream ic))))
   in
-  (* Storage ablation: a full neighbour scan (the access pattern of
-     every kernel inner loop) on boxed vs packed storage of the same
-     graph.  Min-over-reps on both sides; the gate compares them. *)
+  (* A full neighbour scan: the access pattern of every kernel inner
+     loop, timed below on a freshly mapped .cgr. *)
   let scan g =
     let acc = ref 0 in
     for u = 0 to Cobra_graph.Graph.n g - 1 do
@@ -540,20 +506,6 @@ let ingest_rows ~quick =
       done
     done;
     !acc
-  in
-  let boxed = Cobra_graph.Graph.to_boxed ba and packed = Cobra_graph.Graph.pack ba in
-  let scan_reps = 5 * reps in
-  let scan_boxed_row =
-    row
-      (Printf.sprintf "ingest: neighbour scan boxed n=%d m=%d" n m)
-      "scan_boxed" "ba" ~m ~bytes:(bytes_per_entry boxed)
-      ~ms:(time_ms ~reps:scan_reps (fun () -> scan boxed))
-  in
-  let scan_packed_row =
-    row
-      (Printf.sprintf "ingest: neighbour scan packed n=%d m=%d" n m)
-      "scan_packed" "ba" ~m ~bytes:(bytes_per_entry packed)
-      ~ms:(time_ms ~reps:scan_reps (fun () -> scan packed))
   in
   (* .cgr serialisation: write, eager (validating) load, mmap open plus
      a first-touch scan so the row prices the faults, not just mmap. *)
@@ -571,19 +523,18 @@ let ingest_rows ~quick =
         let eager_row =
           row
             (Printf.sprintf "ingest: cgr read eager n=%d m=%d" n m)
-            "cgr_read_eager" "ba" ~m ~bytes:(bytes_per_entry packed)
+            "cgr_read_eager" "ba" ~m ~bytes:(bytes_per_entry ba)
             ~ms:(time_ms ~reps (fun () -> Cobra_graph.Cgr.read_eager path))
         in
         let mmap_row =
           row
             (Printf.sprintf "ingest: cgr mmap + full scan n=%d m=%d" n m)
-            "cgr_read_mmap" "ba" ~m ~bytes:(bytes_per_entry packed)
+            "cgr_read_mmap" "ba" ~m ~bytes:(bytes_per_entry ba)
             ~ms:(time_ms ~reps (fun () -> scan (Cobra_graph.Cgr.read_mmap path)))
         in
         [ write_row; eager_row; mmap_row ])
   in
-  [ builder_row; tuple_row; gen_ba_row; gen_cl_row; stream_row; scan_boxed_row; scan_packed_row ]
-  @ cgr_rows
+  [ builder_row; tuple_row; gen_ba_row; gen_cl_row; stream_row ] @ cgr_rows
 
 let run_ingest ~quick =
   let rows = ingest_rows ~quick in

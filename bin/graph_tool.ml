@@ -74,8 +74,7 @@ let info_cmd =
   let run file family n seed spectral =
     let g = obtain file family n seed in
     Format.printf "%a@." Graph.pp_stats g;
-    Format.printf "storage: %s, %d bytes (%.2f bytes/entry)@."
-      (if Graph.is_packed g then "packed int32" else "boxed")
+    Format.printf "storage: packed int32, %d bytes (%.2f bytes/entry)@."
       (Graph.storage_bytes g)
       (float_of_int (Graph.storage_bytes g) /. float_of_int (max 1 (2 * Graph.m g)));
     Format.printf "connected: %b, bipartite: %b@." (Props.is_connected g) (Props.is_bipartite g);
@@ -314,8 +313,8 @@ let generate_cmd =
       const run $ family_arg $ n_arg $ seed_arg $ output_format_arg $ stats_arg $ output_arg)
 
 let solver_arg =
-  let solvers = [ ("lanczos", Eigen.Lanczos); ("power", Eigen.Power); ("jacobi", Eigen.Jacobi) ] in
-  let doc = "Eigensolver: $(b,lanczos) (default), $(b,power) or $(b,jacobi) (dense, n <= 1024)." in
+  let solvers = [ ("lanczos", Eigen.Lanczos); ("jacobi", Eigen.Jacobi) ] in
+  let doc = "Eigensolver: $(b,lanczos) (default) or $(b,jacobi) (dense, n <= 1024)." in
   Arg.(value & opt (enum solvers) Eigen.Lanczos & info [ "solver" ] ~docv:"SOLVER" ~doc)
 
 let tol_arg =

@@ -20,48 +20,29 @@ let emit_cg_obs obs ~solves ~iterations ~residual =
    L_g h = d on that subspace: the system is symmetric positive
    definite, which is what lets conjugate gradients replace the dense
    pseudo-inverse. *)
-let grounded_apply ~csr ~target x y =
+let grounded_apply g ~target x y =
+  let module A1 = Bigarray.Array1 in
   let n = Array.length x in
+  let offsets = Graph.csr_offsets g and adj = Graph.csr_adjacency g in
   (* Returns <x, y> accumulated in the same pass: CG needs exactly that
      inner product right after every application, and folding it in here
-     saves a full extra sweep over both vectors per iteration.  One loop
-     per storage so the packed path reads 4-byte entries directly; the
-     accumulation order is the neighbour order in both, so the solve is
-     bit-identical whichever storage backs the graph. *)
+     saves a full extra sweep over both vectors per iteration. *)
   let xy = ref 0.0 in
-  (match csr with
-  | Graph.Csr_boxed { offsets; adj } ->
-      for u = 0 to n - 1 do
-        if u = target then Array.unsafe_set y u 0.0
-        else begin
-          let lo = Array.unsafe_get offsets u and hi = Array.unsafe_get offsets (u + 1) in
-          let s = ref 0.0 in
-          for k = lo to hi - 1 do
-            s := !s +. Array.unsafe_get x (Array.unsafe_get adj k)
-          done;
-          let xu = Array.unsafe_get x u in
-          let yu = (float_of_int (hi - lo) *. xu) -. !s in
-          Array.unsafe_set y u yu;
-          xy := !xy +. (xu *. yu)
-        end
-      done
-  | Graph.Csr_packed { offsets; adj } ->
-      let module A1 = Bigarray.Array1 in
-      for u = 0 to n - 1 do
-        if u = target then Array.unsafe_set y u 0.0
-        else begin
-          let lo = Int32.to_int (A1.unsafe_get offsets u)
-          and hi = Int32.to_int (A1.unsafe_get offsets (u + 1)) in
-          let s = ref 0.0 in
-          for k = lo to hi - 1 do
-            s := !s +. Array.unsafe_get x (Int32.to_int (A1.unsafe_get adj k))
-          done;
-          let xu = Array.unsafe_get x u in
-          let yu = (float_of_int (hi - lo) *. xu) -. !s in
-          Array.unsafe_set y u yu;
-          xy := !xy +. (xu *. yu)
-        end
-      done);
+  for u = 0 to n - 1 do
+    if u = target then Array.unsafe_set y u 0.0
+    else begin
+      let lo = Int32.to_int (A1.unsafe_get offsets u)
+      and hi = Int32.to_int (A1.unsafe_get offsets (u + 1)) in
+      let s = ref 0.0 in
+      for k = lo to hi - 1 do
+        s := !s +. Array.unsafe_get x (Int32.to_int (A1.unsafe_get adj k))
+      done;
+      let xu = Array.unsafe_get x u in
+      let yu = (float_of_int (hi - lo) *. xu) -. !s in
+      Array.unsafe_set y u yu;
+      xy := !xy +. (xu *. yu)
+    end
+  done;
   !xy
 
 (* Target-independent precomputation shared by every column solve: float
@@ -93,7 +74,6 @@ let cg_precompute g =
    nonzero into the grounded coordinate. *)
 let cg_hitting g ~pre ~target ~tol ~max_iter =
   let n = Graph.n g in
-  let csr = Graph.csr g in
   let h = Array.make n 0.0 in
   if n = 1 then (h, 0, 0.0)
   else begin
@@ -113,7 +93,7 @@ let cg_hitting g ~pre ~target ~tol ~max_iter =
     let r = Array.make n 0.0 in
     let z = Array.make n 0.0 in
     let q = Array.make n 0.0 in
-    ignore (grounded_apply ~csr ~target h q : float);
+    ignore (grounded_apply g ~target h q : float);
     for u = 0 to n - 1 do
       r.(u) <- deg.(u) -. q.(u);
       z.(u) <- r.(u) *. inv_deg.(u)
@@ -131,7 +111,7 @@ let cg_hitting g ~pre ~target ~tol ~max_iter =
     let thresh2 = tol *. b_norm *. tol *. b_norm in
     while (d_max *. !rz > thresh2) && !iter < max_iter do
       incr iter;
-      let pq = grounded_apply ~csr ~target p q in
+      let pq = grounded_apply g ~target p q in
       if pq <= 0.0 then (* numerically exhausted: the residual is noise *)
         iter := max_iter
       else begin

@@ -1,25 +1,17 @@
-(* Incremental CSR construction by counting sort.
+(* Incremental CSR construction.
 
-   [Graph.of_edge_array] peaks at roughly eight words per edge: the
-   caller's tuple list (three words per cons cell plus a three-word
-   tuple block), the packed int array it is copied into, and the final
-   adjacency array all coexist.  The builder keeps one growable int
-   array with each edge packed into a single word, so the peak while
-   [finish] runs is ~3 words/edge: the packed buffer (1), the adjacency
-   array being scattered into (2), plus O(n) counters.  That is the
-   difference between fitting a 10^9-edge graph in tens of GB and not
-   fitting it at all.
-
-   [finish] counting-sorts by endpoint: one pass counts degrees, a
-   prefix sum turns them into offsets, one pass scatters both
-   directions, then each slice is sorted and deduplicated in place
-   (write pointer never overtakes the read position because compaction
-   only ever shrinks prefixes).  The result is bit-identical to
-   [Graph.of_edge_array] on the same multiset of edges. *)
+   [Graph.of_edge_array] needs the caller's tuple array (three words
+   per edge plus the array slot) alive beside the key buffer it packs
+   into.  The builder keeps one growable int array with each edge
+   packed into a single word, so the peak while [finish] runs is the
+   key buffer (1 word/edge) plus the int32 adjacency being scattered
+   into (1 word-equivalent/edge) plus O(n) counters — the difference
+   between fitting a 10^9-edge graph in tens of GB and not fitting it
+   at all.  [finish] hands the buffer to [Int_sort.assemble_csr], the
+   same counting sort [Graph.of_edge_array] uses. *)
 
 (* Edges are packed as [(u lsl 31) lor v], so vertex ids must fit in 31
-   bits.  2^31 vertices at 63-bit ints is far beyond what a single
-   address space holds anyway. *)
+   bits; the CSR's int32 storage further caps n at 2^31 - 1. *)
 let max_id = (1 lsl 31) - 1
 
 type t = {
@@ -35,7 +27,10 @@ let create ?n ?(edges_hint = 1024) () =
     match n with
     | Some n ->
         if n < 0 then invalid_arg "Builder.create: negative n";
-        if n - 1 > max_id then invalid_arg "Builder.create: vertex ids must be < 2^31";
+        if n > max_id then
+          invalid_arg
+            (Printf.sprintf "Builder.create: n = %d exceeds the int32 CSR limit 2^31 - 1 = %d" n
+               max_id);
         (n, true)
     | None -> (0, false)
   in
@@ -69,125 +64,15 @@ let add_edge t u v =
   Array.unsafe_set t.packed t.count ((u lsl 31) lor v);
   t.count <- t.count + 1
 
-(* Boxed finish: the historical path, kept for graphs whose directed
-   entry count overflows int32 (2 * raw >= 2^31) and as the reference
-   the packed path is differentially tested against. *)
-let finish_boxed ~n ~raw packed =
-  let deg = Array.make (max n 1) 0 in
-  for k = 0 to raw - 1 do
-    let p = Array.unsafe_get packed k in
-    let u = p lsr 31 and v = p land max_id in
-    deg.(u) <- deg.(u) + 1;
-    deg.(v) <- deg.(v) + 1
-  done;
-  let offsets = Array.make (n + 1) 0 in
-  for u = 0 to n - 1 do
-    offsets.(u + 1) <- offsets.(u) + deg.(u)
-  done;
-  let adj = Array.make (2 * raw) 0 in
-  (* Reuse [deg] as the scatter cursor to avoid a second O(n) array. *)
-  Array.blit offsets 0 deg 0 n;
-  for k = 0 to raw - 1 do
-    let p = Array.unsafe_get packed k in
-    let u = p lsr 31 and v = p land max_id in
-    Array.unsafe_set adj deg.(u) v;
-    deg.(u) <- deg.(u) + 1;
-    Array.unsafe_set adj deg.(v) u;
-    deg.(v) <- deg.(v) + 1
-  done;
-  (* Sort each slice in place and compact out duplicate parallel edges:
-     the write pointer never overtakes the read position because
-     earlier slices can only have shrunk. *)
-  let write = ref 0 in
-  for u = 0 to n - 1 do
-    let lo = offsets.(u) and hi = offsets.(u + 1) in
-    offsets.(u) <- !write;
-    if hi > lo then begin
-      Int_sort.sort_range adj ~lo ~hi;
-      adj.(!write) <- adj.(lo);
-      incr write;
-      for i = lo + 1 to hi - 1 do
-        if adj.(i) <> adj.(i - 1) then begin
-          adj.(!write) <- adj.(i);
-          incr write
-        end
-      done
-    end
-  done;
-  let total = !write in
-  offsets.(n) <- total;
-  let adj = if total = Array.length adj then adj else Array.sub adj 0 total in
-  Graph.unsafe_of_csr ~n ~m:(total / 2) ~offsets ~adj
-
-(* Packed finish: same counting sort, but the adjacency is scattered
-   straight into int32 bigarray storage — the graph under construction
-   costs 4 bytes per directed entry instead of 8, so peak build memory
-   is the packed edge buffer (1 word/edge) plus the int32 adjacency
-   (1 word-equivalent/edge) plus O(n) counters: ~2 words/edge against
-   the boxed path's ~3 and of_edge_array's ~8.  The scatter order, the
-   per-slice sort results and the dedup compaction are value-identical
-   to the boxed path, so both produce the same graph bit for bit. *)
-let finish_packed ~n ~raw packed =
-  let module A1 = Bigarray.Array1 in
-  let deg = Array.make (max n 1) 0 in
-  for k = 0 to raw - 1 do
-    let p = Array.unsafe_get packed k in
-    let u = p lsr 31 and v = p land max_id in
-    deg.(u) <- deg.(u) + 1;
-    deg.(v) <- deg.(v) + 1
-  done;
-  let offsets = Array.make (n + 1) 0 in
-  for u = 0 to n - 1 do
-    offsets.(u + 1) <- offsets.(u) + deg.(u)
-  done;
-  let adj = A1.create Bigarray.int32 Bigarray.c_layout (2 * raw) in
-  Array.blit offsets 0 deg 0 n;
-  for k = 0 to raw - 1 do
-    let p = Array.unsafe_get packed k in
-    let u = p lsr 31 and v = p land max_id in
-    A1.unsafe_set adj deg.(u) (Int32.of_int v);
-    deg.(u) <- deg.(u) + 1;
-    A1.unsafe_set adj deg.(v) (Int32.of_int u);
-    deg.(v) <- deg.(v) + 1
-  done;
-  let write = ref 0 in
-  for u = 0 to n - 1 do
-    let lo = offsets.(u) and hi = offsets.(u + 1) in
-    offsets.(u) <- !write;
-    if hi > lo then begin
-      Int_sort.sort_int32_range adj ~lo ~hi;
-      A1.unsafe_set adj !write (A1.unsafe_get adj lo);
-      incr write;
-      for i = lo + 1 to hi - 1 do
-        let x = A1.unsafe_get adj i in
-        if x <> A1.unsafe_get adj (i - 1) then begin
-          A1.unsafe_set adj !write x;
-          incr write
-        end
-      done
-    end
-  done;
-  let total = !write in
-  offsets.(n) <- total;
-  (* [Array1.sub] is a zero-copy view, so trimming the dedup slack does
-     not reallocate the adjacency. *)
-  let adj = if total = A1.dim adj then adj else A1.sub adj 0 total in
-  let poffsets = A1.create Bigarray.int32 Bigarray.c_layout (n + 1) in
-  for i = 0 to n do
-    A1.unsafe_set poffsets i (Int32.of_int (Array.unsafe_get offsets i))
-  done;
-  Graph.unsafe_of_packed_csr ~n ~m:(total / 2) ~offsets:poffsets ~adj
-
-(* The dedup compaction reads slice [i] after writing position
-   [write <= i], so it is safe in place for both storages. *)
 let finish t =
   if t.finished then invalid_arg "Builder.finish: builder already finished";
   t.finished <- true;
-  let n = t.n and raw = t.count in
   let packed = t.packed in
   t.packed <- [||];
-  if 2 * raw <= max_id && n <= max_id then finish_packed ~n ~raw packed
-  else finish_boxed ~n ~raw packed
+  let offsets, adj =
+    Int_sort.assemble_csr ~who:"Builder.finish" ~n:t.n ~count:t.count packed
+  in
+  Graph.unsafe_of_packed_csr ~n:t.n ~m:(Bigarray.Array1.dim adj / 2) ~offsets ~adj
 
 let of_edge_seq ?n seq =
   let b = create ?n () in

@@ -3,11 +3,10 @@
     The builder accepts edges one at a time — from a generator loop or a
     streaming parser — and assembles the same simple undirected
     {!Graph.t} that {!Graph.of_edge_array} would produce from the same
-    multiset of edges (duplicates removed, slices sorted), without ever
+    multiset of edges (both call {!Int_sort.assemble_csr}), without ever
     materialising a tuple list.  Peak memory while {!finish} runs is
     about 2 words per added edge (one packed word in the edge buffer
-    plus the two int32 adjacency entries) versus ~8 for the tuple-list
-    + packed-array + global-sort path, which is what makes
+    plus the two int32 adjacency entries), which is what makes
     10^7+-vertex ingestion feasible.
 
     Two sizing modes:
@@ -16,7 +15,8 @@
     - [create ()] grows the vertex set to [1 + max endpoint seen] — the
       mode the SNAP ingester uses when the input carries no header.
 
-    Vertex ids must be below [2^31] (edges are packed two-per-word). *)
+    Vertex ids must be below [2^31] (edges are packed two-per-word), and
+    the finished graph's [n] and [2 m] below [2^31 - 1] (int32 CSR). *)
 
 type t
 
@@ -26,7 +26,7 @@ val create : ?n:int -> ?edges_hint:int -> unit -> t
     the vertex count is the largest endpoint seen plus one.
     [edges_hint] pre-sizes the edge buffer (it grows by doubling
     regardless, so the hint only avoids early reallocations).
-    @raise Invalid_argument on negative [n] or [n > 2^31]. *)
+    @raise Invalid_argument on negative [n] or [n > 2^31 - 1]. *)
 
 val add_edge : t -> int -> int -> unit
 (** [add_edge b u v] records the undirected edge [(u, v)].  Duplicates
@@ -45,13 +45,11 @@ val finish : t -> Graph.t
 (** [finish b] counting-sorts the buffered edges into a CSR graph and
     consumes the builder.  The CSR values are identical (same offsets
     and adjacency sequences) to [Graph.of_edge_array] over the same
-    edges; when the directed entry count and vertex count both fit
-    [2^31 - 1] — always, given the id limit, unless the deduplicated
-    graph has 2^30+ edges — the result uses packed int32 storage
-    ([Graph.is_packed]), scattered and slice-sorted directly in the
-    int32 bigarray so no boxed copy of the adjacency ever exists and
-    peak memory stays ~2 words per edge.
-    @raise Invalid_argument if called twice. *)
+    edges; the adjacency is scattered and slice-sorted directly in the
+    int32 bigarray, so no boxed copy of it ever exists.
+    @raise Invalid_argument if called twice, or if the vertex count or
+    twice the number of added edges exceeds [2^31 - 1] (checked before
+    any O(n) allocation). *)
 
 val of_edge_seq : ?n:int -> (int * int) Seq.t -> Graph.t
 (** [of_edge_seq ?n seq] folds a sequence of edges through a fresh

@@ -74,9 +74,7 @@ let write_entries oc buf ~count get =
 let write path g =
   check_endianness path;
   let n = Graph.n g and m = Graph.m g in
-  if n > Int32.to_int Int32.max_int || 2 * m > Int32.to_int Int32.max_int then
-    invalid_arg
-      (Printf.sprintf "Cgr.write: graph too large for int32 payload (n=%d, 2m=%d)" n (2 * m));
+  let offsets = Graph.csr_offsets g and adj = Graph.csr_adjacency g in
   let oc = open_out_bin path in
   Fun.protect
     ~finally:(fun () -> close_out oc)
@@ -89,15 +87,8 @@ let write path g =
       Bytes.set_int64_le header 24 (Int64.of_int m);
       output_bytes oc header;
       let buf = Bytes.create (4 * chunk_entries) in
-      match Graph.csr g with
-      | Graph.Csr_packed { offsets; adj } ->
-          write_entries oc buf ~count:(n + 1) (fun i -> A1.unsafe_get offsets i);
-          write_entries oc buf ~count:(2 * m) (fun i -> A1.unsafe_get adj i)
-      | Graph.Csr_boxed { offsets; adj } ->
-          write_entries oc buf ~count:(n + 1) (fun i ->
-              Int32.of_int (Array.unsafe_get offsets i));
-          write_entries oc buf ~count:(2 * m) (fun i ->
-              Int32.of_int (Array.unsafe_get adj i)))
+      write_entries oc buf ~count:(n + 1) (fun i -> A1.unsafe_get offsets i);
+      write_entries oc buf ~count:(2 * m) (fun i -> A1.unsafe_get adj i))
 
 (* --- Header parsing shared by both loaders --- *)
 

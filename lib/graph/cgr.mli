@@ -32,8 +32,6 @@ exception Bad_file of string
 val write : string -> Graph.t -> unit
 (** [write path g] serialises [g].  Streams through a fixed 64 KiB
     buffer — no second copy of the graph is materialised.
-    @raise Invalid_argument if [n] or [2 m] exceeds [2^31 - 1] (the
-    payload is int32).
     @raise Failure on a big-endian host. *)
 
 val read_eager : string -> Graph.t

@@ -2,37 +2,19 @@ module A1 = Bigarray.Array1
 
 type int32_array = (int32, Bigarray.int32_elt, Bigarray.c_layout) A1.t
 
-(* Two physical layouts behind one accessor surface:
+(* CSR in C-layout int32 bigarrays: 4 bytes per entry, so the adjacency
+   of an m-edge graph costs 8m bytes, and the storage can be backed by
+   [Unix.map_file] so multi-GiB graphs open in O(1) and page in on
+   demand (see {!Cgr}).  The loads compile to an unboxed 32-bit read
+   plus sign extension — allocation-free in the kernel loops.
 
-   - [Boxed]: the historical representation, plain OCaml [int array]s —
-     8 bytes per entry, ~16 bytes per undirected edge for [adj].
-   - [Packed]: C-layout int32 bigarrays — 4 bytes per entry, so the
-     adjacency of an m-edge graph costs 8m bytes instead of 16m, and
-     the storage can be backed by [Unix.map_file] so multi-GiB graphs
-     open in O(1) and page in on demand (see {!Cgr}).
-
-   Every accessor branches on the storage once; the branch is perfectly
-   predicted (a graph never changes representation in place) and the
-   packed loads compile to an unboxed 32-bit read + sign extension —
-   measured allocation-free and at parity-or-better with the boxed path
-   (bandwidth halves, which is what the adjacency-scan kernels are
-   bound on; see the repr: bench rows).
-
-   Packing requires every stored value to fit in an int32: vertex ids
-   (adj entries) and offsets (bounded by 2m) must be < 2^31.  Graphs
-   beyond that stay boxed. *)
-type storage =
-  | Boxed of { offsets : int array; adj : int array }
-  | Packed of { offsets : int32_array; adj : int32_array }
-
-type t = { n : int; m : int; storage : storage }
+   Every stored value fits an int32: vertex ids and offsets (bounded by
+   2m) stay below 2^31, which [Int_sort.assemble_csr] and the [Cgr]
+   header checks enforce. *)
+type t = { n : int; m : int; offsets : int32_array; adj : int32_array }
 
 let n t = t.n
 let m t = t.m
-let is_packed t = match t.storage with Boxed _ -> false | Packed _ -> true
-
-(* Largest value representable in the packed storage. *)
-let max_packed = Int32.to_int Int32.max_int
 
 let check_vertex t u =
   if u < 0 || u >= t.n then
@@ -48,131 +30,41 @@ let of_edge_array ~n edges =
       if u = v then
         invalid_arg (Printf.sprintf "Graph.of_edge_array: self-loop at %d" u))
     edges;
-  (* Normalise each edge to a single packed int (min * n + max): integer
-     sorting and deduplication are several times faster than sorting
-     tuples through the polymorphic comparator, which matters when
-     building graphs with millions of edges. *)
-  let packed = Array.map (fun (u, v) -> if u < v then (u * n) + v else (v * n) + u) edges in
-  Array.sort Int.compare packed;
-  let raw = Array.length packed in
-  let m = ref 0 in
-  for i = 0 to raw - 1 do
-    if i = 0 || packed.(i) <> packed.(i - 1) then begin
-      packed.(!m) <- packed.(i);
-      incr m
-    end
-  done;
-  let m = !m in
-  let deg = Array.make (max n 1) 0 in
-  for i = 0 to m - 1 do
-    let u = packed.(i) / n and v = packed.(i) mod n in
-    deg.(u) <- deg.(u) + 1;
-    deg.(v) <- deg.(v) + 1
-  done;
-  let offsets = Array.make (n + 1) 0 in
-  for u = 0 to n - 1 do
-    offsets.(u + 1) <- offsets.(u) + deg.(u)
-  done;
-  let adj = Array.make (2 * m) 0 in
-  let cursor = Array.copy offsets in
-  (* The packed array is sorted lexicographically by (u, v), so writing
-     in order leaves every u-slice already sorted on the u side; the
-     v-side entries arrive in increasing u as well, keeping all slices
-     sorted without a per-slice sort. *)
-  for i = 0 to m - 1 do
-    let u = packed.(i) / n and v = packed.(i) mod n in
-    adj.(cursor.(u)) <- v;
-    cursor.(u) <- cursor.(u) + 1
-  done;
-  (* Second pass for the reverse direction: iterate sorted edges again;
-     for each v the incoming u values appear in increasing order, but
-     they must be merged with the forward entries, so a final per-slice
-     sort is still needed — in place, no per-vertex temporary. *)
-  for i = 0 to m - 1 do
-    let u = packed.(i) / n and v = packed.(i) mod n in
-    adj.(cursor.(v)) <- u;
-    cursor.(v) <- cursor.(v) + 1
-  done;
-  for u = 0 to n - 1 do
-    Int_sort.sort_range adj ~lo:offsets.(u) ~hi:offsets.(u + 1)
-  done;
-  { n; m; storage = Boxed { offsets; adj } }
+  let keys = Array.map (fun (u, v) -> (u lsl 31) lor v) edges in
+  let offsets, adj =
+    Int_sort.assemble_csr ~who:"Graph.of_edge_array" ~n ~count:(Array.length keys) keys
+  in
+  { n; m = A1.dim adj / 2; offsets; adj }
 
 let of_edges ~n edges = of_edge_array ~n (Array.of_list edges)
 
-(* Trusted constructors for Builder.finish and the .cgr loaders: the
+(* Trusted constructor for Builder.finish and the .cgr loaders: the
    caller guarantees the CSR invariants (offsets monotone with
    offsets.(n) = 2m, every slice sorted and duplicate-free, edges
    symmetric, no self-loops).  Only the cheap length consistency is
    re-checked here — re-validating the structure would cost the O(m)
-   pass these constructors exist to avoid. *)
-let unsafe_of_csr ~n ~m ~offsets ~adj =
-  if n < 0 || m < 0 || Array.length offsets <> n + 1 || offsets.(n) <> 2 * m
-     || Array.length adj <> 2 * m
-  then invalid_arg "Graph.unsafe_of_csr: inconsistent CSR arrays";
-  { n; m; storage = Boxed { offsets; adj } }
-
+   pass this constructor exists to avoid. *)
 let unsafe_of_packed_csr ~n ~m ~offsets ~adj =
   if n < 0 || m < 0 || A1.dim offsets <> n + 1
      || Int32.to_int (A1.get offsets n) <> 2 * m
      || A1.dim adj <> 2 * m
   then invalid_arg "Graph.unsafe_of_packed_csr: inconsistent CSR arrays";
-  { n; m; storage = Packed { offsets; adj } }
+  { n; m; offsets; adj }
 
-(* --- Representation conversion --- *)
+let storage_bytes t = 4 * (A1.dim t.offsets + A1.dim t.adj)
 
-let pack t =
-  match t.storage with
-  | Packed _ -> t
-  | Boxed { offsets; adj } ->
-      if 2 * t.m > max_packed || t.n > max_packed then
-        invalid_arg
-          (Printf.sprintf
-             "Graph.pack: graph too large for int32 storage (n=%d, 2m=%d, limit %d)" t.n
-             (2 * t.m) max_packed);
-      let po = A1.create Bigarray.int32 Bigarray.c_layout (t.n + 1) in
-      for i = 0 to t.n do
-        A1.unsafe_set po i (Int32.of_int (Array.unsafe_get offsets i))
-      done;
-      let pa = A1.create Bigarray.int32 Bigarray.c_layout (2 * t.m) in
-      for i = 0 to (2 * t.m) - 1 do
-        A1.unsafe_set pa i (Int32.of_int (Array.unsafe_get adj i))
-      done;
-      { t with storage = Packed { offsets = po; adj = pa } }
+(* --- Accessors --- *)
 
-let to_boxed t =
-  match t.storage with
-  | Boxed _ -> t
-  | Packed { offsets; adj } ->
-      let bo = Array.init (t.n + 1) (fun i -> Int32.to_int (A1.unsafe_get offsets i)) in
-      let ba = Array.init (2 * t.m) (fun i -> Int32.to_int (A1.unsafe_get adj i)) in
-      { t with storage = Boxed { offsets = bo; adj = ba } }
-
-let storage_bytes t =
-  match t.storage with
-  | Boxed { offsets; adj } -> 8 * (Array.length offsets + Array.length adj)
-  | Packed { offsets; adj } -> 4 * (A1.dim offsets + A1.dim adj)
-
-(* --- Accessors ---
-
-   Each hot accessor carries its own single match so the whole access
-   path (offset loads, adjacency load, int32 widening) inlines into the
-   kernel loop with one predicted branch and no closure. *)
-
-let degree t u =
-  check_vertex t u;
-  match t.storage with
-  | Boxed { offsets; _ } -> offsets.(u + 1) - offsets.(u)
-  | Packed { offsets; _ } -> Int32.to_int (A1.get offsets (u + 1)) - Int32.to_int (A1.get offsets u)
+let[@inline] offset t u = Int32.to_int (A1.unsafe_get t.offsets u)
 
 (* [degree] without the vertex-range check — the companion of
    [unsafe_neighbor] for kernels that draw many indices below the same
    degree and hoist the rejection mask across the fan-out. *)
-let[@inline] unsafe_degree t u =
-  match t.storage with
-  | Boxed { offsets; _ } -> Array.unsafe_get offsets (u + 1) - Array.unsafe_get offsets u
-  | Packed { offsets; _ } ->
-      Int32.to_int (A1.unsafe_get offsets (u + 1)) - Int32.to_int (A1.unsafe_get offsets u)
+let[@inline] unsafe_degree t u = offset t (u + 1) - offset t u
+
+let degree t u =
+  check_vertex t u;
+  unsafe_degree t u
 
 let max_degree t =
   let best = ref 0 in
@@ -197,11 +89,7 @@ let is_regular t = t.n <= 1 || max_degree t = min_degree t
 
 (* [neighbor] without the vertex/index checks, for inner loops whose
    indices come from [int_below (degree u)]. *)
-let[@inline] unsafe_neighbor t u i =
-  match t.storage with
-  | Boxed { offsets; adj } -> Array.unsafe_get adj (Array.unsafe_get offsets u + i)
-  | Packed { offsets; adj } ->
-      Int32.to_int (A1.unsafe_get adj (Int32.to_int (A1.unsafe_get offsets u) + i))
+let[@inline] unsafe_neighbor t u i = Int32.to_int (A1.unsafe_get t.adj (offset t u + i))
 
 let neighbor t u i =
   check_vertex t u;
@@ -216,29 +104,17 @@ let neighbor t u i =
    [int_below] as [random_neighbor].  An isolated vertex makes
    [int_below] raise on 0. *)
 let[@inline] unsafe_random_neighbor t rng u =
-  match t.storage with
-  | Boxed { offsets; adj } ->
-      let lo = Array.unsafe_get offsets u in
-      let d = Array.unsafe_get offsets (u + 1) - lo in
-      Array.unsafe_get adj (lo + Cobra_prng.Rng.int_below rng d)
-  | Packed { offsets; adj } ->
-      let lo = Int32.to_int (A1.unsafe_get offsets u) in
-      let d = Int32.to_int (A1.unsafe_get offsets (u + 1)) - lo in
-      Int32.to_int (A1.unsafe_get adj (lo + Cobra_prng.Rng.int_below rng d))
+  let lo = offset t u in
+  let d = offset t (u + 1) - lo in
+  Int32.to_int (A1.unsafe_get t.adj (lo + Cobra_prng.Rng.int_below rng d))
 
 (* Keyed-draw twin of [unsafe_random_neighbor]: same addressing, the
    index comes from a counter-based stream instead of the sequential
    one, so sharded step kernels can call it from any domain. *)
 let[@inline] unsafe_keyed_neighbor t k u =
-  match t.storage with
-  | Boxed { offsets; adj } ->
-      let lo = Array.unsafe_get offsets u in
-      let d = Array.unsafe_get offsets (u + 1) - lo in
-      Array.unsafe_get adj (lo + Cobra_prng.Keyed.int_below k d)
-  | Packed { offsets; adj } ->
-      let lo = Int32.to_int (A1.unsafe_get offsets u) in
-      let d = Int32.to_int (A1.unsafe_get offsets (u + 1)) - lo in
-      Int32.to_int (A1.unsafe_get adj (lo + Cobra_prng.Keyed.int_below k d))
+  let lo = offset t u in
+  let d = offset t (u + 1) - lo in
+  Int32.to_int (A1.unsafe_get t.adj (lo + Cobra_prng.Keyed.int_below k d))
 
 let random_neighbor t rng u =
   check_vertex t u;
@@ -248,24 +124,13 @@ let random_neighbor t rng u =
 
 let neighbors t u =
   check_vertex t u;
-  match t.storage with
-  | Boxed { offsets; adj } -> Array.sub adj offsets.(u) (offsets.(u + 1) - offsets.(u))
-  | Packed { offsets; adj } ->
-      let lo = Int32.to_int (A1.get offsets u) in
-      let d = Int32.to_int (A1.get offsets (u + 1)) - lo in
-      Array.init d (fun i -> Int32.to_int (A1.unsafe_get adj (lo + i)))
+  Array.init (unsafe_degree t u) (fun i -> unsafe_neighbor t u i)
 
 let iter_neighbors t u f =
   check_vertex t u;
-  match t.storage with
-  | Boxed { offsets; adj } ->
-      for i = offsets.(u) to offsets.(u + 1) - 1 do
-        f (Array.unsafe_get adj i)
-      done
-  | Packed { offsets; adj } ->
-      for i = Int32.to_int (A1.get offsets u) to Int32.to_int (A1.get offsets (u + 1)) - 1 do
-        f (Int32.to_int (A1.unsafe_get adj i))
-      done
+  for i = offset t u to offset t (u + 1) - 1 do
+    f (Int32.to_int (A1.unsafe_get t.adj i))
+  done
 
 let fold_neighbors t u f init =
   check_vertex t u;
@@ -304,35 +169,19 @@ let degree_of_set t s =
 
 let total_degree t = 2 * t.m
 
-(* --- Flat CSR access for the float kernels ---
+(* --- Raw CSR access for the float kernels (matvec, CG, .cgr writer) --- *)
 
-   The blocked matvec and the CG hitting-time solver stream the raw CSR
-   arrays without per-edge closure calls; [csr] hands them the storage
-   as a one-shot match so each solver can compile a specialised gather
-   loop per representation.  The arrays are the graph's own storage,
-   shared, and must not be mutated. *)
+let csr_offsets t = t.offsets
+let csr_adjacency t = t.adj
 
+(* The int-array constructor is never built: the variant keeps its
+   historical shape only because existing consumers match both
+   constructors. *)
 type csr =
   | Csr_boxed of { offsets : int array; adj : int array }
   | Csr_packed of { offsets : int32_array; adj : int32_array }
 
-let csr t =
-  match t.storage with
-  | Boxed { offsets; adj } -> Csr_boxed { offsets; adj }
-  | Packed { offsets; adj } -> Csr_packed { offsets; adj }
-
-(* Back-compat materialising accessors: zero-copy on boxed graphs, a
-   fresh widened copy on packed ones (tests and tools only; the solvers
-   use [csr]). *)
-let csr_offsets t =
-  match t.storage with
-  | Boxed { offsets; _ } -> offsets
-  | Packed { offsets; _ } -> Array.init (t.n + 1) (fun i -> Int32.to_int (A1.unsafe_get offsets i))
-
-let csr_adjacency t =
-  match t.storage with
-  | Boxed { adj; _ } -> adj
-  | Packed { adj; _ } -> Array.init (2 * t.m) (fun i -> Int32.to_int (A1.unsafe_get adj i))
+let csr t = Csr_packed { offsets = t.offsets; adj = t.adj }
 
 let pp_stats ppf t =
   Format.fprintf ppf "n=%d m=%d deg=[%d..%d]%s" t.n t.m (min_degree t) (max_degree t)

@@ -9,69 +9,43 @@
     every edge [(u, v)] appears in both adjacency slices.  Construction
     deduplicates and validates.
 
-    Two physical storages exist behind the same accessor surface:
-    {e boxed} (plain [int array]s, 8 bytes per CSR entry) and {e packed}
-    (C-layout int32 bigarrays, 4 bytes per entry — half the bandwidth
-    per neighbour read, and mmap-able from a {!Cgr} file).  Packing
-    requires [n] and [2 m] below [2^31].  Every accessor behaves
-    identically on both: for a fixed seed, every simulation result is
-    bit-identical whichever storage the graph uses. *)
+    The CSR arrays are C-layout int32 bigarrays: 4 bytes per entry, and
+    mmap-able from a {!Cgr} file.  Every constructor goes through
+    {!Int_sort.assemble_csr} or a {!Cgr} loader, so [n] and [2 m] are
+    below [2^31] for every graph. *)
 
 type t
 
 type int32_array = (int32, Bigarray.int32_elt, Bigarray.c_layout) Bigarray.Array1.t
-(** The packed CSR storage type. *)
+(** The CSR storage type. *)
 
 val of_edges : n:int -> (int * int) list -> t
 (** [of_edges ~n edges] builds the graph with vertex set [0 .. n-1] and
     the given undirected edges.  Edge direction and duplicates are
     ignored; self-loops raise.
 
-    @raise Invalid_argument on [n < 0], endpoints out of range, or a
-    self-loop. *)
+    @raise Invalid_argument on [n < 0], endpoints out of range, a
+    self-loop, or [n] or twice the edge count above [2^31 - 1]. *)
 
 val of_edge_array : n:int -> (int * int) array -> t
 (** Array analogue of {!of_edges}. *)
 
-val unsafe_of_csr : n:int -> m:int -> offsets:int array -> adj:int array -> t
-(** [unsafe_of_csr ~n ~m ~offsets ~adj] wraps pre-built CSR arrays
-    without structural validation — the constructor behind
-    {!Builder.finish}'s boxed fallback, which establishes the
-    invariants itself.  The caller must guarantee: [offsets] has length
-    [n + 1], is monotone with [offsets.(n) = 2 * m]; [adj] has length
-    [2 * m]; every slice is sorted and duplicate-free; edges are
-    symmetric with no self-loops.  Violating these is undefined
-    behaviour everywhere else in the library.  Only length consistency
-    is checked.
-    @raise Invalid_argument on inconsistent array lengths. *)
-
 val unsafe_of_packed_csr :
   n:int -> m:int -> offsets:int32_array -> adj:int32_array -> t
-(** Packed twin of {!unsafe_of_csr}: wraps int32 bigarray CSR storage
-    (possibly mmap-backed) under the same invariants and the same
-    trust model.  Only length consistency and [offsets.(n) = 2 m] are
-    checked.
+(** [unsafe_of_packed_csr ~n ~m ~offsets ~adj] wraps pre-built CSR
+    arrays (possibly mmap-backed) without structural validation — the
+    constructor behind {!Builder.finish} and the {!Cgr} loaders.  The
+    caller must guarantee: [offsets] has [n + 1] entries, is monotone
+    with [offsets.{n} = 2 m]; [adj] has [2 m] entries; every slice is
+    sorted and duplicate-free; edges are symmetric with no self-loops.
+    Violating these is undefined behaviour everywhere else in the
+    library.  Only the lengths and [offsets.{n} = 2 m] are checked.
     @raise Invalid_argument on inconsistent dimensions. *)
 
-val pack : t -> t
-(** [pack g] is [g] with its CSR storage converted to packed int32
-    bigarrays (4 bytes per entry); the identity if [g] is already
-    packed.  The result is observationally identical to [g] through
-    every accessor.
-    @raise Invalid_argument if [n] or [2 m] exceeds [2^31 - 1]. *)
-
-val to_boxed : t -> t
-(** [to_boxed g] is [g] with boxed [int array] storage; the identity if
-    [g] is already boxed.  Materialises fresh arrays for a packed [g]
-    (including an mmap-backed one — the copy lives in the heap). *)
-
-val is_packed : t -> bool
-(** [true] iff the CSR storage is packed int32. *)
-
 val storage_bytes : t -> int
-(** Bytes held by the CSR arrays ([offsets] plus [adj]): 8 per entry
-    boxed, 4 packed.  Divide by [2 * m] for bytes per directed
-    adjacency entry — the number the ingest bench rows report. *)
+(** Bytes held by the CSR arrays: [4 (n + 1 + 2 m)].  Divide by
+    [2 * m] for bytes per directed adjacency entry — the number the
+    ingest bench rows report. *)
 
 val n : t -> int
 (** Number of vertices. *)
@@ -148,29 +122,27 @@ val degree_of_set : t -> Cobra_bitset.Bitset.t -> int
 val total_degree : t -> int
 (** [total_degree g = 2 * m g]. *)
 
+val csr_offsets : t -> int32_array
+(** The CSR offset array ([n + 1] entries): the graph's own storage,
+    shared and not to be mutated.  The neighbours of [u] are
+    [adj.{offsets.{u}} .. adj.{offsets.{u + 1} - 1}], so flat kernels
+    (blocked matvec, CG solvers, the {!Cgr} writer) stream rows without
+    per-edge closure calls. *)
+
+val csr_adjacency : t -> int32_array
+(** The CSR adjacency array ([2 m] entries, each slice sorted): shared
+    storage, not to be mutated. *)
+
 type csr =
   | Csr_boxed of { offsets : int array; adj : int array }
   | Csr_packed of { offsets : int32_array; adj : int32_array }
-      (** The raw CSR arrays in whichever storage the graph uses: the
-          neighbours of [u] live at [adj.(offsets.(u)) ..
-          adj.(offsets.(u + 1) - 1)].  Shared storage, must not be
-          mutated. *)
+      (** The raw CSR arrays.  The int-array constructor is never
+          produced; the type keeps both constructors only so code
+          written against the former two-storage view still compiles. *)
 
 val csr : t -> csr
-(** One-shot view of the CSR storage, so flat kernels (blocked matvec,
-    CG solvers) can match once and stream a specialised loop per
-    representation without per-edge closure calls. *)
-
-val csr_offsets : t -> int array
-(** The CSR offset array (length [n + 1]) as an [int array]: the
-    graph's own storage (shared, must not be mutated) when boxed, a
-    fresh O(n) widened copy when packed.  Kernels should prefer {!csr};
-    this accessor remains for tests and tooling. *)
-
-val csr_adjacency : t -> int array
-(** The CSR adjacency array (length [2 m], each slice sorted) as an
-    [int array]: shared storage when boxed, a fresh O(m) widened copy
-    when packed.  Kernels should prefer {!csr}. *)
+(** [Csr_packed] over {!csr_offsets} and {!csr_adjacency}.  New code
+    should call those directly. *)
 
 val pp_stats : Format.formatter -> t -> unit
 (** One-line summary: n, m, degree range. *)

@@ -1,20 +1,23 @@
-(** In-place range sorts for CSR slice sorting.
-
-    Both sorters order the half-open range [\[lo, hi)] of their array
-    ascending, allocating nothing: introsort (median-of-three quicksort,
-    insertion sort on short ranges, heapsort past the depth budget), so
-    the worst case stays O(n log n).  A sorted integer sequence is
-    unique, so results are byte-identical to sorting a copied slice with
-    [Array.sort Int.compare] and blitting it back — minus the per-slice
-    temporary that dance allocates. *)
-
-val sort_range : int array -> lo:int -> hi:int -> unit
-(** [sort_range a ~lo ~hi] sorts [a.(lo) .. a.(hi - 1)] in place.
-    @raise Invalid_argument if the range is not within [a]. *)
+(** CSR assembly: the one routine that turns an edge list into packed
+    int32 CSR storage.  {!Graph.of_edge_array} and {!Builder.finish}
+    both call it, so every graph, whatever built it, has identical
+    offsets and adjacency for the same multiset of edges. *)
 
 type int32_array = (int32, Bigarray.int32_elt, Bigarray.c_layout) Bigarray.Array1.t
-(** The packed CSR storage type: a C-layout bigarray of int32. *)
+(** The CSR storage type: a C-layout bigarray of int32. *)
 
-val sort_int32_range : int32_array -> lo:int -> hi:int -> unit
-(** [sort_range] for packed int32 storage.
-    @raise Invalid_argument if the range is not within [a]. *)
+val assemble_csr :
+  who:string -> n:int -> count:int -> int array -> int32_array * int32_array
+(** [assemble_csr ~who ~n ~count keys] counting-sorts the first
+    [count] entries of [keys], each an undirected edge packed as
+    [(u lsl 31) lor v], into [(offsets, adj)]: [offsets] has [n + 1]
+    entries, the neighbours of [u] are [adj.{offsets.{u}} ..
+    adj.{offsets.{u + 1} - 1}] in increasing order, each edge appears
+    in both slices once, and duplicates in either orientation are
+    removed.  [adj] has exactly [offsets.{n}] entries — never a view
+    into a larger buffer.
+
+    The caller guarantees [0 <= u, v < n] and [u <> v] for every key;
+    [who] prefixes the error messages.
+    @raise Invalid_argument if [n] or [2 * count] exceeds the int32
+    limit [2^31 - 1]; both are checked before any O(n) allocation. *)

@@ -2,7 +2,7 @@ module Graph = Cobra_graph.Graph
 module Obs = Cobra_obs.Obs
 module Metrics = Cobra_obs.Metrics
 
-type solver = Lanczos | Power | Jacobi
+type solver = Lanczos | Jacobi
 
 type not_converged = { best : float; iterations : int; matvecs : int; residual : float }
 
@@ -13,9 +13,7 @@ let emit_obs obs ~(solver : solver) ~iterations ~matvecs ~restarts ~residual ~co
   if Obs.enabled obs then begin
     let m = Obs.metrics obs in
     let scope = "spectral" in
-    let name =
-      match solver with Lanczos -> "lanczos" | Power -> "power" | Jacobi -> "jacobi"
-    in
+    let name = match solver with Lanczos -> "lanczos" | Jacobi -> "jacobi" in
     Metrics.incr (Metrics.counter m ~scope ("solves_" ^ name));
     Metrics.add (Metrics.counter m ~scope "iterations") iterations;
     Metrics.add (Metrics.counter m ~scope "matvecs") matvecs;
@@ -23,57 +21,6 @@ let emit_obs obs ~(solver : solver) ~iterations ~matvecs ~restarts ~residual ~co
     Metrics.set (Metrics.gauge m ~scope "last_residual") residual;
     if not converged then Metrics.incr (Metrics.counter m ~scope "not_converged")
   end
-
-(* Deflated power iteration for the dominant eigenvalue of
-   [shift * I + sign * N] restricted to the orthogonal complement of the
-   stationary direction.  Returns (rayleigh, eigenvector, iterations,
-   converged).  Kept as a cross-check solver for the Lanczos path. *)
-let power_deflated ?pool ~shift ~sign ~tol ~max_iter ~seed g =
-  let n = Graph.n g in
-  let op = Matvec.normalized_op g in
-  let pi = Matvec.stationary_direction g in
-  let rng = Cobra_prng.Rng.create seed in
-  let x = Array.init n (fun _ -> Cobra_prng.Rng.float01 rng -. 0.5) in
-  let y = Array.make n 0.0 in
-  let deflate v =
-    let c = Matvec.dot v pi in
-    Matvec.axpy ~alpha:(-.c) pi v
-  in
-  deflate x;
-  Matvec.scale_to_unit x;
-  let rayleigh = ref 0.0 in
-  let continue_ = ref true in
-  let converged = ref false in
-  let iter = ref 0 in
-  while !continue_ && !iter < max_iter do
-    incr iter;
-    Matvec.apply ?pool op x y;
-    (* y := shift * x + sign * N x *)
-    for i = 0 to n - 1 do
-      y.(i) <- (shift *. x.(i)) +. (sign *. y.(i))
-    done;
-    deflate y;
-    let r = Matvec.dot x y in
-    let nrm = Matvec.norm2 y in
-    if nrm < 1e-300 then begin
-      (* The deflated component vanished: the non-principal spectrum of
-         the shifted operator is (numerically) zero. *)
-      rayleigh := 0.0;
-      converged := true;
-      continue_ := false
-    end
-    else begin
-      for i = 0 to n - 1 do
-        x.(i) <- y.(i) /. nrm
-      done;
-      if Float.abs (r -. !rayleigh) < tol && !iter > 16 then begin
-        converged := true;
-        continue_ := false
-      end;
-      rayleigh := r
-    end
-  done;
-  (!rayleigh, x, !iter, !converged)
 
 (* --- Dense reference solver: cyclic Jacobi on the symmetric N --- *)
 
@@ -194,24 +141,6 @@ let second_eigenvalue_r ?(solver = Lanczos) ?(obs = Obs.null) ?(tol = 1e-10)
               matvecs = r.stats.matvecs;
               residual = r.stats.residual;
             }
-    | Power ->
-        (* Dominant deflated eigenvalue of I + N is 1 + lambda_2; of
-           I - N it is 1 - lambda_n.  Both operators are PSD on
-           connected graphs, so power iteration cannot oscillate. *)
-        let top, _, it1, ok1 = power_deflated ?pool ~shift:1.0 ~sign:1.0 ~tol ~max_iter ~seed g in
-        let bot, _, it2, ok2 =
-          power_deflated ?pool ~shift:1.0 ~sign:(-1.0) ~tol ~max_iter ~seed:(seed + 1) g
-        in
-        let lambda2 = top -. 1.0 in
-        let neg_lambda_n = bot -. 1.0 in
-        let lambda = clamp01 (Float.max lambda2 neg_lambda_n) in
-        let converged = ok1 && ok2 in
-        emit_obs obs ~solver ~iterations:(it1 + it2) ~matvecs:(it1 + it2) ~restarts:0
-          ~residual:(if converged then 0.0 else nan)
-          ~converged;
-        if converged then Ok lambda
-        else
-          Error { best = lambda; iterations = it1 + it2; matvecs = it1 + it2; residual = nan }
 
 (* The plain entry point keeps its historical contract — always a float,
    clamped to [0, 1] — but a failed convergence is no longer silent: it
@@ -236,12 +165,6 @@ let second_eigenvector ?(solver = Lanczos) ?(obs = Obs.null) ?(tol = 1e-10)
         emit_obs obs ~solver ~iterations:r.stats.iterations ~matvecs:r.stats.matvecs
           ~restarts:r.stats.restarts ~residual:r.stats.residual ~converged:r.stats.converged;
         (r.top, r.top_vec)
-    | Power ->
-        let r, x, it, ok = power_deflated ?pool ~shift:1.0 ~sign:1.0 ~tol ~max_iter ~seed g in
-        emit_obs obs ~solver ~iterations:it ~matvecs:it ~restarts:0
-          ~residual:(if ok then 0.0 else nan)
-          ~converged:ok;
-        (r -. 1.0, x)
     | Jacobi ->
         if n > 1024 then
           invalid_arg "Eigen.second_eigenvector: graph too large for the dense solver";

@@ -7,23 +7,21 @@
     Connected non-bipartite graphs have [lambda < 1]; bipartite ones have
     [lambda_n = -1], i.e. [lambda = 1].
 
-    Three solvers are provided, selectable per call:
+    Two solvers are provided, selectable per call:
     - [Lanczos] (default): thick-restart Lanczos on the symmetric
       normalisation with the stationary component deflated — both ends
       of the spectrum from one basis in tens of matvecs; scales to
       [n = 2^20] and beyond.
-    - [Power]: the historical deflated power iteration, kept as a
-      cross-check (thousands of matvecs on small gaps).
     - [Jacobi]: the dense cyclic-Jacobi reference ([n <= 1024]) — the
-      test oracle for both iterative paths. *)
+      test oracle for the iterative path. *)
 
-type solver = Lanczos | Power | Jacobi
+type solver = Lanczos | Jacobi
 
 type not_converged = {
   best : float;      (** Best estimate at the point the solver gave up (clamped). *)
   iterations : int;
   matvecs : int;
-  residual : float;  (** Final residual ([nan] when the solver has no residual, e.g. Power). *)
+  residual : float;  (** Final relative Ritz residual. *)
 }
 (** Typed non-convergence outcome: what {!second_eigenvalue_r} returns
     instead of presenting the last iterate as exact. *)
@@ -35,10 +33,9 @@ val second_eigenvalue_r :
     converge as [Error] with the best available estimate and the final
     residual rather than pretending the last iterate is exact.
 
-    [tol] (default [1e-10]) is the convergence threshold (Lanczos:
-    relative Ritz residual; Power: Rayleigh-quotient delta); [max_iter]
-    (default [200_000]) caps matvecs (Lanczos) or power steps per
-    operator; [seed] (default 1) fixes the random start vector.  [pool]
+    [tol] (default [1e-10]) is the convergence threshold on the
+    relative Ritz residual; [max_iter] (default [200_000]) caps
+    matvecs; [seed] (default 1) fixes the random start vector.  [pool]
     shards every matrix–vector product (see {!Matvec.apply}); the solve
     is bit-identical for any pool width.
 

@@ -28,7 +28,6 @@ let check_lengths g x y =
 
 type op = {
   g : Graph.t;
-  csr : Graph.csr;                (* raw storage view; gather specialises per variant *)
   scale_in : float array option;  (* per-source weight, applied before the gather *)
   scale_out : float array option; (* per-row weight, applied after the gather *)
   xs : float array;               (* scratch for the pre-scaled input *)
@@ -44,15 +43,8 @@ type op = {
    product). *)
 let target_block_nnz = 16_384
 
-let make_blocks csr n =
-  (* Construction-time only, so reading offsets through a closure is
-     fine; the gather loops below are the ones that must stay direct. *)
-  let off =
-    match csr with
-    | Graph.Csr_boxed { offsets; _ } -> fun i -> Array.unsafe_get offsets i
-    | Graph.Csr_packed { offsets; _ } ->
-        fun i -> Int32.to_int (Bigarray.Array1.unsafe_get offsets i)
-  in
+let make_blocks offsets n =
+  let off i = Int32.to_int (Bigarray.Array1.unsafe_get offsets i) in
   if n = 0 then [| 0 |]
   else begin
     let acc = ref [ 0 ] in
@@ -81,14 +73,12 @@ let inv_sqrt_degree g =
       if d = 0 then 0.0 else 1.0 /. sqrt (float_of_int d))
 
 let make_op g ~scale_in ~scale_out =
-  let csr = Graph.csr g in
   {
     g;
-    csr;
     scale_in;
     scale_out;
     xs = Array.make (Graph.n g) 0.0;
-    blocks = make_blocks csr (Graph.n g);
+    blocks = make_blocks (Graph.csr_offsets g) (Graph.n g);
   }
 
 let transition_op g = make_op g ~scale_in:None ~scale_out:(Some (inv_degree g))
@@ -99,31 +89,15 @@ let normalized_op g =
 
 let distribution_op g = make_op g ~scale_in:(Some (inv_degree g)) ~scale_out:None
 
-(* Pure CSR gather over rows [lo, hi) of the pre-scaled input.  One loop
-   per (storage, scaling) pair: floating-point addition order is the
-   neighbour order in both storages, so packed and boxed products are
-   bit-identical — the packed loops merely read 4-byte entries
-   (allocation-free [Int32.to_int] of an immediate). *)
+(* Pure CSR gather over rows [lo, hi) of the pre-scaled input, one loop
+   per scaling so the inner loop carries no branch.  Floating-point
+   addition order is the neighbour order; the 4-byte entries are read
+   with an allocation-free [Int32.to_int] of an immediate. *)
 let gather_rows op src y ~lo ~hi =
-  match (op.csr, op.scale_out) with
-  | Graph.Csr_boxed { offsets; adj }, Some out ->
-      for u = lo to hi - 1 do
-        let s = ref 0.0 in
-        for i = Array.unsafe_get offsets u to Array.unsafe_get offsets (u + 1) - 1 do
-          s := !s +. Array.unsafe_get src (Array.unsafe_get adj i)
-        done;
-        Array.unsafe_set y u (!s *. Array.unsafe_get out u)
-      done
-  | Graph.Csr_boxed { offsets; adj }, None ->
-      for u = lo to hi - 1 do
-        let s = ref 0.0 in
-        for i = Array.unsafe_get offsets u to Array.unsafe_get offsets (u + 1) - 1 do
-          s := !s +. Array.unsafe_get src (Array.unsafe_get adj i)
-        done;
-        Array.unsafe_set y u !s
-      done
-  | Graph.Csr_packed { offsets; adj }, Some out ->
-      let module A1 = Bigarray.Array1 in
+  let module A1 = Bigarray.Array1 in
+  let offsets = Graph.csr_offsets op.g and adj = Graph.csr_adjacency op.g in
+  match op.scale_out with
+  | Some out ->
       for u = lo to hi - 1 do
         let s = ref 0.0 in
         for i = Int32.to_int (A1.unsafe_get offsets u)
@@ -132,8 +106,7 @@ let gather_rows op src y ~lo ~hi =
         done;
         Array.unsafe_set y u (!s *. Array.unsafe_get out u)
       done
-  | Graph.Csr_packed { offsets; adj }, None ->
-      let module A1 = Bigarray.Array1 in
+  | None ->
       for u = lo to hi - 1 do
         let s = ref 0.0 in
         for i = Int32.to_int (A1.unsafe_get offsets u)

@@ -109,6 +109,10 @@ let test_errors () =
       ignore (Graph.of_edges ~n:3 [ (0, 3) ]));
   Alcotest.check_raises "negative n" (Invalid_argument "Graph.of_edge_array: negative n")
     (fun () -> ignore (Graph.of_edges ~n:(-1) []));
+  Alcotest.check_raises "n above the int32 limit"
+    (Invalid_argument
+       "Graph.of_edge_array: n = 2147483648 exceeds the int32 CSR limit 2^31 - 1 = 2147483647")
+    (fun () -> ignore (Graph.of_edge_array ~n:(1 lsl 31) [||]));
   let g = triangle () in
   Alcotest.check_raises "vertex range" (Invalid_argument "Graph: vertex 5 out of range [0, 3)")
     (fun () -> ignore (Graph.degree g 5));

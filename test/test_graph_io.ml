@@ -111,12 +111,15 @@ let with_temp content f =
   let path = write_temp content in
   Fun.protect ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ()) (fun () -> f path)
 
+let int32s a = Array.init (Bigarray.Array1.dim a) (Bigarray.Array1.get a)
+
 let check_same_csr msg expected actual =
   check_int (msg ^ ": n") (Graph.n expected) (Graph.n actual);
-  Alcotest.(check (array int))
-    (msg ^ ": offsets") (Graph.csr_offsets expected) (Graph.csr_offsets actual);
-  Alcotest.(check (array int))
-    (msg ^ ": adjacency") (Graph.csr_adjacency expected) (Graph.csr_adjacency actual)
+  Alcotest.(check (array int32))
+    (msg ^ ": offsets") (int32s (Graph.csr_offsets expected)) (int32s (Graph.csr_offsets actual));
+  Alcotest.(check (array int32))
+    (msg ^ ": adjacency") (int32s (Graph.csr_adjacency expected))
+    (int32s (Graph.csr_adjacency actual))
 
 let test_stream_equals_string () =
   (* The streaming channel reader and the eager of_string parser must

@@ -1,23 +1,17 @@
-(* Tests for the packed int32 CSR storage and the .cgr binary format.
+(* Tests for the int32 CSR storage and the .cgr binary format.
 
-   The load-bearing claim of graph.mli: packed and boxed storages are
-   observationally identical through every accessor, so for a fixed
-   seed every simulation, solver and serialisation result is
-   bit-identical whichever representation backs the graph.  Exercised
-   here across the generator zoo (which mixes storages by construction:
-   classic families build boxed via of_edge_array, Builder-based
-   power-law families come out packed), through the kernels
-   (cobra/bips, sequential and keyed), through the CG hitting-time
-   solver, and through a .cgr write -> eager load -> mmap load round
-   trip including torn-file rejection. *)
+   Every graph carries its CSR as int32 bigarrays, so these tests pin
+   the storage itself: 4 bytes per entry across the generator zoo (both
+   construction paths: classic families via of_edge_array, power-law
+   families via the Builder), every accessor against the raw arrays,
+   and a .cgr write -> eager load -> mmap load round trip including
+   torn-file rejection and a simulation run off the mapped file. *)
 
 module Graph = Cobra_graph.Graph
 module Gen = Cobra_graph.Gen
 module Cgr = Cobra_graph.Cgr
 module Graph_io = Cobra_graph.Graph_io
 module Process = Cobra_core.Process
-module Walk_theory = Cobra_core.Walk_theory
-module Props = Cobra_graph.Props
 module Bitset = Cobra_bitset.Bitset
 module Rng = Cobra_prng.Rng
 
@@ -45,56 +39,60 @@ let zoo =
 let zoo_graphs () =
   List.map (fun (fam, n) -> (fam, Gen.by_name fam ~n (Rng.create 2017))) zoo
 
+let int32s a = Array.init (Bigarray.Array1.dim a) (Bigarray.Array1.get a)
+
 let check_csr_equal msg a b =
   check_int (msg ^ ": n") (Graph.n a) (Graph.n b);
   check_int (msg ^ ": m") (Graph.m a) (Graph.m b);
-  Alcotest.(check (array int))
-    (msg ^ ": offsets") (Graph.csr_offsets a) (Graph.csr_offsets b);
-  Alcotest.(check (array int))
-    (msg ^ ": adjacency") (Graph.csr_adjacency a) (Graph.csr_adjacency b)
+  Alcotest.(check (array int32))
+    (msg ^ ": offsets") (int32s (Graph.csr_offsets a)) (int32s (Graph.csr_offsets b));
+  Alcotest.(check (array int32))
+    (msg ^ ": adjacency") (int32s (Graph.csr_adjacency a)) (int32s (Graph.csr_adjacency b))
 
-(* --- pack / to_boxed are inverses and preserve every accessor --- *)
+(* --- One storage: 4 bytes per entry, accessors read it directly --- *)
 
-let test_pack_roundtrip () =
+let test_storage_bytes () =
   List.iter
     (fun (fam, g) ->
-      let boxed = Graph.to_boxed g in
-      let packed = Graph.pack g in
-      check_bool (fam ^ ": to_boxed is boxed") false (Graph.is_packed boxed);
-      check_bool (fam ^ ": pack is packed") true (Graph.is_packed packed);
-      check_csr_equal (fam ^ ": boxed vs packed") boxed packed;
-      check_csr_equal (fam ^ ": pack . to_boxed") boxed (Graph.to_boxed packed);
       let entries = Graph.n g + 1 + (2 * Graph.m g) in
-      check_int (fam ^ ": packed bytes") (4 * entries) (Graph.storage_bytes packed);
-      check_int (fam ^ ": boxed bytes") (8 * entries) (Graph.storage_bytes boxed))
+      check_int (fam ^ ": bytes") (4 * entries) (Graph.storage_bytes g))
     (zoo_graphs ())
 
+(* Every accessor against the raw int32 arrays it reads: slices,
+   degrees, ordered iteration, membership, and draws that land on the
+   slice entry the index selects. *)
 let test_accessors_agree () =
   List.iter
     (fun (fam, g) ->
-      let boxed = Graph.to_boxed g and packed = Graph.pack g in
+      let offsets = Graph.csr_offsets g and adj = Graph.csr_adjacency g in
+      let off u = Int32.to_int offsets.{u} in
       for u = 0 to Graph.n g - 1 do
-        if Graph.degree boxed u <> Graph.degree packed u then
-          Alcotest.failf "%s: degree mismatch at %d" fam u;
-        Alcotest.(check (array int))
-          (Printf.sprintf "%s: neighbors %d" fam u)
-          (Graph.neighbors boxed u) (Graph.neighbors packed u);
-        (* Identical draw sequences must select identical neighbours. *)
-        let r1 = Rng.create (u + 1) and r2 = Rng.create (u + 1) in
-        if Graph.degree boxed u > 0 then
+        let slice = Array.init (off (u + 1) - off u) (fun i -> Int32.to_int adj.{off u + i}) in
+        check_int (Printf.sprintf "%s: degree %d" fam u) (Array.length slice) (Graph.degree g u);
+        Alcotest.(check (array int)) (Printf.sprintf "%s: neighbors %d" fam u) slice
+          (Graph.neighbors g u);
+        Alcotest.(check (list int))
+          (Printf.sprintf "%s: fold order %d" fam u)
+          (Array.to_list slice)
+          (List.rev (Graph.fold_neighbors g u (fun acc v -> v :: acc) []));
+        Array.iteri
+          (fun i v ->
+            if Graph.neighbor g u i <> v || not (Graph.mem_edge g u v) then
+              Alcotest.failf "%s: neighbor/mem_edge disagree at (%d, %d)" fam u i)
+          slice;
+        if Array.length slice > 0 then begin
+          let r1 = Rng.create (u + 1) and r2 = Rng.create (u + 1) in
           for _ = 1 to 8 do
-            if Graph.random_neighbor boxed r1 u <> Graph.random_neighbor packed r2 u then
-              Alcotest.failf "%s: random_neighbor diverges at %d" fam u
+            let i = Rng.int_below r1 (Array.length slice) in
+            if Graph.random_neighbor g r2 u <> slice.(i) then
+              Alcotest.failf "%s: random_neighbor is not slice.(int_below d) at %d" fam u
           done
+        end
       done;
-      check_int (fam ^ ": max_degree") (Graph.max_degree boxed) (Graph.max_degree packed);
-      check_int (fam ^ ": min_degree") (Graph.min_degree boxed) (Graph.min_degree packed);
-      check_bool (fam ^ ": mem_edge") true
-        (Graph.n g < 2
-        || Graph.mem_edge boxed 0 1 = Graph.mem_edge packed 0 1))
+      check_int (fam ^ ": offsets.(n) = 2m") (2 * Graph.m g) (off (Graph.n g)))
     (zoo_graphs ())
 
-(* --- Kernel equivalence: same seed, same rounds, same sets --- *)
+(* --- Simulation driver for the mmap parity check --- *)
 
 let run_cobra g ~seed ~rounds =
   let n = Graph.n g in
@@ -112,71 +110,6 @@ let run_cobra g ~seed ~rounds =
   done;
   (!tx, Buffer.contents trace, Bitset.to_list current)
 
-let run_cobra_keyed g ~master ~rounds =
-  let n = Graph.n g in
-  let ctx = Process.make_keyed_ctx g ~master in
-  let current = Bitset.create n and next = Bitset.create n in
-  Bitset.add current 0;
-  let tx = ref 0 in
-  for round = 1 to rounds do
-    tx :=
-      !tx
-      + Process.cobra_step_keyed g ctx ~round ~branching:(Process.Fixed 2) ~lazy_:false
-          ~current ~next;
-    Bitset.blit ~src:next ~dst:current
-  done;
-  (!tx, Bitset.to_list current)
-
-let run_bips g ~seed ~rounds =
-  let n = Graph.n g in
-  let rng = Rng.create seed in
-  let current = Bitset.create n and next = Bitset.create n in
-  Bitset.add current 0;
-  for _ = 1 to rounds do
-    Process.bips_step g rng ~branching:(Process.Bernoulli 0.5) ~lazy_:false ~source:0
-      ~current ~next;
-    Bitset.blit ~src:next ~dst:current
-  done;
-  Bitset.to_list current
-
-let test_kernels_bit_identical () =
-  List.iter
-    (fun (fam, g) ->
-      let boxed = Graph.to_boxed g and packed = Graph.pack g in
-      let tx_b, trace_b, set_b = run_cobra boxed ~seed:7 ~rounds:12 in
-      let tx_p, trace_p, set_p = run_cobra packed ~seed:7 ~rounds:12 in
-      check_int (fam ^ ": cobra transmissions") tx_b tx_p;
-      Alcotest.(check string) (fam ^ ": cobra cardinal trace") trace_b trace_p;
-      Alcotest.(check (list int)) (fam ^ ": cobra final set") set_b set_p;
-      let ktx_b, kset_b = run_cobra_keyed boxed ~master:2017 ~rounds:12 in
-      let ktx_p, kset_p = run_cobra_keyed packed ~master:2017 ~rounds:12 in
-      check_int (fam ^ ": keyed cobra transmissions") ktx_b ktx_p;
-      Alcotest.(check (list int)) (fam ^ ": keyed cobra final set") kset_b kset_p;
-      Alcotest.(check (list int))
-        (fam ^ ": bips final set")
-        (run_bips boxed ~seed:11 ~rounds:12)
-        (run_bips packed ~seed:11 ~rounds:12))
-    (zoo_graphs ())
-
-(* --- Solver equivalence: CG over the grounded Laplacian --- *)
-
-let test_solver_bit_identical () =
-  List.iter
-    (fun (fam, g) ->
-      if Props.is_connected g then begin
-        let boxed = Graph.to_boxed g and packed = Graph.pack g in
-        let hb = Walk_theory.hitting_times boxed ~target:0 in
-        let hp = Walk_theory.hitting_times packed ~target:0 in
-        (* Bit-identical, not approximately equal: the packed gather
-           accumulates in the same order as the boxed one. *)
-        Array.iteri
-          (fun u x ->
-            if not (Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float hp.(u))) then
-              Alcotest.failf "%s: hitting time differs at %d: %.17g vs %.17g" fam u x hp.(u))
-          hb
-      end)
-    (zoo_graphs ())
-
 (* --- .cgr round trip --- *)
 
 let with_tmp f =
@@ -192,8 +125,6 @@ let test_cgr_roundtrip () =
           check_int (fam ^ ": file size") expected_bytes (Unix.stat path).Unix.st_size;
           let eager = Cgr.read_eager path in
           let mapped = Cgr.read_mmap path in
-          check_bool (fam ^ ": eager is packed") true (Graph.is_packed eager);
-          check_bool (fam ^ ": mmap is packed") true (Graph.is_packed mapped);
           check_csr_equal (fam ^ ": eager round trip") g eager;
           check_csr_equal (fam ^ ": mmap round trip") g mapped;
           (* Dispatch through the generic loader must land here too. *)
@@ -281,42 +212,13 @@ let test_cgr_rejects_malformed () =
       patch_byte path ~pos:(size - 1) ~byte:0x7f;
       expect_bad "out-of-range adjacency (eager)" (fun () -> Cgr.read_eager path))
 
-(* --- QCheck: random multigraph edge lists, packed = boxed --- *)
-
-let random_graph_equiv =
-  QCheck.Test.make ~name:"random graphs: packed and boxed bit-identical" ~count:60
-    QCheck.(pair (int_range 2 50) (int_range 0 1000))
-    (fun (n, seed) ->
-      let rng = Rng.create seed in
-      let m = Rng.int_below rng (4 * n) in
-      (* A ring base keeps every vertex non-isolated (the kernels
-         require it); the random extras add skew and duplicates. *)
-      let edges =
-        Array.init (n + m) (fun i ->
-            if i < n then (i, (i + 1) mod n)
-            else begin
-              let u = Rng.int_below rng n in
-              let v = (u + 1 + Rng.int_below rng (n - 1)) mod n in
-              (u, v)
-            end)
-      in
-      let boxed = Graph.of_edge_array ~n edges in
-      let packed = Graph.pack boxed in
-      let tx_b, trace_b, set_b = run_cobra boxed ~seed:(seed + 1) ~rounds:6 in
-      let tx_p, trace_p, set_p = run_cobra packed ~seed:(seed + 1) ~rounds:6 in
-      Graph.csr_offsets boxed = Graph.csr_offsets packed
-      && Graph.csr_adjacency boxed = Graph.csr_adjacency packed
-      && tx_b = tx_p && trace_b = trace_p && set_b = set_p)
-
 let () =
   Alcotest.run "packed"
     [
       ( "storage",
         [
-          Alcotest.test_case "pack/to_boxed round trip" `Quick test_pack_roundtrip;
+          Alcotest.test_case "storage_bytes on zoo" `Quick test_storage_bytes;
           Alcotest.test_case "accessors agree" `Quick test_accessors_agree;
-          Alcotest.test_case "kernels bit-identical" `Quick test_kernels_bit_identical;
-          Alcotest.test_case "CG solver bit-identical" `Quick test_solver_bit_identical;
         ] );
       ( "cgr",
         [
@@ -324,5 +226,4 @@ let () =
           Alcotest.test_case "simulation on mmap graph" `Quick test_cgr_simulation_identical;
           Alcotest.test_case "malformed files rejected" `Quick test_cgr_rejects_malformed;
         ] );
-      ("property", [ QCheck_alcotest.to_alcotest random_graph_equiv ]);
     ]

@@ -123,8 +123,8 @@ let test_dense_spectrum_known () =
 let test_singleton () =
   check_float "single vertex" 0.0 (Eigen.second_eigenvalue (Graph.of_edges ~n:1 []))
 
-let power_vs_dense_test =
-  QCheck2.Test.make ~name:"power iteration matches dense solver" ~count:25
+let lanczos_vs_dense_test =
+  QCheck2.Test.make ~name:"lanczos matches dense solver" ~count:25
     QCheck2.Gen.(int_range 4 30)
     (fun n ->
       let rng = Rng.create (n * 7) in
@@ -264,14 +264,6 @@ let test_lanczos_matches_jacobi () =
       let j = Eigen.second_eigenvalue ~solver:Eigen.Jacobi g in
       check_float name ~eps:1e-8 j l)
     (zoo ())
-
-let test_lanczos_matches_power () =
-  List.iter
-    (fun (name, g) ->
-      let l = Eigen.second_eigenvalue ~solver:Eigen.Lanczos g in
-      let p = Eigen.second_eigenvalue ~solver:Eigen.Power g in
-      check_float name ~eps:1e-6 p l)
-    [ ("petersen", Gen.petersen ()); ("lollipop", Gen.lollipop ~clique:5 ~tail:4) ]
 
 let test_sym_eig_qr_matches_jacobi () =
   let k = 13 in
@@ -430,7 +422,7 @@ let () =
           Alcotest.test_case "second eigenvector" `Quick test_second_eigenvector_residual;
           Alcotest.test_case "dense spectrum" `Quick test_dense_spectrum_known;
           Alcotest.test_case "singleton" `Quick test_singleton;
-          QCheck_alcotest.to_alcotest power_vs_dense_test;
+          QCheck_alcotest.to_alcotest lanczos_vs_dense_test;
         ] );
       ( "conductance",
         [
@@ -454,7 +446,6 @@ let () =
       ( "solvers",
         [
           Alcotest.test_case "lanczos = jacobi on zoo" `Quick test_lanczos_matches_jacobi;
-          Alcotest.test_case "lanczos = power" `Quick test_lanczos_matches_power;
           Alcotest.test_case "sym_eig_qr = jacobi" `Quick test_sym_eig_qr_matches_jacobi;
           Alcotest.test_case "pool-width invariance" `Quick test_pool_width_invariance;
           Alcotest.test_case "typed not-converged" `Quick test_not_converged_typed;

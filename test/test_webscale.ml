@@ -15,19 +15,35 @@ module Rng = Cobra_prng.Rng
 let check_int = Alcotest.(check int)
 let check_bool = Alcotest.(check bool)
 
-let check_graph_equal msg expected actual =
-  check_int (msg ^ ": n") (Graph.n expected) (Graph.n actual);
-  check_int (msg ^ ": m") (Graph.m expected) (Graph.m actual);
-  Alcotest.(check (array int))
-    (msg ^ ": offsets") (Graph.csr_offsets expected) (Graph.csr_offsets actual);
-  Alcotest.(check (array int))
-    (msg ^ ": adjacency") (Graph.csr_adjacency expected) (Graph.csr_adjacency actual)
+let int32s a = Array.init (Bigarray.Array1.dim a) (Bigarray.Array1.get a)
+
+(* The reference CSR both constructors are held to: per-vertex sorted,
+   deduplicated neighbour lists over both orientations of every edge. *)
+let naive_csr ~n edges =
+  let lists = Array.make n [] in
+  Array.iter
+    (fun (u, v) ->
+      lists.(u) <- v :: lists.(u);
+      lists.(v) <- u :: lists.(v))
+    edges;
+  let lists = Array.map (List.sort_uniq Int.compare) lists in
+  let offsets = Array.make (n + 1) 0l in
+  Array.iteri
+    (fun u l -> offsets.(u + 1) <- Int32.add offsets.(u) (Int32.of_int (List.length l)))
+    lists;
+  (offsets, Array.of_list (List.concat_map (List.map Int32.of_int) (Array.to_list lists)))
+
+let check_graph_equal msg (offsets, adj) g =
+  check_int (msg ^ ": n") (Array.length offsets - 1) (Graph.n g);
+  check_int (msg ^ ": m") (Array.length adj / 2) (Graph.m g);
+  Alcotest.(check (array int32)) (msg ^ ": offsets") offsets (int32s (Graph.csr_offsets g));
+  Alcotest.(check (array int32)) (msg ^ ": adjacency") adj (int32s (Graph.csr_adjacency g))
 
 (* --- Builder --- *)
 
 (* The load-bearing claim of builder.mli: over any edge multiset the
-   counting-sort path produces bit-identical CSR arrays to the
-   tuple-array path.  Exercised over many random multisets with heavy
+   Builder and of_edge_array produce the same CSR arrays.  Both are held
+   to the naive reference over many random multisets with heavy
    duplication (both orientations) and skewed endpoints. *)
 let test_builder_matches_of_edge_array () =
   let rng = Rng.create 99 in
@@ -44,9 +60,11 @@ let test_builder_matches_of_edge_array () =
     in
     let b = Builder.create ~n () in
     Array.iter (fun (u, v) -> Builder.add_edge b u v) edges;
+    let expected = naive_csr ~n edges in
+    check_graph_equal (Printf.sprintf "trial %d: builder" trial) expected (Builder.finish b);
     check_graph_equal
-      (Printf.sprintf "trial %d" trial)
-      (Graph.of_edge_array ~n edges) (Builder.finish b)
+      (Printf.sprintf "trial %d: of_edge_array" trial)
+      expected (Graph.of_edge_array ~n edges)
   done
 
 let test_builder_autogrow () =
@@ -85,7 +103,18 @@ let test_builder_errors () =
   raises "add after finish" (fun () ->
       let b = Builder.create ~n:2 () in
       ignore (Builder.finish b);
-      Builder.add_edge b 0 1)
+      Builder.add_edge b 0 1);
+  (* The int32 CSR limit is a typed error before any O(n) allocation. *)
+  let limit = Printf.sprintf "exceeds the int32 CSR limit 2^31 - 1 = %d" ((1 lsl 31) - 1) in
+  Alcotest.check_raises "fixed n above the int32 limit"
+    (Invalid_argument (Printf.sprintf "Builder.create: n = %d %s" (1 lsl 31) limit))
+    (fun () -> ignore (Builder.create ~n:(1 lsl 31) ()));
+  Alcotest.check_raises "auto-grown n above the int32 limit"
+    (Invalid_argument (Printf.sprintf "Builder.finish: n = %d %s" (1 lsl 31) limit))
+    (fun () ->
+      let b = Builder.create () in
+      Builder.add_edge b 0 ((1 lsl 31) - 1);
+      ignore (Builder.finish b))
 
 let test_builder_of_edge_seq () =
   let edges = List.to_seq [ (0, 1); (1, 2); (0, 1) ] in
