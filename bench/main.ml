@@ -1,8 +1,8 @@
 (* Benchmark harness.
 
    Part 0 — kernel microbenches at n = 2^16: the word-parallel bitset
-   kernels and cobra_step on hypercube/expander/torus at the graph sizes
-   the experiment tables want to afford.  `dune exec bench/main.exe --
+   kernels and the serial cobra_step_keyed on hypercube/expander/torus
+   at the graph sizes the experiment tables want to afford.  `dune exec bench/main.exe --
    --quick` runs only these (plus the substrate kernels) under a reduced
    measurement quota and still writes BENCH_cobra.json — the CI smoke
    mode that makes kernel perf drift visible per PR.
@@ -45,6 +45,19 @@ let petersen = Gen.petersen ()
 
 let cover ?branching ?lazy_ g () = ignore (Cobra.run_cover g rng ?branching ?lazy_ ~start:0 ())
 
+(* One serial keyed COBRA round per call on a fixed frontier; the round
+   counter advances so every call draws fresh randomness. *)
+let keyed_step g ~current =
+  let ctx = Process.make_keyed_ctx g ~master:1234 in
+  let next = Bitset.create (Cobra_graph.Graph.n g) in
+  let round = ref 0 in
+  fun () ->
+    incr round;
+    ignore
+      (Process.cobra_step_keyed g ctx ~round:!round ~branching:(Process.Fixed 2) ~lazy_:false
+         ~current ~next
+        : int)
+
 (* --- Part 0: n = 2^16 kernel microbenches --- *)
 
 let n16 = 1 lsl 16
@@ -62,11 +75,6 @@ let micro_kernels =
   let dense_b = Bitset.of_list n16 (List.init 4096 (fun i -> (i * 16) + 7)) in
   let sparse = Bitset.of_list n16 (spread 32) in
   let union_dst = Bitset.of_list n16 (spread 4096) in
-  let next = Bitset.create n16 in
-  let step g current () =
-    ignore
-      (Process.cobra_step g rng ~branching:(Process.Fixed 2) ~lazy_:false ~current ~next : int)
-  in
   [
     Test.make ~name:"micro: bitset iter n=65536 (|S|=4096)"
       (Staged.stage (fun () ->
@@ -77,14 +85,14 @@ let micro_kernels =
       (Staged.stage (fun () -> Bitset.union_into ~into:union_dst dense_b));
     Test.make ~name:"micro: bitset random_member n=65536 (|S|=4096)"
       (Staged.stage (fun () -> ignore (Bitset.random_member dense rng : int)));
-    Test.make ~name:"micro: cobra_step hypercube d=16 (|C|=4096)"
-      (Staged.stage (step hypercube16 dense));
-    Test.make ~name:"micro: cobra_step regular8 n=65536 (|C|=4096)"
-      (Staged.stage (step regular8_65536 dense));
-    Test.make ~name:"micro: cobra_step torus 256x256 (|C|=4096)"
-      (Staged.stage (step torus256 dense));
-    Test.make ~name:"micro: cobra_step hypercube d=16 sparse (|C|=32)"
-      (Staged.stage (step hypercube16 sparse));
+    Test.make ~name:"micro: cobra_step_keyed hypercube d=16 (|C|=4096)"
+      (Staged.stage (keyed_step hypercube16 ~current:dense));
+    Test.make ~name:"micro: cobra_step_keyed regular8 n=65536 (|C|=4096)"
+      (Staged.stage (keyed_step regular8_65536 ~current:dense));
+    Test.make ~name:"micro: cobra_step_keyed torus 256x256 (|C|=4096)"
+      (Staged.stage (keyed_step torus256 ~current:dense));
+    Test.make ~name:"micro: cobra_step_keyed hypercube d=16 sparse (|C|=32)"
+      (Staged.stage (keyed_step hypercube16 ~current:sparse));
     Test.make ~name:"cover: hypercube n=65536" (Staged.stage (cover hypercube16));
   ]
 
@@ -113,8 +121,6 @@ let scaling_rows ~quick =
   let logn = if quick then 16 else 20 in
   let n = 1 lsl logn in
   let widths = if quick then [ 1; 2 ] else [ 1; 2; 4; 8 ] in
-  (* Enough rounds that the auto-tuner's two probe rounds (one serial,
-     one sharded) amortise out of the per-round average. *)
   let rounds = if quick then 24 else 32 in
   let graphs =
     [
@@ -140,21 +146,6 @@ let scaling_rows ~quick =
   in
   List.concat_map
     (fun (family, gname, g) ->
-      let serial =
-        let seq_rng = Rng.create 11 in
-        let scratch = Array.make Process.sparse_frontier_threshold 0 in
-        {
-          sc_name = Printf.sprintf "scaling: cobra_step serial %s" gname;
-          sc_kernel = "cobra_step";
-          sc_family = family;
-          sc_n = n;
-          sc_domains = 1;
-          sc_ns =
-            time_rounds (fun ~round:_ ~current ~next ->
-                Process.cobra_step ~scratch g seq_rng ~branching:(Process.Fixed 2) ~lazy_:false
-                  ~current ~next);
-        }
-      in
       let keyed =
         List.map
           (fun width ->
@@ -173,7 +164,7 @@ let scaling_rows ~quick =
                 }))
           widths
       in
-      serial :: keyed)
+      keyed)
     graphs
 
 let run_scaling ~quick =
@@ -216,12 +207,16 @@ let experiment_kernels =
     Test.make ~name:"e14: cover without replacement n=128"
       (Staged.stage
          (let current = Bitset.create 128 and next = Bitset.create 128 in
+          let ctx = Process.make_keyed_ctx regular8_128 ~master:1234 in
+          let rounds = ref 0 in
           fun () ->
             Bitset.clear current;
             Bitset.add current 0;
             for _ = 1 to 20 do
+              incr rounds;
               ignore
-                (Process.cobra_step_without_replacement regular8_128 rng ~b:2 ~current ~next);
+                (Process.cobra_step_without_replacement regular8_128 ctx ~round:!rounds ~b:2
+                   ~current ~next);
               Bitset.blit ~src:next ~dst:current
             done));
     Test.make ~name:"e15: SIS absorption petersen"
@@ -234,21 +229,19 @@ let experiment_kernels =
 
 let substrate_kernels =
   [
-    Test.make ~name:"kernel: cobra_step 8-regular n=256"
+    Test.make ~name:"kernel: cobra_step_keyed 8-regular n=256"
+      (Staged.stage
+         (keyed_step regular8_256 ~current:(Bitset.of_list 256 (List.init 64 (fun i -> i * 2)))));
+    Test.make ~name:"kernel: bips_step_keyed 8-regular n=256"
       (Staged.stage
          (let current = Bitset.of_list 256 (List.init 64 (fun i -> i * 2)) in
           let next = Bitset.create 256 in
+          let ctx = Process.make_keyed_ctx regular8_256 ~master:1234 in
+          let round = ref 0 in
           fun () ->
-            ignore
-              (Process.cobra_step regular8_256 rng ~branching:(Process.Fixed 2) ~lazy_:false
-                 ~current ~next)));
-    Test.make ~name:"kernel: bips_step 8-regular n=256"
-      (Staged.stage
-         (let current = Bitset.of_list 256 (List.init 64 (fun i -> i * 2)) in
-          let next = Bitset.create 256 in
-          fun () ->
-            Process.bips_step regular8_256 rng ~branching:(Process.Fixed 2) ~lazy_:false
-              ~source:0 ~current ~next));
+            incr round;
+            Process.bips_step_keyed regular8_256 ctx ~round:!round ~branching:(Process.Fixed 2)
+              ~lazy_:false ~source:0 ~current ~next));
     Test.make ~name:"kernel: second eigenvalue n=256"
       (Staged.stage (fun () ->
            ignore (Cobra_spectral.Eigen.second_eigenvalue ~tol:1e-8 regular8_256)));
@@ -268,14 +261,16 @@ let substrate_kernels =
           fun () -> ignore (Cobra_exact.Cobra_chain.next_dist petersen10 ~current:0b1011 ())));
   ]
 
-(* Representation ablation: the same COBRA round implemented over a naive
-   sorted-list set, to quantify what the bitset buys. *)
-let cobra_step_list_based g rng current =
+(* Representation ablation: the same keyed COBRA round implemented over
+   a naive sorted-list set, to quantify what the bitset buys. *)
+let cobra_step_list_based g k ~round current =
+  let base = Cobra_prng.Keyed.round_base k ~round in
   let next = ref [] in
   List.iter
     (fun u ->
+      Cobra_prng.Keyed.position_at k ~base ~vertex:u;
       for _ = 1 to 2 do
-        let v = Cobra_graph.Graph.random_neighbor g rng u in
+        let v = Cobra_graph.Graph.unsafe_keyed_neighbor g k u in
         if not (List.mem v !next) then next := v :: !next
       done)
     current;
@@ -285,16 +280,14 @@ let ablation_kernels =
   [
     Test.make ~name:"ablation: cobra round, bitset set (|C|=64, n=256)"
       (Staged.stage
-         (let current = Bitset.of_list 256 (List.init 64 (fun i -> i * 2)) in
-          let next = Bitset.create 256 in
-          fun () ->
-            ignore
-              (Process.cobra_step regular8_256 rng ~branching:(Process.Fixed 2) ~lazy_:false
-                 ~current ~next)));
+         (keyed_step regular8_256 ~current:(Bitset.of_list 256 (List.init 64 (fun i -> i * 2)))));
     Test.make ~name:"ablation: cobra round, list set (|C|=64, n=256)"
       (Staged.stage
          (let current = List.init 64 (fun i -> i * 2) in
-          fun () -> ignore (cobra_step_list_based regular8_256 rng current)));
+          let k = Cobra_prng.Keyed.create ~master:1234 and round = ref 0 in
+          fun () ->
+            incr round;
+            ignore (cobra_step_list_based regular8_256 k ~round:!round current)));
   ]
 
 (* --- Part 0.75: spectral-engine solve benches ---

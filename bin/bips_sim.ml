@@ -47,28 +47,7 @@ let phases_arg =
 let domains_arg =
   Arg.(value & opt (some int) None & info [ "domains" ] ~docv:"K" ~doc:"Extra worker domains.")
 
-let keyed_arg =
-  let doc =
-    "Use counter-based keyed randomness (the default since the keyed kernels became the \
-     faster path): trials run serially and the worker domains parallelise the rounds inside \
-     each trial. Results are bit-identical for any --domains value. This flag is now \
-     redundant and kept for compatibility."
-  in
-  Arg.(value & flag & info [ "keyed" ] ~doc)
-
-let sequential_arg =
-  let doc =
-    "Use the historical sequential-stream randomness instead of the default keyed model: \
-     one mutable stream per trial, trials parallelised across domains. Matches the \
-     pre-flip per-seed results."
-  in
-  Arg.(value & flag & info [ "sequential" ] ~doc)
-
-let run family file n trials seed source rho lazy_ trajectory phases domains keyed sequential =
-  if keyed && sequential then (
-    prerr_endline "bips-sim: --keyed and --sequential are mutually exclusive";
-    exit 124);
-  let keyed = not sequential in
+let run family file n trials seed source rho lazy_ trajectory phases domains =
   let g =
     match file with
     | Some path -> Cobra_graph.Graph_io.read_file path
@@ -81,12 +60,8 @@ let run family file n trials seed source rho lazy_ trajectory phases domains key
     (if lambda >= 0.9999 then "  [degenerate: bipartite or disconnected]" else "");
   Cobra_parallel.Pool.with_pool ?num_domains:domains (fun pool ->
       let est =
-        if keyed then
-          Cobra_core.Estimate.infection_time_keyed ~pool ~master_seed:seed ~trials ~branching
-            ~lazy_ ~source g
-        else
-          Cobra_core.Estimate.infection_time ~pool ~master_seed:seed ~trials ~branching ~lazy_
-            ~source g
+        Cobra_core.Estimate.infection_time ~pool ~master_seed:seed ~trials ~branching ~lazy_
+          ~source g
       in
       if est.censored > 0 then
         Format.printf "WARNING: %d/%d trials hit the round cap@." est.censored trials;
@@ -131,8 +106,7 @@ let cmd =
   let term =
     Term.(
       const run $ family_arg $ graph_file_arg $ n_arg $ trials_arg $ seed_arg $ source_arg
-      $ rho_arg $ lazy_arg $ trajectory_arg $ phases_arg $ domains_arg $ keyed_arg
-      $ sequential_arg)
+      $ rho_arg $ lazy_arg $ trajectory_arg $ phases_arg $ domains_arg)
   in
   Cmd.v (Cmd.info "bips-sim" ~version:"1.0.0" ~doc) term
 

@@ -60,24 +60,6 @@ let domains_arg =
   let doc = "Extra worker domains (default: cores - 1)." in
   Arg.(value & opt (some int) None & info [ "domains" ] ~docv:"K" ~doc)
 
-let keyed_arg =
-  let doc =
-    "Use counter-based keyed randomness (the default since the keyed kernels became the \
-     faster path): trials run one after another and the worker domains parallelise the \
-     rounds inside each trial instead of the trials themselves. Results are bit-identical \
-     for any --domains value. This flag is now redundant and kept for compatibility."
-  in
-  Arg.(value & flag & info [ "keyed" ] ~doc)
-
-let sequential_arg =
-  let doc =
-    "Use the historical sequential-stream randomness instead of the default keyed model: \
-     one mutable stream per trial, trials parallelised across domains. Matches the \
-     pre-flip per-seed results; keyed and sequential runs are different (equally valid) \
-     samples of the same process law."
-  in
-  Arg.(value & flag & info [ "sequential" ] ~doc)
-
 let histogram_arg =
   let doc = "Print an ASCII histogram of the per-trial cover times." in
   Arg.(value & flag & info [ "histogram" ] ~doc)
@@ -87,31 +69,20 @@ let load_graph family file n seed =
   | Some path -> Cobra_graph.Graph_io.read_file path
   | None -> Gen.by_name family ~n (Cobra_prng.Rng.create seed)
 
-let run family file n trials seed b rho lazy_ start max_rounds domains keyed sequential
-    histogram =
-  if keyed && sequential then (
-    prerr_endline "cobra-sim: --keyed and --sequential are mutually exclusive";
-    exit 124);
-  let keyed = not sequential in
+let run family file n trials seed b rho lazy_ start max_rounds domains histogram =
   let g = load_graph family file n seed in
   let branching =
     match rho with Some r -> Process.Bernoulli r | None -> Process.Fixed b
   in
   Process.validate_branching branching;
   Format.printf "graph: %a, diameter >= %d@." Graph.pp_stats g (Props.diameter_lower_bound g);
-  Format.printf "process: COBRA E[b] = %g%s, %d trials, seed %d%s@."
+  Format.printf "process: COBRA E[b] = %g%s, %d trials, seed %d@."
     (Process.expected_branching_factor branching)
     (if lazy_ then " (lazy)" else "")
-    trials seed
-    (if keyed then " (keyed rng)" else " (sequential rng)");
+    trials seed;
   Cobra_parallel.Pool.with_pool ?num_domains:domains (fun pool ->
       let est =
-        if keyed then
-          Estimate.cover_time_keyed ~pool ~master_seed:seed ~trials ~branching ~lazy_
-            ?max_rounds ?start g
-        else
-          Estimate.cover_time ~pool ~master_seed:seed ~trials ~branching ~lazy_ ?max_rounds
-            ?start g
+        Estimate.cover_time ~pool ~master_seed:seed ~trials ~branching ~lazy_ ?max_rounds ?start g
       in
       if est.censored > 0 then
         Format.printf "WARNING: %d/%d trials hit the round cap and are excluded@." est.censored
@@ -123,25 +94,14 @@ let run family file n trials seed b rho lazy_ start max_rounds domains keyed seq
           est.mean_transmissions
           (est.mean_transmissions /. float_of_int (Graph.n g));
       if histogram && est.summary.count > 1 then begin
-        (* Re-run to collect raw values for the histogram. *)
+        (* Re-run the estimate's trials (same per-trial streams, so the
+           same values) to collect them for the histogram. *)
         let start = match start with Some s -> s | None -> Estimate.start_heuristic g in
         let raw =
-          if keyed then
-            Array.init trials (fun trial ->
-                let master = Estimate.trial_master ~master_seed:seed ~trial in
-                let rng = Cobra_prng.Rng.create 0 in
-                match
-                  Cobra_core.Cobra.run_cover g rng ~branching ~lazy_ ?max_rounds ~pool
-                    ~rng_mode:(Process.Keyed { master }) ~start ()
-                with
-                | Some r -> float_of_int r
-                | None -> nan)
-          else
-            Cobra_parallel.Montecarlo.run ~pool ~master_seed:seed ~trials (fun ~trial rng ->
-                ignore trial;
-                match Cobra_core.Cobra.run_cover g rng ~branching ~lazy_ ?max_rounds ~start () with
-                | Some r -> float_of_int r
-                | None -> nan)
+          Cobra_parallel.Montecarlo.run ~pool ~master_seed:seed ~trials (fun ~trial:_ rng ->
+              match Cobra_core.Cobra.run_cover g rng ~branching ~lazy_ ?max_rounds ~start () with
+              | Some r -> float_of_int r
+              | None -> nan)
         in
         let finite = Array.of_list (List.filter (fun x -> not (Float.is_nan x)) (Array.to_list raw)) in
         if Array.length finite > 0 then
@@ -153,8 +113,7 @@ let cmd =
   let term =
     Term.(
       const run $ family_arg $ graph_file_arg $ n_arg $ trials_arg $ seed_arg $ b_arg $ rho_arg
-      $ lazy_arg $ start_arg $ max_rounds_arg $ domains_arg $ keyed_arg $ sequential_arg
-      $ histogram_arg)
+      $ lazy_arg $ start_arg $ max_rounds_arg $ domains_arg $ histogram_arg)
   in
   Cmd.v (Cmd.info "cobra-sim" ~version:"1.0.0" ~doc) term
 

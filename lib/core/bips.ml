@@ -1,5 +1,6 @@
 module Graph = Cobra_graph.Graph
 module Bitset = Cobra_bitset.Bitset
+module Rng = Cobra_prng.Rng
 
 type trajectory = { rounds : int; sizes : int array; candidate_sizes : int array }
 
@@ -7,91 +8,57 @@ let check_source g source =
   if Graph.n g = 0 then invalid_arg "Bips: empty graph";
   if source < 0 || source >= Graph.n g then invalid_arg "Bips: source vertex out of range"
 
-(* Kernel selection, mirroring [Cobra.stepper]: the sequential stream or
-   the keyed (optionally pool-sharded) kernel behind one closure. *)
-let stepper g rng ~branching ~lazy_ ~source ~pool ~rng_mode ~dense_threshold =
-  match rng_mode with
-  | Process.Sequential ->
-      fun ~round:_ ~current ~next ->
-        Process.bips_step g rng ~branching ~lazy_ ~source ~current ~next
-  | Process.Keyed { master } ->
-      let ctx = Process.make_keyed_ctx ?pool ?dense_threshold g ~master in
-      fun ~round ~current ~next ->
-        Process.bips_step_keyed g ctx ~round ~branching ~lazy_ ~source ~current ~next
-
-let run_loop g rng ~branching ~lazy_ ~max_rounds ~record ~source ~pool ~rng_mode
-    ~dense_threshold =
+(* Runs from A_0 = {source} until [stop], recording set and candidate
+   sizes when [record]; returns the round count and the final set. *)
+let infection g rng ~branching ~lazy_ ~max_rounds ~record ~source ~pool ~dense_threshold ~stop =
+  check_source g source;
+  Process.validate_branching branching;
   let n = Graph.n g in
-  let current = ref (Bitset.create n) in
-  let next = ref (Bitset.create n) in
-  let scratch = Bitset.create n in
-  Bitset.add !current source;
-  let step = stepper g rng ~branching ~lazy_ ~source ~pool ~rng_mode ~dense_threshold in
+  let ctx = Process.make_keyed_ctx ?pool ?dense_threshold g ~master:(Rng.keyed_master rng) in
+  let current = Bitset.create n and next = Bitset.create n in
+  let candidates = Bitset.create n in
+  Bitset.add current source;
   let sizes = ref [ 1 ] and candidate_sizes = ref [] in
-  let rounds = ref 0 in
-  let result = ref None in
-  (try
-     if n = 1 then result := Some 0
-     else
-       while !rounds < max_rounds do
-         if record then begin
-           Process.bips_candidate_set g ~source ~current:!current ~into:scratch;
-           candidate_sizes := Bitset.cardinal scratch :: !candidate_sizes
-         end;
-         incr rounds;
-         step ~round:!rounds ~current:!current ~next:!next;
-         let tmp = !current in
-         current := !next;
-         next := tmp;
-         if record then sizes := Bitset.cardinal !current :: !sizes;
-         if Bitset.cardinal !current = n then begin
-           result := Some !rounds;
-           raise Exit
-         end
-       done
-   with Exit -> ());
-  match !result with
-  | None -> None
-  | Some rounds ->
-      Some
+  let step ~round ~current ~next =
+    if record then begin
+      Process.bips_candidate_set g ~source ~current ~into:candidates;
+      candidate_sizes := Bitset.cardinal candidates :: !candidate_sizes
+    end;
+    Process.bips_step_keyed g ctx ~round ~branching ~lazy_ ~source ~current ~next;
+    if record then sizes := Bitset.cardinal next :: !sizes
+  in
+  let rounds, final = Rounds.run ~max_rounds ~current ~next ~step ~stop in
+  ( Option.map
+      (fun rounds ->
         {
           rounds;
           sizes = Array.of_list (List.rev !sizes);
           candidate_sizes = Array.of_list (List.rev !candidate_sizes);
-        }
+        })
+      rounds,
+    final )
+
+let complete g set = Bitset.cardinal set = Graph.n g
+
+let run_trajectory g rng ?(branching = Process.Fixed 2) ?(lazy_ = false) ?max_rounds ?pool
+    ?dense_threshold ~source () =
+  let max_rounds = Option.value max_rounds ~default:(Cobra.default_max_rounds g) in
+  fst
+    (infection g rng ~branching ~lazy_ ~max_rounds ~record:true ~source ~pool ~dense_threshold
+       ~stop:(complete g))
 
 let run_infection g rng ?(branching = Process.Fixed 2) ?(lazy_ = false) ?max_rounds ?pool
-    ?(rng_mode = Process.Sequential) ?dense_threshold ~source () =
-  check_source g source;
-  Process.validate_branching branching;
+    ?dense_threshold ~source () =
   let max_rounds = Option.value max_rounds ~default:(Cobra.default_max_rounds g) in
   Option.map
     (fun t -> t.rounds)
-    (run_loop g rng ~branching ~lazy_ ~max_rounds ~record:false ~source ~pool ~rng_mode
-       ~dense_threshold)
+    (fst
+       (infection g rng ~branching ~lazy_ ~max_rounds ~record:false ~source ~pool
+          ~dense_threshold ~stop:(complete g)))
 
-let run_trajectory g rng ?(branching = Process.Fixed 2) ?(lazy_ = false) ?max_rounds ?pool
-    ?(rng_mode = Process.Sequential) ?dense_threshold ~source () =
-  check_source g source;
-  Process.validate_branching branching;
-  let max_rounds = Option.value max_rounds ~default:(Cobra.default_max_rounds g) in
-  run_loop g rng ~branching ~lazy_ ~max_rounds ~record:true ~source ~pool ~rng_mode
-    ~dense_threshold
-
-let infected_after g rng ?(branching = Process.Fixed 2) ?(lazy_ = false) ?pool
-    ?(rng_mode = Process.Sequential) ?dense_threshold ~rounds ~source () =
-  check_source g source;
-  Process.validate_branching branching;
+let infected_after g rng ?(branching = Process.Fixed 2) ?(lazy_ = false) ?pool ?dense_threshold
+    ~rounds ~source () =
   if rounds < 0 then invalid_arg "Bips.infected_after: negative round count";
-  let n = Graph.n g in
-  let current = ref (Bitset.create n) in
-  let next = ref (Bitset.create n) in
-  Bitset.add !current source;
-  let step = stepper g rng ~branching ~lazy_ ~source ~pool ~rng_mode ~dense_threshold in
-  for r = 1 to rounds do
-    step ~round:r ~current:!current ~next:!next;
-    let tmp = !current in
-    current := !next;
-    next := tmp
-  done;
-  !current
+  snd
+    (infection g rng ~branching ~lazy_ ~max_rounds:rounds ~record:false ~source ~pool
+       ~dense_threshold ~stop:(fun _ -> false))

@@ -1,5 +1,6 @@
 module Graph = Cobra_graph.Graph
 module Bitset = Cobra_bitset.Bitset
+module Rng = Cobra_prng.Rng
 
 type run = {
   rounds : int;
@@ -19,71 +20,35 @@ let check_start g start =
   if Graph.n g = 0 then invalid_arg "Cobra: empty graph";
   if start < 0 || start >= Graph.n g then invalid_arg "Cobra: start vertex out of range"
 
-(* One closure per run selecting the stepping kernel: the sequential
-   stream (with the per-run sparse-path scratch buffer) or the keyed
-   kernels, optionally sharded over [pool].  The round loop itself is
-   identical either way. *)
-let stepper g rng ~branching ~lazy_ ~pool ~rng_mode ~dense_threshold =
-  match rng_mode with
-  | Process.Sequential ->
-      let scratch = Array.make Process.sparse_frontier_threshold 0 in
-      fun ~round:_ ~current ~next ->
-        Process.cobra_step ~scratch g rng ~branching ~lazy_ ~current ~next
-  | Process.Keyed { master } ->
-      let ctx = Process.make_keyed_ctx ?pool ?dense_threshold g ~master in
-      fun ~round ~current ~next ->
-        Process.cobra_step_keyed g ctx ~round ~branching ~lazy_ ~current ~next
-
-let run_loop g rng ~obs ~branching ~lazy_ ~max_rounds ~record ~start ~pool ~rng_mode
-    ~dense_threshold =
+let cover g ctx ~obs ~branching ~lazy_ ~max_rounds ~record ~start =
   let n = Graph.n g in
-  (* Double buffer: the step writes into [next], then the roles swap —
-     no per-round O(n/word) copy.  [next]'s stale contents are cleared
-     by the step itself. *)
-  let current = ref (Bitset.create n) in
-  let next = ref (Bitset.create n) in
+  let current = Bitset.create n and next = Bitset.create n in
   let visited = Bitset.create n in
-  Bitset.add !current start;
+  Bitset.add current start;
   Bitset.add visited start;
-  let step = stepper g rng ~branching ~lazy_ ~pool ~rng_mode ~dense_threshold in
   let transmissions = ref 0 in
   let visited_sizes = ref [ 1 ] and active_sizes = ref [ 1 ] in
-  let rounds = ref 0 in
-  let result = ref None in
   let observing = Cobra_obs.Obs.enabled obs in
-  (try
-     if Bitset.cardinal visited = n then result := Some !rounds
-     else
-       while !rounds < max_rounds do
-         incr rounds;
-         if observing then
-           Cobra_obs.Obs.emit obs (Cobra_obs.Trace.Round_started { round = !rounds });
-         let sent = step ~round:!rounds ~current:!current ~next:!next in
-         transmissions := !transmissions + sent;
-         let tmp = !current in
-         current := !next;
-         next := tmp;
-         Bitset.union_into ~into:visited !current;
-         if record then begin
-           visited_sizes := Bitset.cardinal visited :: !visited_sizes;
-           active_sizes := Bitset.cardinal !current :: !active_sizes
-         end;
-         if observing then
-           Cobra_obs.Obs.emit obs
-             (Cobra_obs.Trace.Round_ended
-                {
-                  round = !rounds;
-                  informed = Bitset.cardinal visited;
-                  active = Bitset.cardinal !current;
-                  messages = sent;
-                });
-         if Bitset.cardinal visited = n then begin
-           result := Some !rounds;
-           raise Exit
-         end
-       done
-   with Exit -> ());
-  match !result with
+  let step ~round ~current ~next =
+    if observing then Cobra_obs.Obs.emit obs (Cobra_obs.Trace.Round_started { round });
+    let sent = Process.cobra_step_keyed g ctx ~round ~branching ~lazy_ ~current ~next in
+    transmissions := !transmissions + sent;
+    Bitset.union_into ~into:visited next;
+    if record then begin
+      visited_sizes := Bitset.cardinal visited :: !visited_sizes;
+      active_sizes := Bitset.cardinal next :: !active_sizes
+    end;
+    if observing then
+      Cobra_obs.Obs.emit obs
+        (Cobra_obs.Trace.Round_ended
+           {
+             round;
+             informed = Bitset.cardinal visited;
+             active = Bitset.cardinal next;
+             messages = sent;
+           })
+  in
+  match fst (Rounds.run ~max_rounds ~current ~next ~step ~stop:(fun _ -> Bitset.cardinal visited = n)) with
   | None -> None
   | Some rounds ->
       Some
@@ -95,26 +60,28 @@ let run_loop g rng ~obs ~branching ~lazy_ ~max_rounds ~record ~start ~pool ~rng_
         }
 
 let run_cover_detailed g rng ?(obs = Cobra_obs.Obs.null) ?(branching = Process.Fixed 2)
-    ?(lazy_ = false) ?max_rounds ?pool ?(rng_mode = Process.Sequential) ?dense_threshold
-    ~start () =
+    ?(lazy_ = false) ?max_rounds ?pool ?dense_threshold ~start () =
   check_start g start;
   Process.validate_branching branching;
   let max_rounds = Option.value max_rounds ~default:(default_max_rounds g) in
-  run_loop g rng ~obs ~branching ~lazy_ ~max_rounds ~record:true ~start ~pool ~rng_mode
-    ~dense_threshold
+  let ctx = Process.make_keyed_ctx ?pool ?dense_threshold g ~master:(Rng.keyed_master rng) in
+  cover g ctx ~obs ~branching ~lazy_ ~max_rounds ~record:true ~start
 
 let run_cover g rng ?(obs = Cobra_obs.Obs.null) ?(branching = Process.Fixed 2) ?(lazy_ = false)
-    ?max_rounds ?pool ?(rng_mode = Process.Sequential) ?dense_threshold ~start () =
+    ?max_rounds ?pool ?rng_mode ?dense_threshold ~start () =
   check_start g start;
   Process.validate_branching branching;
   let max_rounds = Option.value max_rounds ~default:(default_max_rounds g) in
+  let master =
+    match rng_mode with Some (Process.Keyed { master }) -> master | None -> Rng.keyed_master rng
+  in
+  let ctx = Process.make_keyed_ctx ?pool ?dense_threshold g ~master in
   Option.map
     (fun r -> r.rounds)
-    (run_loop g rng ~obs ~branching ~lazy_ ~max_rounds ~record:false ~start ~pool ~rng_mode
-       ~dense_threshold)
+    (cover g ctx ~obs ~branching ~lazy_ ~max_rounds ~record:false ~start)
 
 let hitting_time g rng ?(branching = Process.Fixed 2) ?(lazy_ = false) ?max_rounds ?pool
-    ?(rng_mode = Process.Sequential) ?dense_threshold ~start ~target () =
+    ?dense_threshold ~start ~target () =
   if Graph.n g = 0 then invalid_arg "Cobra.hitting_time: empty graph";
   if Bitset.capacity start <> Graph.n g then
     invalid_arg "Cobra.hitting_time: start set capacity does not match the graph";
@@ -123,25 +90,10 @@ let hitting_time g rng ?(branching = Process.Fixed 2) ?(lazy_ = false) ?max_roun
     invalid_arg "Cobra.hitting_time: target vertex out of range";
   Process.validate_branching branching;
   let max_rounds = Option.value max_rounds ~default:(default_max_rounds g) in
-  if Bitset.mem start target then Some 0
-  else begin
-    let current = ref (Bitset.copy start) in
-    let next = ref (Bitset.create (Graph.n g)) in
-    let step = stepper g rng ~branching ~lazy_ ~pool ~rng_mode ~dense_threshold in
-    let rounds = ref 0 in
-    let result = ref None in
-    (try
-       while !rounds < max_rounds do
-         incr rounds;
-         ignore (step ~round:!rounds ~current:!current ~next:!next : int);
-         let tmp = !current in
-         current := !next;
-         next := tmp;
-         if Bitset.mem !current target then begin
-           result := Some !rounds;
-           raise Exit
-         end
-       done
-     with Exit -> ());
-    !result
-  end
+  let ctx = Process.make_keyed_ctx ?pool ?dense_threshold g ~master:(Rng.keyed_master rng) in
+  let step ~round ~current ~next =
+    ignore (Process.cobra_step_keyed g ctx ~round ~branching ~lazy_ ~current ~next : int)
+  in
+  fst
+    (Rounds.run ~max_rounds ~current:(Bitset.copy start) ~next:(Bitset.create (Graph.n g)) ~step
+       ~stop:(fun current -> Bitset.mem current target))

@@ -62,61 +62,45 @@ let collect ?obs ~pool ~master_seed ~trials run_one =
   in
   summarise obs ~trials
 
-(* Serial trial loop for keyed-mode estimates: the pool accelerates the
-   rounds {e inside} each trial, so trials must not themselves be pool
-   jobs (no nested submission).  Per-trial master seeds come from the
-   same [seed_of_pair] map Montecarlo uses for its per-trial streams. *)
-let collect_keyed ~trials run_one =
-  if trials < 1 then invalid_arg "Estimate: trials must be >= 1";
-  summarise (Array.init trials (fun trial -> run_one ~trial)) ~trials
-
 let trial_master ~master_seed ~trial =
-  Int64.to_int (Cobra_prng.Splitmix64.seed_of_pair (Int64.of_int master_seed) trial)
-  land max_int
+  Cobra_prng.Rng.keyed_master (Cobra_prng.Rng.for_trial ~master:master_seed ~trial)
 
-let cover_time ?obs ~pool ~master_seed ~trials ?branching ?lazy_ ?max_rounds ?start g =
-  let start = match start with Some s -> s | None -> start_heuristic g in
-  collect ?obs ~pool ~master_seed ~trials (fun ~trial rng ->
-      ignore trial;
-      match Cobra.run_cover_detailed g rng ?branching ?lazy_ ?max_rounds ~start () with
-      | Some r -> (float_of_int r.rounds, float_of_int r.transmissions)
-      | None -> (-1.0, nan))
+(* Trial-level or round-level parallelism, chosen from the workload's
+   shape: with at least as many trials as workers, whole trials keep
+   every worker busy with no per-round barrier; with fewer, the pool is
+   better spent sharding the rounds of trials run one after another,
+   provided the graph is large enough for any round to shard.  Every
+   trial draws its keyed master from its own Montecarlo stream either
+   way, so both schedules give bit-identical results. *)
+let collect_process ?obs ~pool ?dense_threshold ~master_seed ~trials g run_one =
+  let threshold = Option.value dense_threshold ~default:Process.default_dense_threshold in
+  if trials < Cobra_parallel.Pool.size pool && Graph.n g > threshold then
+    Cobra_parallel.Pool.with_pool ~num_domains:0 (fun serial ->
+        collect ?obs ~pool:serial ~master_seed ~trials (fun ~trial:_ rng ->
+            run_one ~pool:(Some pool) rng))
+  else collect ?obs ~pool ~master_seed ~trials (fun ~trial:_ rng -> run_one ~pool:None rng)
 
-let cover_time_keyed ?pool ?dense_threshold ~master_seed ~trials ?branching ?lazy_ ?max_rounds
+let cover_time ?obs ~pool ?dense_threshold ~master_seed ~trials ?branching ?lazy_ ?max_rounds
     ?start g =
   let start = match start with Some s -> s | None -> start_heuristic g in
-  let rng = Cobra_prng.Rng.create 0 in
-  (* never read under [Keyed] *)
-  collect_keyed ~trials (fun ~trial ->
-      let master = trial_master ~master_seed ~trial in
+  collect_process ?obs ~pool ?dense_threshold ~master_seed ~trials g (fun ~pool rng ->
       match
-        Cobra.run_cover_detailed g rng ?branching ?lazy_ ?max_rounds ?pool
-          ~rng_mode:(Process.Keyed { master }) ?dense_threshold ~start ()
+        Cobra.run_cover_detailed g rng ?branching ?lazy_ ?max_rounds ?pool ?dense_threshold ~start
+          ()
       with
       | Some r -> (float_of_int r.rounds, float_of_int r.transmissions)
       | None -> (-1.0, nan))
 
-let infection_time ?obs ~pool ~master_seed ~trials ?branching ?lazy_ ?max_rounds ?source g =
-  let source = match source with Some s -> s | None -> start_heuristic g in
-  let r =
-    collect ?obs ~pool ~master_seed ~trials (fun ~trial rng ->
-        ignore trial;
-        match Bips.run_infection g rng ?branching ?lazy_ ?max_rounds ~source () with
-        | Some t -> (float_of_int t, nan)
-        | None -> (-1.0, nan))
-  in
-  { r with mean_transmissions = nan }
+(* The frozen perfbench harness calls the estimator by this name. *)
+let cover_time_keyed = cover_time
 
-let infection_time_keyed ?pool ?dense_threshold ~master_seed ~trials ?branching ?lazy_
+let infection_time ?obs ~pool ?dense_threshold ~master_seed ~trials ?branching ?lazy_
     ?max_rounds ?source g =
   let source = match source with Some s -> s | None -> start_heuristic g in
-  let rng = Cobra_prng.Rng.create 0 in
   let r =
-    collect_keyed ~trials (fun ~trial ->
-        let master = trial_master ~master_seed ~trial in
+    collect_process ?obs ~pool ?dense_threshold ~master_seed ~trials g (fun ~pool rng ->
         match
-          Bips.run_infection g rng ?branching ?lazy_ ?max_rounds ?pool
-            ~rng_mode:(Process.Keyed { master }) ?dense_threshold ~source ()
+          Bips.run_infection g rng ?branching ?lazy_ ?max_rounds ?pool ?dense_threshold ~source ()
         with
         | Some t -> (float_of_int t, nan)
         | None -> (-1.0, nan))

@@ -1,11 +1,12 @@
 (** Monte-Carlo estimators for cover, infection and hitting times.
 
-    These wrap the process runners in the deterministic parallel driver
-    and return both moment summaries and quantiles, which is what the
-    experiment tables report.  Trials that hit the round cap are counted
-    separately ([censored]) and excluded from the summary — silently
-    mixing the cap value into means would corrupt ratios against
-    bounds, so non-termination is surfaced instead. *)
+    One estimator per process.  Each wraps the process runner in the
+    deterministic parallel {!Cobra_parallel.Montecarlo} and returns both
+    moment summaries and quantiles, which is what the experiment tables
+    report.  Trials that hit the round cap are counted separately
+    ([censored]) and excluded from the summary — silently mixing the cap
+    value into means would corrupt ratios against bounds, so
+    non-termination is surfaced instead. *)
 
 type result = {
   summary : Cobra_stats.Summary.stats;
@@ -24,46 +25,44 @@ val start_heuristic : Cobra_graph.Graph.t -> int
     from their hard end. *)
 
 val cover_time :
-  ?obs:Cobra_obs.Obs.t -> pool:Cobra_parallel.Pool.t -> master_seed:int -> trials:int ->
-  ?branching:Process.branching -> ?lazy_:bool -> ?max_rounds:int -> ?start:int ->
-  Cobra_graph.Graph.t -> result
-(** COBRA cover time from [start] (default {!start_heuristic}).  An
-    enabled [obs] is handed to {!Cobra_parallel.Montecarlo.run} for
-    trial latency metrics and events; it is {e not} passed into the
-    per-trial runners, which execute on worker domains.
+  ?obs:Cobra_obs.Obs.t -> pool:Cobra_parallel.Pool.t -> ?dense_threshold:int ->
+  master_seed:int -> trials:int -> ?branching:Process.branching -> ?lazy_:bool ->
+  ?max_rounds:int -> ?start:int -> Cobra_graph.Graph.t -> result
+(** COBRA cover time from [start] (default {!start_heuristic}).
+
+    Every trial runs through {!Cobra_parallel.Montecarlo.run}, so the
+    ambient journal, cancel token, deadline and retry budget apply, and
+    an enabled [obs] receives its trial latency metrics and events (it
+    is {e not} passed into the per-trial runners).  Trial [t] samples
+    with the keyed master {!trial_master}[ ~master_seed ~trial:t].
+
+    The schedule follows the workload's shape: with fewer trials than
+    [Pool.size pool] on a graph larger than [dense_threshold] (default
+    {!Process.default_dense_threshold}), trials run one after another
+    and the pool shards the rounds inside each; otherwise the pool runs
+    whole trials in parallel.  Both schedules give bit-identical
+    results.
     @raise Invalid_argument if [trials < 1]. *)
 
-val trial_master :
-  master_seed:int -> trial:int -> int
-(** The per-trial master seed the [_keyed] estimators pass to
-    {!Process.rng_mode}'s [Keyed] — the non-negative truncation of the
-    same pair-mixing map {!Cobra_prng.Rng.for_trial} seeds trial
-    streams with.  Exposed so drivers can replay a single trial. *)
-
 val cover_time_keyed :
-  ?pool:Cobra_parallel.Pool.t -> ?dense_threshold:int -> master_seed:int -> trials:int ->
-  ?branching:Process.branching -> ?lazy_:bool -> ?max_rounds:int -> ?start:int ->
-  Cobra_graph.Graph.t -> result
-(** {!cover_time} under the keyed randomness model
-    ({!Process.rng_mode}): trials run serially in the calling thread
-    and the pool parallelises the rounds {e inside} each trial instead
-    — the right shape when single runs are large (one big graph) rather
-    than numerous.  Per-trial master seeds derive from [master_seed] by
-    the same pair-mixing map the parallel driver uses, and results are
-    bit-identical for any [pool] (including none). *)
+  ?obs:Cobra_obs.Obs.t -> pool:Cobra_parallel.Pool.t -> ?dense_threshold:int ->
+  master_seed:int -> trials:int -> ?branching:Process.branching -> ?lazy_:bool ->
+  ?max_rounds:int -> ?start:int -> Cobra_graph.Graph.t -> result
+(** An alias of {!cover_time}, kept only because the frozen
+    [perfbench/] harness calls it by this name. *)
+
+val trial_master : master_seed:int -> trial:int -> int
+(** The keyed master seed trial [trial] of an estimate with [master_seed]
+    samples under: the {!Cobra_prng.Rng.keyed_master} draw of
+    {!Cobra_prng.Rng.for_trial}.  Exposed so callers can replay a single
+    trial at its master. *)
 
 val infection_time :
-  ?obs:Cobra_obs.Obs.t -> pool:Cobra_parallel.Pool.t -> master_seed:int -> trials:int ->
-  ?branching:Process.branching -> ?lazy_:bool -> ?max_rounds:int -> ?source:int ->
-  Cobra_graph.Graph.t -> result
+  ?obs:Cobra_obs.Obs.t -> pool:Cobra_parallel.Pool.t -> ?dense_threshold:int ->
+  master_seed:int -> trials:int -> ?branching:Process.branching -> ?lazy_:bool ->
+  ?max_rounds:int -> ?source:int -> Cobra_graph.Graph.t -> result
 (** BIPS infection time with persistent source [source] (default
-    {!start_heuristic}). *)
-
-val infection_time_keyed :
-  ?pool:Cobra_parallel.Pool.t -> ?dense_threshold:int -> master_seed:int -> trials:int ->
-  ?branching:Process.branching -> ?lazy_:bool -> ?max_rounds:int -> ?source:int ->
-  Cobra_graph.Graph.t -> result
-(** {!infection_time} under the keyed model; see {!cover_time_keyed}. *)
+    {!start_heuristic}); trials and scheduling as in {!cover_time}. *)
 
 val walk_cover_time :
   ?obs:Cobra_obs.Obs.t -> pool:Cobra_parallel.Pool.t -> master_seed:int -> trials:int ->

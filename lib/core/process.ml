@@ -1,12 +1,13 @@
 module Graph = Cobra_graph.Graph
 module Bitset = Cobra_bitset.Bitset
-module Rng = Cobra_prng.Rng
 module Keyed = Cobra_prng.Keyed
 module Pool = Cobra_parallel.Pool
 
 type branching = Fixed of int | Bernoulli of float
 
-type rng_mode = Sequential | Keyed of { master : int }
+(* Kept only for [Cobra.run_cover ?rng_mode], which the frozen perfbench
+   harness calls. *)
+type rng_mode = Keyed of { master : int }
 
 let validate_branching = function
   | Fixed b -> if b < 1 then invalid_arg "Process: branching factor must be >= 1"
@@ -18,131 +19,18 @@ let expected_branching_factor = function
   | Fixed b -> float_of_int b
   | Bernoulli rho -> 1.0 +. rho
 
-(* Number of neighbour selections a vertex makes this round. *)
-let draw_fanout rng = function
-  | Fixed b -> b
-  | Bernoulli rho -> if Rng.bernoulli rng rho then 2 else 1
-
-let select g rng ~lazy_ u =
-  (* [u] comes from a frontier or a 0..n-1 loop, always in range. *)
-  if lazy_ && Rng.bool rng then u else Graph.unsafe_random_neighbor g rng u
-
 (* Below this cardinality the frontier is materialised as a vertex array
    and iterated directly — a tight counted loop instead of the word-scan
-   iterator's nested loop and closure call per member.  Members come out
-   in the same increasing order either way, so the RNG draw sequence is
-   identical on both paths. *)
+   iterator's nested loop and closure call per member.  Every vertex
+   draws at its own keyed position, so the path taken cannot change a
+   result. *)
 let sparse_frontier_threshold = 64
 
-let cobra_step ?scratch g rng ~branching ~lazy_ ~current ~next =
-  Bitset.clear next;
-  let transmissions = ref 0 in
-  let visit u =
-    let fanout = draw_fanout rng branching in
-    for _ = 1 to fanout do
-      (* Safe: [select] returns a vertex of [g], in range for [next]. *)
-      Bitset.unsafe_add next (select g rng ~lazy_ u)
-    done;
-    transmissions := !transmissions + fanout
-  in
-  let c = Bitset.cardinal current in
-  if c > 0 && c <= sparse_frontier_threshold then begin
-    (* A caller-provided scratch buffer removes the only per-round
-       allocation of the sparse path; members come out in the same
-       increasing order either way, so the draw sequence is unchanged. *)
-    match scratch with
-    | Some buf when Array.length buf >= c ->
-        let m = Bitset.members_into current buf in
-        for i = 0 to m - 1 do
-          visit (Array.unsafe_get buf i)
-        done
-    | _ ->
-        let members = Bitset.to_array current in
-        for i = 0 to Array.length members - 1 do
-          visit members.(i)
-        done
-  end
-  else Bitset.iter visit current;
-  !transmissions
-
-let cobra_step_without_replacement g rng ~b ~current ~next =
-  if b < 1 then invalid_arg "Process: branching factor must be >= 1";
-  Bitset.clear next;
-  let transmissions = ref 0 in
-  (* Floyd's sample holds at most [b] distinct indices; one flat buffer
-     reused across vertices replaces the per-vertex list (and its O(b²)
-     [List.mem] over boxed cells) of the original implementation. *)
-  let chosen = Array.make b 0 in
-  Bitset.iter
-    (fun u ->
-      let d = Graph.degree g u in
-      if d <= b then begin
-        (* Fewer neighbours than the fan-out: inform all of them. *)
-        Graph.iter_neighbors g u (fun v -> Bitset.unsafe_add next v);
-        transmissions := !transmissions + d
-      end
-      else begin
-        (* Floyd's algorithm: sample b distinct indices from [0, d).
-           Draw order matches the list-based version exactly, so pinned
-           goldens are unaffected. *)
-        let k = ref 0 in
-        for j = d - b to d - 1 do
-          let r = Rng.int_below rng (j + 1) in
-          let dup = ref false in
-          for i = 0 to !k - 1 do
-            if Array.unsafe_get chosen i = r then dup := true
-          done;
-          Array.unsafe_set chosen !k (if !dup then j else r);
-          incr k
-        done;
-        for i = 0 to !k - 1 do
-          Bitset.unsafe_add next (Graph.unsafe_neighbor g u (Array.unsafe_get chosen i))
-        done;
-        transmissions := !transmissions + b
-      end)
-    current;
-  !transmissions
-
-let bips_step g rng ~branching ~lazy_ ~source ~current ~next =
-  Bitset.clear next;
-  let n = Graph.n g in
-  for u = 0 to n - 1 do
-    if u <> source then begin
-      let fanout = draw_fanout rng branching in
-      let infected = ref false in
-      for _ = 1 to fanout do
-        (* All [fanout] selections are always made, matching the process
-           definition; short-circuiting after a hit would not change the
-           law of A_{t+1} but would change the stream of random draws,
-           and reproducibility across variants is worth two extra calls. *)
-        if Bitset.mem current (select g rng ~lazy_ u) then infected := true
-      done;
-      if !infected then Bitset.unsafe_add next u
-    end
-  done;
-  Bitset.add next source
-
-let sis_step g rng ~branching ~lazy_ ~current ~next =
-  Bitset.clear next;
-  let n = Graph.n g in
-  for u = 0 to n - 1 do
-    let fanout = draw_fanout rng branching in
-    let infected = ref false in
-    for _ = 1 to fanout do
-      if Bitset.mem current (select g rng ~lazy_ u) then infected := true
-    done;
-    if !infected then Bitset.unsafe_add next u
-  done
-
-(* --- keyed, domain-shardable step kernels ---
-
-   The sequential kernels above thread one stream through the round, so
-   results depend on iteration order.  The keyed kernels draw every
-   vertex's randomness from the counter-based [Keyed] stream positioned
-   at (round, vertex): the round becomes a pure map over vertices, and a
-   pool can shard it over domains with bit-identical results for any
-   domain count — including the serial fallback below the density
-   threshold. *)
+(* The round is a pure map over vertices: every vertex's randomness
+   comes from the counter-based [Keyed] stream positioned at (round,
+   vertex), so a pool can shard it over domains with bit-identical
+   results for any domain count — including the serial path below the
+   density threshold. *)
 
 type keyed_ctx = {
   streams : Keyed.t array; (* one cursor per worker (0 = caller) *)
@@ -153,31 +41,14 @@ type keyed_ctx = {
   pool : Pool.t option;
   nworkers : int;
   dense_threshold : int;
-  (* Auto-tuner (active only when the caller did not pin a threshold).
-     Both keyed paths produce bit-identical results, so the scheduler is
-     free to A/B-probe them: the first dense round runs serial, the
-     second sharded, each measured as an EWMA of cost per member; every
-     round after that takes the measured winner, with the loser re-probed
-     every [reprobe_period] dense rounds so a machine whose behaviour
-     shifts (or a frontier whose density does) is re-evaluated.  On a
-     box where sharding loses — e.g. fewer cores than domains — dense
-     rounds converge to the serial path and pay only the amortised
-     probe. *)
-  auto_tune : bool;
-  mutable dense_rounds : int;
-  mutable serial_ns_per : float;
-  mutable par_ns_per : float;
 }
 
 (* Below this frontier/universe size a parallel round costs more than it
-   saves; the serial keyed path is taken (results are identical either
-   way, so this is purely a scheduling decision). *)
+   saves; the serial path is taken (results are identical either way, so
+   this is purely a scheduling decision). *)
 let default_dense_threshold = 1024
 
-(* Dense rounds between re-probes of the losing path. *)
-let reprobe_period = 32
-
-let make_keyed_ctx ?pool ?dense_threshold _g ~master =
+let make_keyed_ctx ?pool ?(dense_threshold = default_dense_threshold) _g ~master =
   let nworkers = match pool with None -> 1 | Some p -> Pool.size p in
   {
     streams = Array.init nworkers (fun _ -> Keyed.create ~master);
@@ -187,11 +58,7 @@ let make_keyed_ctx ?pool ?dense_threshold _g ~master =
     members = Array.make sparse_frontier_threshold 0;
     pool;
     nworkers;
-    dense_threshold = Option.value dense_threshold ~default:default_dense_threshold;
-    auto_tune = Option.is_none dense_threshold && nworkers > 1;
-    dense_rounds = 0;
-    serial_ns_per = Float.nan;
-    par_ns_per = Float.nan;
+    dense_threshold;
   }
 
 (* Scratch sets are only needed once a dense COBRA round actually
@@ -200,31 +67,11 @@ let ensure_scratch ctx n =
   if Array.length ctx.scratch = 0 then
     ctx.scratch <- Array.init ctx.nworkers (fun _ -> Bitset.create n)
 
-let[@inline] ewma old x = if Float.is_nan old then x else (0.7 *. old) +. (0.3 *. x)
-
-(* Path decision for a dense round under auto-tune.  Counts the round
-   and answers whether it should shard: first two dense rounds probe
-   serial then sharded; afterwards the EWMA winner runs, except on
-   re-probe rounds where the loser gets a fresh measurement. *)
-let choose_parallel ctx =
-  if not ctx.auto_tune then true
-  else begin
-    ctx.dense_rounds <- ctx.dense_rounds + 1;
-    if Float.is_nan ctx.serial_ns_per then false
-    else if Float.is_nan ctx.par_ns_per then true
-    else
-      let par_wins = ctx.par_ns_per <= ctx.serial_ns_per in
-      if ctx.dense_rounds mod reprobe_period = 0 then not par_wins else par_wins
-  end
-
-(* Record one observation of [elapsed_s] spent moving [members] vertices
-   through the chosen path. *)
-let record_round ctx ~parallel ~members ~elapsed_s =
-  if ctx.auto_tune && members > 0 then begin
-    let per = elapsed_s *. 1e9 /. float_of_int members in
-    if parallel then ctx.par_ns_per <- ewma ctx.par_ns_per per
-    else ctx.serial_ns_per <- ewma ctx.serial_ns_per per
-  end
+(* The pool a round of [size] members shards over, if any. *)
+let shard_pool ctx size =
+  match ctx.pool with
+  | Some pool when ctx.nworkers > 1 && size > ctx.dense_threshold -> Some pool
+  | _ -> None
 
 (* Chunk width (in bitset words) for the claim-based dense scan: small
    enough that ~8 chunks per worker exist for load balancing and that a
@@ -244,10 +91,9 @@ let[@inline] keyed_fanout k = function
 let[@inline] keyed_select g k ~lazy_ u =
   if lazy_ && Keyed.bool k then u else Graph.unsafe_keyed_neighbor g k u
 
-(* Canonical per-vertex draw sequence of the keyed COBRA step: fan-out
-   decision first, then the selections — the same order as the
-   sequential kernel, so variant alignment (Bernoulli 1.0 ≡ Fixed 2)
-   carries over.  [base] is the hoisted round key ({!Keyed.round_base}),
+(* Canonical per-vertex draw sequence of the COBRA step: fan-out
+   decision first, then the selections, so variant alignment
+   (Bernoulli 1.0 ≡ Fixed 2) holds draw for draw.  [base] is the hoisted round key ({!Keyed.round_base}),
    so positioning costs one finaliser application; the non-lazy fan-out
    additionally hoists the degree's rejection mask across the
    selections.  Draw consumption is identical to the naive
@@ -276,9 +122,8 @@ let[@inline] cobra_keyed_visit g k ~base ~branching ~lazy_ ~into u =
   end;
   fanout
 
-(* The serial keyed COBRA round: shared by the poolless/sparse path and
-   by dense rounds whenever the tuner has parked the threshold above the
-   frontier. *)
+(* The serial COBRA round: poolless runs and rounds at or below the
+   density threshold. *)
 let cobra_step_keyed_serial g ctx ~round ~branching ~lazy_ ~current ~next c =
   Bitset.clear next;
   let k = ctx.streams.(0) in
@@ -327,18 +172,46 @@ let cobra_step_keyed_par g ctx pool ~round ~branching ~lazy_ ~current ~next c =
 
 let cobra_step_keyed g ctx ~round ~branching ~lazy_ ~current ~next =
   let c = Bitset.cardinal current in
-  match ctx.pool with
-  | Some pool when ctx.nworkers > 1 && c > ctx.dense_threshold ->
-      let t0 = if ctx.auto_tune then Unix.gettimeofday () else 0.0 in
-      let parallel = choose_parallel ctx in
-      let tx =
-        if parallel then cobra_step_keyed_par g ctx pool ~round ~branching ~lazy_ ~current ~next c
-        else cobra_step_keyed_serial g ctx ~round ~branching ~lazy_ ~current ~next c
-      in
-      if ctx.auto_tune then
-        record_round ctx ~parallel ~members:c ~elapsed_s:(Unix.gettimeofday () -. t0);
-      tx
-  | _ -> cobra_step_keyed_serial g ctx ~round ~branching ~lazy_ ~current ~next c
+  match shard_pool ctx c with
+  | Some pool -> cobra_step_keyed_par g ctx pool ~round ~branching ~lazy_ ~current ~next c
+  | None -> cobra_step_keyed_serial g ctx ~round ~branching ~lazy_ ~current ~next c
+
+(* Floyd's sample of [b] distinct indices from [0, d) per active vertex,
+   every index drawn at the vertex's keyed position; [chosen] holds at
+   most [b] indices and is reused across vertices. *)
+let cobra_step_without_replacement g ctx ~round ~b ~current ~next =
+  if b < 1 then invalid_arg "Process: branching factor must be >= 1";
+  Bitset.clear next;
+  let k = ctx.streams.(0) in
+  let base = Keyed.round_base k ~round in
+  let transmissions = ref 0 in
+  let chosen = Array.make b 0 in
+  Bitset.iter
+    (fun u ->
+      let d = Graph.degree g u in
+      if d <= b then begin
+        (* Fewer neighbours than the fan-out: inform all of them. *)
+        Graph.iter_neighbors g u (fun v -> Bitset.unsafe_add next v);
+        transmissions := !transmissions + d
+      end
+      else begin
+        Keyed.position_at k ~base ~vertex:u;
+        for i = 0 to b - 1 do
+          let j = d - b + i in
+          let r = Keyed.int_below k (j + 1) in
+          let dup = ref false in
+          for l = 0 to i - 1 do
+            if Array.unsafe_get chosen l = r then dup := true
+          done;
+          Array.unsafe_set chosen i (if !dup then j else r)
+        done;
+        for i = 0 to b - 1 do
+          Bitset.unsafe_add next (Graph.unsafe_neighbor g u (Array.unsafe_get chosen i))
+        done;
+        transmissions := !transmissions + b
+      end)
+    current;
+  !transmissions
 
 let[@inline] keyed_infected g k ~base ~branching ~lazy_ ~current u =
   Keyed.position_at k ~base ~vertex:u;
@@ -375,18 +248,10 @@ let keyed_scan_par pool ctx ~n ~next body =
   done;
   Bitset.unsafe_set_cardinal next !card
 
-(* Dispatch one full-universe scan round: the sharded scan when the
-   pool is engaged and (under auto-tune) measured to win, the serial
-   loop otherwise.  Same probe/record protocol as the COBRA step. *)
+(* Dispatch one full-universe scan round: sharded when the pool is
+   engaged, the serial loop otherwise. *)
 let keyed_scan_round ctx ~n ~par ~serial =
-  match ctx.pool with
-  | Some pool when ctx.nworkers > 1 && n > ctx.dense_threshold ->
-      let t0 = if ctx.auto_tune then Unix.gettimeofday () else 0.0 in
-      let parallel = choose_parallel ctx in
-      if parallel then par pool else serial ();
-      if ctx.auto_tune then
-        record_round ctx ~parallel ~members:n ~elapsed_s:(Unix.gettimeofday () -. t0)
-  | _ -> serial ()
+  match shard_pool ctx n with Some pool -> par pool | None -> serial ()
 
 let bips_step_keyed g ctx ~round ~branching ~lazy_ ~source ~current ~next =
   let n = Graph.n g in

@@ -1,63 +1,35 @@
 module Graph = Cobra_graph.Graph
 module Bitset = Cobra_bitset.Bitset
+module Rng = Cobra_prng.Rng
 
 type outcome = Extinct of int | Saturated of int | Censored
 
-let stepper g rng ~branching ~lazy_ ~pool ~rng_mode ~dense_threshold =
-  match rng_mode with
-  | Process.Sequential ->
-      fun ~round:_ ~current ~next -> Process.sis_step g rng ~branching ~lazy_ ~current ~next
-  | Process.Keyed { master } ->
-      let ctx = Process.make_keyed_ctx ?pool ?dense_threshold g ~master in
-      fun ~round ~current ~next ->
-        Process.sis_step_keyed g ctx ~round ~branching ~lazy_ ~current ~next
-
-let run_loop g rng ~branching ~lazy_ ~max_rounds ~record ~initial ~pool ~rng_mode
-    ~dense_threshold =
+let run_trajectory g rng ?(branching = Process.Fixed 2) ?(lazy_ = false) ?max_rounds ?pool
+    ?dense_threshold ~initial () =
   let n = Graph.n g in
   if Bitset.capacity initial <> n then
     invalid_arg "Sis: initial set capacity does not match the graph";
   Process.validate_branching branching;
-  let current = ref (Bitset.copy initial) in
-  let next = ref (Bitset.create n) in
-  let step = stepper g rng ~branching ~lazy_ ~pool ~rng_mode ~dense_threshold in
-  let sizes = ref [ Bitset.cardinal !current ] in
-  let rounds = ref 0 in
-  let outcome = ref Censored in
-  (try
-     let classify () =
-       let c = Bitset.cardinal !current in
-       if c = 0 then begin
-         outcome := Extinct !rounds;
-         raise Exit
-       end
-       else if c = n then begin
-         outcome := Saturated !rounds;
-         raise Exit
-       end
-     in
-     classify ();
-     while !rounds < max_rounds do
-       incr rounds;
-       step ~round:!rounds ~current:!current ~next:!next;
-       let tmp = !current in
-       current := !next;
-       next := tmp;
-       if record then sizes := Bitset.cardinal !current :: !sizes;
-       classify ()
-     done
-   with Exit -> ());
-  (!outcome, Array.of_list (List.rev !sizes))
-
-let run g rng ?(branching = Process.Fixed 2) ?(lazy_ = false) ?max_rounds ?pool
-    ?(rng_mode = Process.Sequential) ?dense_threshold ~initial () =
   let max_rounds = Option.value max_rounds ~default:(Cobra.default_max_rounds g) in
-  fst
-    (run_loop g rng ~branching ~lazy_ ~max_rounds ~record:false ~initial ~pool ~rng_mode
-       ~dense_threshold)
+  let ctx = Process.make_keyed_ctx ?pool ?dense_threshold g ~master:(Rng.keyed_master rng) in
+  let sizes = ref [ Bitset.cardinal initial ] in
+  let step ~round ~current ~next =
+    Process.sis_step_keyed g ctx ~round ~branching ~lazy_ ~current ~next;
+    sizes := Bitset.cardinal next :: !sizes
+  in
+  let absorbed set =
+    let c = Bitset.cardinal set in
+    c = 0 || c = n
+  in
+  let outcome =
+    match
+      Rounds.run ~max_rounds ~current:(Bitset.copy initial) ~next:(Bitset.create n) ~step
+        ~stop:absorbed
+    with
+    | None, _ -> Censored
+    | Some r, final -> if Bitset.is_empty final then Extinct r else Saturated r
+  in
+  (outcome, Array.of_list (List.rev !sizes))
 
-let run_trajectory g rng ?(branching = Process.Fixed 2) ?(lazy_ = false) ?max_rounds ?pool
-    ?(rng_mode = Process.Sequential) ?dense_threshold ~initial () =
-  let max_rounds = Option.value max_rounds ~default:(Cobra.default_max_rounds g) in
-  run_loop g rng ~branching ~lazy_ ~max_rounds ~record:true ~initial ~pool ~rng_mode
-    ~dense_threshold
+let run g rng ?branching ?lazy_ ?max_rounds ?pool ?dense_threshold ~initial () =
+  fst (run_trajectory g rng ?branching ?lazy_ ?max_rounds ?pool ?dense_threshold ~initial ())

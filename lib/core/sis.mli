@@ -17,18 +17,19 @@ type outcome =
 
 val run :
   Cobra_graph.Graph.t -> Cobra_prng.Rng.t -> ?branching:Process.branching -> ?lazy_:bool ->
-  ?max_rounds:int -> ?pool:Cobra_parallel.Pool.t -> ?rng_mode:Process.rng_mode ->
-  ?dense_threshold:int -> initial:Cobra_bitset.Bitset.t -> unit -> outcome
-(** [run g rng ~initial ()] simulates until absorption.  Defaults match
-    {!Bips.run_infection}, including the meaning of [rng_mode] /
-    [pool] / [dense_threshold]; [initial] is copied, not mutated.
+  ?max_rounds:int -> ?pool:Cobra_parallel.Pool.t -> ?dense_threshold:int ->
+  initial:Cobra_bitset.Bitset.t -> unit -> outcome
+(** [run g rng ~initial ()] simulates until absorption.  Defaults, the
+    keyed master drawn from [rng], and the meaning of [pool] /
+    [dense_threshold] match {!Bips.run_infection}; [initial] is copied,
+    not mutated.
 
     @raise Invalid_argument if [initial]'s capacity mismatches the
     graph. *)
 
 val run_trajectory :
   Cobra_graph.Graph.t -> Cobra_prng.Rng.t -> ?branching:Process.branching -> ?lazy_:bool ->
-  ?max_rounds:int -> ?pool:Cobra_parallel.Pool.t -> ?rng_mode:Process.rng_mode ->
-  ?dense_threshold:int -> initial:Cobra_bitset.Bitset.t -> unit -> outcome * int array
+  ?max_rounds:int -> ?pool:Cobra_parallel.Pool.t -> ?dense_threshold:int ->
+  initial:Cobra_bitset.Bitset.t -> unit -> outcome * int array
 (** As {!run}, also returning the infected-count trajectory (entry 0 is
     the initial size). *)

@@ -7,29 +7,22 @@ module Coalesce = Cobra_core.Coalesce
 module Summary = Cobra_stats.Summary
 
 (* Bespoke runner for the without-replacement variant (the library's
-   engines implement the paper's with-replacement semantics only). *)
+   runners implement the paper's with-replacement semantics only): the
+   same keyed master draw and round loop as [Cobra.run_cover], with the
+   ablation step. *)
 let cover_without_replacement g rng ~start ~max_rounds =
   let n = Graph.n g in
+  let ctx = Process.make_keyed_ctx g ~master:(Cobra_prng.Rng.keyed_master rng) in
   let current = Bitset.create n and next = Bitset.create n and visited = Bitset.create n in
   Bitset.add current start;
   Bitset.add visited start;
-  let rounds = ref 0 in
-  let result = ref None in
-  (try
-     if Bitset.cardinal visited = n then result := Some 0
-     else
-       while !rounds < max_rounds do
-         incr rounds;
-         ignore (Process.cobra_step_without_replacement g rng ~b:2 ~current ~next : int);
-         Bitset.blit ~src:next ~dst:current;
-         Bitset.union_into ~into:visited current;
-         if Bitset.cardinal visited = n then begin
-           result := Some !rounds;
-           raise Exit
-         end
-       done
-   with Exit -> ());
-  !result
+  let step ~round ~current ~next =
+    ignore (Process.cobra_step_without_replacement g ctx ~round ~b:2 ~current ~next : int);
+    Bitset.union_into ~into:visited next
+  in
+  fst
+    (Cobra_core.Rounds.run ~max_rounds ~current ~next ~step ~stop:(fun _ ->
+         Bitset.cardinal visited = n))
 
 let mc ~obs ~pool ~master_seed ~trials f =
   let obs =

@@ -99,18 +99,9 @@ let neighbor t u i =
   unsafe_neighbor t u i
 
 (* No vertex-range or isolation check and no array bounds checks: the
-   simulation step loops call this once per transmission with vertices
-   that are in range by construction.  Draws exactly the same single
-   [int_below] as [random_neighbor].  An isolated vertex makes
-   [int_below] raise on 0. *)
-let[@inline] unsafe_random_neighbor t rng u =
-  let lo = offset t u in
-  let d = offset t (u + 1) - lo in
-  Int32.to_int (A1.unsafe_get t.adj (lo + Cobra_prng.Rng.int_below rng d))
-
-(* Keyed-draw twin of [unsafe_random_neighbor]: same addressing, the
-   index comes from a counter-based stream instead of the sequential
-   one, so sharded step kernels can call it from any domain. *)
+   step kernels call this once per transmission with vertices that are
+   in range by construction, from any domain.  An isolated vertex makes
+   [Keyed.int_below] raise on 0. *)
 let[@inline] unsafe_keyed_neighbor t k u =
   let lo = offset t u in
   let d = offset t (u + 1) - lo in
@@ -120,7 +111,7 @@ let random_neighbor t rng u =
   check_vertex t u;
   let d = unsafe_degree t u in
   if d = 0 then invalid_arg (Printf.sprintf "Graph.random_neighbor: vertex %d is isolated" u);
-  unsafe_random_neighbor t rng u
+  Int32.to_int (A1.unsafe_get t.adj (offset t u + Cobra_prng.Rng.int_below rng d))
 
 let neighbors t u =
   check_vertex t u;

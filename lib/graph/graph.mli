@@ -74,17 +74,12 @@ val random_neighbor : t -> Cobra_prng.Rng.t -> int -> int
 (** [random_neighbor g rng u] is a uniformly random neighbour of [u].
     @raise Invalid_argument if [u] is isolated. *)
 
-val unsafe_random_neighbor : t -> Cobra_prng.Rng.t -> int -> int
-(** [random_neighbor] without the vertex-range and isolation checks,
-    for per-transmission kernel loops whose vertices are in range by
-    construction.  Consumes exactly the same RNG draw as
-    [random_neighbor]; out-of-range [u] is undefined behaviour. *)
-
 val unsafe_keyed_neighbor : t -> Cobra_prng.Keyed.t -> int -> int
-(** [unsafe_keyed_neighbor g k u] is {!unsafe_random_neighbor} drawing
-    its index from a counter-based {!Cobra_prng.Keyed} stream — the
-    neighbour selection primitive of the domain-sharded step kernels.
-    Out-of-range or isolated [u] is undefined behaviour. *)
+(** [unsafe_keyed_neighbor g k u] is a uniformly random neighbour of [u]
+    drawn from a counter-based {!Cobra_prng.Keyed} stream (one
+    [Keyed.int_below] of the degree) — the neighbour selection primitive
+    of the step kernels.  No vertex-range or isolation checks:
+    out-of-range or isolated [u] is undefined behaviour. *)
 
 val unsafe_neighbor : t -> int -> int -> int
 (** [neighbor] without the vertex-range and index checks, for inner

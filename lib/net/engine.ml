@@ -2,10 +2,10 @@ module Graph = Cobra_graph.Graph
 module Keyed = Cobra_prng.Keyed
 module Pool = Cobra_parallel.Pool
 
-(* Stream tags for keyed-mode phase randomness: each phase of each
-   round draws every vertex's randomness from an independent generator
-   seeded by (master, stream, round, vertex), so results do not depend
-   on vertex processing order. *)
+(* Stream tags for the phase randomness: each phase of each round draws
+   every vertex's randomness from an independent generator seeded by
+   (master, stream, round, vertex), so results do not depend on vertex
+   processing order. *)
 let stream_emit = 0
 let stream_respond = 1
 let stream_update = 2
@@ -16,7 +16,6 @@ module Make (P : Protocol.S) = struct
     states : P.state array;
     ever_informed : bool array;
     obs : Cobra_obs.Obs.t;
-    rng_mode : Cobra_core.Process.rng_mode;
     pool : Pool.t option;
     mutable informed_count : int;
     mutable rounds : int;
@@ -31,8 +30,7 @@ module Make (P : Protocol.S) = struct
     done;
     t.informed_count <- !count
 
-  let create ?(obs = Cobra_obs.Obs.null) ?pool ?(rng_mode = Cobra_core.Process.Sequential) g
-      ~start =
+  let create ?(obs = Cobra_obs.Obs.null) ?pool g ~start =
     let n = Graph.n g in
     if n = 0 then invalid_arg "Engine.create: empty graph";
     if start < 0 || start >= n then invalid_arg "Engine.create: start out of range";
@@ -43,7 +41,6 @@ module Make (P : Protocol.S) = struct
         states;
         ever_informed = Array.make n false;
         obs;
-        rng_mode;
         pool;
         informed_count = 0;
         rounds = 0;
@@ -78,17 +75,13 @@ module Make (P : Protocol.S) = struct
     let messages_before = t.messages in
     if observing then
       Cobra_obs.Obs.emit t.obs (Cobra_obs.Trace.Round_started { round = t.rounds + 1 });
-    (* In keyed mode every vertex of every phase gets its own derived
-       generator, so no draw depends on processing order; in sequential
-       mode all phases thread the caller's stream in index order, as the
-       pinned goldens expect. *)
-    let vertex_rng =
-      match t.rng_mode with
-      | Cobra_core.Process.Sequential -> fun ~stream:_ _ -> rng
-      | Cobra_core.Process.Keyed { master } ->
-          let round = t.rounds + 1 in
-          fun ~stream vertex ->
-            Cobra_prng.Xoshiro.create (Keyed.derive_seed ~master ~stream ~round ~vertex)
+    (* The round's master is one draw of the caller's stream; every
+       vertex of every phase then gets its own derived generator, so no
+       draw depends on processing order. *)
+    let master = Cobra_prng.Rng.keyed_master rng in
+    let round = t.rounds + 1 in
+    let vertex_rng ~stream vertex =
+      Cobra_prng.Xoshiro.create (Keyed.derive_seed ~master ~stream ~round ~vertex)
     in
     (* Phase 1: requests.  Inboxes carry (sender, message). *)
     let requests : (int * P.message) list array = Array.make n [] in
@@ -116,9 +109,9 @@ module Make (P : Protocol.S) = struct
         requests.(v)
     done;
     (* State update from both inboxes.  Vertex [v]'s update reads only
-       its own inboxes and writes only [states.(v)], so in keyed mode
-       this phase shards over the pool; the message counters are not
-       touched here (updates send nothing). *)
+       its own inboxes and writes only [states.(v)], so this phase
+       shards over the pool; the message counters are not touched here
+       (updates send nothing). *)
     let update v =
       let rng_v = vertex_rng ~stream:stream_update v in
       t.states.(v) <-
@@ -126,9 +119,9 @@ module Make (P : Protocol.S) = struct
           ~requests:(List.map snd requests.(v))
           ~replies:replies.(v)
     in
-    (match (t.rng_mode, t.pool) with
-    | Cobra_core.Process.Keyed _, Some pool -> Pool.parallel_for pool ~lo:0 ~hi:n update
-    | _ ->
+    (match t.pool with
+    | Some pool -> Pool.parallel_for pool ~lo:0 ~hi:n update
+    | None ->
         for v = 0 to n - 1 do
           update v
         done);

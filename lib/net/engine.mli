@@ -2,15 +2,17 @@
 
     [Engine.Make (P)] runs protocol [P] on a graph: it owns the per-vertex
     states, performs the two delivery phases of each round, counts every
-    message, and tracks coverage.  Vertices are processed in index order
-    with a single RNG, so runs are reproducible. *)
+    message, and tracks coverage.  Each round takes one
+    {!Cobra_prng.Rng.keyed_master} draw of the generator it is given;
+    every vertex of every phase then draws from a generator seeded by
+    [(master, phase, round, vertex)], so a run is reproducible and does
+    not depend on the order vertices are processed in. *)
 
 module Make (P : Protocol.S) : sig
   type t
 
   val create :
-    ?obs:Cobra_obs.Obs.t -> ?pool:Cobra_parallel.Pool.t ->
-    ?rng_mode:Cobra_core.Process.rng_mode -> Cobra_graph.Graph.t -> start:int -> t
+    ?obs:Cobra_obs.Obs.t -> ?pool:Cobra_parallel.Pool.t -> Cobra_graph.Graph.t -> start:int -> t
   (** Fresh network with the information placed at [start].  An enabled
       [obs] (default {!Cobra_obs.Obs.null}) receives a
       [Round_started]/[Round_ended] event pair per executed round; the
@@ -19,20 +21,16 @@ module Make (P : Protocol.S) : sig
       engine never reads the RNG for observability, so runs are
       bit-identical with it on or off.
 
-      [rng_mode] (default [Sequential]) selects the randomness model.
-      Under [Keyed _] the engine never reads the RNG passed to
-      {!round}: each vertex of each phase draws from a generator seeded
-      by [(master, phase, round, vertex)], making the run independent
-      of processing order, and the state-update phase (whose vertices
-      are independent by the {!Protocol.S} contract) shards over
-      [pool] when one is given — with results bit-identical for any
-      pool size.  [pool] is ignored under [Sequential].
+      With [pool], the state-update phase (whose vertices are
+      independent by the {!Protocol.S} contract) shards over it, with
+      results bit-identical for any pool size.
       @raise Invalid_argument on an empty graph or bad start. *)
 
   val graph : t -> Cobra_graph.Graph.t
 
   val round : t -> Cobra_prng.Rng.t -> unit
-  (** Execute one synchronous round (both phases). *)
+  (** Execute one synchronous round (both phases), taking exactly one
+      draw of the generator. *)
 
   val rounds_elapsed : t -> int
 

@@ -70,12 +70,14 @@ let conv to_repr of_repr c =
 (* --- the journal --- *)
 
 (* An entry is addressed by everything that determines the trial's value
-   under deterministic seeding: which experiment, which Monte-Carlo sweep
-   of that experiment (sweeps are numbered in call order, which is
-   deterministic because experiments are), the sweep's master seed and
-   trial count, and the trial index.  A recorded value is only ever
-   replayed at exactly the same address, so a journal written with a
-   different seed or scale silently contributes nothing. *)
+   under deterministic seeding: the randomness model (every line carries
+   [model]; [load] drops lines of any other), which experiment, which
+   Monte-Carlo sweep of that experiment (sweeps are numbered in call
+   order, which is deterministic because experiments are), the sweep's
+   master seed and trial count, and the trial index.  A recorded value
+   is only ever replayed at exactly the same address, so a journal
+   written with a different seed, scale or model silently contributes
+   nothing. *)
 type key = {
   experiment : string;
   sweep : int;
@@ -118,6 +120,8 @@ let make path oc =
 let create path =
   make path (Some (open_out_gen [ Open_wronly; Open_creat; Open_trunc ] 0o644 path))
 
+let model = Cobra_prng.Keyed.model_tag
+
 let parse_line t line =
   match Json.of_string line with
   | Error _ -> t.malformed <- t.malformed + 1
@@ -125,6 +129,10 @@ let parse_line t line =
       let str k = Option.bind (Json.member j k) Json.to_string_opt in
       let int k = Option.bind (Json.member j k) Json.to_int_opt in
       match (str "experiment", int "sweep", int "master_seed", int "trials", int "trial") with
+      | Some _, Some _, Some _, Some _, Some _ when str "model" <> Some model ->
+          (* Sampled under another randomness model (an untagged line
+             predates the tag): a different address, never replayed. *)
+          ()
       | Some experiment, Some sweep, Some master_seed, Some trials, Some trial -> (
           let key = { experiment; sweep; master_seed; trials; trial } in
           match (str "status", Json.member j "value") with
@@ -204,6 +212,7 @@ let write_line sw ~trial fields =
         Json.to_string
           (Json.Obj
              ([
+                ("model", Json.String model);
                 ("experiment", Json.String sw.sweep_experiment);
                 ("sweep", Json.Int sw.index);
                 ("master_seed", Json.Int sw.master_seed);

@@ -1,8 +1,8 @@
 (** Trial-level JSONL checkpoint journals.
 
     Every Monte-Carlo trial in this codebase is a pure function of
-    [(experiment, sweep, master seed, trial index)] — see
-    {!Montecarlo} — so a completed trial never has to be recomputed: the
+    [(model, experiment, sweep, master seed, trial index)] — see
+    {!Montecarlo}; the model is {!Cobra_prng.Keyed.model_tag} — so a completed trial never has to be recomputed: the
     journal appends one JSON line per completed trial as a checkpoint,
     and a later run that reaches the same address replays the recorded
     value instead of re-simulating.  A sweep interrupted by SIGINT, a
@@ -13,15 +13,17 @@
 
     Line format (one object per line):
     {v
-    {"experiment":"e4","sweep":2,"master_seed":2017,"trials":24,
-     "trial":7,"status":"ok","value":[123.0,456.0]}
-    {"experiment":"e4",...,"trial":8,"status":"error",
+    {"model":"keyed-1","experiment":"e4","sweep":2,"master_seed":2017,
+     "trials":24,"trial":7,"status":"ok","value":[123.0,456.0]}
+    {"model":"keyed-1","experiment":"e4",...,"trial":8,"status":"error",
      "exn":"Failure(\"boom\")","backtrace":"...","attempts":2}
     v}
 
     Only ["ok"] lines are replayed — a recorded failure documents what
     happened and is re-run on resume.  Mismatched addresses (a different
-    seed, scale or code path) contribute nothing, so resuming with the
+    seed, scale or code path, or a line written under another randomness
+    model — including untagged lines, which predate the tag) contribute
+    nothing, so resuming with the
     wrong configuration degrades to a fresh run rather than corrupting
     results.
 
@@ -83,7 +85,7 @@ val path : t -> string
 (** {2 Counters} (for end-of-run reporting) *)
 
 val loaded : t -> int
-(** ["ok"] lines parsed by {!load}. *)
+(** ["ok"] lines of this randomness model parsed by {!load}. *)
 
 val malformed : t -> int
 val replayed : t -> int

@@ -10,6 +10,7 @@ type t = {
   mutable ctr : int64; (* position key + gamma * draw_index *)
 }
 
+let model_tag = "keyed-1"
 let gamma = Splitmix64.gamma
 
 (* The (stream, round) half of the position key.  It is loop-invariant

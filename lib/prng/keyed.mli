@@ -1,9 +1,10 @@
-(** Counter-based keyed randomness for domain-parallel simulation steps.
+(** Counter-based keyed randomness: the only randomness of the COBRA,
+    BIPS and SIS step kernels.
 
-    The sequential {!Rng} threads one mutable stream through a round, so
-    the draws a vertex sees depend on how many draws every vertex before
-    it consumed — iteration order and any sharding of the round change
-    the results.  [Keyed.t] removes that coupling: every draw is a pure
+    One mutable {!Rng} stream threaded through a round would make the
+    draws a vertex sees depend on how many draws every vertex before it
+    consumed, so iteration order and any sharding of the round would
+    change the results.  [Keyed.t] removes that coupling: every draw is a pure
     function of the tuple [(master seed, stream, round, vertex, draw
     index)], evaluated with the stateless {!Splitmix64.mix} finaliser.
     Two consequences the parallel kernels rely on:
@@ -23,6 +24,13 @@
 
 type t
 (** Mutable cursor: the current position key and draw counter. *)
+
+val model_tag : string
+(** Names the randomness model the process kernels sample under: keyed
+    draws at [(master, round, vertex, draw)], with the master taken from
+    one {!Rng.keyed_master} draw.  Persisted results carry it in their
+    address (server job digests, trial-journal lines), so a result
+    sampled under an earlier model is never replayed as this one's. *)
 
 val create : master:int -> t
 (** [create ~master] is a cursor over the keyed space of [master].  Equal

@@ -16,6 +16,12 @@ val for_trial : master:int -> trial:int -> t
     on the pair, so a parallel run over trials yields bitwise the same
     results as a serial one. *)
 
+val keyed_master : t -> int
+(** [keyed_master t] is one draw of [t], truncated to a non-negative
+    [int]: the master seed of the {!Keyed} space a process run given [t]
+    samples from.  Every COBRA/BIPS/SIS run takes exactly this one draw,
+    so a run's result is a function of the generator's state. *)
+
 val split : t -> t
 (** [split t] derives a decorrelated child generator and advances [t].
     Handy for sub-simulations that must not perturb the parent stream. *)

@@ -4,7 +4,7 @@ let canonical_branching (b : Cobra_core.Process.branching) =
   match b with
   | Fixed k -> Printf.sprintf "fixed:%d" k
   | Bernoulli rho ->
-      (* Stream-identical extremes collapse onto their Fixed form (the
+      (* Draw-identical extremes collapse onto their Fixed form (the
          Process contract tested by the suite), so e.g. {"bernoulli":1.0}
          and {"fixed":2} hit the same cache line. *)
       if rho = 1.0 then "fixed:2"
@@ -16,6 +16,7 @@ let canonical (job : Proto.job) =
   String.concat ";"
     [
       Printf.sprintf "v=%d" Proto.version;
+      Printf.sprintf "model=%s" Cobra_prng.Keyed.model_tag;
       Printf.sprintf "kind=%s" (Proto.kind_to_string job.kind);
       Printf.sprintf "family=%s" (String.lowercase_ascii (String.trim g.family));
       Printf.sprintf "n=%d" g.n;

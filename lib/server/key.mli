@@ -10,10 +10,13 @@
     - JSON field order (erased by parsing into {!Proto.job});
     - graph family spelling (trimmed, lowercased);
     - the branching extremes [Bernoulli 1.0 = Fixed 2] and
-      [Bernoulli 0.0 = Fixed 1], which are draw-for-draw identical
-      streams by the contract documented in {!Cobra_core.Process};
+      [Bernoulli 0.0 = Fixed 1], which are draw-for-draw identical by
+      the contract documented in {!Cobra_core.Process};
 
-    and keeps everything that does: kind, realised family, requested
+    and keeps everything that does: the randomness model
+    ({!Cobra_prng.Keyed.model_tag}, so results sampled under an earlier
+    model — say, preloaded from an old [jobs.jsonl] — never answer a
+    job), kind, realised family, requested
     [n], generator seed, branching, laziness, round cap (an explicit
     cap digests differently from the default — conservative, never
     wrong), trial count and master seed. *)

@@ -102,31 +102,187 @@ let test_next_dist_sums_to_one () =
       (Gen.star 7, 0b1000001);
     ]
 
-let test_next_dist_matches_simulation () =
-  (* Empirical one-step frequencies vs the exact distribution. *)
-  let g = Gen.cycle 5 in
-  let current_mask = 0b00101 in
-  let exact = Cobra_chain.next_dist g ~current:current_mask () in
-  let rng = Rng.create 31 in
-  let current = Cobra_bitset.Bitset.of_list 5 [ 0; 2 ] in
-  let next = Cobra_bitset.Bitset.create 5 in
-  let counts = Hashtbl.create 16 in
-  let trials = 40_000 in
-  for _ = 1 to trials do
-    ignore (Process.cobra_step g rng ~branching:(Process.Fixed 2) ~lazy_:false ~current ~next);
-    let mask = Cobra_bitset.Bitset.fold (fun v acc -> acc lor (1 lsl v)) next 0 in
+(* --- Conformance: one keyed round against the exact chains ---
+
+   Chi-square goodness of fit of the keyed step kernels' one-round
+   distribution against the exact solvers.  Each case draws [samples]
+   independent rounds (round numbers 1..samples at one fixed master, so
+   every round reads fresh keyed positions), bins the outcome masks on
+   the exact support, pools bins expected below 5 into one, and rejects
+   when the chi-square p-value falls under [alpha].  An outcome outside
+   the exact support fails outright.
+
+   False-alarm budget: a correct kernel fails a case with probability
+   [alpha] = 1e-4 over the choice of master.  The family is the 13
+   cases below (one in "cobra chain", twelve in "conformance"), each at
+   its own fixed master, so a correct implementation trips at least
+   one with probability at most 13 * 1e-4 = 0.13%.  The masters are
+   fixed and were not searched. *)
+
+let alpha = 1e-4
+let samples = 20_000
+
+(* log Gamma, Lanczos approximation (g = 7, 9 terms); relative error
+   below 1e-13 for x >= 0.5, the only range used here. *)
+let log_gamma x =
+  let c =
+    [|
+      0.99999999999980993; 676.5203681218851; -1259.1392167224028; 771.32342877765313;
+      -176.61502916214059; 12.507343278686905; -0.13857109526572012; 9.9843695780195716e-6;
+      1.5056327351493116e-7;
+    |]
+  in
+  let x = x -. 1.0 in
+  let a = ref c.(0) in
+  for i = 1 to 8 do
+    a := !a +. (c.(i) /. (x +. float_of_int i))
+  done;
+  let t = x +. 7.5 in
+  (0.5 *. log (2.0 *. Float.pi)) +. ((x +. 0.5) *. log t) -. t +. log !a
+
+(* Regularised upper incomplete gamma Q(a, x): the power series of P
+   below x = a + 1, the Lentz continued fraction of Q above. *)
+let gamma_q a x =
+  if x <= 0.0 then 1.0
+  else
+    let front = exp ((a *. log x) -. x -. log_gamma a) in
+    if x < a +. 1.0 then begin
+      let sum = ref (1.0 /. a) and term = ref (1.0 /. a) and k = ref 1.0 in
+      while !term > !sum *. 1e-16 do
+        term := !term *. x /. (a +. !k);
+        sum := !sum +. !term;
+        k := !k +. 1.0
+      done;
+      1.0 -. (front *. !sum)
+    end
+    else begin
+      let tiny = 1e-300 in
+      let b = ref (x +. 1.0 -. a) in
+      let c = ref (1.0 /. tiny) and d = ref (1.0 /. !b) in
+      let h = ref !d and i = ref 1 and continue = ref true in
+      while !continue do
+        let an = -.float_of_int !i *. (float_of_int !i -. a) in
+        b := !b +. 2.0;
+        d := (an *. !d) +. !b;
+        if Float.abs !d < tiny then d := tiny;
+        c := !b +. (an /. !c);
+        if Float.abs !c < tiny then c := tiny;
+        d := 1.0 /. !d;
+        let delta = !d *. !c in
+        h := !h *. delta;
+        incr i;
+        if Float.abs (delta -. 1.0) < 1e-16 || !i > 1000 then continue := false
+      done;
+      front *. !h
+    end
+
+let test_gamma_q_reference () =
+  (* chi-square survival at known points: df = 2 is exp (-x/2). *)
+  check_float "df=2" ~eps:1e-12 (exp (-1.5)) (gamma_q 1.0 1.5);
+  check_float "df=1 at 3.841" ~eps:1e-4 0.05 (gamma_q 0.5 (3.841459 /. 2.0));
+  check_float "df=10 at 29.588" ~eps:1e-5 0.001 (gamma_q 5.0 (29.5883 /. 2.0));
+  check_float "df=50 at 67.505" ~eps:1e-4 0.05 (gamma_q 25.0 (67.5048 /. 2.0))
+
+(* [sample ~round] returns the outcome mask of one round. *)
+let chi_square_check name ~exact ~sample =
+  let counts = Hashtbl.create 64 in
+  for round = 1 to samples do
+    let mask = sample ~round in
     Hashtbl.replace counts mask (1 + Option.value ~default:0 (Hashtbl.find_opt counts mask))
   done;
-  List.iter
-    (fun (mask, p) ->
-      let freq =
-        float_of_int (Option.value ~default:0 (Hashtbl.find_opt counts mask))
-        /. float_of_int trials
-      in
-      let sigma = sqrt (p *. (1.0 -. p) /. float_of_int trials) in
-      if Float.abs (freq -. p) > (5.0 *. sigma) +. 0.002 then
-        Alcotest.failf "mask %d: freq %.4f vs exact %.4f" mask freq p)
-    exact
+  Hashtbl.iter
+    (fun mask _ ->
+      if not (List.exists (fun (m, p) -> m = mask && p > 0.0) exact) then
+        Alcotest.failf "%s: outcome %d has exact probability 0" name mask)
+    counts;
+  let n = float_of_int samples in
+  let observed mask = float_of_int (Option.value ~default:0 (Hashtbl.find_opt counts mask)) in
+  let support = List.filter (fun (_, p) -> p > 0.0) exact in
+  let big, small = List.partition (fun (_, p) -> p *. n >= 5.0) support in
+  let cells =
+    List.map (fun (m, p) -> (observed m, p *. n)) big
+    @
+    match small with
+    | [] -> []
+    | _ ->
+        [
+          ( List.fold_left (fun acc (m, _) -> acc +. observed m) 0.0 small,
+            List.fold_left (fun acc (_, p) -> acc +. (p *. n)) 0.0 small );
+        ]
+  in
+  let stat = List.fold_left (fun acc (o, e) -> acc +. (((o -. e) ** 2.0) /. e)) 0.0 cells in
+  let df = List.length cells - 1 in
+  let p_value = if df < 1 then 1.0 else gamma_q (float_of_int df /. 2.0) (stat /. 2.0) in
+  if not (p_value >= alpha) then
+    Alcotest.failf "%s: chi-square %.2f on %d df, p = %.2g < %g" name stat df p_value alpha
+
+let mask_of set = Cobra_bitset.Bitset.fold (fun v acc -> acc lor (1 lsl v)) set 0
+let set_of n mask = Cobra_bitset.Bitset.of_list n (List.filter (Subset.mem mask) (List.init n Fun.id))
+
+let cobra_round_conforms ?pool g ~master ~branching ~lazy_ ~current_mask () =
+  let n = Graph.n g in
+  let current = set_of n current_mask in
+  let next = Cobra_bitset.Bitset.create n in
+  let ctx = Process.make_keyed_ctx ?pool ~dense_threshold:1 g ~master in
+  chi_square_check "cobra round"
+    ~exact:(Cobra_chain.next_dist g ~branching ~lazy_ ~current:current_mask ())
+    ~sample:(fun ~round ->
+      ignore (Process.cobra_step_keyed g ctx ~round ~branching ~lazy_ ~current ~next : int);
+      mask_of next)
+
+let test_next_dist_matches_simulation () =
+  cobra_round_conforms (Gen.cycle 5) ~master:31 ~branching:(Process.Fixed 2) ~lazy_:false
+    ~current_mask:0b00101 ()
+
+let bips_round_conforms ?pool g ~master ~branching ~lazy_ ~current_mask () =
+  let n = Graph.n g in
+  let chain = Bips_chain.make g ~branching ~lazy_ ~source:0 () in
+  let exact =
+    List.init (Bips_chain.n_states chain) (fun i ->
+        let m = Bips_chain.mask_of_state chain i in
+        (m, Bips_chain.transition_probability chain current_mask m))
+  in
+  let current = set_of n current_mask in
+  let next = Cobra_bitset.Bitset.create n in
+  let ctx = Process.make_keyed_ctx ?pool ~dense_threshold:1 g ~master in
+  chi_square_check "bips round" ~exact ~sample:(fun ~round ->
+      Process.bips_step_keyed g ctx ~round ~branching ~lazy_ ~source:0 ~current ~next;
+      mask_of next)
+
+(* Twelve conformance cases: {COBRA, BIPS} x {Fixed 2, Bernoulli 0.5,
+   lazy Fixed 2} x {serial, sharded over a 2-wide pool}, each at its own
+   master.  Petersen from C = {0,1,3} (COBRA) and A = {0,1,2,6} (BIPS,
+   source 0; every vertex has a neighbour in A). *)
+let conformance_cases =
+  let petersen = Gen.petersen () in
+  let variants =
+    [ ("b=2", Process.Fixed 2, false); ("rho=0.5", Process.Bernoulli 0.5, false);
+      ("b=2 lazy", Process.Fixed 2, true) ]
+  in
+  let paths = [ ("serial", false); ("sharded", true) ] in
+  let case kind (vname, branching, lazy_) (pname, sharded) master =
+    let run ?pool () =
+      match kind with
+      | `Cobra ->
+          cobra_round_conforms ?pool petersen ~master ~branching ~lazy_ ~current_mask:0b1011 ()
+      | `Bips ->
+          bips_round_conforms ?pool petersen ~master ~branching ~lazy_ ~current_mask:0b1000111 ()
+    in
+    Alcotest.test_case
+      (Printf.sprintf "%s %s %s" (match kind with `Cobra -> "cobra" | `Bips -> "bips") vname pname)
+      `Slow
+      (fun () ->
+        if sharded then Cobra_parallel.Pool.with_pool ~num_domains:1 (fun pool -> run ~pool ())
+        else run ())
+  in
+  List.concat_map
+    (fun (k, kind) ->
+      List.concat
+        (List.mapi
+           (fun v variant ->
+             List.mapi (fun p path -> case kind variant path (1001 + (k * 6) + (v * 2) + p)) paths)
+           variants))
+    [ (0, `Cobra); (1, `Bips) ]
 
 (* --- Exact cover times --- *)
 
@@ -335,6 +491,8 @@ let () =
           Alcotest.test_case "distribution mass" `Quick test_bips_distribution_mass;
           Alcotest.test_case "avoid tail vs simulation" `Slow test_bips_avoid_tail_vs_simulation;
         ] );
+      ( "conformance",
+        Alcotest.test_case "chi-square survival" `Quick test_gamma_q_reference :: conformance_cases );
       ( "duality (machine precision)",
         [
           Alcotest.test_case "named cases" `Quick test_exact_duality;

@@ -274,6 +274,42 @@ let test_journal_address_mismatch_is_fresh_run () =
           check_int "wrong-seed checkpoints ignored" 0 (Journal.replayed j);
           Journal.close j))
 
+let test_journal_other_model_not_replayed () =
+  (* Lines without the randomness-model tag were written before keyed
+     draws became the only model: same (experiment, sweep, seed,
+     trials, trial) address, different sample — never replayed. *)
+  with_tmp_journal (fun path ->
+      let oc = open_out path in
+      for trial = 0 to 3 do
+        Printf.fprintf oc
+          {|{"experiment":"unit","sweep":0,"master_seed":3,"trials":4,"trial":%d,"status":"ok","value":999}|}
+          trial;
+        output_char oc '\n'
+      done;
+      close_out oc;
+      Pool.with_pool ~num_domains:0 (fun pool ->
+          let j = Journal.load path in
+          check_int "untagged lines not loaded" 0 (Journal.loaded j);
+          check_int "and not malformed" 0 (Journal.malformed j);
+          Journal.set_experiment j "unit";
+          let results =
+            Montecarlo.run ~codec:Journal.int_ ~journal:j ~pool ~master_seed:3 ~trials:4
+              (fun ~trial _ -> trial)
+          in
+          check_int "nothing replayed" 0 (Journal.replayed j);
+          Alcotest.(check (array int)) "every trial executed" [| 0; 1; 2; 3 |] results;
+          Journal.close j);
+      (* The lines this run appended carry the tag and do replay. *)
+      Pool.with_pool ~num_domains:0 (fun pool ->
+          let j = Journal.load path in
+          check_int "tagged lines loaded" 4 (Journal.loaded j);
+          Journal.set_experiment j "unit";
+          ignore
+            (Montecarlo.run ~codec:Journal.int_ ~journal:j ~pool ~master_seed:3 ~trials:4
+               (fun ~trial:_ _ -> Alcotest.fail "tagged trial re-executed"));
+          check_int "all replayed" 4 (Journal.replayed j);
+          Journal.close j))
+
 (* ---------- cancellation / deadline at the Monte-Carlo layer ---------- *)
 
 let test_deadline_interrupt_and_resume () =
@@ -441,6 +477,8 @@ let () =
             test_journal_partial_resume_bit_identical;
           Alcotest.test_case "torn tail tolerated" `Quick test_journal_tolerates_truncated_tail;
           Alcotest.test_case "failures not replayed" `Quick test_journal_failures_not_replayed;
+          Alcotest.test_case "other randomness model = fresh run" `Quick
+            test_journal_other_model_not_replayed;
           Alcotest.test_case "address mismatch = fresh run" `Quick
             test_journal_address_mismatch_is_fresh_run;
         ] );

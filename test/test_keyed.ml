@@ -6,7 +6,7 @@
    plus an optional extra width from the COBRA_TEST_DOMAINS environment
    variable so CI can probe an arbitrary configuration.  The small
    graphs here force the sharded path with ~dense_threshold:1; results
-   must equal the no-pool serial keyed run exactly. *)
+   must equal the no-pool serial run exactly. *)
 
 module Bitset = Cobra_bitset.Bitset
 module Graph = Cobra_graph.Graph
@@ -101,9 +101,8 @@ let test_int_below_uniform_ish () =
     counts
 
 let test_bernoulli_degenerate () =
-  (* p <= 0 and p >= 1 must consume no randomness, matching the
-     sequential Rng contract that keeps Fixed/Bernoulli streams
-     aligned. *)
+  (* p <= 0 and p >= 1 must consume no randomness: the contract that
+     keeps Fixed/Bernoulli draws aligned. *)
   let a = Keyed.create ~master:3 in
   Keyed.position a ~round:2 ~vertex:4;
   let b = Keyed.copy a in
@@ -198,10 +197,9 @@ let run_fingerprint (r : Cobra.run option) =
         (String.concat "," (Array.to_list (Array.map string_of_int r.active_sizes)))
 
 let keyed_cover ?pool ~branching ~lazy_ g =
-  let rng = Rng.create 0 in
   run_fingerprint
-    (Cobra.run_cover_detailed g rng ~branching ~lazy_ ?pool
-       ~rng_mode:(Process.Keyed { master = 2017 }) ~dense_threshold:1 ~start:0 ())
+    (Cobra.run_cover_detailed g (Rng.create 2017) ~branching ~lazy_ ?pool ~dense_threshold:1
+       ~start:0 ())
 
 let test_cobra_pool_invariance () =
   List.iter
@@ -225,10 +223,7 @@ let test_cobra_pool_invariance () =
     graphs
 
 let keyed_infected ?pool g =
-  let rng = Rng.create 0 in
-  Bips.infected_after g rng ?pool
-    ~rng_mode:(Process.Keyed { master = 99 })
-    ~dense_threshold:1 ~rounds:12 ~source:1 ()
+  Bips.infected_after g (Rng.create 99) ?pool ~dense_threshold:1 ~rounds:12 ~source:1 ()
 
 let test_bips_pool_invariance () =
   List.iter
@@ -245,12 +240,9 @@ let test_bips_pool_invariance () =
     graphs
 
 let keyed_sis ?pool g =
-  let rng = Rng.create 0 in
   let initial = Bitset.of_list (Graph.n g) [ 0; 3; 5 ] in
   let outcome, sizes =
-    Sis.run_trajectory g rng ?pool
-      ~rng_mode:(Process.Keyed { master = 123 })
-      ~dense_threshold:1 ~max_rounds:200 ~initial ()
+    Sis.run_trajectory g (Rng.create 123) ?pool ~dense_threshold:1 ~max_rounds:200 ~initial ()
   in
   let tag =
     match outcome with
@@ -278,13 +270,12 @@ let test_dense_threshold_irrelevant () =
      path vs forced sharded path must agree draw for draw. *)
   let g = Gen.hypercube 6 in
   let forced = keyed_cover ~branching:(Process.Fixed 2) ~lazy_:false g in
-  let rng = Rng.create 0 in
-  let lazy_default =
+  let default_threshold =
     run_fingerprint
-      (Cobra.run_cover_detailed g rng ~branching:(Process.Fixed 2) ~lazy_:false
-         ~rng_mode:(Process.Keyed { master = 2017 }) ~start:0 ())
+      (Cobra.run_cover_detailed g (Rng.create 2017) ~branching:(Process.Fixed 2) ~lazy_:false
+         ~start:0 ())
   in
-  Alcotest.(check string) "threshold does not change results" forced lazy_default
+  Alcotest.(check string) "threshold does not change results" forced default_threshold
 
 (* A frontier of [card] distinct vertices spread across the universe
    (stride coprime to n), so threshold-boundary tests touch more than
@@ -375,26 +366,12 @@ let test_scan_last_shard_edge () =
             (Bitset.cardinal sis_serial) (Bitset.cardinal sis_pool)))
     pool_widths
 
-(* --- Sequential mode unaffected --- *)
-
-let test_sequential_ignores_pool () =
-  let g = Gen.hypercube 6 in
-  let run ?pool () =
-    let rng = Rng.create 7 in
-    run_fingerprint (Cobra.run_cover_detailed g rng ?pool ~start:0 ())
-  in
-  let baseline = run () in
-  with_width 3 (fun pool ->
-      Alcotest.(check string) "pool is ignored under Sequential" baseline (run ~pool ()))
-
 (* --- Keyed engine (message-passing layer) --- *)
 
 let engine_fingerprint ?pool g =
   let module E = Cobra_net.Gossip.Cobra_engine in
-  let t = E.create ?pool ~rng_mode:(Process.Keyed { master = 5 }) g ~start:0 in
-  let rng = Rng.create 0 in
-  (* never read in keyed mode *)
-  match E.run_until_covered ~max_rounds:10_000 t rng with
+  let t = E.create ?pool g ~start:0 in
+  match E.run_until_covered ~max_rounds:10_000 t (Rng.create 5) with
   | None -> "censored"
   | Some rounds -> Printf.sprintf "rounds=%d messages=%d" rounds (E.messages_sent t)
 
@@ -435,43 +412,49 @@ let test_matvec_pool_bit_identical () =
       if not (Int64.equal (Int64.bits_of_float l_serial) (Int64.bits_of_float l_pool)) then
         Alcotest.failf "second_eigenvalue differs: %.17g vs %.17g" l_serial l_pool)
 
-(* --- Sequential cobra_step ?scratch fast path --- *)
-
-let test_scratch_equivalence () =
-  let g = Gen.torus ~dims:[ 8; 8 ] in
-  let n = Graph.n g in
-  let rng_a = Rng.create 21 and rng_b = Rng.create 21 in
-  let scratch = Array.make Process.sparse_frontier_threshold 0 in
-  let cur_a = Bitset.of_list n [ 0; 5; 17 ] and cur_b = Bitset.of_list n [ 0; 5; 17 ] in
-  let next_a = Bitset.create n and next_b = Bitset.create n in
-  for _ = 1 to 30 do
-    let ta =
-      Process.cobra_step g rng_a ~branching:(Process.Fixed 2) ~lazy_:false ~current:cur_a
-        ~next:next_a
-    in
-    let tb =
-      Process.cobra_step ~scratch g rng_b ~branching:(Process.Fixed 2) ~lazy_:false
-        ~current:cur_b ~next:next_b
-    in
-    check_int "transmissions" ta tb;
-    check_bool "next sets equal" true (Bitset.equal next_a next_b);
-    Bitset.blit ~src:next_a ~dst:cur_a;
-    Bitset.blit ~src:next_b ~dst:cur_b
-  done
-
-(* --- Keyed estimators --- *)
+(* --- Estimators --- *)
 
 let test_estimate_keyed_invariance () =
+  (* Every width and both schedules — whole trials in parallel (trials
+     >= width) and trials in turn with sharded rounds (trials < width,
+     graph above the threshold) — give the same estimate. *)
   let g = Gen.hypercube 6 in
-  let est ?pool () =
-    let r =
-      Cobra_core.Estimate.cover_time_keyed ?pool ~dense_threshold:1 ~master_seed:5 ~trials:4 g
-    in
-    (r.summary.mean, r.mean_transmissions)
+  let est ~width ~trials =
+    with_width width (fun pool ->
+        let r =
+          Cobra_core.Estimate.cover_time ~pool ~dense_threshold:1 ~master_seed:5 ~trials g
+        in
+        let b =
+          Cobra_core.Estimate.infection_time ~pool ~dense_threshold:1 ~master_seed:5 ~trials g
+        in
+        (r.summary.mean, r.median, r.mean_transmissions, b.summary.mean, b.q90))
   in
-  let serial = est () in
-  with_width 2 (fun pool ->
-      check_bool "keyed estimate pool-invariant" true (serial = est ~pool ()))
+  List.iter
+    (fun trials ->
+      let serial = est ~width:1 ~trials in
+      List.iter
+        (fun width ->
+          check_bool
+            (Printf.sprintf "%d trials, %d worker(s)" trials width)
+            true
+            (serial = est ~width ~trials))
+        pool_widths)
+    [ 1; 3; 8 ]
+
+let test_trial_master_replays () =
+  (* A trial of an estimate replays through Cobra.run_cover at
+     Estimate.trial_master. *)
+  let g = Gen.torus ~dims:[ 8; 8 ] in
+  let r =
+    Pool.with_pool ~num_domains:0 (fun pool ->
+        Cobra_core.Estimate.cover_time ~pool ~master_seed:9 ~trials:1 ~start:0 g)
+  in
+  let master = Cobra_core.Estimate.trial_master ~master_seed:9 ~trial:0 in
+  match
+    Cobra.run_cover g (Rng.create 0) ~rng_mode:(Process.Keyed { master }) ~start:0 ()
+  with
+  | Some rounds -> Alcotest.(check (float 0.0)) "trial 0" (float_of_int rounds) r.summary.mean
+  | None -> Alcotest.fail "censored"
 
 let () =
   Alcotest.run "keyed"
@@ -497,11 +480,9 @@ let () =
           Alcotest.test_case "dense threshold" `Quick test_dense_threshold_irrelevant;
           Alcotest.test_case "threshold boundary" `Quick test_dense_threshold_boundary;
           Alcotest.test_case "scan last-shard edge" `Quick test_scan_last_shard_edge;
-          Alcotest.test_case "sequential ignores pool" `Quick test_sequential_ignores_pool;
           Alcotest.test_case "engine" `Quick test_engine_keyed_invariance;
           Alcotest.test_case "matvec + eigen" `Quick test_matvec_pool_bit_identical;
           Alcotest.test_case "estimate" `Quick test_estimate_keyed_invariance;
+          Alcotest.test_case "trial master replay" `Quick test_trial_master_replays;
         ] );
-      ( "sequential paths",
-        [ Alcotest.test_case "cobra_step scratch" `Quick test_scratch_equivalence ] );
     ]

@@ -44,19 +44,31 @@ let test_push_pull_accounting () =
   Gossip.Push_pull_engine.round t rng;
   check_int "2n messages per round" 20 (Gossip.Push_pull_engine.messages_sent t)
 
+(* BIPS vertices relapse: the latched count can exceed the current
+   infected count.  One 40-round run on cycle 9 relapses with
+   probability about 0.85-0.9 (171-179 of 200 runs), so a single run is
+   not a test.  Over a fixed batch of 50 runs, require at least 25
+   relapsing runs: if the per-run probability is at least 0.8, a correct
+   engine fails this with probability P(Bin(50, 0.8) < 25) < 5e-7,
+   while an engine whose latched count tracks the current one relapses
+   in none. *)
 let test_informed_latched_vs_current () =
-  (* BIPS vertices relapse: the latched count can exceed the current
-     infected count. *)
   let g = Gen.cycle 9 in
-  let t = Gossip.Bips_engine.create g ~start:0 in
-  let rng = Rng.create 5 in
-  let saw_relapse = ref false in
-  for _ = 1 to 40 do
-    Gossip.Bips_engine.round t rng;
-    if Gossip.Bips_engine.current_count t < Gossip.Bips_engine.informed_count t then
-      saw_relapse := true
+  let relapses = ref 0 in
+  for seed = 1 to 50 do
+    let t = Gossip.Bips_engine.create g ~start:0 in
+    let rng = Rng.create seed in
+    let saw_relapse = ref false in
+    for _ = 1 to 40 do
+      Gossip.Bips_engine.round t rng;
+      if Gossip.Bips_engine.current_count t < Gossip.Bips_engine.informed_count t then
+        saw_relapse := true
+    done;
+    if !saw_relapse then incr relapses
   done;
-  check_bool "relapse observed on a sparse graph" true !saw_relapse
+  check_bool
+    (Printf.sprintf "%d of 50 runs relapse (need >= 25)" !relapses)
+    true (!relapses >= 25)
 
 let test_determinism () =
   let g = Gen.petersen () in

@@ -96,15 +96,16 @@ let test_accessors_agree () =
 
 let run_cobra g ~seed ~rounds =
   let n = Graph.n g in
-  let rng = Rng.create seed in
+  let ctx = Process.make_keyed_ctx g ~master:seed in
   let current = Bitset.create n and next = Bitset.create n in
   Bitset.add current 0;
   let tx = ref 0 in
   let trace = Buffer.create 256 in
-  for _ = 1 to rounds do
+  for round = 1 to rounds do
     tx :=
       !tx
-      + Process.cobra_step g rng ~branching:(Process.Fixed 2) ~lazy_:false ~current ~next;
+      + Process.cobra_step_keyed g ctx ~round ~branching:(Process.Fixed 2) ~lazy_:false ~current
+          ~next;
     Bitset.blit ~src:next ~dst:current;
     Buffer.add_string trace (Printf.sprintf "%d;" (Bitset.cardinal current))
   done;

@@ -35,12 +35,13 @@ let test_cover_at_scale () =
 
 let test_bips_round_at_scale () =
   let g = Lazy.force big_graph in
-  let rng = Rng.create 3 in
+  let ctx = Process.make_keyed_ctx g ~master:3 in
   let current = Bitset.create n and next = Bitset.create n in
   for v = 0 to (n / 2) - 1 do
     Bitset.add current (v * 2)
   done;
-  Process.bips_step g rng ~branching:(Process.Fixed 2) ~lazy_:false ~source:0 ~current ~next;
+  Process.bips_step_keyed g ctx ~round:1 ~branching:(Process.Fixed 2) ~lazy_:false ~source:0
+    ~current ~next;
   (* Half the graph infected on an 8-regular expander: most vertices
      have infected neighbours, so the next set stays large. *)
   check_bool "next set large" true (Bitset.cardinal next > n / 3)

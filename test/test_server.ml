@@ -527,6 +527,53 @@ let test_e2e_warm_cache_no_rerun () =
               check_bool "sentinel returned verbatim (no re-run)" true (result = sentinel)
           | _ -> Alcotest.fail "warm cache lookup failed"))
 
+let test_e2e_other_model_not_replayed () =
+  (* A done line written before the randomness-model tag joined the
+     canonical key is addressed by the digest of the tag-free canonical
+     form.  The same job now digests differently, so the preloaded
+     result is never served: the job runs fresh. *)
+  let dir = fresh_dir () in
+  let job = quick_job ~seed:321 () in
+  let untagged_digest =
+    Key.canonical job |> String.split_on_char ';'
+    |> List.filter (fun field -> not (String.starts_with ~prefix:"model=" field))
+    |> String.concat ";" |> Digest.string |> Digest.to_hex
+  in
+  check_bool "tag changes the digest" true (untagged_digest <> Key.digest job);
+  let sentinel : Proto.job_result =
+    {
+      n = 64; count = 6; mean = 123456.5; stddev = 0.25; min = 1.0; max = 999999.0;
+      median = 123456.0; q90 = 777777.0; censored = 0; mean_transmissions = 42.0;
+    }
+  in
+  let oc = open_out (Filename.concat dir "jobs.jsonl") in
+  List.iter
+    (fun line ->
+      output_string oc (Json.to_string line);
+      output_char oc '\n')
+    [
+      Json.Obj
+        [
+          ("digest", Json.String untagged_digest);
+          ("status", Json.String "accepted");
+          ("job", Proto.job_to_json job);
+        ];
+      Json.Obj
+        [
+          ("digest", Json.String untagged_digest);
+          ("status", Json.String "done");
+          ("result", Proto.job_result_to_json sentinel);
+        ];
+    ];
+  close_out oc;
+  with_server (test_config ~journal_dir:dir ()) (fun srv ->
+      with_client srv (fun c ->
+          match Client.request c (Proto.Submit { job; deadline_s = None }) with
+          | Proto.Result { cached; result; _ } ->
+              check_bool "not served from the old model's line" false cached;
+              check_bool "fresh keyed result" true (result = reference_result job)
+          | _ -> Alcotest.fail "submit failed"))
+
 let () =
   Alcotest.run "server"
     [
@@ -558,5 +605,7 @@ let () =
           Alcotest.test_case "backpressure" `Quick test_e2e_backpressure;
           Alcotest.test_case "resume from journal" `Quick test_e2e_resume_from_journal;
           Alcotest.test_case "warm cache, no re-run" `Quick test_e2e_warm_cache_no_rerun;
+          Alcotest.test_case "other randomness model not replayed" `Quick
+            test_e2e_other_model_not_replayed;
         ] );
     ]

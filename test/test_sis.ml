@@ -143,7 +143,9 @@ let sis_step_no_source_property =
       let rng = Rng.create seed in
       let g = Gen.connected_gnp ~n ~p:0.6 rng in
       let current = Bitset.create n and next = Bitset.create n in
-      Process.sis_step g rng ~branching:(Process.Fixed 2) ~lazy_:false ~current ~next;
+      let ctx = Process.make_keyed_ctx g ~master:seed in
+      Process.sis_step_keyed g ctx ~round:1 ~branching:(Process.Fixed 2) ~lazy_:false ~current
+        ~next;
       Bitset.is_empty next)
 
 let () =
