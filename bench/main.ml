@@ -250,8 +250,6 @@ let substrate_kernels =
          (let a = Bitset.of_list 4096 (List.init 1000 (fun i -> i * 4)) in
           let b = Bitset.of_list 4096 (List.init 1000 (fun i -> (i * 4) + 1)) in
           fun () -> Bitset.union_into ~into:a b));
-    Test.make ~name:"kernel: all hitting times n=128 (L+)"
-      (Staged.stage (fun () -> ignore (Cobra_core.Walk_theory.all_hitting_times_dense regular8_128)));
     Test.make ~name:"kernel: lazy mixing time n=128"
       (Staged.stage (fun () ->
            ignore (Cobra_spectral.Mixing.mixing_time ~lazy_:true regular8_128)));

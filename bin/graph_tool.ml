@@ -312,20 +312,15 @@ let generate_cmd =
     Term.(
       const run $ family_arg $ n_arg $ seed_arg $ output_format_arg $ stats_arg $ output_arg)
 
-let solver_arg =
-  let solvers = [ ("lanczos", Eigen.Lanczos); ("jacobi", Eigen.Jacobi) ] in
-  let doc = "Eigensolver: $(b,lanczos) (default) or $(b,jacobi) (dense, n <= 1024)." in
-  Arg.(value & opt (enum solvers) Eigen.Lanczos & info [ "solver" ] ~docv:"SOLVER" ~doc)
-
 let tol_arg =
-  Arg.(value & opt float 1e-10 & info [ "tol" ] ~docv:"TOL" ~doc:"Solver residual tolerance.")
+  Arg.(value & opt float 1e-10 & info [ "tol" ] ~docv:"TOL" ~doc:"Lanczos residual tolerance.")
 
 let threads_arg =
   let doc = "Extra domains sharding the matrix-vector products (0 = serial)." in
   Arg.(value & opt int 0 & info [ "threads" ] ~docv:"K" ~doc)
 
 let spectral_cmd =
-  let run file family n seed solver tol threads =
+  let run file family n seed tol threads =
     let g = obtain file family n seed in
     Format.printf "%a@." Graph.pp_stats g;
     if not (Props.is_connected g) then begin
@@ -338,7 +333,7 @@ let spectral_cmd =
            lambda needs one more solve for the bottom end, the lazy
            quantities are arithmetic on lambda_2, the sweep cut reuses
            the vector. *)
-        (match Eigen.second_eigenvalue_r ~solver ~obs ~tol ~pool g with
+        (match Eigen.second_eigenvalue_r ~obs ~tol ~pool g with
         | Ok lambda ->
             Format.printf "lambda (abs 2nd eigenvalue of P): %.10f, gap: %.6g@." lambda
               (1.0 -. lambda)
@@ -346,7 +341,7 @@ let spectral_cmd =
             Format.printf
               "lambda: NOT CONVERGED after %d iterations (%d matvecs): best %.10f, residual %.3g@."
               nc.Eigen.iterations nc.Eigen.matvecs nc.Eigen.best nc.Eigen.residual);
-        let lambda2, v2 = Eigen.second_eigenvector ~solver ~obs ~tol ~pool g in
+        let lambda2, v2 = Eigen.second_eigenvector ~obs ~tol ~pool g in
         Format.printf "lambda_2 (signed): %.10f@." lambda2;
         Format.printf "lazy lambda: %.10f, lazy gap: %.6g@."
           ((1.0 +. lambda2) /. 2.0)
@@ -368,9 +363,8 @@ let spectral_cmd =
   in
   Cmd.v
     (Cmd.info "spectral"
-       ~doc:"Eigenvalues, gaps and conductance with a selectable solver")
-    Term.(
-      const run $ file_pos $ family_arg $ n_arg $ seed_arg $ solver_arg $ tol_arg $ threads_arg)
+       ~doc:"Eigenvalues, gaps and conductance, by deflated thick-restart Lanczos")
+    Term.(const run $ file_pos $ family_arg $ n_arg $ seed_arg $ tol_arg $ threads_arg)
 
 let main_cmd =
   let doc = "Generate and inspect the graph families used by the COBRA experiments" in

@@ -152,81 +152,6 @@ let hitting_times ?(obs = Obs.null) ?(tol = 1e-8) ?max_iter g ~target =
   emit_cg_obs obs ~solves:1 ~iterations:iters ~residual:res;
   h
 
-(* Dense Gauss-Jordan inversion with partial pivoting. *)
-let invert_in_place a =
-  let n = Array.length a in
-  let inv = Array.init n (fun i -> Array.init n (fun j -> if i = j then 1.0 else 0.0)) in
-  for col = 0 to n - 1 do
-    let pivot = ref col in
-    for row = col + 1 to n - 1 do
-      if Float.abs a.(row).(col) > Float.abs a.(!pivot).(col) then pivot := row
-    done;
-    if Float.abs a.(!pivot).(col) < 1e-12 then
-      failwith "Walk_theory: singular matrix (disconnected graph?)";
-    let swap m =
-      let tmp = m.(col) in
-      m.(col) <- m.(!pivot);
-      m.(!pivot) <- tmp
-    in
-    swap a;
-    swap inv;
-    let d = a.(col).(col) in
-    for j = 0 to n - 1 do
-      a.(col).(j) <- a.(col).(j) /. d;
-      inv.(col).(j) <- inv.(col).(j) /. d
-    done;
-    for row = 0 to n - 1 do
-      if row <> col then begin
-        let f = a.(row).(col) in
-        if f <> 0.0 then
-          for j = 0 to n - 1 do
-            a.(row).(j) <- a.(row).(j) -. (f *. a.(col).(j));
-            inv.(row).(j) <- inv.(row).(j) -. (f *. inv.(col).(j))
-          done
-      end
-    done
-  done;
-  inv
-
-let laplacian_pseudoinverse g =
-  let n = Graph.n g in
-  if not (Props.is_connected g) then
-    invalid_arg "Walk_theory.laplacian_pseudoinverse: graph must be connected";
-  if n > 1500 then invalid_arg "Walk_theory.laplacian_pseudoinverse: n too large for dense solve";
-  let jn = 1.0 /. float_of_int n in
-  (* M = L + J/n, whose inverse is L^+ + J/n. *)
-  let m = Array.init n (fun _ -> Array.make n jn) in
-  for u = 0 to n - 1 do
-    m.(u).(u) <- m.(u).(u) +. float_of_int (Graph.degree g u);
-    Graph.iter_neighbors g u (fun v -> m.(u).(v) <- m.(u).(v) -. 1.0)
-  done;
-  let minv = invert_in_place m in
-  for u = 0 to n - 1 do
-    for v = 0 to n - 1 do
-      minv.(u).(v) <- minv.(u).(v) -. jn
-    done
-  done;
-  minv
-
-let all_hitting_times_dense g =
-  let n = Graph.n g in
-  let lp = laplacian_pseudoinverse g in
-  (* Precompute s(v) = sum_k d(k) L+_{vk} so that
-     H(u,v) = sum_k d(k)(L+_{uk} - L+_{uv} - L+_{vk} + L+_{vv})
-            = s(u) - 2m L+_{uv} - s(v) + 2m L+_{vv}. *)
-  let two_m = float_of_int (Graph.total_degree g) in
-  let s = Array.make n 0.0 in
-  for v = 0 to n - 1 do
-    let acc = ref 0.0 in
-    for k = 0 to n - 1 do
-      acc := !acc +. (float_of_int (Graph.degree g k) *. lp.(v).(k))
-    done;
-    s.(v) <- !acc
-  done;
-  Array.init n (fun u ->
-      Array.init n (fun v ->
-          if u = v then 0.0 else s.(u) -. s.(v) +. (two_m *. (lp.(v).(v) -. lp.(u).(v)))))
-
 let all_hitting_times ?(obs = Obs.null) ?(tol = 1e-8) ?max_iter ?pool g =
   let n = Graph.n g in
   if not (Props.is_connected g) then
@@ -259,10 +184,6 @@ let max_hitting_time ?obs ?tol ?max_iter ?pool g =
   let h = all_hitting_times ?obs ?tol ?max_iter ?pool g in
   Array.fold_left (fun acc row -> Array.fold_left Float.max acc row) 0.0 h
 
-let effective_resistance g u v =
-  let lp = laplacian_pseudoinverse g in
-  lp.(u).(u) +. lp.(v).(v) -. (2.0 *. lp.(u).(v))
-
 let harmonic k =
   let s = ref 0.0 in
   for i = 1 to k do
@@ -292,3 +213,6 @@ let commute_time ?tol g u v =
   let hu = hitting_times ?tol g ~target:v in
   let hv = hitting_times ?tol g ~target:u in
   hu.(u) +. hv.(v)
+
+(* The electrical-network identity: commute time = 2 m R_eff. *)
+let effective_resistance g u v = commute_time g u v /. float_of_int (Graph.total_degree g)

@@ -10,9 +10,10 @@
     is solved by Jacobi-preconditioned conjugate gradients with a
     BFS-distance warm start: [O(sqrt(kappa))] sparse matvecs instead of
     the dense [O(n^3)] pseudo-inverse, so single-target hitting times
-    scale to [n] in the millions.  The dense [L^+] route survives as
-    {!all_hitting_times_dense} / {!laplacian_pseudoinverse}: it is the
-    small-[n] oracle the differential tests pin the CG path against.
+    scale to [n] in the millions.  Commute times and effective
+    resistances are built from the same solves; the dense [L^+] oracle
+    the differential tests pin the CG path against lives with the
+    tests.
 
     Exact values let the test suite pin the Monte-Carlo walk engine to
     theory, and let experiment E9 report how close the [b = 1] baseline
@@ -31,12 +32,6 @@ val hitting_times :
 
     @raise Invalid_argument on a disconnected graph or bad target. *)
 
-val laplacian_pseudoinverse : Cobra_graph.Graph.t -> float array array
-(** [laplacian_pseudoinverse g] is [L^+], the Moore–Penrose
-    pseudo-inverse of the graph Laplacian, computed densely via the
-    identity [(L + J/n)^{-1} = L^+ + J/n].  O(n^3); intended for [n] up
-    to ~1500.  @raise Invalid_argument on a disconnected graph. *)
-
 val all_hitting_times :
   ?obs:Cobra_obs.Obs.t -> ?tol:float -> ?max_iter:int -> ?pool:Cobra_parallel.Pool.t ->
   Cobra_graph.Graph.t -> float array array
@@ -47,21 +42,11 @@ val all_hitting_times :
 
     @raise Invalid_argument on a disconnected graph. *)
 
-val all_hitting_times_dense : Cobra_graph.Graph.t -> float array array
-(** The dense oracle: all pairs from [L^+] by the Fouss et al. identity
-    [H(u,v) = sum_k d(k) (L^+_{uk} - L^+_{uv} - L^+_{vk} + L^+_{vv})].
-    O(n^3) and [n <= 1500]; kept to cross-check the CG path. *)
-
 val max_hitting_time :
   ?obs:Cobra_obs.Obs.t -> ?tol:float -> ?max_iter:int -> ?pool:Cobra_parallel.Pool.t ->
   Cobra_graph.Graph.t -> float
 (** [max_hitting_time g] is [max_{u,v} E(H(u, v))], via
     {!all_hitting_times}. *)
-
-val effective_resistance : Cobra_graph.Graph.t -> int -> int -> float
-(** [effective_resistance g u v] between two vertices, from [L^+]:
-    [R(u,v) = L^+_{uu} + L^+_{vv} - 2 L^+_{uv}].  The commute time is
-    [2 m R(u,v)].  Dense path (the tests want [1e-9] here). *)
 
 val harmonic : int -> float
 (** [harmonic k] is [H_k = 1 + 1/2 + ... + 1/k]; [H_0 = 0]. *)
@@ -75,6 +60,14 @@ val matthews_lower : ?pool:Cobra_parallel.Pool.t -> Cobra_graph.Graph.t -> float
     Coarse but non-trivial on transitive graphs. *)
 
 val commute_time : ?tol:float -> Cobra_graph.Graph.t -> int -> int -> float
-(** [commute_time g u v = H(u,v) + H(v,u)]; by the electrical-network
-    identity this equals [2 m R_eff(u, v)], which the tests exploit on
-    paths and cycles. *)
+(** [commute_time g u v = H(u,v) + H(v,u)], from two CG solves; by the
+    electrical-network identity this equals [2 m R_eff(u, v)], which the
+    tests exploit on paths and cycles.
+
+    @raise Invalid_argument on a disconnected graph or a vertex out of
+    range. *)
+
+val effective_resistance : Cobra_graph.Graph.t -> int -> int -> float
+(** [effective_resistance g u v = commute_time g u v / 2m], the
+    effective resistance between [u] and [v] with unit resistors on the
+    edges.  Same solves and errors as {!commute_time}. *)

@@ -8,16 +8,6 @@
     instead of [t].  This is what lets {!Mixing} probe mixing times on
     million-vertex graphs. *)
 
-val monomial_degree : t:int -> eps:float -> int
-(** Truncation degree used for [x^t] at accuracy [eps]; at most [t]. *)
-
-val monomial_coeffs : t:int -> eps:float -> float array
-(** [monomial_coeffs ~t ~eps] is [c] of length [monomial_degree + 1]
-    with [x^t ~ sum_k c.(k) T_k(x)] to uniform error [eps] on
-    [[-1, 1]].  Entries of parity opposite to [t] are zero.
-
-    @raise Invalid_argument on [t < 0] or [eps <= 0]. *)
-
 val apply_monomial :
   matvec:(float array -> float array -> unit) ->
   t:int ->
@@ -29,5 +19,5 @@ val apply_monomial :
     spectrum in [[-1, 1]], to uniform accuracy [eps] (default [1e-12])
     times [||x||_inf]-scale, via the three-term Chebyshev recurrence.
     Falls back to exact step-by-step evolution whenever that is no more
-    expensive ([monomial_degree >= t]).  Returns a fresh array; [x] is
+    expensive (truncation degree [>= t]).  Returns a fresh array; [x] is
     not modified. *)

@@ -78,10 +78,10 @@ let sweep_of_vector g v =
   done;
   !best
 
-let sweep_upper_bound ?solver ?obs ?tol ?max_iter ?seed ?pool g =
+let sweep_upper_bound ?obs ?tol ?max_iter ?seed ?pool g =
   let n = Graph.n g in
   if n < 2 then invalid_arg "Conductance.sweep_upper_bound: need at least 2 vertices";
-  let _, v = Eigen.second_eigenvector ?solver ?obs ?tol ?max_iter ?seed ?pool g in
+  let _, v = Eigen.second_eigenvector ?obs ?tol ?max_iter ?seed ?pool g in
   sweep_of_vector g v
 
 let cheeger_lower_bound ~gap = gap /. 2.0

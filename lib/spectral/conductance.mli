@@ -32,12 +32,12 @@ val sweep_of_vector : Cobra_graph.Graph.t -> float array -> float
     @raise Invalid_argument on [n < 2] or a length mismatch. *)
 
 val sweep_upper_bound :
-  ?solver:Eigen.solver -> ?obs:Cobra_obs.Obs.t -> ?tol:float -> ?max_iter:int ->
-  ?seed:int -> ?pool:Cobra_parallel.Pool.t -> Cobra_graph.Graph.t -> float
+  ?obs:Cobra_obs.Obs.t -> ?tol:float -> ?max_iter:int -> ?seed:int ->
+  ?pool:Cobra_parallel.Pool.t -> Cobra_graph.Graph.t -> float
 (** [sweep_upper_bound g] orders vertices by the second eigenvector of
     [P] and returns the minimum conductance over all prefix cuts — an
     upper bound on [phi(G)], tight up to Cheeger's quadratic loss.
-    [solver], [obs], [tol], [max_iter], [seed] and [pool] are passed to
+    [obs], [tol], [max_iter], [seed] and [pool] are passed to
     {!Eigen.second_eigenvector}. *)
 
 val cheeger_lower_bound : gap:float -> float

@@ -7,15 +7,11 @@
     Connected non-bipartite graphs have [lambda < 1]; bipartite ones have
     [lambda_n = -1], i.e. [lambda = 1].
 
-    Two solvers are provided, selectable per call:
-    - [Lanczos] (default): thick-restart Lanczos on the symmetric
-      normalisation with the stationary component deflated — both ends
-      of the spectrum from one basis in tens of matvecs; scales to
-      [n = 2^20] and beyond.
-    - [Jacobi]: the dense cyclic-Jacobi reference ([n <= 1024]) — the
-      test oracle for the iterative path. *)
-
-type solver = Lanczos | Jacobi
+    Every entry point runs thick-restart Lanczos ({!Lanczos.extremes})
+    on the symmetric normalisation with the stationary component
+    deflated: both ends of the spectrum come from one basis in tens of
+    matvecs, which scales to [n = 2^20] and beyond.  The dense oracle
+    the differential tests hold it to lives with the tests. *)
 
 type not_converged = {
   best : float;      (** Best estimate at the point the solver gave up (clamped). *)
@@ -27,7 +23,7 @@ type not_converged = {
     instead of presenting the last iterate as exact. *)
 
 val second_eigenvalue_r :
-  ?solver:solver -> ?obs:Cobra_obs.Obs.t -> ?tol:float -> ?max_iter:int -> ?seed:int ->
+  ?obs:Cobra_obs.Obs.t -> ?tol:float -> ?max_iter:int -> ?seed:int ->
   ?pool:Cobra_parallel.Pool.t -> Cobra_graph.Graph.t -> (float, not_converged) result
 (** [second_eigenvalue_r g] estimates [lambda(G)], reporting failure to
     converge as [Error] with the best available estimate and the final
@@ -46,7 +42,7 @@ val second_eigenvalue_r :
     @raise Invalid_argument on the empty graph. *)
 
 val second_eigenvalue :
-  ?solver:solver -> ?obs:Cobra_obs.Obs.t -> ?tol:float -> ?max_iter:int -> ?seed:int ->
+  ?obs:Cobra_obs.Obs.t -> ?tol:float -> ?max_iter:int -> ?seed:int ->
   ?pool:Cobra_parallel.Pool.t -> Cobra_graph.Graph.t -> float
 (** [second_eigenvalue g] is {!second_eigenvalue_r} collapsed to a
     float, clamped to [[0, 1]].  On non-convergence it returns the best
@@ -55,22 +51,21 @@ val second_eigenvalue :
     {!second_eigenvalue_r}. *)
 
 val eigenvalue_gap :
-  ?solver:solver -> ?obs:Cobra_obs.Obs.t -> ?tol:float -> ?max_iter:int -> ?seed:int ->
+  ?obs:Cobra_obs.Obs.t -> ?tol:float -> ?max_iter:int -> ?seed:int ->
   ?pool:Cobra_parallel.Pool.t -> Cobra_graph.Graph.t -> float
 (** [eigenvalue_gap g = 1 - second_eigenvalue g]. *)
 
 val second_eigenvector :
-  ?solver:solver -> ?obs:Cobra_obs.Obs.t -> ?tol:float -> ?max_iter:int -> ?seed:int ->
+  ?obs:Cobra_obs.Obs.t -> ?tol:float -> ?max_iter:int -> ?seed:int ->
   ?pool:Cobra_parallel.Pool.t -> Cobra_graph.Graph.t -> float * float array
 (** [second_eigenvector g] returns [(lambda_2, v)] where [lambda_2] is
     the largest non-principal eigenvalue of [P] (signed, not absolute)
     and [v] the corresponding eigenvector of [P] (the normalised-operator
     eigenvector rescaled by [D^{-1/2}]).  [v] drives sweep-cut
-    conductance estimation.  The [Jacobi] solver computes the pair from
-    the dense normalisation ([n <= 1024]). *)
+    conductance estimation. *)
 
 val lazy_second_eigenvalue :
-  ?solver:solver -> ?obs:Cobra_obs.Obs.t -> ?tol:float -> ?max_iter:int -> ?seed:int ->
+  ?obs:Cobra_obs.Obs.t -> ?tol:float -> ?max_iter:int -> ?seed:int ->
   ?pool:Cobra_parallel.Pool.t -> Cobra_graph.Graph.t -> float
 (** [lazy_second_eigenvalue g] is [lambda] of the {e lazy} walk
     [(I + P) / 2], i.e. [(1 + lambda_2(P)) / 2].  The lazy spectrum is
@@ -80,17 +75,6 @@ val lazy_second_eigenvalue :
     hypercube (remark after Theorem 1.2). *)
 
 val lazy_eigenvalue_gap :
-  ?solver:solver -> ?obs:Cobra_obs.Obs.t -> ?tol:float -> ?max_iter:int -> ?seed:int ->
+  ?obs:Cobra_obs.Obs.t -> ?tol:float -> ?max_iter:int -> ?seed:int ->
   ?pool:Cobra_parallel.Pool.t -> Cobra_graph.Graph.t -> float
 (** [1 - lazy_second_eigenvalue g = (1 - lambda_2(P)) / 2]. *)
-
-val dense_spectrum : Cobra_graph.Graph.t -> float array
-(** [dense_spectrum g] is the full spectrum of [P], decreasing order,
-    computed by cyclic Jacobi on the dense symmetric normalisation.
-    O(n^3); intended for [n] up to a few hundred.
-
-    @raise Invalid_argument if [Graph.n g > 1024] or the graph has an
-    isolated vertex. *)
-
-val second_eigenvalue_exact : Cobra_graph.Graph.t -> float
-(** [lambda] read off {!dense_spectrum}: [max(|l_2|, |l_n|)]. *)

@@ -6,9 +6,9 @@
    the operator, projects A onto it (T = V^T A V, computed from the
    actual Gram–Schmidt coefficients, so correctness never relies on the
    three-term recurrence surviving floating point), diagonalises the
-   small projected matrix with a cyclic Jacobi sweep, and — when the
-   basis fills before the extreme Ritz pairs converge — restarts with a
-   few Ritz vectors from each end plus the last residual direction.
+   small projected matrix with [sym_eig_qr], and — when the basis fills
+   before the extreme Ritz pairs converge — restarts with a few Ritz
+   vectors from each end plus the last residual direction.
    Ritz residuals |beta * z_last| drive the stopping test; a claimed
    convergence is confirmed with an explicit ||A u - theta u|| before
    being reported, so the answer is never optimistic. *)
@@ -31,89 +31,14 @@ type extremes = {
 
 (* --- Dense symmetric eigensolver for the projected matrix ---
 
-   Cyclic Jacobi with eigenvector accumulation; the projected matrices
-   are at most [basis] x [basis] (tens), so O(m^3) per sweep is noise
-   next to one matvec on a large graph.  Returns eigenvalues ascending
-   with [z.(i).(j)] the i-th component of the j-th eigenvector. *)
-let sym_eig a =
-  let n = Array.length a in
-  let z = Array.init n (fun i -> Array.init n (fun j -> if i = j then 1.0 else 0.0)) in
-  let off_diag_norm () =
-    let s = ref 0.0 in
-    for i = 0 to n - 1 do
-      for j = i + 1 to n - 1 do
-        s := !s +. (a.(i).(j) *. a.(i).(j))
-      done
-    done;
-    sqrt (2.0 *. !s)
-  in
-  let scale =
-    let s = ref 1e-300 in
-    for i = 0 to n - 1 do
-      s := Float.max !s (Float.abs a.(i).(i))
-    done;
-    !s
-  in
-  let rotate p q =
-    let apq = a.(p).(q) in
-    if Float.abs apq > 1e-300 then begin
-      let theta = (a.(q).(q) -. a.(p).(p)) /. (2.0 *. apq) in
-      let t =
-        let sgn = if theta >= 0.0 then 1.0 else -1.0 in
-        sgn /. (Float.abs theta +. sqrt ((theta *. theta) +. 1.0))
-      in
-      let c = 1.0 /. sqrt ((t *. t) +. 1.0) in
-      let s = t *. c in
-      let tau = s /. (1.0 +. c) in
-      let app = a.(p).(p) and aqq = a.(q).(q) in
-      a.(p).(p) <- app -. (t *. apq);
-      a.(q).(q) <- aqq +. (t *. apq);
-      a.(p).(q) <- 0.0;
-      a.(q).(p) <- 0.0;
-      for k = 0 to n - 1 do
-        if k <> p && k <> q then begin
-          let akp = a.(k).(p) and akq = a.(k).(q) in
-          let akp' = akp -. (s *. (akq +. (tau *. akp))) in
-          let akq' = akq +. (s *. (akp -. (tau *. akq))) in
-          a.(k).(p) <- akp';
-          a.(p).(k) <- akp';
-          a.(k).(q) <- akq';
-          a.(q).(k) <- akq'
-        end
-      done;
-      for k = 0 to n - 1 do
-        let zkp = z.(k).(p) and zkq = z.(k).(q) in
-        z.(k).(p) <- zkp -. (s *. (zkq +. (tau *. zkp)));
-        z.(k).(q) <- zkq +. (s *. (zkp -. (tau *. zkq)))
-      done
-    end
-    else begin
-      a.(p).(q) <- 0.0;
-      a.(q).(p) <- 0.0
-    end
-  in
-  let sweeps = ref 0 in
-  while off_diag_norm () > 1e-14 *. scale && !sweeps < 60 do
-    incr sweeps;
-    for p = 0 to n - 2 do
-      for q = p + 1 to n - 1 do
-        rotate p q
-      done
-    done
-  done;
-  let order = Array.init n (fun i -> i) in
-  Array.sort (fun i j -> Float.compare a.(i).(i) a.(j).(j)) order;
-  let eigs = Array.map (fun i -> a.(i).(i)) order in
-  let vecs = Array.init n (fun i -> Array.map (fun j -> z.(i).(j)) order) in
-  (eigs, vecs)
-
-(* Householder tridiagonalisation followed by implicit-shift QL.  Same
-   contract as [sym_eig] (eigenvalues ascending, [z.(i).(j)] the i-th
-   component of the j-th eigenvector, [a] destroyed), but a single
-   O(m^3) reduction plus O(m^2)-per-eigenvalue QL instead of O(m^3) per
-   Jacobi sweep — roughly two orders of magnitude faster at m = 40,
-   which is what makes frequent Rayleigh–Ritz checkpoints affordable.
-   [sym_eig] stays as the independently-implemented oracle. *)
+   Householder tridiagonalisation followed by implicit-shift QL:
+   eigenvalues ascending, [z.(i).(j)] the i-th component of the j-th
+   eigenvector, [a] destroyed.  A single O(m^3) reduction plus
+   O(m^2)-per-eigenvalue QL instead of O(m^3) per Jacobi sweep — roughly
+   two orders of magnitude faster at m = 40, which is what makes
+   frequent Rayleigh–Ritz checkpoints affordable.  The projected
+   matrices are at most [basis] x [basis] (tens), so this is noise next
+   to one matvec on a large graph. *)
 let sym_eig_qr a =
   let n = Array.length a in
   if n = 0 then ([||], [||])

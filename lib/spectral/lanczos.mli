@@ -2,7 +2,7 @@
     operator, with full reorthogonalisation and deflation of known
     eigenvectors.
 
-    This is the engine behind {!Eigen}'s default solver: the paper's
+    This is the engine behind every {!Eigen} entry point: the paper's
     spectral parameter needs [lambda_2] and [lambda_n] of the normalised
     walk operator, i.e. both ends of the deflated spectrum, and a single
     Lanczos basis converges to both in tens of matvecs where deflated
@@ -66,22 +66,16 @@ val extremes :
 
     @raise Invalid_argument on [n < 1]. *)
 
-val sym_eig : float array array -> float array * float array array
-(** [sym_eig a] is the full eigendecomposition of the dense symmetric
-    matrix [a] (destroyed) by cyclic Jacobi: eigenvalues in ascending
-    order and [z] with [z.(i).(j)] the [i]-th component of the [j]-th
-    eigenvector.  O(n^3) per sweep; kept as the independently-implemented
-    dense oracle behind {!Eigen.second_eigenvector} with the [Jacobi]
-    solver and for differential tests against {!sym_eig_qr}. *)
-
 val sym_eig_qr : float array array -> float array * float array array
-(** Same contract as {!sym_eig}, computed by Householder
-    tridiagonalisation followed by implicit-shift QL with eigenvector
-    accumulation.  A single O(n^3) reduction instead of O(n^3) per
-    Jacobi sweep — roughly two orders of magnitude faster at the basis
-    sizes Lanczos uses, which is what makes its periodic Rayleigh–Ritz
-    checkpoints affordable.  This is what the Lanczos driver calls on
-    the projected matrix.
+(** [sym_eig_qr a] is the full eigendecomposition of the dense
+    symmetric matrix [a] (destroyed): eigenvalues in ascending order and
+    [z] with [z.(i).(j)] the [i]-th component of the [j]-th eigenvector.
+    Computed by Householder tridiagonalisation followed by
+    implicit-shift QL with eigenvector accumulation: a single O(n^3)
+    reduction instead of O(n^3) per Jacobi sweep, roughly two orders of
+    magnitude faster at the basis sizes Lanczos uses, which is what
+    makes its periodic Rayleigh–Ritz checkpoints affordable.  This is
+    what {!extremes} calls on the projected matrix.
 
     @raise Failure if the QL iteration fails to converge (50-iteration
     cap per eigenvalue; unreachable for real symmetric input). *)

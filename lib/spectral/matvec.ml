@@ -17,8 +17,8 @@ let check_lengths g x y =
 
    An [op] precomputes the scaling vectors once, so the inner loop of
    [apply] is a pure CSR gather — no per-edge multiply, no closures, no
-   per-call O(n) allocation (the old [apply_normalized] rebuilt
-   [d^{-1/2}] on every product, thousands of times per eigensolve).
+   per-call O(n) allocation (rebuilding [d^{-1/2}] on every product
+   would cost an O(n) pass thousands of times per eigensolve).
 
    When [scale_in] is present the input is pre-scaled into [xs] (one
    O(n) pass) so the gather reads a contiguous already-scaled vector.
@@ -143,11 +143,6 @@ let apply ?pool op x y =
             gather_rows op src y ~lo:op.blocks.(b) ~hi:op.blocks.(b + 1)
           done)
   | _ -> gather_rows op src y ~lo:0 ~hi:n
-
-(* --- Back-compat one-shot entry points (build the op per call) --- *)
-
-let apply_transition ?pool g x y = apply ?pool (transition_op g) x y
-let apply_normalized ?pool g x y = apply ?pool (normalized_op g) x y
 
 let stationary_direction g =
   let n = Graph.n g in

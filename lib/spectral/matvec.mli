@@ -40,15 +40,6 @@ val apply : ?pool:Cobra_parallel.Pool.t -> op -> float array -> float array -> u
     bit-identical either way).
     @raise Invalid_argument on length mismatch. *)
 
-val apply_transition :
-  ?pool:Cobra_parallel.Pool.t -> Cobra_graph.Graph.t -> float array -> float array -> unit
-(** One-shot [P x] (builds the op per call — use {!transition_op} +
-    {!apply} in loops).  @raise Invalid_argument on length mismatch. *)
-
-val apply_normalized :
-  ?pool:Cobra_parallel.Pool.t -> Cobra_graph.Graph.t -> float array -> float array -> unit
-(** One-shot [N x]; as {!apply_transition}. *)
-
 val stationary_direction : Cobra_graph.Graph.t -> float array
 (** Unit vector proportional to [sqrt(degree)] — the principal
     eigenvector of [N] (eigenvalue 1 on connected graphs). *)

@@ -14,20 +14,9 @@ let stationary g =
   if two_m = 0.0 then invalid_arg "Mixing.stationary: graph has no edges";
   Array.init (Graph.n g) (fun u -> float_of_int (Graph.degree g u) /. two_m)
 
-(* One step of the (lazy) walk distribution: mass flows along edges.
-   next(v) = sum over neighbours u of cur(u) / d(u), halved and mixed
-   with the current mass when lazy. *)
-let step g ~lazy_ cur next =
-  let n = Graph.n g in
-  for v = 0 to n - 1 do
-    let s = ref 0.0 in
-    Graph.iter_neighbors g v (fun u -> s := !s +. (cur.(u) /. float_of_int (Graph.degree g u)));
-    next.(v) <- (if lazy_ then (0.5 *. cur.(v)) +. (0.5 *. !s) else !s)
-  done
-
-(* The distribution-evolution operator as a matvec: y = P^T x, or the
-   lazy mix y = (x + P^T x) / 2.  Spectrum inside [-1, 1] either way,
-   which is what the Chebyshev path needs. *)
+(* One step of the (lazy) walk distribution as a matvec: y = P^T x, or
+   the lazy mix y = (x + P^T x) / 2.  Spectrum inside [-1, 1] either
+   way, which is what the Chebyshev path needs. *)
 let evolution_matvec ?pool g ~lazy_ =
   let op = Matvec.distribution_op g in
   if lazy_ then (fun x y ->
@@ -38,34 +27,18 @@ let evolution_matvec ?pool g ~lazy_ =
     done)
   else fun x y -> Matvec.apply ?pool op x y
 
-(* Below this many rounds the exact step loop is at least as cheap as
-   the Chebyshev recurrence (degree ~ sqrt(2 t ln(2/eps)) matvecs). *)
-let cheb_round_threshold = 64
-
-let walk_distribution ?(lazy_ = false) ?(exact = false) ?(eps = 1e-9) ?pool g ~start ~rounds =
+(* [Cheb.apply_monomial] steps exactly when that is no dearer than the
+   Chebyshev recurrence (degree ~ sqrt(2 t ln(2/eps)) matvecs). *)
+let walk_distribution ?(lazy_ = false) ?(eps = 1e-9) ?pool g ~start ~rounds =
   let n = Graph.n g in
   if start < 0 || start >= n then invalid_arg "Mixing.walk_distribution: start out of range";
   if rounds < 0 then invalid_arg "Mixing.walk_distribution: negative rounds";
-  if exact || rounds <= cheb_round_threshold then begin
-    let cur = Array.make n 0.0 and next = Array.make n 0.0 in
-    cur.(start) <- 1.0;
-    let a = ref cur and b = ref next in
-    for _ = 1 to rounds do
-      step g ~lazy_ !a !b;
-      let t = !a in
-      a := !b;
-      b := t
-    done;
-    Array.copy !a
-  end
-  else begin
-    let x = Array.make n 0.0 in
-    x.(start) <- 1.0;
-    Cheb.apply_monomial ~matvec:(evolution_matvec ?pool g ~lazy_) ~t:rounds ~eps x
-  end
+  let x = Array.make n 0.0 in
+  x.(start) <- 1.0;
+  Cheb.apply_monomial ~matvec:(evolution_matvec ?pool g ~lazy_) ~t:rounds ~eps x
 
-let distance_to_stationarity ?lazy_ ?exact ?eps ?pool g ~start ~rounds =
-  total_variation (walk_distribution g ?lazy_ ?exact ?eps ?pool ~start ~rounds) (stationary g)
+let distance_to_stationarity ?lazy_ ?eps ?pool g ~start ~rounds =
+  total_variation (walk_distribution g ?lazy_ ?eps ?pool ~start ~rounds) (stationary g)
 
 let mixing_time ?(lazy_ = false) ?(eps = 0.25) ?max_rounds g =
   let n = Graph.n g in
@@ -79,6 +52,7 @@ let mixing_time ?(lazy_ = false) ?(eps = 0.25) ?max_rounds g =
     (* Evolve all n start distributions in lockstep; stop when the worst
        TV distance crosses eps. *)
     let dists = Array.init n (fun u -> Array.init n (fun v -> if u = v then 1.0 else 0.0)) in
+    let step = evolution_matvec g ~lazy_ in
     let scratch = Array.make n 0.0 in
     let worst () =
       Array.fold_left (fun acc d -> Float.max acc (total_variation d pi)) 0.0 dists
@@ -91,7 +65,7 @@ let mixing_time ?(lazy_ = false) ?(eps = 0.25) ?max_rounds g =
          while !t < max_rounds do
            incr t;
            for u = 0 to n - 1 do
-             step g ~lazy_ dists.(u) scratch;
+             step dists.(u) scratch;
              Array.blit scratch 0 dists.(u) 0 n
            done;
            if worst () <= eps then begin

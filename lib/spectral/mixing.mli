@@ -22,19 +22,19 @@ val stationary : Cobra_graph.Graph.t -> float array
     @raise Invalid_argument if the graph has no edges. *)
 
 val walk_distribution :
-  ?lazy_:bool -> ?exact:bool -> ?eps:float -> ?pool:Cobra_parallel.Pool.t ->
+  ?lazy_:bool -> ?eps:float -> ?pool:Cobra_parallel.Pool.t ->
   Cobra_graph.Graph.t -> start:int -> rounds:int -> float array
 (** Distribution of the walk after [rounds] steps from [start]
     ([lazy_] default [false]: each step stays put with probability 1/2).
 
-    For [rounds] beyond a small threshold the result is computed by
-    Chebyshev evaluation of the [rounds]-th operator power, accurate to
-    [eps] (default [1e-9]) per entry; pass [~exact:true] to force the
-    step-by-step evolution instead.  [pool] shards the underlying
-    matvecs (see {!Matvec.apply}). *)
+    One {!Cheb.apply_monomial} call over {!Matvec.distribution_op}:
+    it steps [rounds] times while that is no dearer than the Chebyshev
+    expansion of the [rounds]-th operator power, and evaluates the
+    expansion, accurate to [eps] (default [1e-9]) per entry, beyond.
+    [pool] shards the underlying matvecs (see {!Matvec.apply}). *)
 
 val distance_to_stationarity :
-  ?lazy_:bool -> ?exact:bool -> ?eps:float -> ?pool:Cobra_parallel.Pool.t ->
+  ?lazy_:bool -> ?eps:float -> ?pool:Cobra_parallel.Pool.t ->
   Cobra_graph.Graph.t -> start:int -> rounds:int -> float
 (** [TV(P^t(start, .), pi)]. *)
 

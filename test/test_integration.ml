@@ -148,12 +148,12 @@ let test_branching_monotonicity () =
   check_bool (Printf.sprintf "b=1 %.1f > b=2 %.1f > b=3 %.1f" m1 m2 m3) true
     (m1 > m2 && m2 > m3)
 
-(* 8. The three lambda routes agree: power iteration, dense Jacobi, and
-   the mixing-rate they imply. *)
+(* 8. Three routes to lambda agree: Lanczos, the dense Jacobi oracle,
+   and the mixing rate they imply. *)
 let test_lambda_three_ways () =
   let g = Gen.random_regular ~n:60 ~r:4 (Rng.create 6) in
   let iter = Cobra_spectral.Eigen.second_eigenvalue g in
-  let dense = Cobra_spectral.Eigen.second_eigenvalue_exact g in
+  let dense = Dense_oracle.second_eigenvalue_exact g in
   check_bool "iter vs dense" true (Float.abs (iter -. dense) < 1e-6);
   (* TV distance after t lazy steps decays at least like lambda_lazy^t
      times sqrt n... check the implied upper bound loosely at t = 30. *)

@@ -395,14 +395,16 @@ let test_matvec_pool_bit_identical () =
   let x = Array.init n (fun _ -> Rng.float01 rng -. 0.5) in
   let y_serial = Array.make n 0.0 and y_pool = Array.make n 0.0 in
   with_width 4 (fun pool ->
-      Cobra_spectral.Matvec.apply_normalized g x y_serial;
-      Cobra_spectral.Matvec.apply_normalized ~pool g x y_pool;
+      let normalized = Cobra_spectral.Matvec.normalized_op g in
+      Cobra_spectral.Matvec.apply normalized x y_serial;
+      Cobra_spectral.Matvec.apply ~pool normalized x y_pool;
       for i = 0 to n - 1 do
         if not (Int64.equal (Int64.bits_of_float y_serial.(i)) (Int64.bits_of_float y_pool.(i)))
         then Alcotest.failf "normalized matvec row %d differs" i
       done;
-      Cobra_spectral.Matvec.apply_transition g x y_serial;
-      Cobra_spectral.Matvec.apply_transition ~pool g x y_pool;
+      let transition = Cobra_spectral.Matvec.transition_op g in
+      Cobra_spectral.Matvec.apply transition x y_serial;
+      Cobra_spectral.Matvec.apply ~pool transition x y_pool;
       for i = 0 to n - 1 do
         if not (Int64.equal (Int64.bits_of_float y_serial.(i)) (Int64.bits_of_float y_pool.(i)))
         then Alcotest.failf "transition matvec row %d differs" i

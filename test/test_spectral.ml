@@ -1,5 +1,6 @@
-(* Tests for the spectral machinery: the iterative solver against closed
-   forms and against the dense Jacobi reference, plus conductance. *)
+(* Tests for the spectral machinery: the iterative solvers against
+   closed forms and against the dense oracles of [Dense_oracle], plus
+   conductance, mixing and a cospectral pair of graphs. *)
 
 module Graph = Cobra_graph.Graph
 module Gen = Cobra_graph.Gen
@@ -18,13 +19,13 @@ let test_transition_rowsums () =
   (* P applied to the all-ones vector is the all-ones vector. *)
   let g = Gen.petersen () in
   let x = Array.make 10 1.0 and y = Array.make 10 0.0 in
-  Matvec.apply_transition g x y;
+  Matvec.apply (Matvec.transition_op g) x y;
   Array.iter (fun v -> check_float "P 1 = 1" 1.0 v) y
 
 let test_transition_path () =
   let g = Gen.path 3 in
   let x = [| 1.0; 0.0; 0.0 |] and y = Array.make 3 0.0 in
-  Matvec.apply_transition g x y;
+  Matvec.apply (Matvec.transition_op g) x y;
   (* (P x)(u) = average of x over N(u). *)
   check_float "end" 0.0 y.(0);
   check_float "middle" 0.5 y.(1);
@@ -37,8 +38,9 @@ let test_normalized_symmetry () =
   let x = Array.init 6 (fun _ -> Rng.float01 rng) in
   let y = Array.init 6 (fun _ -> Rng.float01 rng) in
   let nx = Array.make 6 0.0 and ny = Array.make 6 0.0 in
-  Matvec.apply_normalized g x nx;
-  Matvec.apply_normalized g y ny;
+  let op = Matvec.normalized_op g in
+  Matvec.apply op x nx;
+  Matvec.apply op y ny;
   check_float "symmetric" ~eps:1e-12 (Matvec.dot nx y) (Matvec.dot x ny)
 
 let test_stationary_eigenvector () =
@@ -46,7 +48,7 @@ let test_stationary_eigenvector () =
   let g = Gen.lollipop ~clique:4 ~tail:3 in
   let pi = Matvec.stationary_direction g in
   let y = Array.make (Graph.n g) 0.0 in
-  Matvec.apply_normalized g pi y;
+  Matvec.apply (Matvec.normalized_op g) pi y;
   Array.iteri (fun i v -> check_float (Printf.sprintf "component %d" i) ~eps:1e-12 pi.(i) v) y
 
 let test_vector_helpers () =
@@ -103,18 +105,18 @@ let test_second_eigenvector_residual () =
   check_float "lambda2 = 1/3" ~eps:1e-6 (1.0 /. 3.0) lambda2;
   (* Residual ||P v - lambda2 v|| should be tiny. *)
   let y = Array.make 10 0.0 in
-  Matvec.apply_transition g v y;
+  Matvec.apply (Matvec.transition_op g) v y;
   let res = ref 0.0 in
   Array.iteri (fun i x -> res := !res +. ((x -. (lambda2 *. v.(i))) ** 2.0)) y;
   check_bool "residual small" true (sqrt !res < 1e-5)
 
 let test_dense_spectrum_known () =
-  let eigs = Eigen.dense_spectrum (Gen.complete 5) in
+  let eigs = Dense_oracle.dense_spectrum (Gen.complete 5) in
   check_float "top" ~eps:1e-9 1.0 eigs.(0);
   for i = 1 to 4 do
     check_float "bulk" ~eps:1e-9 (-0.25) eigs.(i)
   done;
-  let cube = Eigen.dense_spectrum (Gen.hypercube 3) in
+  let cube = Dense_oracle.dense_spectrum (Gen.hypercube 3) in
   (* d = 3: eigenvalues (3 - 2k)/3 for k = 0..3 with binomial multiplicity. *)
   check_float "cube top" ~eps:1e-9 1.0 cube.(0);
   check_float "cube 2nd" ~eps:1e-9 (1.0 /. 3.0) cube.(1);
@@ -131,7 +133,7 @@ let lanczos_vs_dense_test =
       let p = Float.min 1.0 (3.0 *. log (float_of_int n) /. float_of_int n) in
       let g = Gen.connected_gnp ~n ~p rng in
       let iter = Eigen.second_eigenvalue g in
-      let exact = Eigen.second_eigenvalue_exact g in
+      let exact = Dense_oracle.second_eigenvalue_exact g in
       Float.abs (iter -. exact) < 1e-5)
 
 (* --- Conductance --- *)
@@ -176,7 +178,7 @@ let cheeger_test =
       let p = Float.min 1.0 (3.5 *. log (float_of_int n) /. float_of_int n) in
       let g = Gen.connected_gnp ~n ~p rng in
       let phi = Conductance.exact g in
-      let eigs = Eigen.dense_spectrum g in
+      let eigs = Dense_oracle.dense_spectrum g in
       let gap2 = 1.0 -. eigs.(1) in
       (* The classical inequalities relate the gap of lambda_2 (not the
          absolute lambda) to conductance. *)
@@ -260,8 +262,8 @@ let zoo () =
 let test_lanczos_matches_jacobi () =
   List.iter
     (fun (name, g) ->
-      let l = Eigen.second_eigenvalue ~solver:Eigen.Lanczos g in
-      let j = Eigen.second_eigenvalue ~solver:Eigen.Jacobi g in
+      let l = Eigen.second_eigenvalue g in
+      let j = Dense_oracle.second_eigenvalue_exact g in
       check_float name ~eps:1e-8 j l)
     (zoo ())
 
@@ -277,7 +279,7 @@ let test_sym_eig_qr_matches_jacobi () =
     done
   done;
   let orig = Array.map Array.copy a in
-  let e_j, _ = Lanczos.sym_eig (Array.map Array.copy a) in
+  let e_j, _ = Dense_oracle.jacobi (Array.map Array.copy a) in
   let e_q, v_q = Lanczos.sym_eig_qr a in
   for i = 0 to k - 1 do
     check_float (Printf.sprintf "eig %d" i) ~eps:1e-10 e_j.(i) e_q.(i)
@@ -358,16 +360,18 @@ let test_obs_solver_counters () =
   | _ -> Alcotest.fail "missing walk/cg_solves")
 
 let test_cheb_matches_exact_evolution () =
+  (* At the default eps = 1e-9, [walk_distribution] steps up to t = 46
+     and expands from t = 47; cover both sides of the switch. *)
   let g = Gen.lollipop ~clique:4 ~tail:5 in
   List.iter
     (fun rounds ->
-      let exact = Mixing.walk_distribution ~lazy_:true ~exact:true g ~start:0 ~rounds in
+      let exact = Dense_oracle.walk_distribution ~lazy_:true g ~start:0 ~rounds in
       let cheb = Mixing.walk_distribution ~lazy_:true g ~start:0 ~rounds in
       check_float
         (Printf.sprintf "tv at t=%d" rounds)
         ~eps:1e-8 0.0
         (Mixing.total_variation exact cheb))
-    [ 70; 200 ]
+    [ 1; 5; 46; 47; 64; 70; 200 ]
 
 let test_mixing_time_from_bisection () =
   let g = Gen.petersen () in
@@ -387,7 +391,7 @@ let test_cg_matches_dense_oracle () =
   let module WT = Cobra_core.Walk_theory in
   List.iter
     (fun (name, g) ->
-      let dense = WT.all_hitting_times_dense g in
+      let dense = Dense_oracle.all_hitting_times_dense g in
       let cg = WT.all_hitting_times g in
       let n = Graph.n g in
       for u = 0 to n - 1 do
@@ -400,6 +404,93 @@ let test_cg_matches_dense_oracle () =
       ("lollipop4+5", Gen.lollipop ~clique:4 ~tail:5);
       ("cycle11", Gen.cycle 11);
     ]
+
+(* --- A cospectral pair: the Shrikhande graph and the 4x4 rook graph ---
+
+   Both are strongly regular with parameters (16, 6, 2, 2), so P = A/6
+   has the spectrum {1, 1/3 (x6), -1/3 (x9)} on each, yet they are not
+   isomorphic.  Anything that depends on the graph only through lambda
+   must agree across the pair. *)
+
+module Gen_extra = Cobra_graph.Gen_extra
+module Bounds = Cobra_core.Bounds
+
+(* The Cayley graph of Z4 x Z4 with generators +-(1,0), +-(0,1), +-(1,1). *)
+let shrikhande () =
+  let id a b = (4 * (a land 3)) + (b land 3) in
+  let edges = ref [] in
+  for a = 0 to 3 do
+    for b = 0 to 3 do
+      List.iter
+        (fun (da, db) -> edges := (id a b, id (a + da) (b + db)) :: !edges)
+        [ (1, 0); (0, 1); (1, 1) ]
+    done
+  done;
+  Graph.of_edges ~n:16 !edges
+
+let rook4 () = Gen_extra.cartesian_product (Gen.complete 4) (Gen.complete 4)
+let cospectral_pair () = [ ("shrikhande", shrikhande ()); ("rook4x4", rook4 ()) ]
+
+let neighbourhood_has_triangle g v =
+  let nb = Graph.neighbors g v in
+  let k = Array.length nb in
+  let found = ref false in
+  for i = 0 to k - 1 do
+    for j = i + 1 to k - 1 do
+      for l = j + 1 to k - 1 do
+        if
+          Graph.mem_edge g nb.(i) nb.(j)
+          && Graph.mem_edge g nb.(j) nb.(l)
+          && Graph.mem_edge g nb.(i) nb.(l)
+        then found := true
+      done
+    done
+  done;
+  !found
+
+let test_cospectral_not_isomorphic () =
+  let shr = shrikhande () and rook = rook4 () in
+  List.iter
+    (fun (name, g) ->
+      check_bool (name ^ " is 6-regular on 16 vertices") true
+        (Graph.n g = 16 && Graph.is_regular g && Graph.max_degree g = 6))
+    (cospectral_pair ());
+  for v = 0 to 15 do
+    check_bool (Printf.sprintf "rook N(%d) has a triangle" v) true
+      (neighbourhood_has_triangle rook v);
+    check_bool (Printf.sprintf "shrikhande N(%d) is triangle-free" v) false
+      (neighbourhood_has_triangle shr v)
+  done
+
+let test_cospectral_oracle_spectra () =
+  let expected =
+    Array.init 16 (fun i -> if i = 0 then 1.0 else if i <= 6 then 1.0 /. 3.0 else -1.0 /. 3.0)
+  in
+  let spectra =
+    List.map (fun (name, g) -> (name, Dense_oracle.dense_spectrum g)) (cospectral_pair ())
+  in
+  List.iter
+    (fun (name, eigs) ->
+      Array.iteri
+        (fun i e -> check_float (Printf.sprintf "%s eig %d" name i) ~eps:1e-12 e eigs.(i))
+        expected)
+    spectra;
+  match spectra with
+  | [ (_, a); (_, b) ] ->
+      Array.iteri (fun i x -> check_float (Printf.sprintf "pair eig %d" i) ~eps:1e-12 x b.(i)) a
+  | _ -> assert false
+
+let test_cospectral_lanczos () =
+  List.iter
+    (fun (name, g) -> check_float name ~eps:1e-9 (1.0 /. 3.0) (Eigen.second_eigenvalue g))
+    (cospectral_pair ())
+
+let test_cospectral_regular_bound () =
+  let bound g = Bounds.this_paper_regular ~n:16 ~r:6 ~lambda:(Eigen.second_eigenvalue g) in
+  let closed = Bounds.this_paper_regular ~n:16 ~r:6 ~lambda:(1.0 /. 3.0) in
+  let b_shr = bound (shrikhande ()) and b_rook = bound (rook4 ()) in
+  check_float "shrikhande = rook" ~eps:(1e-9 *. closed) b_shr b_rook;
+  check_float "shrikhande = closed form" ~eps:(1e-9 *. closed) closed b_shr
 
 let () =
   Alcotest.run "spectral"
@@ -451,5 +542,13 @@ let () =
           Alcotest.test_case "typed not-converged" `Quick test_not_converged_typed;
           Alcotest.test_case "obs solver counters" `Quick test_obs_solver_counters;
           Alcotest.test_case "cg = dense oracle" `Quick test_cg_matches_dense_oracle;
+        ] );
+      ( "cospectral",
+        [
+          Alcotest.test_case "shrikhande vs rook: not isomorphic" `Quick
+            test_cospectral_not_isomorphic;
+          Alcotest.test_case "oracle spectra agree" `Quick test_cospectral_oracle_spectra;
+          Alcotest.test_case "lanczos lambda = 1/3" `Quick test_cospectral_lanczos;
+          Alcotest.test_case "regular bound agrees" `Quick test_cospectral_regular_bound;
         ] );
     ]

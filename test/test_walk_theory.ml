@@ -96,12 +96,11 @@ let test_matthews_sandwich_monte_carlo () =
 
 let test_dense_matches_iterative () =
   (* The dense L^+ oracle and the per-target CG route agree on every
-     pair.  [all_hitting_times_dense] keeps this an independent check —
-     [all_hitting_times] itself now runs CG. *)
+     pair. *)
   List.iter
     (fun g ->
       let n = Graph.n g in
-      let dense = Walk_theory.all_hitting_times_dense g in
+      let dense = Dense_oracle.all_hitting_times_dense g in
       for target = 0 to n - 1 do
         let iter = Walk_theory.hitting_times g ~target in
         for u = 0 to n - 1 do
