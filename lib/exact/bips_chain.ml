@@ -94,6 +94,7 @@ let distribution_after t ~rounds =
   !d
 
 let avoid_tail t ~c ~horizon =
+  Subset.check_mask ~fn:"Bips_chain.avoid_tail" t.n c;
   if c = 0 then invalid_arg "Bips_chain.avoid_tail: empty C";
   if horizon < 0 then invalid_arg "Bips_chain.avoid_tail: negative horizon";
   let tail = Array.make (horizon + 1) 0.0 in
@@ -116,50 +117,12 @@ let expected_infection_time t =
   if t.n > 10 then invalid_arg "Bips_chain.expected_infection_time: n <= 10 required";
   if t.n = 1 then 0.0
   else begin
-    (* Absorbing state: A = V.  Solve (I - Q) x = 1 over the transient
-       states by Gaussian elimination with partial pivoting. *)
-    let full_idx = state_of_mask t (Subset.full t.n) in
-    let transient = Array.of_list (List.filter (fun i -> i <> full_idx) (List.init t.states Fun.id)) in
-    let m = Array.length transient in
-    let pos = Array.make t.states (-1) in
-    Array.iteri (fun j i -> pos.(i) <- j) transient;
-    let a = Array.make_matrix m (m + 1) 0.0 in
-    Array.iteri
-      (fun j i ->
-        a.(j).(m) <- 1.0;
-        for jj = 0 to m - 1 do
-          let q = t.matrix.(i).(transient.(jj)) in
-          a.(j).(jj) <- (if j = jj then 1.0 else 0.0) -. q
-        done)
-      transient;
-    (* Forward elimination. *)
-    for col = 0 to m - 1 do
-      let pivot = ref col in
-      for row = col + 1 to m - 1 do
-        if Float.abs a.(row).(col) > Float.abs a.(!pivot).(col) then pivot := row
-      done;
-      if Float.abs a.(!pivot).(col) < 1e-14 then
-        failwith "Bips_chain.expected_infection_time: singular system (disconnected graph?)";
-      let tmp = a.(col) in
-      a.(col) <- a.(!pivot);
-      a.(!pivot) <- tmp;
-      for row = col + 1 to m - 1 do
-        let factor = a.(row).(col) /. a.(col).(col) in
-        if factor <> 0.0 then
-          for k = col to m do
-            a.(row).(k) <- a.(row).(k) -. (factor *. a.(col).(k))
-          done
-      done
-    done;
-    (* Back substitution. *)
-    let x = Array.make m 0.0 in
-    for row = m - 1 downto 0 do
-      let s = ref a.(row).(m) in
-      for k = row + 1 to m - 1 do
-        s := !s -. (a.(row).(k) *. x.(k))
-      done;
-      x.(row) <- !s /. a.(row).(row)
-    done;
-    let start_idx = state_of_mask t (1 lsl t.source) in
-    if start_idx = full_idx then 0.0 else x.(pos.(start_idx))
+    (* Absorbing state: A = V, the last compressed index.  The start
+       {source} is index 0, so its solution is entry 0. *)
+    let transient = Array.init (t.states - 1) Fun.id in
+    let x =
+      Gauss.solve_transient t.matrix ~transient ~rhs:[| (fun _ -> 1.0) |]
+        ~singular:"Bips_chain.expected_infection_time: singular system (disconnected graph?)"
+    in
+    x.(0).(state_of_mask t (1 lsl t.source))
   end

@@ -48,7 +48,8 @@ val state_of_mask : t -> int -> int
 val avoid_tail : t -> c:int -> horizon:int -> float array
 (** [avoid_tail t ~c ~horizon] is the exact [t -> P(C ∩ A_t = ∅)] for
     [t = 0 .. horizon] — the BIPS side of the duality identity.
-    @raise Invalid_argument on an empty [c]. *)
+    @raise Invalid_argument on an empty [c] or one with vertices
+    outside [\[0, n)]. *)
 
 val expected_infection_time : t -> float
 (** [E(infec(source))]: expected rounds until [A_t = V], by solving the

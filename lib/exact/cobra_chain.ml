@@ -1,21 +1,21 @@
 module Graph = Cobra_graph.Graph
 module Process = Cobra_core.Process
 
-(* Probability that every pick of vertex [u] lands inside subset [s],
-   given the branching variant.  [a] is the probability of one pick
-   landing in [s]. *)
-let all_picks_in g branching lazy_ u s =
-  let d = Graph.degree g u in
-  if d = 0 then invalid_arg "Cobra_chain: isolated vertex in the current set";
-  let into = float_of_int (Subset.degree_into g u s) /. float_of_int d in
-  let a = if lazy_ then (0.5 *. if Subset.mem s u then 1.0 else 0.0) +. (0.5 *. into) else into in
+(* Probability that every pick of a sender of degree [d] lands inside a
+   subset S holding [into] of its neighbours and [self_in] (0 or 1) of
+   itself, given the branching variant. *)
+let all_picks branching lazy_ ~d ~into ~self_in =
+  let into = float_of_int into /. float_of_int d in
+  let a = if lazy_ then (0.5 *. float_of_int self_in) +. (0.5 *. into) else into in
   match branching with
   | Process.Fixed b -> a ** float_of_int b
   | Process.Bernoulli rho -> ((1.0 -. rho) *. a) +. (rho *. a *. a)
 
 let next_dist g ?(branching = Process.Fixed 2) ?(lazy_ = false) ~current () =
-  Subset.check_n (Graph.n g);
+  let n = Graph.n g in
+  Subset.check_n n;
   Process.validate_branching branching;
+  Subset.check_mask ~fn:"Cobra_chain.next_dist" n current;
   if current = 0 then invalid_arg "Cobra_chain.next_dist: empty current set";
   (* The next set lives inside the reach R of the current set. *)
   let reach =
@@ -32,22 +32,38 @@ let next_dist g ?(branching = Process.Fixed 2) ?(lazy_ = false) ~current () =
   in
   let k = Array.length bits in
   if k > 24 then invalid_arg "Cobra_chain.next_dist: reachable set too large for exact expansion";
-  let expand idx =
-    (* Compressed index -> vertex mask. *)
-    let mask = ref 0 in
-    for i = 0 to k - 1 do
-      if idx land (1 lsl i) <> 0 then mask := Subset.add !mask bits.(i)
-    done;
-    !mask
+  let size = 1 lsl k in
+  (* Compressed index -> vertex mask. *)
+  let masks = Array.make size 0 in
+  for i = 0 to k - 1 do
+    let half = 1 lsl i in
+    for idx = 0 to half - 1 do
+      masks.(half lor idx) <- Subset.add masks.(idx) bits.(i)
+    done
+  done;
+  (* Per sender, in ascending vertex order: its neighbour mask, and its
+     all-picks probability for every (|N(u) ∩ S|, [u ∈ S]), at index
+     2 |N(u) ∩ S| + [u ∈ S]. *)
+  let senders = Array.of_list (List.filter (Subset.mem current) (List.init n Fun.id)) in
+  let nbr = Array.map (fun u -> Subset.neighborhood_mask g (1 lsl u)) senders in
+  let picks =
+    Array.map
+      (fun u ->
+        let d = Graph.degree g u in
+        if d = 0 then invalid_arg "Cobra_chain: isolated vertex in the current set";
+        Array.init
+          (2 * (d + 1))
+          (fun i -> all_picks branching lazy_ ~d ~into:(i / 2) ~self_in:(i land 1)))
+      senders
   in
   (* F(S) = P(next ⊆ S) = prod over current members. *)
-  let size = 1 lsl k in
   let f = Array.make size 0.0 in
   for idx = 0 to size - 1 do
-    let s = expand idx in
+    let s = masks.(idx) in
     let p = ref 1.0 in
-    for u = 0 to Graph.n g - 1 do
-      if Subset.mem current u then p := !p *. all_picks_in g branching lazy_ u s
+    for j = 0 to Array.length senders - 1 do
+      let self_in = (s lsr senders.(j)) land 1 in
+      p := !p *. picks.(j).((2 * Subset.cardinal (s land nbr.(j))) + self_in)
     done;
     f.(idx) <- !p
   done;
@@ -62,7 +78,7 @@ let next_dist g ?(branching = Process.Fixed 2) ?(lazy_ = false) ~current () =
   let out = ref [] in
   for idx = size - 1 downto 0 do
     (* Clamp the tiny negative dust of cancellation. *)
-    if f.(idx) > 1e-15 then out := (expand idx, f.(idx)) :: !out
+    if f.(idx) > 1e-15 then out := (masks.(idx), f.(idx)) :: !out
   done;
   !out
 
@@ -88,6 +104,7 @@ let hit_tail g ?(branching = Process.Fixed 2) ?(lazy_ = false) ~c0 ~target ~hori
   Subset.check_n n;
   if n > 12 then invalid_arg "Cobra_chain.hit_tail: n <= 12 required";
   if horizon < 0 then invalid_arg "Cobra_chain.hit_tail: negative horizon";
+  Subset.check_mask ~fn:"Cobra_chain.hit_tail" n c0;
   if c0 = 0 then invalid_arg "Cobra_chain.hit_tail: empty start set";
   if target < 0 || target >= n then invalid_arg "Cobra_chain.hit_tail: target out of range";
   let tail = Array.make (horizon + 1) 0.0 in

@@ -22,10 +22,17 @@ val next_dist :
 (** [next_dist g ~current ()] is the exact distribution of [C_{t+1}]
     given [C_t = current], as [(mask, probability)] pairs with positive
     probability, summing to 1.  Defaults: [branching = Fixed 2],
-    [lazy_ = false].  Cost is O(k 2^k) for k the size of the reachable
-    set of [current]; requires [Graph.n g <= 20].
+    [lazy_ = false].  Requires [Graph.n g <= 20].
 
-    @raise Invalid_argument on an empty [current] or an isolated member. *)
+    Cost, for k the size of the reachable set of [current]: each
+    member's all-picks probabilities are tabulated once per call
+    (O(deg u) entries); then each of the 2^k subsets takes one popcount
+    and one table lookup per member, and the Moebius inversion takes
+    O(k 2^k) — O((k + |current|) 2^k) in all, with two 2^k-word scratch
+    arrays.
+
+    @raise Invalid_argument on an empty [current], a [current] with
+    vertices outside [\[0, n)], or an isolated member. *)
 
 val hit_tail :
   Cobra_graph.Graph.t -> ?branching:Cobra_core.Process.branching -> ?lazy_:bool ->
@@ -34,7 +41,10 @@ val hit_tail :
     [t -> P(Hit(target) > t)] for [t = 0 .. horizon], where [Hit] is the
     first round the target holds a particle when [C_0 = c0] (round 0
     included: entry 0 is 0 when the target is in [c0]).
-    Requires [Graph.n g <= 12]. *)
+    Requires [Graph.n g <= 12].
+
+    @raise Invalid_argument on an empty [c0], a [c0] with vertices
+    outside [\[0, n)], a bad [target] or a negative [horizon]. *)
 
 val cover_tail :
   Cobra_graph.Graph.t -> ?branching:Cobra_core.Process.branching -> ?lazy_:bool ->

@@ -6,6 +6,7 @@ type report = {
 }
 
 let check g ?branching ?lazy_ ~c0 ~v ~horizon () =
+  Subset.check_mask ~fn:"Duality_exact.check" (Cobra_graph.Graph.n g) c0;
   let cobra_tail = Cobra_chain.hit_tail g ?branching ?lazy_ ~c0 ~target:v ~horizon () in
   let chain = Bips_chain.make g ?branching ?lazy_ ~source:v () in
   let bips_tail = Bips_chain.avoid_tail chain ~c:c0 ~horizon in

@@ -28,4 +28,5 @@ val check :
     [t <= horizon].  [c0] is the COBRA start set (a bitmask), [v] the
     target / BIPS source.  Requires [Graph.n g <= 12].
 
-    @raise Invalid_argument on an empty [c0] or bad [v]. *)
+    @raise Invalid_argument on an empty [c0], a [c0] with vertices
+    outside [\[0, n)], or a bad [v]. *)

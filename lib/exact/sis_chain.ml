@@ -5,11 +5,10 @@ type t = {
   n : int;
   states : int; (* 2^n *)
   matrix : float array array;
-  (* Cached solutions of the two first-step systems, filled lazily:
-     absorption probability into the full set, and expected time to
-     absorption, both indexed by state. *)
-  mutable saturation : float array option;
-  mutable absorption_time : float array option;
+  (* Cached solutions of the two first-step systems, both filled by the
+     first query of either: absorption probability into the full set,
+     and expected time to absorption, both indexed by state. *)
+  mutable tables : (float array * float array) option;
 }
 
 let infect_prob g branching lazy_ u a =
@@ -45,78 +44,35 @@ let make g ?(branching = Process.Fixed 2) ?(lazy_ = false) () =
       row.(a') <- !p
     done
   done;
-  { n; states; matrix; saturation = None; absorption_time = None }
+  { n; states; matrix; tables = None }
 
 let transition_probability t a a' = t.matrix.(a).(a')
 
 (* Solve (I - Q) x = rhs over the transient states (everything except
-   the empty and full sets), by Gaussian elimination. *)
-let solve_transient t ~rhs_of =
-  let full = t.states - 1 in
-  let transient =
-    Array.of_list (List.filter (fun s -> s <> 0 && s <> full) (List.init t.states Fun.id))
-  in
-  let m = Array.length transient in
-  let pos = Array.make t.states (-1) in
-  Array.iteri (fun j s -> pos.(s) <- j) transient;
-  let a = Array.make_matrix m (m + 1) 0.0 in
-  Array.iteri
-    (fun j s ->
-      a.(j).(m) <- rhs_of s;
-      for jj = 0 to m - 1 do
-        let q = t.matrix.(s).(transient.(jj)) in
-        a.(j).(jj) <- (if j = jj then 1.0 else 0.0) -. q
-      done)
-    transient;
-  for col = 0 to m - 1 do
-    let pivot = ref col in
-    for row = col + 1 to m - 1 do
-      if Float.abs a.(row).(col) > Float.abs a.(!pivot).(col) then pivot := row
-    done;
-    if Float.abs a.(!pivot).(col) < 1e-14 then
-      failwith
-        "Sis_chain: singular system — on bipartite graphs the plain chain has periodic \
-         parity orbits and absorption is not almost-sure; use the lazy variant";
-    let tmp = a.(col) in
-    a.(col) <- a.(!pivot);
-    a.(!pivot) <- tmp;
-    for row = col + 1 to m - 1 do
-      let factor = a.(row).(col) /. a.(col).(col) in
-      if factor <> 0.0 then
-        for k = col to m do
-          a.(row).(k) <- a.(row).(k) -. (factor *. a.(col).(k))
-        done
-    done
-  done;
-  let x = Array.make m 0.0 in
-  for row = m - 1 downto 0 do
-    let s = ref a.(row).(m) in
-    for k = row + 1 to m - 1 do
-      s := !s -. (a.(row).(k) *. x.(k))
-    done;
-    x.(row) <- !s /. a.(row).(row)
-  done;
-  let by_state = Array.make t.states 0.0 in
-  Array.iteri (fun j s -> by_state.(s) <- x.(j)) transient;
-  by_state
-
-let saturation_table t =
-  match t.saturation with
-  | Some s -> s
+   the empty and full sets), once for both right-hand sides. *)
+let tables t =
+  match t.tables with
+  | Some tables -> tables
   | None ->
       let full = t.states - 1 in
-      let table = solve_transient t ~rhs_of:(fun s -> t.matrix.(s).(full)) in
-      table.(full) <- 1.0;
-      t.saturation <- Some table;
-      table
-
-let absorption_table t =
-  match t.absorption_time with
-  | Some s -> s
-  | None ->
-      let table = solve_transient t ~rhs_of:(fun _ -> 1.0) in
-      t.absorption_time <- Some table;
-      table
+      let transient = Array.init (t.states - 2) (fun j -> j + 1) in
+      let x =
+        Gauss.solve_transient t.matrix ~transient
+          ~rhs:[| (fun s -> t.matrix.(s).(full)); (fun _ -> 1.0) |]
+          ~singular:
+            "Sis_chain: singular system — on bipartite graphs the plain chain has periodic \
+             parity orbits and absorption is not almost-sure; use the lazy variant"
+      in
+      let by_state x =
+        let table = Array.make t.states 0.0 in
+        Array.iteri (fun j s -> table.(s) <- x.(j)) transient;
+        table
+      in
+      let saturation = by_state x.(0) in
+      saturation.(full) <- 1.0;
+      let tables = (saturation, by_state x.(1)) in
+      t.tables <- Some tables;
+      tables
 
 let check_initial t initial =
   if initial < 0 || initial >= t.states then
@@ -124,8 +80,8 @@ let check_initial t initial =
 
 let saturation_probability t ~initial =
   check_initial t initial;
-  (saturation_table t).(initial)
+  (fst (tables t)).(initial)
 
 let expected_absorption_time t ~initial =
   check_initial t initial;
-  (absorption_table t).(initial)
+  (snd (tables t)).(initial)

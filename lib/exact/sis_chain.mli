@@ -19,7 +19,9 @@ val make :
 val saturation_probability : t -> initial:int -> float
 (** Probability that the chain started from the subset mask [initial]
     is absorbed at the full set (rather than the empty one).  Solved by
-    Gaussian elimination over the transient states.
+    Gaussian elimination over the transient states.  The first query of
+    this or {!expected_absorption_time} solves both tables in one
+    elimination and caches them; later queries are lookups.
 
     On bipartite graphs the {e plain} chain does not absorb almost
     surely: a parity class maps deterministically to the opposite class,
@@ -28,7 +30,9 @@ val saturation_probability : t -> initial:int -> float
     breaks the parity and always absorbs. *)
 
 val expected_absorption_time : t -> initial:int -> float
-(** Expected rounds until either absorbing state is reached. *)
+(** Expected rounds until either absorbing state is reached.  Shares
+    the elimination of {!saturation_probability}, and raises [Failure]
+    on the same singular systems. *)
 
 val transition_probability : t -> int -> int -> float
 (** Kernel entry between two subset masks. *)

@@ -7,12 +7,21 @@ let check_n n =
     invalid_arg (Printf.sprintf "Cobra_exact: exact solvers support n <= %d, got %d" max_n n)
 
 let full n = (1 lsl n) - 1
+
+let check_mask ~fn n mask =
+  if mask land lnot (full n) <> 0 then
+    invalid_arg (Printf.sprintf "%s: subset mask %d has vertices outside [0, %d)" fn mask n)
+
 let mem mask u = mask land (1 lsl u) <> 0
 let add mask u = mask lor (1 lsl u)
 
+(* Branch-free SWAR popcount over the 62 value bits of a non-negative
+   int: next_dist calls it once per (subset, sender). *)
 let cardinal mask =
-  let rec go acc x = if x = 0 then acc else go (acc + 1) (x land (x - 1)) in
-  go 0 mask
+  let x = mask - ((mask lsr 1) land 0x1555555555555555) in
+  let x = (x land 0x3333333333333333) + ((x lsr 2) land 0x3333333333333333) in
+  let x = (x + (x lsr 4)) land 0x0f0f0f0f0f0f0f0f in
+  (x * 0x0101010101010101) lsr 56
 
 let iter_subsets_of mask f =
   (* Standard submask enumeration: s = (s - 1) land mask walks all

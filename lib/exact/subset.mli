@@ -13,6 +13,11 @@ val check_n : int -> unit
 val full : int -> int
 (** [full n] is the subset containing all of [0 .. n-1]. *)
 
+val check_mask : fn:string -> int -> int -> unit
+(** [check_mask ~fn n mask] accepts exactly the subsets of [0 .. n-1].
+    @raise Invalid_argument naming [fn] when [mask] is negative or has
+    a bit at or above [n]. *)
+
 val mem : int -> int -> bool
 (** [mem mask u]. *)
 
@@ -20,7 +25,7 @@ val add : int -> int -> int
 (** [add mask u]. *)
 
 val cardinal : int -> int
-(** Population count. *)
+(** Population count of a non-negative mask. *)
 
 val iter_subsets_of : int -> (int -> unit) -> unit
 (** [iter_subsets_of mask f] applies [f] to every subset of [mask],

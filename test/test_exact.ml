@@ -22,6 +22,8 @@ let test_subset_basics () =
   check_bool "not mem" false (Subset.mem 0b101 1);
   check_int "add" 0b111 (Subset.add 0b101 1);
   check_int "cardinal" 2 (Subset.cardinal 0b101);
+  check_int "cardinal full 20" 20 (Subset.cardinal (Subset.full 20));
+  check_int "cardinal max_int" 62 (Subset.cardinal max_int);
   Alcotest.check_raises "too large"
     (Invalid_argument "Cobra_exact: exact solvers support n <= 20, got 21") (fun () ->
       Subset.check_n 21)
@@ -101,6 +103,126 @@ let test_next_dist_sums_to_one () =
       (Gen.complete 6, 0b111);
       (Gen.star 7, 0b1000001);
     ]
+
+(* Oracle: the per-subset formula, walking every sender's adjacency and
+   calling [**] once per (subset, sender).  [next_dist] must match it
+   bit for bit: same masks, same order, same float bits. *)
+let next_dist_oracle g ~branching ~lazy_ ~current =
+  let all_picks_in u s =
+    let d = Graph.degree g u in
+    let into = float_of_int (Subset.degree_into g u s) /. float_of_int d in
+    let a =
+      if lazy_ then (0.5 *. if Subset.mem s u then 1.0 else 0.0) +. (0.5 *. into) else into
+    in
+    match branching with
+    | Process.Fixed b -> a ** float_of_int b
+    | Process.Bernoulli rho -> ((1.0 -. rho) *. a) +. (rho *. a *. a)
+  in
+  let reach =
+    let nb = Subset.neighborhood_mask g current in
+    if lazy_ then nb lor current else nb
+  in
+  let bits = Array.of_list (List.filter (Subset.mem reach) (List.init Subset.max_n Fun.id)) in
+  let k = Array.length bits in
+  let expand idx =
+    let mask = ref 0 in
+    for i = 0 to k - 1 do
+      if idx land (1 lsl i) <> 0 then mask := Subset.add !mask bits.(i)
+    done;
+    !mask
+  in
+  let size = 1 lsl k in
+  let f =
+    Array.init size (fun idx ->
+        let s = expand idx in
+        let p = ref 1.0 in
+        for u = 0 to Graph.n g - 1 do
+          if Subset.mem current u then p := !p *. all_picks_in u s
+        done;
+        !p)
+  in
+  for i = 0 to k - 1 do
+    let bit = 1 lsl i in
+    for idx = 0 to size - 1 do
+      if idx land bit <> 0 then f.(idx) <- f.(idx) -. f.(idx lxor bit)
+    done
+  done;
+  List.filter_map
+    (fun idx -> if f.(idx) > 1e-15 then Some (expand idx, f.(idx)) else None)
+    (List.init size Fun.id)
+
+let test_next_dist_matches_oracle () =
+  let variants =
+    List.concat_map
+      (fun branching -> [ (branching, false); (branching, true) ])
+      [
+        Process.Fixed 1; Process.Fixed 2; Process.Fixed 3; Process.Bernoulli 0.0;
+        Process.Bernoulli 0.5; Process.Bernoulli 1.0;
+      ]
+  in
+  let bits d = List.map (fun (m, p) -> (m, Int64.bits_of_float p)) d in
+  List.iteri
+    (fun gi (name, g) ->
+      let n = Graph.n g in
+      let rng = Rng.create (100 + gi) in
+      let starts =
+        List.init n (fun u -> 1 lsl u)
+        @ List.init 20 (fun _ -> 1 + Rng.int_below rng (Subset.full n))
+      in
+      List.iter
+        (fun current ->
+          List.iter
+            (fun (branching, lazy_) ->
+              let expected = bits (next_dist_oracle g ~branching ~lazy_ ~current) in
+              let actual = bits (Cobra_chain.next_dist g ~branching ~lazy_ ~current ()) in
+              if actual <> expected then
+                Alcotest.failf "%s from %a (%s%s): next_dist differs from the oracle" name
+                  Subset.pp current
+                  (match branching with
+                  | Process.Fixed b -> Printf.sprintf "b=%d" b
+                  | Process.Bernoulli rho -> Printf.sprintf "rho=%g" rho)
+                  (if lazy_ then ", lazy" else ""))
+            variants)
+        starts)
+    [
+      ("path5", Gen.path 5); ("cycle7", Gen.cycle 7); ("star6", Gen.star 6);
+      ("K6", Gen.complete 6); ("petersen", Gen.petersen ()); ("grid3x3", Gen.grid ~dims:[ 3; 3 ]);
+    ]
+
+(* --- Subset masks outside [0, n) are rejected by every entry point --- *)
+
+let petersen_mask_error fn mask =
+  Invalid_argument
+    (Printf.sprintf "%s: subset mask %d has vertices outside [0, 10)" fn mask)
+
+let test_next_dist_rejects_bad_mask () =
+  let g = Gen.petersen () in
+  List.iter
+    (fun mask ->
+      Alcotest.check_raises "out of range" (petersen_mask_error "Cobra_chain.next_dist" mask)
+        (fun () -> ignore (Cobra_chain.next_dist g ~current:mask ())))
+    [ 1 lsl 15; -1; 1 lsl 10 ]
+
+let test_hit_tail_rejects_bad_mask () =
+  let g = Gen.petersen () in
+  List.iter
+    (fun horizon ->
+      Alcotest.check_raises "out of range" (petersen_mask_error "Cobra_chain.hit_tail" (1 lsl 12))
+        (fun () -> ignore (Cobra_chain.hit_tail g ~c0:(1 lsl 12) ~target:0 ~horizon ())))
+    [ 1; 3 ]
+
+let test_avoid_tail_rejects_bad_mask () =
+  let chain = Bips_chain.make (Gen.petersen ()) ~source:0 () in
+  Alcotest.check_raises "out of range" (petersen_mask_error "Bips_chain.avoid_tail" (1 lsl 12))
+    (fun () -> ignore (Bips_chain.avoid_tail chain ~c:(1 lsl 12) ~horizon:3))
+
+let test_duality_rejects_bad_mask () =
+  let g = Gen.petersen () in
+  List.iter
+    (fun c0 ->
+      Alcotest.check_raises "out of range" (petersen_mask_error "Duality_exact.check" c0)
+        (fun () -> ignore (Duality_exact.check g ~c0 ~v:0 ~horizon:3 ())))
+    [ 1 lsl 12; -1 ]
 
 (* --- Conformance: one keyed round against the exact chains ---
 
@@ -474,6 +596,9 @@ let () =
           Alcotest.test_case "b=1" `Quick test_next_dist_b1;
           Alcotest.test_case "bernoulli endpoints" `Quick test_next_dist_bernoulli;
           Alcotest.test_case "mass" `Quick test_next_dist_sums_to_one;
+          Alcotest.test_case "bit-identical to oracle" `Quick test_next_dist_matches_oracle;
+          Alcotest.test_case "next_dist rejects bad mask" `Quick test_next_dist_rejects_bad_mask;
+          Alcotest.test_case "hit_tail rejects bad mask" `Quick test_hit_tail_rejects_bad_mask;
           Alcotest.test_case "matches simulation" `Slow test_next_dist_matches_simulation;
           Alcotest.test_case "closed-form covers" `Quick test_expected_cover_closed_forms;
           Alcotest.test_case "cover tail monotone" `Quick test_cover_tail_monotone;
@@ -490,6 +615,7 @@ let () =
           Alcotest.test_case "expected vs MC" `Slow test_bips_expected_vs_montecarlo;
           Alcotest.test_case "distribution mass" `Quick test_bips_distribution_mass;
           Alcotest.test_case "avoid tail vs simulation" `Slow test_bips_avoid_tail_vs_simulation;
+          Alcotest.test_case "avoid_tail rejects bad mask" `Quick test_avoid_tail_rejects_bad_mask;
         ] );
       ( "conformance",
         Alcotest.test_case "chi-square survival" `Quick test_gamma_q_reference :: conformance_cases );
@@ -497,6 +623,7 @@ let () =
         [
           Alcotest.test_case "named cases" `Quick test_exact_duality;
           Alcotest.test_case "report shape" `Quick test_exact_duality_report_shape;
+          Alcotest.test_case "rejects bad mask" `Quick test_duality_rejects_bad_mask;
           QCheck_alcotest.to_alcotest exact_duality_random_property;
         ] );
     ]

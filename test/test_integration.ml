@@ -162,6 +162,16 @@ let test_lambda_three_ways () =
   let bound = sqrt 60.0 *. (lazy_lambda ** 30.0) in
   check_bool (Printf.sprintf "tv %.2e <= spectral bound %.2e" tv bound) true (tv <= bound)
 
+(* 9. E3 shards its exact cells over the pool: the rendered tables must
+   not depend on the pool width. *)
+let test_e3_pool_width_invariance () =
+  let render num_domains =
+    Cobra_parallel.Pool.with_pool ~num_domains (fun pool ->
+        Cobra_experiments.E03_duality.experiment.run ~obs:Cobra_obs.Obs.null ~pool
+          ~master_seed:2017 ~scale:Cobra_experiments.Experiment.Quick)
+  in
+  Alcotest.(check string) "serial pool = 3 extra domains" (render 0) (render 3)
+
 let () =
   Alcotest.run "integration"
     [
@@ -181,5 +191,6 @@ let () =
         [
           Alcotest.test_case "disconnected censors" `Quick test_disconnected_everywhere_censors;
           Alcotest.test_case "branching monotone" `Quick test_branching_monotonicity;
+          Alcotest.test_case "E3 pool-width invariant" `Slow test_e3_pool_width_invariance;
         ] );
     ]

@@ -135,6 +135,35 @@ let test_rho_reduces_saturation () =
   in
   check_bool (Printf.sprintf "%.3f > %.3f" p2 p_half) true (p2 > p_half)
 
+(* Both tables come from one elimination: each must be bitwise the same
+   whichever query comes first, and equal to the pinned values. *)
+let test_tables_independent_of_query_order () =
+  let bits x = Int64.bits_of_float x in
+  List.iter
+    (fun (name, g, lazy_, pinned) ->
+      let n = Graph.n g in
+      let sat_first = Sis_chain.make g ~lazy_ () and time_first = Sis_chain.make g ~lazy_ () in
+      ignore (Sis_chain.saturation_probability sat_first ~initial:1);
+      ignore (Sis_chain.expected_absorption_time time_first ~initial:1);
+      for initial = 0 to (1 lsl n) - 1 do
+        let same f =
+          Alcotest.(check int64)
+            (Printf.sprintf "%s from %d" name initial)
+            (bits (f sat_first ~initial)) (bits (f time_first ~initial))
+        in
+        same Sis_chain.saturation_probability;
+        same Sis_chain.expected_absorption_time
+      done;
+      let sat, time = pinned in
+      Alcotest.(check int64) (name ^ " pinned P(saturate)") sat
+        (bits (Sis_chain.saturation_probability sat_first ~initial:1));
+      Alcotest.(check int64) (name ^ " pinned E[absorb]") time
+        (bits (Sis_chain.expected_absorption_time sat_first ~initial:1)))
+    [
+      ("petersen", Gen.petersen (), false, (0x3feb76b74d262734L, 0x401abea402bf6444L));
+      ("P6 lazy", Gen.path 6, true, (0x3fe7410d3505f3d0L, 0x4020ac859cf25de4L));
+    ]
+
 let sis_step_no_source_property =
   QCheck2.Test.make ~name:"sis_step never forces any vertex" ~count:30
     QCheck2.Gen.(pair (int_range 3 12) (int_bound 1000))
@@ -165,6 +194,8 @@ let () =
           Alcotest.test_case "boundary values" `Quick test_chain_boundary_values;
           Alcotest.test_case "bipartite singular" `Quick test_chain_bipartite_singular;
           Alcotest.test_case "rho monotone" `Quick test_rho_reduces_saturation;
+          Alcotest.test_case "tables independent of query order" `Quick
+            test_tables_independent_of_query_order;
         ] );
       ( "agreement",
         [
