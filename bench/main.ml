@@ -26,6 +26,7 @@ module Rng = Cobra_prng.Rng
 module Process = Cobra_core.Process
 module Cobra = Cobra_core.Cobra
 module Bips = Cobra_core.Bips
+module Gossip = Cobra_core.Gossip
 module Walk = Cobra_core.Walk
 
 (* Pre-built inputs shared by the benched closures; the RNG state
@@ -203,7 +204,7 @@ let experiment_kernels =
       (Staged.stage (fun () -> ignore (Walk.multi_cover_time cycle128 rng ~k:16 ~start:0 ())));
     Test.make ~name:"e13: gossip push-pull cover regular n=128"
       (Staged.stage (fun () ->
-           ignore (Cobra_net.Gossip.push_pull_cover regular8_128 rng ~start:0)));
+           ignore (Gossip.run_cover regular8_128 rng ~protocol:Gossip.Push_pull ~start:0 ())));
     Test.make ~name:"e14: cover without replacement n=128"
       (Staged.stage
          (let current = Bitset.create 128 and next = Bitset.create 128 in

@@ -38,6 +38,7 @@ type keyed_ctx = {
   shard_tx : int array; (* per-worker transmission accumulators *)
   shard_card : int array; (* per-worker popcount accumulators (scan kernels) *)
   members : int array; (* sparse-path frontier buffer *)
+  mutable pulled : Bitset.t option; (* PUSH-PULL's pull half; lazily allocated *)
   pool : Pool.t option;
   nworkers : int;
   dense_threshold : int;
@@ -56,6 +57,7 @@ let make_keyed_ctx ?pool ?(dense_threshold = default_dense_threshold) _g ~master
     shard_tx = Array.make nworkers 0;
     shard_card = Array.make nworkers 0;
     members = Array.make sparse_frontier_threshold 0;
+    pulled = None;
     pool;
     nworkers;
     dense_threshold;
@@ -284,6 +286,33 @@ let sis_step_keyed g ctx ~round ~branching ~lazy_ ~current ~next =
       for u = 0 to n - 1 do
         if keyed_infected g k ~base ~branching ~lazy_ ~current u then Bitset.unsafe_add next u
       done)
+
+(* PUSH: every informed vertex calls one uniform neighbour — the COBRA
+   round at b = 1 over I, accumulated onto I. *)
+let push_step g ctx ~round ~current ~next =
+  let sent = cobra_step_keyed g ctx ~round ~branching:(Fixed 1) ~lazy_:false ~current ~next in
+  Bitset.union_into ~into:next current;
+  sent
+
+(* PUSH-PULL: every vertex calls one uniform neighbour.  The SIS round at
+   b = 1 draws vertex u's call at the same keyed position, with the same
+   draws, as the COBRA round at b = 1 does, so each vertex makes exactly
+   one call: callers in I push (the PUSH half) and callers outside I
+   pull from an informed callee (the SIS half). *)
+let push_pull_step g ctx ~round ~current ~next =
+  let n = Graph.n g in
+  let pulled =
+    match ctx.pulled with
+    | Some s -> s
+    | None ->
+        let s = Bitset.create n in
+        ctx.pulled <- Some s;
+        s
+  in
+  sis_step_keyed g ctx ~round ~branching:(Fixed 1) ~lazy_:false ~current ~next:pulled;
+  ignore (push_step g ctx ~round ~current ~next : int);
+  Bitset.union_into ~into:next pulled;
+  2 * n
 
 let bips_candidate_set g ~source ~current ~into =
   Bitset.clear into;

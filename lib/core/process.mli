@@ -1,4 +1,5 @@
-(** One synchronous round of the COBRA, BIPS and SIS processes.
+(** One synchronous round of the COBRA, BIPS and SIS processes, and of
+    the PUSH and PUSH-PULL gossip baselines built from them.
 
     These are the exact set processes of the paper (Section 1):
 
@@ -27,6 +28,13 @@
     paper's regular-graph bounds are stated for the lazy variant there
     (remark after Theorem 1.2); the lazy walk's eigenvalues
     [(1 + lambda_i)/2] are non-negative, restoring a positive gap.
+
+    {b PUSH} and {b PUSH-PULL}, the rumor-spreading baselines the paper's
+    introduction compares COBRA with, keep an informed set [I_t] that
+    only grows.  A PUSH round is [I_t] together with one COBRA round at
+    [Fixed 1] from [I_t]; a PUSH-PULL round adds one SIS round at
+    [Fixed 1] from [I_t].  Both draw each vertex's call at the same keyed
+    position, so no second kernel exists for either baseline.
 
     {b Randomness.}  There is one model: every draw of round [t] at
     vertex [u] is a pure function of [(master, t, u, draw index)]
@@ -80,7 +88,8 @@ val expected_branching_factor : branching -> float
 
 type keyed_ctx
 (** Per-run state of the step kernels: one keyed cursor and scratch set
-    per shard, the sparse-path buffer, and the scheduling threshold.
+    per shard, the sparse-path buffer, PUSH-PULL's pull set, and the
+    scheduling threshold.
     Create once per run; reuse across runs only when the graph
     (capacity) and master seed are the same. *)
 
@@ -140,6 +149,26 @@ val sis_step_keyed :
     persistent source forces eventual full infection is exactly the
     statement that BIPS removes the first one.  Used by the E15
     extension experiment. *)
+
+val push_step :
+  Cobra_graph.Graph.t -> keyed_ctx -> round:int -> current:Cobra_bitset.Bitset.t ->
+  next:Cobra_bitset.Bitset.t -> int
+(** [push_step g ctx ~round ~current ~next] fills [next] with
+    [I_{t+1}] given [I_t = current] for classical PUSH: every informed
+    vertex sends the rumor to one uniform neighbour.  It is
+    [current] ∪ {!cobra_step_keyed} at [Fixed 1], not lazy.  Returns the
+    messages sent, [|I_t|]. *)
+
+val push_pull_step :
+  Cobra_graph.Graph.t -> keyed_ctx -> round:int -> current:Cobra_bitset.Bitset.t ->
+  next:Cobra_bitset.Bitset.t -> int
+(** [push_pull_step g ctx ~round ~current ~next] fills [next] with
+    [I_{t+1}] given [I_t = current] for PUSH-PULL: every vertex calls one
+    uniform neighbour, and the rumor crosses the call in either
+    direction.  It is {!push_step} ∪ {!sis_step_keyed} at [Fixed 1], not
+    lazy; both halves read the caller's one draw, so an informed caller
+    pushes and an uninformed caller pulls.  Returns the messages sent,
+    [2n]: each call is a request and a reply. *)
 
 val bips_candidate_set :
   Cobra_graph.Graph.t -> source:int -> current:Cobra_bitset.Bitset.t ->

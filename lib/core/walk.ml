@@ -62,5 +62,3 @@ let multi_cover_time g rng ?(lazy_ = false) ?max_rounds ~k ~start () =
     with Exit -> ()
   end;
   !result
-
-let transmissions_per_round ~k = k

@@ -12,9 +12,11 @@ val cover_time :
   Cobra_graph.Graph.t -> Cobra_prng.Rng.t -> ?lazy_:bool -> ?max_steps:int -> start:int ->
   unit -> int option
 (** [cover_time g rng ~start ()] walks until all vertices are visited and
-    returns the number of steps, or [None] after [max_steps] (default
-    [200 * n^2], comfortably above the [O(n^3)] worst case at test
-    sizes... capped at [10^9]).
+    returns the number of steps, or [None] after [max_steps] steps.  The
+    default, [min (200 n^2) 10^9], is at least [n^3] only while
+    [n <= 200].  The worst expected cover time over [n]-vertex graphs,
+    [(4/27 + o(1)) n^3] on the lollipop, overtakes it near [n = 1350], so
+    slow-covering graphs of that size need an explicit [max_steps].
 
     @raise Invalid_argument on an empty graph or bad start. *)
 
@@ -27,7 +29,3 @@ val multi_cover_time :
     [k = 1] this is {!cover_time} in round units.
 
     @raise Invalid_argument if [k < 1]. *)
-
-val transmissions_per_round : k:int -> int
-(** Communication cost of the multi-walk process per round ([k] — one
-    transmission per token), for equal-budget comparisons with COBRA. *)

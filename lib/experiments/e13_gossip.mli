@@ -1,5 +1,5 @@
 (** E13 (extension) — COBRA against classical rumor spreading (PUSH,
-    PUSH–PULL) on the message-passing simulator: rounds and messages to
-    cover at matched network semantics. *)
+    PUSH–PULL) and the BIPS epidemic: rounds and messages to cover, all
+    four on the same keyed round kernels. *)
 
 val experiment : Experiment.t

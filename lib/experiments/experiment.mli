@@ -31,9 +31,6 @@ val make :
 val header : t -> string
 (** Banner printed above the experiment output. *)
 
-val scale_name : scale -> string
-(** ["quick"] / ["full"] — the manifest spelling. *)
-
 val manifest : t -> master_seed:int -> scale:scale -> domains:int -> Cobra_obs.Manifest.t
 (** The configuration fingerprint for one run of this experiment. *)
 

@@ -2,7 +2,6 @@ type t = { started : float }
 
 let start () = { started = Unix.gettimeofday () }
 let elapsed_s t = Unix.gettimeofday () -. t.started
-let elapsed_ns t = elapsed_s t *. 1e9
 (* SOURCE_DATE_EPOCH (reproducible-builds.org convention) pins manifest
    timestamps, letting two runs of the same sweep produce byte-identical
    manifests; elapsed-time measurement is never affected. *)

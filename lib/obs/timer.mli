@@ -14,9 +14,6 @@ val elapsed_s : t -> float
 (** Seconds since [start]; monotone in repeated calls on one timer
     except across system clock steps. *)
 
-val elapsed_ns : t -> float
-(** [elapsed_s] scaled to nanoseconds (the bench-table unit). *)
-
 val stamp : unit -> float
 (** Current unix epoch time in seconds — manifest timestamps.  If the
     [SOURCE_DATE_EPOCH] environment variable holds a valid non-negative

@@ -6,8 +6,6 @@ type 'a codec = { encode : 'a -> Json.t; decode : Json.t -> 'a option }
 
 let float_ = { encode = (fun x -> Json.Float x); decode = Json.to_float_opt }
 let int_ = { encode = (fun i -> Json.Int i); decode = Json.to_int_opt }
-let bool_ = { encode = (fun b -> Json.Bool b); decode = Json.to_bool_opt }
-let string_ = { encode = (fun s -> Json.String s); decode = Json.to_string_opt }
 
 let pair ca cb =
   {

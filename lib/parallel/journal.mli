@@ -44,8 +44,6 @@ val float_ : float codec
 (** Round-trips exactly, including [nan] (via JSON [null]). *)
 
 val int_ : int codec
-val bool_ : bool codec
-val string_ : string codec
 val pair : 'a codec -> 'b codec -> ('a * 'b) codec
 val triple : 'a codec -> 'b codec -> 'c codec -> ('a * 'b * 'c) codec
 

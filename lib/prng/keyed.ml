@@ -1,7 +1,7 @@
 (* Counter-based keyed generator: draw [i] at position [key] is
    [Splitmix64.mix (key + gamma * i)], i.e. the [i]-th output of a
    SplitMix64 state seeded at [key].  Positions are derived from
-   (master, stream, round, vertex) with two finaliser applications, so
+   (master, round, vertex) with two finaliser applications, so
    structured lattices of nearby rounds/vertices land on decorrelated
    keys. *)
 
@@ -13,37 +13,33 @@ type t = {
 let model_tag = "keyed-1"
 let gamma = Splitmix64.gamma
 
-(* The (stream, round) half of the position key.  It is loop-invariant
-   across a round's vertices, so the step kernels hoist it once per
-   round ([round_base]) and pay a single finaliser application per
-   vertex ([position_at]) instead of the two that the from-scratch
-   [key_of] costs. *)
-let[@inline] base_of ~master ~stream ~round =
-  Splitmix64.mix (Int64.add master (Int64.of_int ((round * 8) + stream)))
+(* The round half of the position key.  It is loop-invariant across a
+   round's vertices, so the step kernels hoist it once per round
+   ([round_base]) and pay a single finaliser application per vertex
+   ([position_at]) instead of the two that the from-scratch [key_of]
+   costs.  The [round * 8] spacing is part of the bit-level contract:
+   every persisted result and golden was drawn under it. *)
+let[@inline] base_of ~master ~round = Splitmix64.mix (Int64.add master (Int64.of_int (round * 8)))
 
-let[@inline] key_of ~master ~stream ~round ~vertex =
-  (* Two mix rounds: one folds the round (and stream tag) into the
-     master, one folds the vertex in.  Each is a bijection of the 64-bit
-     space, so distinct tuples with vertex < 2^61 map to distinct
-     pre-images — collisions are only those of the finaliser itself. *)
-  Splitmix64.mix (Int64.add (base_of ~master ~stream ~round) (Int64.of_int vertex))
+let[@inline] key_of ~master ~round ~vertex =
+  (* Two mix rounds: one folds the round into the master, one folds the
+     vertex in.  Each is a bijection of the 64-bit space, so distinct
+     tuples with vertex < 2^61 map to distinct pre-images — collisions
+     are only those of the finaliser itself. *)
+  Splitmix64.mix (Int64.add (base_of ~master ~round) (Int64.of_int vertex))
 
 let create ~master =
   let master = Splitmix64.mix (Int64.of_int master) in
-  { master; ctr = key_of ~master ~stream:0 ~round:0 ~vertex:0 }
+  { master; ctr = key_of ~master ~round:0 ~vertex:0 }
 
 let copy t = { master = t.master; ctr = t.ctr }
 
-let round_base ?(stream = 0) t ~round = base_of ~master:t.master ~stream ~round
+let round_base t ~round = base_of ~master:t.master ~round
 
 let[@inline] position_at t ~base ~vertex =
   t.ctr <- Splitmix64.mix (Int64.add base (Int64.of_int vertex))
 
-let position ?(stream = 0) t ~round ~vertex =
-  t.ctr <- key_of ~master:t.master ~stream ~round ~vertex
-
-let derive_seed ~master ~stream ~round ~vertex =
-  key_of ~master:(Splitmix64.mix (Int64.of_int master)) ~stream ~round ~vertex
+let position t ~round ~vertex = t.ctr <- key_of ~master:t.master ~round ~vertex
 
 let[@inline] next64 t =
   let v = Splitmix64.mix t.ctr in

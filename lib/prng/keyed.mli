@@ -1,12 +1,13 @@
-(** Counter-based keyed randomness: the only randomness of the COBRA,
-    BIPS and SIS step kernels.
+(** Counter-based keyed randomness: the only randomness of the step
+    kernels in [Cobra_core.Process] — the COBRA, BIPS and SIS rounds and
+    the PUSH and PUSH-PULL gossip rounds built from them.
 
     One mutable {!Rng} stream threaded through a round would make the
     draws a vertex sees depend on how many draws every vertex before it
     consumed, so iteration order and any sharding of the round would
-    change the results.  [Keyed.t] removes that coupling: every draw is a pure
-    function of the tuple [(master seed, stream, round, vertex, draw
-    index)], evaluated with the stateless {!Splitmix64.mix} finaliser.
+    change the results.  [Keyed.t] removes that coupling: every draw is a
+    pure function of the tuple [(master seed, round, vertex, draw index)],
+    evaluated with the stateless {!Splitmix64.mix} finaliser.
     Two consequences the parallel kernels rely on:
 
     - {b schedule independence} — a round sharded over any number of
@@ -35,24 +36,22 @@ val model_tag : string
 val create : master:int -> t
 (** [create ~master] is a cursor over the keyed space of [master].  Equal
     master seeds give equal draw functions.  The cursor starts positioned
-    at [~stream:0 ~round:0 ~vertex:0]. *)
+    at [~round:0 ~vertex:0]. *)
 
 val copy : t -> t
 (** Independent cursor at the same position and draw counter. *)
 
-val position : ?stream:int -> t -> round:int -> vertex:int -> unit
+val position : t -> round:int -> vertex:int -> unit
 (** [position t ~round ~vertex] repositions the cursor and resets its
     draw counter, making subsequent draws the canonical draw sequence of
-    [(master, stream, round, vertex)].  [stream] (default 0) separates
-    independent draw sequences for the same [(round, vertex)] — e.g. the
-    network engine's emit/respond/update phases.  Constant time, no
-    allocation.  Two finaliser applications; hot loops that reposition
-    once per vertex should hoist the round half with {!round_base} and
-    pay one via {!position_at}. *)
+    [(master, round, vertex)].  Constant time, no allocation.  Two
+    finaliser applications; hot loops that reposition once per vertex
+    should hoist the round half with {!round_base} and pay one via
+    {!position_at}. *)
 
-val round_base : ?stream:int -> t -> round:int -> int64
-(** [round_base t ~round] is the [(stream, round)] half of the position
-    key — loop-invariant across a round's vertices.  Feed it to
+val round_base : t -> round:int -> int64
+(** [round_base t ~round] is the round half of the position key —
+    loop-invariant across a round's vertices.  Feed it to
     {!position_at} to amortise the keying to a single finaliser
     application per vertex:
     [position_at t ~base:(round_base t ~round) ~vertex] is exactly
@@ -62,7 +61,7 @@ val position_at : t -> base:int64 -> vertex:int -> unit
 (** [position_at t ~base ~vertex] repositions the cursor using a
     precomputed {!round_base} — one finaliser application.  Bit-for-bit
     the same position (hence the same draws) as {!position} with the
-    [(stream, round)] the base was built from. *)
+    round the base was built from. *)
 
 val mask_below : int -> int
 (** [mask_below n] is the smallest all-ones bit mask covering
@@ -84,12 +83,6 @@ val int_below_run : t -> int -> out:int array -> count:int -> unit
     Draw consumption is identical to [count] separate calls.
     @raise Invalid_argument if [n <= 0] or [out] is shorter than
     [count]. *)
-
-val derive_seed : master:int -> stream:int -> round:int -> vertex:int -> int64
-(** [derive_seed ~master ~stream ~round ~vertex] is the 64-bit position key the
-    cursor would use — suitable for seeding a full {!Xoshiro} state when
-    an API needs an [Rng.t] (e.g. per-vertex protocol callbacks) rather
-    than keyed draws. *)
 
 val next64 : t -> int64
 (** Next 64 output bits at the current position; advances the draw

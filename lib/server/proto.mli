@@ -85,7 +85,6 @@ type response =
   | Error of { code : error_code; message : string }
 
 val error_code_to_string : error_code -> string
-val error_code_of_string : string -> (error_code, string) result
 val kind_to_string : kind -> string
 val kind_of_string : string -> (kind, string) result
 

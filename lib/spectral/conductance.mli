@@ -39,7 +39,3 @@ val sweep_upper_bound :
     upper bound on [phi(G)], tight up to Cheeger's quadratic loss.
     [obs], [tol], [max_iter], [seed] and [pool] are passed to
     {!Eigen.second_eigenvector}. *)
-
-val cheeger_lower_bound : gap:float -> float
-(** [cheeger_lower_bound ~gap] is [gap / 2]: from [1 - lambda <= 2 phi],
-    the easy direction of Cheeger's inequality, [phi >= (1 - lambda)/2]. *)

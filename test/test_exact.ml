@@ -235,10 +235,10 @@ let test_duality_rejects_bad_mask () =
    the exact support fails outright.
 
    False-alarm budget: a correct kernel fails a case with probability
-   [alpha] = 1e-4 over the choice of master.  The family is the 13
-   cases below (one in "cobra chain", twelve in "conformance"), each at
-   its own fixed master, so a correct implementation trips at least
-   one with probability at most 13 * 1e-4 = 0.13%.  The masters are
+   [alpha] = 1e-4 over the choice of master.  The family is the 19
+   cases below (one in "cobra chain", eighteen in "conformance"), each
+   at its own fixed master, so a correct implementation trips at least
+   one with probability at most 19 * 1e-4 = 0.19%.  The masters are
    fixed and were not searched. *)
 
 let alpha = 1e-4
@@ -341,70 +341,137 @@ let chi_square_check name ~exact ~sample =
 let mask_of set = Cobra_bitset.Bitset.fold (fun v acc -> acc lor (1 lsl v)) set 0
 let set_of n mask = Cobra_bitset.Bitset.of_list n (List.filter (Subset.mem mask) (List.init n Fun.id))
 
-let cobra_round_conforms ?pool g ~master ~branching ~lazy_ ~current_mask () =
+(* One keyed round of [step] from [current_mask], at [samples] fresh
+   rounds of [master], against the exact law [exact].  [dense_threshold]
+   1 makes every round with a pool take the sharded path. *)
+let round_conforms name ?pool g ~master ~exact ~current_mask step =
   let n = Graph.n g in
   let current = set_of n current_mask in
   let next = Cobra_bitset.Bitset.create n in
   let ctx = Process.make_keyed_ctx ?pool ~dense_threshold:1 g ~master in
-  chi_square_check "cobra round"
-    ~exact:(Cobra_chain.next_dist g ~branching ~lazy_ ~current:current_mask ())
-    ~sample:(fun ~round ->
-      ignore (Process.cobra_step_keyed g ctx ~round ~branching ~lazy_ ~current ~next : int);
+  chi_square_check name ~exact ~sample:(fun ~round ->
+      step g ctx ~round ~current ~next;
       mask_of next)
+
+let cobra_round_conforms ?pool g ~master ~branching ~lazy_ ~current_mask () =
+  round_conforms "cobra round" ?pool g ~master ~current_mask
+    ~exact:(Cobra_chain.next_dist g ~branching ~lazy_ ~current:current_mask ())
+    (fun g ctx ~round ~current ~next ->
+      ignore (Process.cobra_step_keyed g ctx ~round ~branching ~lazy_ ~current ~next : int))
 
 let test_next_dist_matches_simulation () =
   cobra_round_conforms (Gen.cycle 5) ~master:31 ~branching:(Process.Fixed 2) ~lazy_:false
     ~current_mask:0b00101 ()
 
 let bips_round_conforms ?pool g ~master ~branching ~lazy_ ~current_mask () =
-  let n = Graph.n g in
   let chain = Bips_chain.make g ~branching ~lazy_ ~source:0 () in
-  let exact =
-    List.init (Bips_chain.n_states chain) (fun i ->
-        let m = Bips_chain.mask_of_state chain i in
-        (m, Bips_chain.transition_probability chain current_mask m))
-  in
-  let current = set_of n current_mask in
-  let next = Cobra_bitset.Bitset.create n in
-  let ctx = Process.make_keyed_ctx ?pool ~dense_threshold:1 g ~master in
-  chi_square_check "bips round" ~exact ~sample:(fun ~round ->
-      Process.bips_step_keyed g ctx ~round ~branching ~lazy_ ~source:0 ~current ~next;
-      mask_of next)
+  round_conforms "bips round" ?pool g ~master ~current_mask
+    ~exact:
+      (List.init (Bips_chain.n_states chain) (fun i ->
+           let m = Bips_chain.mask_of_state chain i in
+           (m, Bips_chain.transition_probability chain current_mask m)))
+    (fun g ctx ~round ~current ~next ->
+      Process.bips_step_keyed g ctx ~round ~branching ~lazy_ ~source:0 ~current ~next)
 
-(* Twelve conformance cases: {COBRA, BIPS} x {Fixed 2, Bernoulli 0.5,
-   lazy Fixed 2} x {serial, sharded over a 2-wide pool}, each at its own
-   master.  Petersen from C = {0,1,3} (COBRA) and A = {0,1,2,6} (BIPS,
-   source 0; every vertex has a neighbour in A). *)
+let sis_round_conforms ?pool g ~master ~branching ~current_mask () =
+  let chain = Cobra_exact.Sis_chain.make g ~branching () in
+  round_conforms "sis round" ?pool g ~master ~current_mask
+    ~exact:
+      (List.init (1 lsl Graph.n g) (fun m ->
+           (m, Cobra_exact.Sis_chain.transition_probability chain current_mask m)))
+    (fun g ctx ~round ~current ~next ->
+      Process.sis_step_keyed g ctx ~round ~branching ~lazy_:false ~current ~next)
+
+(* Sums the probabilities of equal masks. *)
+let merge_masks law =
+  let t = Hashtbl.create 64 in
+  List.iter
+    (fun (m, p) -> Hashtbl.replace t m (p +. Option.value ~default:0.0 (Hashtbl.find_opt t m)))
+    law;
+  List.sort compare (Hashtbl.fold (fun m p acc -> (m, p) :: acc) t [])
+
+(* PUSH's exact law: the COBRA law at b = 1 from I, each outcome S
+   mapped to S ∪ I. *)
+let push_round_conforms ?pool g ~master ~current_mask () =
+  round_conforms "push round" ?pool g ~master ~current_mask
+    ~exact:
+      (merge_masks
+         (List.map
+            (fun (m, p) -> (m lor current_mask, p))
+            (Cobra_chain.next_dist g ~branching:(Process.Fixed 1) ~current:current_mask ())))
+    (fun g ctx ~round ~current ~next ->
+      ignore (Process.push_step g ctx ~round ~current ~next : int))
+
+(* PUSH-PULL's exact law, by enumerating every vertex's one call: the
+   outcome is I, plus the callee of every informed caller, plus every
+   caller whose callee is informed.  On Petersen that is 3^10 = 59 049
+   equally likely call vectors. *)
+let push_pull_law g ~current =
+  let n = Graph.n g in
+  let law = ref [] in
+  let rec call u mask p =
+    if u = n then law := (mask, p) :: !law
+    else
+      let p = p /. float_of_int (Graph.degree g u) in
+      Graph.iter_neighbors g u (fun v ->
+          let mask =
+            if Subset.mem current u then Subset.add mask v
+            else if Subset.mem current v then Subset.add mask u
+            else mask
+          in
+          call (u + 1) mask p)
+  in
+  call 0 current 1.0;
+  merge_masks !law
+
+let push_pull_round_conforms ?pool g ~master ~current_mask () =
+  round_conforms "push-pull round" ?pool g ~master ~current_mask
+    ~exact:(push_pull_law g ~current:current_mask)
+    (fun g ctx ~round ~current ~next ->
+      ignore (Process.push_pull_step g ctx ~round ~current ~next : int))
+
+(* Eighteen conformance cases, each serial and sharded over a 2-wide
+   pool at its own master: {COBRA, BIPS} x {Fixed 2, Bernoulli 0.5, lazy
+   Fixed 2}, then PUSH, PUSH-PULL and SIS at Fixed 2.  Petersen from
+   C = I = {0,1,3} (COBRA, PUSH, PUSH-PULL) and A = {0,1,2,6} (BIPS with
+   source 0, and SIS; every vertex has a neighbour in A). *)
 let conformance_cases =
   let petersen = Gen.petersen () in
+  let c = 0b1011 and a = 0b1000111 in
   let variants =
     [ ("b=2", Process.Fixed 2, false); ("rho=0.5", Process.Bernoulli 0.5, false);
       ("b=2 lazy", Process.Fixed 2, true) ]
   in
-  let paths = [ ("serial", false); ("sharded", true) ] in
-  let case kind (vname, branching, lazy_) (pname, sharded) master =
-    let run ?pool () =
-      match kind with
-      | `Cobra ->
-          cobra_round_conforms ?pool petersen ~master ~branching ~lazy_ ~current_mask:0b1011 ()
-      | `Bips ->
-          bips_round_conforms ?pool petersen ~master ~branching ~lazy_ ~current_mask:0b1000111 ()
-    in
-    Alcotest.test_case
-      (Printf.sprintf "%s %s %s" (match kind with `Cobra -> "cobra" | `Bips -> "bips") vname pname)
-      `Slow
-      (fun () ->
-        if sharded then Cobra_parallel.Pool.with_pool ~num_domains:1 (fun pool -> run ~pool ())
-        else run ())
+  (* [run pool ~master] checks one case; serial runs at [master],
+     sharded at [master + 1]. *)
+  let pair name master run =
+    [
+      Alcotest.test_case (name ^ " serial") `Slow (fun () -> run None ~master);
+      Alcotest.test_case (name ^ " sharded") `Slow (fun () ->
+          Cobra_parallel.Pool.with_pool ~num_domains:1 (fun pool ->
+              run (Some pool) ~master:(master + 1)));
+    ]
   in
-  List.concat_map
-    (fun (k, kind) ->
-      List.concat
-        (List.mapi
-           (fun v variant ->
-             List.mapi (fun p path -> case kind variant path (1001 + (k * 6) + (v * 2) + p)) paths)
-           variants))
-    [ (0, `Cobra); (1, `Bips) ]
+  List.concat
+    (List.mapi
+       (fun v (vname, branching, lazy_) ->
+         pair ("cobra " ^ vname) (1001 + (2 * v)) (fun pool ~master ->
+             cobra_round_conforms ?pool petersen ~master ~branching ~lazy_ ~current_mask:c ()))
+       variants
+    @ List.mapi
+        (fun v (vname, branching, lazy_) ->
+          pair ("bips " ^ vname) (1007 + (2 * v)) (fun pool ~master ->
+              bips_round_conforms ?pool petersen ~master ~branching ~lazy_ ~current_mask:a ()))
+        variants
+    @ [
+        pair "push" 1013 (fun pool ~master ->
+            push_round_conforms ?pool petersen ~master ~current_mask:c ());
+        pair "push-pull" 1015 (fun pool ~master ->
+            push_pull_round_conforms ?pool petersen ~master ~current_mask:c ());
+        pair "sis b=2" 1017 (fun pool ~master ->
+            sis_round_conforms ?pool petersen ~master ~branching:(Process.Fixed 2)
+              ~current_mask:a ());
+      ])
 
 (* --- Exact cover times --- *)
 

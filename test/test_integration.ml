@@ -1,7 +1,7 @@
 (* Cross-module integration tests: the same quantity computed through
    independent subsystems must agree.  These are the repository's
    belt-and-braces checks — each test crosses at least two of
-   {set engine, exact chains, network protocols, walk theory, spectral}. *)
+   {set engine, exact chains, walk theory, spectral}. *)
 
 module Graph = Cobra_graph.Graph
 module Gen = Cobra_graph.Gen
@@ -11,6 +11,7 @@ module Rng = Cobra_prng.Rng
 module Process = Cobra_core.Process
 module Cobra = Cobra_core.Cobra
 module Bips = Cobra_core.Bips
+module Gossip = Cobra_core.Gossip
 
 let check_bool = Alcotest.(check bool)
 
@@ -129,8 +130,8 @@ let test_disconnected_everywhere_censors () =
   check_bool "bips censors" true (Bips.run_infection g rng ~max_rounds:500 ~source:0 () = None);
   check_bool "walk censors" true
     (Cobra_core.Walk.cover_time g rng ~max_steps:500 ~start:0 () = None);
-  let o = Cobra_net.Gossip.push_cover ~max_rounds:500 g rng ~start:0 in
-  check_bool "gossip censors" true (o.rounds = None)
+  check_bool "gossip censors" true
+    (Gossip.run_cover g rng ~max_rounds:500 ~protocol:Gossip.Push ~start:0 () = None)
 
 (* 7. Stochastic monotonicity in b: more branching covers faster. *)
 let test_branching_monotonicity () =

@@ -54,14 +54,13 @@ let test_replay () =
 
 let test_distinct_positions () =
   let k = Keyed.create ~master:42 in
-  let first ~stream ~round ~vertex =
-    Keyed.position ~stream k ~round ~vertex;
+  let first ~round ~vertex =
+    Keyed.position k ~round ~vertex;
     Keyed.next64 k
   in
-  let base = first ~stream:0 ~round:1 ~vertex:1 in
-  check_bool "round separates" true (base <> first ~stream:0 ~round:2 ~vertex:1);
-  check_bool "vertex separates" true (base <> first ~stream:0 ~round:1 ~vertex:2);
-  check_bool "stream separates" true (base <> first ~stream:1 ~round:1 ~vertex:1);
+  let base = first ~round:1 ~vertex:1 in
+  check_bool "round separates" true (base <> first ~round:2 ~vertex:1);
+  check_bool "vertex separates" true (base <> first ~round:1 ~vertex:2);
   let other = Keyed.create ~master:43 in
   Keyed.position other ~round:1 ~vertex:1;
   check_bool "master separates" true (base <> Keyed.next64 other)
@@ -123,13 +122,6 @@ let test_float01_range () =
     if not (x >= 0.0 && x < 1.0) then Alcotest.failf "float01 out of range: %f" x
   done
 
-let test_derive_seed_stable () =
-  let s = Keyed.derive_seed ~master:11 ~stream:1 ~round:3 ~vertex:5 in
-  Alcotest.(check int64) "derive_seed is a pure function" s
-    (Keyed.derive_seed ~master:11 ~stream:1 ~round:3 ~vertex:5);
-  check_bool "stream separates seeds" true
-    (s <> Keyed.derive_seed ~master:11 ~stream:2 ~round:3 ~vertex:5)
-
 let test_round_base_hoist () =
   (* position_at with a hoisted round_base must land on exactly the
      position that the two-mix position computes. *)
@@ -143,12 +135,7 @@ let test_round_base_hoist () =
       Alcotest.(check (list int64))
         (Printf.sprintf "round=%d vertex=%d" round vertex)
         (draws a 4) (draws b 4))
-    [ (0, 0); (1, 1); (3, 17); (12, 65535); (100, 1) ];
-  (* A non-default stream flows through the base the same way. *)
-  Keyed.position ~stream:2 a ~round:5 ~vertex:9;
-  let base = Keyed.round_base ~stream:2 b ~round:5 in
-  Keyed.position_at b ~base ~vertex:9;
-  Alcotest.(check (list int64)) "stream=2 hoist" (draws a 4) (draws b 4)
+    [ (0, 0); (1, 1); (3, 17); (5, 9); (12, 65535); (100, 1) ]
 
 let test_masked_and_run_draw_compatible () =
   (* mask_below is the int_below rejection mask; masked_below and
@@ -366,25 +353,29 @@ let test_scan_last_shard_edge () =
             (Bitset.cardinal sis_serial) (Bitset.cardinal sis_pool)))
     pool_widths
 
-(* --- Keyed engine (message-passing layer) --- *)
+(* --- Gossip runner (PUSH and PUSH-PULL) --- *)
 
-let engine_fingerprint ?pool g =
-  let module E = Cobra_net.Gossip.Cobra_engine in
-  let t = E.create ?pool g ~start:0 in
-  match E.run_until_covered ~max_rounds:10_000 t (Rng.create 5) with
-  | None -> "censored"
-  | Some rounds -> Printf.sprintf "rounds=%d messages=%d" rounds (E.messages_sent t)
-
-let test_engine_keyed_invariance () =
-  let g = Gen.torus ~dims:[ 8; 8 ] in
-  let serial = engine_fingerprint g in
+(* The 2048-vertex hypercube is above the default dense threshold, so
+   every PUSH-PULL round and the late PUSH rounds take the sharded path
+   without a threshold override. *)
+let test_gossip_runner_invariance () =
+  let g = Gen.hypercube 11 in
+  let run ?pool protocol =
+    Cobra_core.Gossip.run_cover ?pool g (Rng.create 5) ~protocol ~start:0 ()
+  in
   List.iter
-    (fun width ->
-      with_width width (fun pool ->
-          Alcotest.(check string)
-            (Printf.sprintf "engine keyed, %d worker(s)" width)
-            serial (engine_fingerprint ~pool g)))
-    pool_widths
+    (fun (name, protocol) ->
+      let serial = run protocol in
+      check_bool (name ^ " covers") true (serial <> None);
+      List.iter
+        (fun width ->
+          with_width width (fun pool ->
+              check_bool
+                (Printf.sprintf "%s, %d worker(s)" name width)
+                true
+                (serial = run ~pool protocol)))
+        pool_widths)
+    [ ("push", Cobra_core.Gossip.Push); ("push-pull", Cobra_core.Gossip.Push_pull) ]
 
 (* --- Parallel spectral matvec --- *)
 
@@ -470,7 +461,6 @@ let () =
           Alcotest.test_case "int_below uniformity" `Quick test_int_below_uniform_ish;
           Alcotest.test_case "bernoulli degenerate" `Quick test_bernoulli_degenerate;
           Alcotest.test_case "float01 range" `Quick test_float01_range;
-          Alcotest.test_case "derive_seed" `Quick test_derive_seed_stable;
           Alcotest.test_case "round_base hoist" `Quick test_round_base_hoist;
           Alcotest.test_case "batched draws" `Quick test_masked_and_run_draw_compatible;
         ] );
@@ -482,7 +472,7 @@ let () =
           Alcotest.test_case "dense threshold" `Quick test_dense_threshold_irrelevant;
           Alcotest.test_case "threshold boundary" `Quick test_dense_threshold_boundary;
           Alcotest.test_case "scan last-shard edge" `Quick test_scan_last_shard_edge;
-          Alcotest.test_case "engine" `Quick test_engine_keyed_invariance;
+          Alcotest.test_case "engine" `Quick test_gossip_runner_invariance;
           Alcotest.test_case "matvec + eigen" `Quick test_matvec_pool_bit_identical;
           Alcotest.test_case "estimate" `Quick test_estimate_keyed_invariance;
           Alcotest.test_case "trial master replay" `Quick test_trial_master_replays;

@@ -291,26 +291,6 @@ let test_cobra_run_round_events () =
       check_int "final informed count is n" n informed
   | None -> Alcotest.fail "no Round_ended events"
 
-(* The message-passing engine: same determinism contract, plus message
-   accounting consistency between the engine and its events. *)
-let test_engine_round_events () =
-  let g = Gen.petersen () in
-  let plain = Cobra_net.Gossip.push_pull_cover g (Rng.create 3) ~start:0 in
-  let obs = Obs.create ~sink:(Trace.memory ()) () in
-  let module E = Cobra_net.Gossip.Push_pull_engine in
-  let t = E.create ~obs g ~start:0 in
-  let rounds = E.run_until_covered t (Rng.create 3) in
-  check_bool "rounds identical with obs" true (plain.Cobra_net.Gossip.rounds = rounds);
-  let events = Trace.events (Obs.sink obs) in
-  let per_round_messages =
-    List.filter_map
-      (function Trace.Round_ended r -> Some r.messages | _ -> None)
-      events
-  in
-  check_int "events cover every round" (Option.get rounds) (List.length per_round_messages);
-  check_int "event messages sum to engine total" (E.messages_sent t)
-    (List.fold_left ( + ) 0 per_round_messages)
-
 (* Experiment wrapper: start/complete events bracket the run and the
    output string is identical to an unobserved run. *)
 let test_experiment_run_observed () =
@@ -392,7 +372,6 @@ let () =
           Alcotest.test_case "cover ensemble obs on = off" `Quick
             test_cover_ensemble_obs_determinism;
           Alcotest.test_case "cobra run round events" `Quick test_cobra_run_round_events;
-          Alcotest.test_case "engine round events" `Quick test_engine_round_events;
           Alcotest.test_case "experiment run_observed" `Quick test_experiment_run_observed;
         ] );
       ("report", [ Alcotest.test_case "renders" `Quick test_report_renders ]);

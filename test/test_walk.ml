@@ -5,7 +5,6 @@ module Gen = Cobra_graph.Gen
 module Rng = Cobra_prng.Rng
 module Walk = Cobra_core.Walk
 
-let check_int = Alcotest.(check int)
 let check_bool = Alcotest.(check bool)
 
 let test_singleton () =
@@ -71,9 +70,6 @@ let test_multi_validation () =
   Alcotest.check_raises "bad start" (Invalid_argument "Walk.cover_time: start out of range")
     (fun () -> ignore (Walk.cover_time g (Rng.create 1) ~start:99 ()))
 
-let test_transmissions_per_round () =
-  check_int "k tokens, k sends" 5 (Walk.transmissions_per_round ~k:5)
-
 (* Walk cover time on K_n concentrates near the coupon-collector number
    (n-1) H_{n-1}; check the right order of magnitude in the mean. *)
 let test_complete_graph_coupon_collector () =
@@ -125,7 +121,6 @@ let () =
           Alcotest.test_case "k=1 matches single" `Quick test_multi_cover_k1_matches_single;
           Alcotest.test_case "more walks faster" `Quick test_multi_walks_faster_on_average;
           Alcotest.test_case "validation" `Quick test_multi_validation;
-          Alcotest.test_case "transmissions" `Quick test_transmissions_per_round;
         ] );
       ("property", [ QCheck_alcotest.to_alcotest walk_covers_trees_test ]);
     ]
