@@ -9,9 +9,8 @@
    `load` doubles as the load-test driver: K client domains each hold
    one connection and submit jobs drawn from a pool of --distinct seeds
    (so a fraction of requests exercise the result cache), paced to an
-   aggregate --qps.  Per-request latencies aggregate into p50/p95/p99
-   and throughput, printed and merged into BENCH_cobra.json as
-   "serve: ..." rows (existing non-serve rows are preserved). *)
+   aggregate --qps.  Per-request latencies aggregate into p50/p95/p99,
+   mean and throughput, which it prints. *)
 
 module Server = Cobra_server.Server
 module Client = Cobra_server.Client
@@ -182,46 +181,6 @@ let submit_cmd =
 
 (* --- load test --- *)
 
-let bench_path_default = "BENCH_cobra.json"
-
-let read_file path =
-  let ic = open_in_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_in ic)
-    (fun () -> really_input_string ic (in_channel_length ic))
-
-let has_prefix ~prefix s =
-  String.length s >= String.length prefix && String.sub s 0 (String.length prefix) = prefix
-
-(* Merge "serve:" rows into the bench history file, keeping every row a
-   bench run wrote (and any previous serve rows are replaced). *)
-let merge_bench_rows path rows =
-  let existing =
-    if Sys.file_exists path then
-      match Json.of_string (read_file path) with
-      | Ok j -> (
-          match Json.member j "benchmarks" with Some (Json.Obj kvs) -> kvs | _ -> [])
-      | Error _ -> []
-    else []
-  in
-  let kept = List.filter (fun (k, _) -> not (has_prefix ~prefix:"serve:" k)) existing in
-  let doc =
-    Json.Obj
-      [
-        ("schema", Json.String "cobra-bench/1");
-        ("created_at", Json.String (Cobra_obs.Timer.iso8601 (Cobra_obs.Timer.stamp ())));
-        ("git_revision", Json.String (Cobra_obs.Manifest.git_revision ()));
-        ("unit", Json.String "ns/run");
-        ("benchmarks", Json.Obj (kept @ List.map (fun (k, v) -> (k, Json.Float v)) rows));
-      ]
-  in
-  let oc = open_out path in
-  Fun.protect
-    ~finally:(fun () -> close_out oc)
-    (fun () ->
-      output_string oc (Json.to_string_pretty doc);
-      output_char oc '\n')
-
 type worker_report = {
   latencies_s : float list;
   ok : int;
@@ -271,7 +230,7 @@ let load_worker ~host ~port ~deadline ~until ~period ~offset ~distinct ~base_job
   !rep
 
 let load host port clients qps duration distinct kind family n gseed b rho lazy_ max_rounds
-    trials seed deadline bench_out label =
+    trials seed deadline =
   if clients < 1 || duration <= 0.0 || distinct < 1 then begin
     prerr_endline "need --clients >= 1, --duration > 0, --distinct >= 1";
     exit 2
@@ -328,18 +287,7 @@ let load host port clients qps duration distinct kind family n gseed b rho lazy_
     overloaded errors;
   Printf.printf "[load] throughput %.1f req/s\n" throughput;
   Printf.printf "[load] latency p50 %.2f ms  p95 %.2f ms  p99 %.2f ms  mean %.2f ms\n"
-    (p50 *. 1e3) (p95 *. 1e3) (p99 *. 1e3) (mean *. 1e3);
-  let prefix = match label with "" -> "serve:" | l -> "serve:" ^ l in
-  let ns x = x *. 1e9 in
-  merge_bench_rows bench_out
-    [
-      (prefix ^ " request p50", ns p50);
-      (prefix ^ " request p95", ns p95);
-      (prefix ^ " request p99", ns p99);
-      (prefix ^ " request mean", ns mean);
-      (prefix ^ " throughput (req/s)", throughput);
-    ];
-  Printf.printf "[load] merged serve: rows into %s\n" bench_out
+    (p50 *. 1e3) (p95 *. 1e3) (p99 *. 1e3) (mean *. 1e3)
 
 let load_cmd =
   let clients_arg =
@@ -361,24 +309,16 @@ let load_cmd =
     in
     Arg.(value & opt int 8 & info [ "distinct" ] ~docv:"J" ~doc)
   in
-  let bench_out_arg =
-    let doc = "Bench history file to merge serve: rows into." in
-    Arg.(value & opt string bench_path_default & info [ "bench-out" ] ~docv:"FILE" ~doc)
-  in
-  let label_arg =
-    let doc = "Label folded into the serve: row names." in
-    Arg.(value & opt string "" & info [ "label" ] ~docv:"NAME" ~doc)
-  in
   let term =
     Term.(
       const load $ host_arg $ port_arg $ clients_arg $ qps_arg $ duration_arg
       $ distinct_arg $ kind_arg $ family_arg "complete" $ n_arg 128 $ gseed_arg
       $ branch_arg $ rho_arg $ lazy_arg $ max_rounds_arg $ trials_arg 4 $ seed_arg
-      $ deadline_arg $ bench_out_arg $ label_arg)
+      $ deadline_arg)
   in
   Cmd.v
     (Cmd.info "load"
-       ~doc:"Drive the server with concurrent clients and record latency quantiles")
+       ~doc:"Drive the server with concurrent clients and print latency quantiles")
     term
 
 let main_cmd =

@@ -22,15 +22,29 @@ let is_connected g =
   let n = Graph.n g in
   n <= 1 || Array.for_all (fun d -> d >= 0) (bfs_distances g 0)
 
+(* One pass over all vertices with one queue: [labels] doubles as the
+   visited set, so the cost is O(n + m) however many components there
+   are.  Components are disjoint, so each BFS restarts the queue at 0. *)
 let components g =
   let n = Graph.n g in
   let labels = Array.make n (-1) in
+  let queue = Array.make n 0 in
   let k = ref 0 in
   for src = 0 to n - 1 do
     if labels.(src) < 0 then begin
-      let d = bfs_distances g src in
-      for v = 0 to n - 1 do
-        if d.(v) >= 0 && labels.(v) < 0 then labels.(v) <- !k
+      let id = !k in
+      labels.(src) <- id;
+      queue.(0) <- src;
+      let head = ref 0 and tail = ref 1 in
+      while !head < !tail do
+        let u = queue.(!head) in
+        incr head;
+        Graph.iter_neighbors g u (fun v ->
+            if labels.(v) < 0 then begin
+              labels.(v) <- id;
+              queue.(!tail) <- v;
+              incr tail
+            end)
       done;
       incr k
     end

@@ -15,7 +15,9 @@ val is_connected : Graph.t -> bool
 
 val components : Graph.t -> int array * int
 (** [components g] labels each vertex with a component id in
-    [0 .. k-1] and returns [(labels, k)]. *)
+    [0 .. k-1] and returns [(labels, k)].  Ids follow each component's
+    smallest vertex (vertex 0's component is 0).  One breadth-first
+    pass, O(n + m). *)
 
 val eccentricity : Graph.t -> int -> int
 (** [eccentricity g u] is the largest finite BFS distance from [u].

@@ -62,6 +62,47 @@ let test_walk_cover_at_scale () =
   | Some steps -> check_bool "order n log n" true (steps > 2000 && steps < 200_000)
   | None -> Alcotest.fail "walk censored"
 
+(* Component labelling on a power-law sample with thousands of
+   components: one BFS per component over n-arrays is O(k n), minutes
+   at this size.  The labels are checked against the structure
+   directly, and their count against an independent union-find. *)
+let test_components_at_scale () =
+  let n = 1_000_000 in
+  let g = Cobra_graph.Chung_lu.power_law ~n ~exponent:2.5 (Rng.create 5) in
+  let labels, k = Props.components g in
+  check_bool "several components" true (k > 1);
+  Graph.iter_edges g (fun u v ->
+      if labels.(u) <> labels.(v) then Alcotest.failf "edge %d-%d joins two labels" u v);
+  let sizes = Array.make k 0 in
+  let next_new = ref 0 in
+  Array.iter
+    (fun l ->
+      if l < 0 || l >= k then Alcotest.failf "label %d outside [0, %d)" l k;
+      if sizes.(l) = 0 then begin
+        if l <> !next_new then Alcotest.failf "label %d first seen before %d" l !next_new;
+        incr next_new
+      end;
+      sizes.(l) <- sizes.(l) + 1)
+    labels;
+  check_int "sizes sum to n" n (Array.fold_left ( + ) 0 sizes);
+  let parent = Array.init n Fun.id in
+  let rec find x =
+    if parent.(x) = x then x
+    else begin
+      let r = find parent.(x) in
+      parent.(x) <- r;
+      r
+    end
+  in
+  let roots = ref n in
+  Graph.iter_edges g (fun u v ->
+      let ru = find u and rv = find v in
+      if ru <> rv then begin
+        parent.(ru) <- rv;
+        decr roots
+      end);
+  check_int "k = union-find count" !roots k
+
 let () =
   Alcotest.run "scale"
     [
@@ -73,4 +114,5 @@ let () =
           Alcotest.test_case "bfs + spectral" `Slow test_bfs_and_spectral_at_scale;
           Alcotest.test_case "walk cover" `Slow test_walk_cover_at_scale;
         ] );
+      ("n = 10^6", [ Alcotest.test_case "chung-lu components" `Slow test_components_at_scale ]);
     ]
