@@ -1,7 +1,7 @@
 (* Bench ledger writer.  `dune exec bench/main.exe` times the rows
    bench/gate.exe checks, with the rows around them, and writes them to
    BENCH_cobra.json in the format of bench/ledger.ml.  Rows fall in
-   three layers of perfbench/layers.json:
+   four layers of perfbench/layers.json:
 
    - round: dense keyed COBRA rounds (b = 2) on hypercube d=16 and an
      8-regular graph at n = 2^16, serial and on a 2-wide pool;
@@ -9,7 +9,9 @@
      all-pairs hitting times beside the dense solve they replaced
      (test/dense_oracle.ml), and the matvec both solvers run on;
    - graph: CSR assembly, generators and SNAP/.cgr ingest of a ba:8
-     graph with n = 50 000, and the CSR's bytes per directed entry. *)
+     graph with n = 50 000, and the CSR's bytes per directed entry;
+   - estimator: the start-vertex double sweep (Estimate.start_heuristic)
+     on that same ba:8 graph. *)
 
 module Gen = Cobra_graph.Gen
 module Graph = Cobra_graph.Graph
@@ -187,7 +189,11 @@ let graph_rows () =
       let bytes =
         float_of_int (Graph.storage_bytes ba) /. float_of_int (2 * Graph.m ba)
       in
-      builder @ tuples @ gen_ba @ gen_cl @ stream @ write @ eager @ mmap
+      let start =
+        timed ~layer:"estimator" ~family:"ba:8" ba ~reps:10
+          [ ("start_heuristic", 1, run (fun () -> Cobra_core.Estimate.start_heuristic ba)) ]
+      in
+      builder @ tuples @ gen_ba @ gen_cl @ stream @ write @ eager @ mmap @ start
       @ [
           {
             Ledger.layer = "graph";

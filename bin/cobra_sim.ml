@@ -75,14 +75,18 @@ let run family file n trials seed b rho lazy_ start max_rounds domains histogram
     match rho with Some r -> Process.Bernoulli r | None -> Process.Fixed b
   in
   Process.validate_branching branching;
-  Format.printf "graph: %a, diameter >= %d@." Graph.pp_stats g (Props.diameter_lower_bound g);
+  (* One double sweep gives the header's diameter bound and the default
+     start vertex, which is what Estimate.start_heuristic would pick. *)
+  let far, diameter_lb = Props.double_sweep g in
+  let start = Option.value start ~default:far in
+  Format.printf "graph: %a, diameter >= %d@." Graph.pp_stats g diameter_lb;
   Format.printf "process: COBRA E[b] = %g%s, %d trials, seed %d@."
     (Process.expected_branching_factor branching)
     (if lazy_ then " (lazy)" else "")
     trials seed;
   Cobra_parallel.Pool.with_pool ?num_domains:domains (fun pool ->
       let est =
-        Estimate.cover_time ~pool ~master_seed:seed ~trials ~branching ~lazy_ ?max_rounds ?start g
+        Estimate.cover_time ~pool ~master_seed:seed ~trials ~branching ~lazy_ ?max_rounds ~start g
       in
       if est.censored > 0 then
         Format.printf "WARNING: %d/%d trials hit the round cap and are excluded@." est.censored
@@ -96,7 +100,6 @@ let run family file n trials seed b rho lazy_ start max_rounds domains histogram
       if histogram && est.summary.count > 1 then begin
         (* Re-run the estimate's trials (same per-trial streams, so the
            same values) to collect them for the histogram. *)
-        let start = match start with Some s -> s | None -> Estimate.start_heuristic g in
         let raw =
           Cobra_parallel.Montecarlo.run ~pool ~master_seed:seed ~trials (fun ~trial:_ rng ->
               match Cobra_core.Cobra.run_cover g rng ~branching ~lazy_ ?max_rounds ~start () with

@@ -77,11 +77,11 @@ let info_cmd =
     Format.printf "storage: packed int32, %d bytes (%.2f bytes/entry)@."
       (Graph.storage_bytes g)
       (float_of_int (Graph.storage_bytes g) /. float_of_int (max 1 (2 * Graph.m g)));
-    Format.printf "connected: %b, bipartite: %b@." (Props.is_connected g) (Props.is_bipartite g);
-    if Props.is_connected g && Graph.n g > 1 then begin
-      let diam_lb = Props.diameter_lower_bound g in
+    let connected = Props.is_connected g in
+    Format.printf "connected: %b, bipartite: %b@." connected (Props.is_bipartite g);
+    if connected && Graph.n g > 1 then begin
       if Graph.n g <= 4096 then Format.printf "diameter: %d@." (Props.diameter g)
-      else Format.printf "diameter: >= %d (double sweep)@." diam_lb;
+      else Format.printf "diameter: >= %d (double sweep)@." (Props.diameter_lower_bound g);
       Format.printf "average degree: %.2f@." (Props.average_degree g);
       let hist = Props.degree_histogram g in
       if List.length hist <= 12 then begin

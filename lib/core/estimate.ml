@@ -11,19 +11,7 @@ type result = {
 
 let start_heuristic g =
   if Graph.n g = 0 then invalid_arg "Estimate.start_heuristic: empty graph";
-  let far_from u =
-    let d = Props.bfs_distances g u in
-    let best = ref u and bestd = ref 0 in
-    Array.iteri
-      (fun v x ->
-        if x > !bestd then begin
-          best := v;
-          bestd := x
-        end)
-      d;
-    !best
-  in
-  far_from (far_from 0)
+  fst (Props.double_sweep g)
 
 (* Gather per-trial (value, transmissions) observations, where a negative
    value marks a censored trial.  The codec lets a harness-level journal

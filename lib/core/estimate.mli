@@ -19,10 +19,11 @@ type result = {
 }
 
 val start_heuristic : Cobra_graph.Graph.t -> int
-(** A worst-case-ish start vertex: the far endpoint of a double BFS sweep
-    (an eccentricity-maximising heuristic).  [COVER(G)] maximises over
-    starts; the sweeps use this vertex so path-like graphs are probed
-    from their hard end. *)
+(** A worst-case-ish start vertex: [fst (Props.double_sweep g)], the far
+    vertex of a double BFS sweep (an eccentricity-maximising heuristic).
+    [COVER(G)] maximises over starts; the sweeps use this vertex so
+    path-like graphs are probed from their hard end.
+    @raise Invalid_argument on the empty graph. *)
 
 val cover_time :
   ?obs:Cobra_obs.Obs.t -> pool:Cobra_parallel.Pool.t -> ?dense_threshold:int ->

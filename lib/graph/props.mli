@@ -6,12 +6,32 @@
     (c) decide when the lazy process variants are required (bipartite
     graphs have [lambda = 1], Section 1 of the paper). *)
 
+(** {1 Breadth-first search}
+
+    [bfs_distances], [is_connected], [eccentricity], [diameter] and
+    [double_sweep] run one level-synchronous search that reads the int32
+    CSR directly and keeps the visited set and the frontier as bitsets.
+    A level runs bottom-up (each unvisited vertex scans its neighbours
+    until one is in the frontier) when the frontier's degree sum exceeds
+    half the unvisited vertices' and the frontier holds more than [n/24]
+    vertices, and top-down otherwise.  A level's vertices do not depend
+    on its direction, so no result does.  A search is O(n + m).
+
+    Every adjacency entry the search reads is range-checked before it
+    addresses a bitset word, so an entry outside [\[0, n)] in a CSR
+    built with {!Graph.unsafe_of_packed_csr} (a corrupted [.cgr], say)
+    raises [Invalid_argument].  An entry the search never reads (past
+    the first frontier neighbour in a bottom-up scan, or in a frontier
+    vertex's slice on a bottom-up level) is not checked. *)
+
 val bfs_distances : Graph.t -> int -> int array
 (** [bfs_distances g src] is the array of hop distances from [src];
-    unreachable vertices get [-1]. *)
+    unreachable vertices get [-1].
+    @raise Invalid_argument if [src] is not a vertex. *)
 
 val is_connected : Graph.t -> bool
-(** Whole-graph connectivity ([true] for the empty and singleton graphs). *)
+(** Whole-graph connectivity ([true] for the empty and singleton
+    graphs): one search from vertex 0. *)
 
 val components : Graph.t -> int array * int
 (** [components g] labels each vertex with a component id in
@@ -20,17 +40,28 @@ val components : Graph.t -> int array * int
     pass, O(n + m). *)
 
 val eccentricity : Graph.t -> int -> int
-(** [eccentricity g u] is the largest finite BFS distance from [u].
+(** [eccentricity g u] is the largest BFS distance from [u]; one search.
     @raise Invalid_argument if the graph is disconnected. *)
 
 val diameter : Graph.t -> int
-(** Exact diameter by all-sources BFS; O(n m).  Intended for the test and
-    experiment sizes (n up to a few thousand).
+(** Exact diameter by one search from every vertex; O(n m).  Intended
+    for the test and experiment sizes (n up to a few thousand).
     @raise Invalid_argument if the graph is disconnected. *)
 
+val double_sweep : Graph.t -> int * int
+(** [double_sweep g] searches from vertex 0, then from [a], the
+    smallest vertex of the deepest level reached; it returns [(b, d)],
+    where [b] is the smallest vertex of the second search's deepest
+    level and [d] its distance from [a].  [d] is a lower bound on the
+    diameter, exact on trees and usually tight in practice, and [b] is
+    the eccentricity-maximising start vertex every cover estimate uses
+    by default ([Estimate.start_heuristic]).  Both depend on the
+    distances alone.  Two O(n + m) searches; on a disconnected graph
+    both stay in vertex 0's component.
+    @raise Invalid_argument on the empty graph. *)
+
 val diameter_lower_bound : Graph.t -> int
-(** Double-sweep lower bound on the diameter: two BFS passes; exact on
-    trees and usually tight in practice.  Cheap enough for any size. *)
+(** [snd (double_sweep g)], and 0 for the empty graph. *)
 
 val is_bipartite : Graph.t -> bool
 (** Two-colourability test.  A connected bipartite graph has

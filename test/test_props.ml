@@ -105,6 +105,93 @@ let bfs_triangle_inequality_test =
       Graph.iter_edges g (fun u v -> if abs (d.(u) - d.(v)) > 1 then ok := false);
       !ok)
 
+(* Random graphs for the oracle comparison, drawn to exercise both
+   directions of the level loop and the switch between them: stars,
+   complete graphs and preferential attachment (bottom-up levels); paths,
+   cycles and brooms (top-down only); lollipops and barbells (both);
+   sparse G(n, p), disjoint unions and isolated vertices (disconnected).
+   Below n = 24 every non-empty frontier passes the size test, so the
+   small draws switch direction far more often than the large ones.
+   Half the draws are randomly relabelled, which moves hubs and changes
+   which vertex wins the deepest level's tie-break. *)
+let rec shape rng depth =
+  let size lo hi = lo + Rng.int_below rng (hi - lo + 1) in
+  let g =
+    match Rng.int_below rng (if depth = 0 then 11 else 10) with
+    | 0 -> Gen.path (size 1 200)
+    | 1 -> Gen.cycle (size 3 200)
+    | 2 -> Gen.star (size 2 200)
+    | 3 -> Gen.complete (size 1 40)
+    | 4 ->
+        let m = size 1 4 in
+        Cobra_graph.Gen_extra.barabasi_albert ~n:(size (m + 1) 300) ~m rng
+    | 5 -> Cobra_graph.Gen_extra.broom ~handle:(size 1 60) ~bristles:(size 1 60)
+    | 6 -> Gen.lollipop ~clique:(size 3 40) ~tail:(size 1 60)
+    | 7 -> Gen.barbell ~clique:(size 3 30) ~bridge:(size 0 40)
+    | 8 ->
+        let n = size 1 200 in
+        Gen.erdos_renyi_gnp ~n ~p:(Float.min 1.0 (1.5 /. float_of_int n)) rng
+    | 9 -> Graph.of_edges ~n:(size 1 5) []
+    | _ -> Cobra_graph.Ops.disjoint_union (shape rng 1) (shape rng 1)
+  in
+  if Rng.bool rng then Cobra_graph.Ops.random_relabel g rng else g
+
+let outcome f = match f () with x -> Ok x | exception Invalid_argument msg -> Error msg
+
+let oracle_test =
+  QCheck2.Test.make ~name:"level loop = queue BFS oracle" ~count:300
+    ~print:string_of_int QCheck2.Gen.int
+    (fun seed ->
+      let rng = Rng.create seed in
+      let g = shape rng 0 in
+      let n = Graph.n g in
+      let sources = [ 0; n - 1; Rng.int_below rng n ] in
+      List.for_all
+        (fun s ->
+          Props.bfs_distances g s = Bfs_oracle.bfs_distances g s
+          && outcome (fun () -> Props.eccentricity g s)
+             = outcome (fun () -> Bfs_oracle.eccentricity g s))
+        sources
+      && Props.is_connected g = Bfs_oracle.is_connected g
+      && Props.double_sweep g = Bfs_oracle.double_sweep g)
+
+(* A CSR whose entry at [slot] is replaced by [bad]: the stand-in for a
+   corrupted .cgr mapping, which only the search's own range check
+   stands between and a bitset write. *)
+let corrupt g ~slot ~bad =
+  let copy a =
+    let b = Bigarray.(Array1.create int32 c_layout (Array1.dim a)) in
+    Bigarray.Array1.blit a b;
+    b
+  in
+  let adj = copy (Graph.csr_adjacency g) in
+  adj.{slot} <- bad;
+  Graph.unsafe_of_packed_csr ~n:(Graph.n g) ~m:(Graph.m g) ~offsets:(copy (Graph.csr_offsets g))
+    ~adj
+
+let test_bad_entry_raises () =
+  let raises name f =
+    match f () with
+    | exception Invalid_argument _ -> ()
+    | _ -> Alcotest.failf "%s: no Invalid_argument" name
+  in
+  (* Vertex 0's only entry on a path, read by a top-down level; and leaf
+     5's only entry on a star searched from its centre, read by a
+     bottom-up level (the centre's frontier carries the whole degree). *)
+  List.iter
+    (fun (case, g, slot) ->
+      List.iter
+        (fun bad ->
+          let g = corrupt g ~slot ~bad in
+          let name fn = Printf.sprintf "%s, entry %ld: %s" case bad fn in
+          raises (name "oracle") (fun () -> Bfs_oracle.bfs_distances g 0);
+          raises (name "bfs_distances") (fun () -> Props.bfs_distances g 0);
+          raises (name "is_connected") (fun () -> Props.is_connected g);
+          raises (name "double_sweep") (fun () -> Props.double_sweep g);
+          raises (name "start_heuristic") (fun () -> Cobra_core.Estimate.start_heuristic g))
+        [ Int32.of_int (Graph.n g); Int32.max_int ])
+    [ ("path", Gen.path 6, 0); ("star", Gen.star 10, 9 + 4) ]
+
 let () =
   Alcotest.run "props"
     [
@@ -121,10 +208,12 @@ let () =
           Alcotest.test_case "degree histogram" `Quick test_degree_histogram;
           Alcotest.test_case "average degree" `Quick test_average_degree;
           Alcotest.test_case "double sweep on trees" `Quick test_diameter_lower_bound_tree_exact;
+          Alcotest.test_case "bad adjacency entry raises" `Quick test_bad_entry_raises;
         ] );
       ( "property",
         [
           QCheck_alcotest.to_alcotest lower_bound_le_diameter_test;
           QCheck_alcotest.to_alcotest bfs_triangle_inequality_test;
+          QCheck_alcotest.to_alcotest oracle_test;
         ] );
     ]

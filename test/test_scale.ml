@@ -62,13 +62,16 @@ let test_walk_cover_at_scale () =
   | Some steps -> check_bool "order n log n" true (steps > 2000 && steps < 200_000)
   | None -> Alcotest.fail "walk censored"
 
-(* Component labelling on a power-law sample with thousands of
-   components: one BFS per component over n-arrays is O(k n), minutes
-   at this size.  The labels are checked against the structure
+(* A power-law sample with thousands of components, shared by the
+   n = 10^6 cases. *)
+let chung_lu = lazy (Cobra_graph.Chung_lu.power_law ~n:1_000_000 ~exponent:2.5 (Rng.create 5))
+
+(* Component labelling: one BFS per component over n-arrays is O(k n),
+   minutes at this size.  The labels are checked against the structure
    directly, and their count against an independent union-find. *)
 let test_components_at_scale () =
-  let n = 1_000_000 in
-  let g = Cobra_graph.Chung_lu.power_law ~n ~exponent:2.5 (Rng.create 5) in
+  let g = Lazy.force chung_lu in
+  let n = Graph.n g in
   let labels, k = Props.components g in
   check_bool "several components" true (k > 1);
   Graph.iter_edges g (fun u v ->
@@ -103,6 +106,20 @@ let test_components_at_scale () =
       end);
   check_int "k = union-find count" !roots k
 
+(* A million one-vertex levels: a search that did O(n/63) work per
+   level, such as clearing or sweeping a bitset, would take minutes. *)
+let test_path_sweep_at_scale () =
+  let g = Gen.path 1_000_000 in
+  check_int "start heuristic" 0 (Cobra_core.Estimate.start_heuristic g);
+  check_int "diameter lower bound" 999_999 (Props.diameter_lower_bound g)
+
+(* The skewed-degree sample switches direction between levels; the
+   result must still be the queue BFS's. *)
+let test_sweep_vs_oracle_at_scale () =
+  let g = Lazy.force chung_lu in
+  check_bool "bfs_distances from 0" true (Props.bfs_distances g 0 = Bfs_oracle.bfs_distances g 0);
+  Alcotest.(check (pair int int)) "double sweep" (Bfs_oracle.double_sweep g) (Props.double_sweep g)
+
 let () =
   Alcotest.run "scale"
     [
@@ -114,5 +131,10 @@ let () =
           Alcotest.test_case "bfs + spectral" `Slow test_bfs_and_spectral_at_scale;
           Alcotest.test_case "walk cover" `Slow test_walk_cover_at_scale;
         ] );
-      ("n = 10^6", [ Alcotest.test_case "chung-lu components" `Slow test_components_at_scale ]);
+      ( "n = 10^6",
+        [
+          Alcotest.test_case "chung-lu components" `Slow test_components_at_scale;
+          Alcotest.test_case "path double sweep" `Slow test_path_sweep_at_scale;
+          Alcotest.test_case "chung-lu sweeps vs oracle" `Slow test_sweep_vs_oracle_at_scale;
+        ] );
     ]
