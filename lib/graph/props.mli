@@ -10,19 +10,21 @@
 
     [bfs_distances], [is_connected], [eccentricity], [diameter] and
     [double_sweep] run one level-synchronous search that reads the int32
-    CSR directly and keeps the visited set and the frontier as bitsets.
-    A level runs bottom-up (each unvisited vertex scans its neighbours
-    until one is in the frontier) when the frontier's degree sum exceeds
-    half the unvisited vertices' and the frontier holds more than [n/24]
-    vertices, and top-down otherwise.  A level's vertices do not depend
-    on its direction, so no result does.  A search is O(n + m).
+    CSR directly and keeps one distance array as its visited set and
+    frontier test.  A level runs bottom-up (each unvisited vertex scans
+    its neighbours until one is in the frontier) when the frontier's
+    degree sum exceeds half the unvisited vertices' and the frontier
+    holds more than [n/24] vertices, and top-down otherwise.  A level's
+    vertices do not depend on its direction, so no result does.  A
+    search is O(n + m).
 
-    Every adjacency entry the search reads is range-checked before it
-    addresses a bitset word, so an entry outside [\[0, n)] in a CSR
-    built with {!Graph.unsafe_of_packed_csr} (a corrupted [.cgr], say)
-    raises [Invalid_argument].  An entry the search never reads (past
-    the first frontier neighbour in a bottom-up scan, or in a frontier
-    vertex's slice on a bottom-up level) is not checked. *)
+    An adjacency entry outside [\[0, n)] in a CSR built with
+    {!Graph.unsafe_of_packed_csr} (a corrupted [.cgr], say) raises
+    [Invalid_argument] whenever it lies in the slice of a vertex the
+    search reaches, as with a queue BFS that reads every such slice.
+    Top-down levels check each entry they read; since bottom-up levels
+    skip entries, a call's first bottom-up level range-checks the whole
+    adjacency array first, one O(m) pass. *)
 
 val bfs_distances : Graph.t -> int -> int array
 (** [bfs_distances g src] is the array of hop distances from [src];

@@ -175,9 +175,12 @@ let test_bad_entry_raises () =
     | exception Invalid_argument _ -> ()
     | _ -> Alcotest.failf "%s: no Invalid_argument" name
   in
-  (* Vertex 0's only entry on a path, read by a top-down level; and leaf
-     5's only entry on a star searched from its centre, read by a
-     bottom-up level (the centre's frontier carries the whole degree). *)
+  (* Vertex 0's only entry on a path, read by a top-down level.  On a
+     star searched from its centre, every level runs bottom-up (the
+     centre's frontier carries the whole degree): leaf 5's only entry is
+     read there, and the centre's first entry is never read by any level,
+     so only the whole-array check before the first bottom-up level sees
+     it. *)
   List.iter
     (fun (case, g, slot) ->
       List.iter
@@ -190,7 +193,7 @@ let test_bad_entry_raises () =
           raises (name "double_sweep") (fun () -> Props.double_sweep g);
           raises (name "start_heuristic") (fun () -> Cobra_core.Estimate.start_heuristic g))
         [ Int32.of_int (Graph.n g); Int32.max_int ])
-    [ ("path", Gen.path 6, 0); ("star", Gen.star 10, 9 + 4) ]
+    [ ("path", Gen.path 6, 0); ("star leaf", Gen.star 10, 9 + 4); ("star centre", Gen.star 10, 0) ]
 
 let () =
   Alcotest.run "props"

@@ -106,8 +106,8 @@ let test_components_at_scale () =
       end);
   check_int "k = union-find count" !roots k
 
-(* A million one-vertex levels: a search that did O(n/63) work per
-   level, such as clearing or sweeping a bitset, would take minutes. *)
+(* A million one-vertex levels: a search that did work proportional to
+   n on every level, even n/63 words of a bitset, would take minutes. *)
 let test_path_sweep_at_scale () =
   let g = Gen.path 1_000_000 in
   check_int "start heuristic" 0 (Cobra_core.Estimate.start_heuristic g);
