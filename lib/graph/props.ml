@@ -22,12 +22,12 @@ module A1 = Bigarray.Array1
    search raises on every such entry in the slice of a vertex it
    reaches: this is what turns a corrupted CSR (say, a damaged .cgr
    mapping) into an exception here rather than a stray write in a
-   kernel that trusts the graph.  A top-down level
-   reads [level.(v)] with its bounds check for each entry.  A bottom-up
-   level skips entries (the frontier's own slices, and the rest of a
-   slice after its first frontier neighbour), so before the first one a
-   scratch range-checks the whole adjacency array in one sequential
-   pass, and records it in [checked]. *)
+   kernel that trusts the graph.  A top-down level reads [level.(v)]
+   with its bounds check for each entry.  A bottom-up level skips
+   entries (the frontier's own slices, and the rest of a slice after its
+   first frontier neighbour), so before the first one a scratch
+   range-checks the whole adjacency array in one sequential pass, and
+   records it in [checked]. *)
 type scratch = { queue : int array; level : int array; mutable checked : bool }
 
 let scratch n = { queue = Array.make n 0; level = Array.make n (-1); checked = false }

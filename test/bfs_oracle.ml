@@ -1,8 +1,8 @@
 (* The queue BFS that [Props] ran before its level-synchronous search,
    kept as the reference the search is held to.  One FIFO queue, one
    distance array, every neighbour of every reached vertex scanned
-   through [Graph.iter_neighbors]: no bitsets, no direction switch, and
-   no code shared with [Props] beyond the graph accessors.  An
+   through [Graph.iter_neighbors]: no direction switch, no whole-array
+   check, and no code shared with [Props] beyond the graph accessors.  An
    adjacency entry outside [0, n) raises through the bounds check of
    [dist.(v)]. *)
 
