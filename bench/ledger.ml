@@ -3,8 +3,9 @@
 
    A row is one measured quantity.  [layer] names the layer of
    perfbench/layers.json the code belongs to (round, spectral, graph,
-   estimator), [kernel] what ran, [family], [n] and [m] the graph it ran
-   on, and [domains] the pool width.  [min] and [median] are taken over
+   estimator, substrate), [kernel] what ran, [family], [n] and [m] the
+   graph it ran on (a substrate row has family "none", n its input size
+   and m = 0), and [domains] the pool width.  [min] and [median] are taken over
    [reps] timed repetitions, in [unit]; a quantity that is not a time
    (bytes per CSR entry) has min = median and reps = 1.  Rows are looked
    up by (layer, kernel, family, n, domains), never by a display name. *)

@@ -1,7 +1,7 @@
 (* Bench ledger writer.  `dune exec bench/main.exe` times the rows
    bench/gate.exe checks, with the rows around them, and writes them to
    BENCH_cobra.json in the format of bench/ledger.ml.  Rows fall in
-   four layers of perfbench/layers.json:
+   five layers of perfbench/layers.json:
 
    - round: dense keyed COBRA rounds (b = 2) on hypercube d=16 and an
      8-regular graph at n = 2^16, serial and on a 2-wide pool;
@@ -9,9 +9,11 @@
      all-pairs hitting times beside the dense solve they replaced
      (test/dense_oracle.ml), and the matvec both solvers run on;
    - graph: CSR assembly, generators and SNAP/.cgr ingest of a ba:8
-     graph with n = 50 000, and the CSR's bytes per directed entry;
+     graph with n = 50 000, the CSR's bytes per directed entry, and the
+     regular-8 generator at n = 512;
    - estimator: the start-vertex double sweep (Estimate.start_heuristic)
-     on that same ba:8 graph. *)
+     on that same ba:8 graph;
+   - substrate: 2^20 keyed draws (Keyed.int_below_run), no graph. *)
 
 module Gen = Cobra_graph.Gen
 module Graph = Cobra_graph.Graph
@@ -47,25 +49,19 @@ let time ~reps subjects =
 let run f () = ignore (Sys.opaque_identity (f ()))
 
 (* One row per (kernel, pool width, run) subject, all timed together on
-   graph [g]; a rep of [per] rounds is reported per round. *)
-let timed ~layer ~family ?(unit = "ms") ?(per = 1) g ~reps subjects =
+   an input of size [n], [m]; a rep of [per] rounds is reported per
+   round. *)
+let timed_size ~layer ~family ?(unit = "ms") ?(per = 1) ~n ~m ~reps subjects =
   let ms s = s *. 1e3 /. float_of_int per in
   List.map2
     (fun (kernel, domains, _) (min, median) ->
-      {
-        Ledger.layer;
-        kernel;
-        family;
-        n = Graph.n g;
-        m = Graph.m g;
-        domains;
-        unit;
-        min = ms min;
-        median = ms median;
-        reps;
-      })
+      { Ledger.layer; kernel; family; n; m; domains; unit; min = ms min; median = ms median; reps })
     subjects
     (time ~reps (List.map (fun (_, _, f) -> f) subjects))
+
+(* The same, on graph [g]. *)
+let timed ~layer ~family ?unit ?per g ~reps subjects =
+  timed_size ~layer ~family ?unit ?per ~n:(Graph.n g) ~m:(Graph.m g) ~reps subjects
 
 (* Keyed draws make both widths compute bit-identical sets, so the two
    rows of a family differ only in wall time.  Every rep replays the
@@ -179,6 +175,12 @@ let graph_rows () =
       in
       let chunglu () = Cobra_graph.Chung_lu.power_law ~n ~exponent:2.5 (Rng.create 23) in
       let gen_cl = one ~family:"chunglu" ~g:(chunglu ()) "generate_chunglu" chunglu in
+      (* The graph a serve-mixed heavy job builds: regular-8 at n = 512. *)
+      let regular8 () = Gen.by_name "regular-8" ~n:512 (Rng.create 24) in
+      let gen_regular =
+        timed ~layer:"graph" ~family:"regular8" (regular8 ()) ~reps:15
+          [ ("generate_regular8", 1, run regular8) ]
+      in
       let stream =
         one "read_stream" (fun () ->
             In_channel.with_open_text snap Cobra_graph.Graph_io.read_stream)
@@ -193,7 +195,7 @@ let graph_rows () =
         timed ~layer:"estimator" ~family:"ba:8" ba ~reps:10
           [ ("start_heuristic", 1, run (fun () -> Cobra_core.Estimate.start_heuristic ba)) ]
       in
-      builder @ tuples @ gen_ba @ gen_cl @ stream @ write @ eager @ mmap @ start
+      builder @ tuples @ gen_ba @ gen_cl @ gen_regular @ stream @ write @ eager @ mmap @ start
       @ [
           {
             Ledger.layer = "graph";
@@ -209,13 +211,25 @@ let graph_rows () =
           };
         ])
 
+(* The keyed draw loop alone: 2^20 draws below 1000 into one buffer,
+   the ledger form of perfbench's substrate.keyed_draws_per_s.  [n] is
+   the draw count; no graph is involved. *)
+let substrate_rows () =
+  let draws = 1 lsl 20 in
+  let k = Cobra_prng.Keyed.create ~master:1 and out = Array.make draws 0 in
+  timed_size ~layer:"substrate" ~family:"none" ~n:draws ~m:0 ~reps:21
+    [
+      ("keyed_int_below_run", 1, fun () -> Cobra_prng.Keyed.int_below_run k 1000 ~out ~count:draws);
+    ]
+
 let bench_json = "BENCH_cobra.json"
 
 let () =
   let round = round_rows () in
   let spectral = spectral_rows () in
   let graph = graph_rows () in
-  let rows = round @ spectral @ graph in
+  let substrate = substrate_rows () in
+  let rows = round @ spectral @ graph @ substrate in
   Printf.printf "%-8s %-24s %-9s %8s %8s %7s %11s %11s  %s\n" "layer" "kernel" "family" "n" "m"
     "domains" "min" "median" "unit";
   List.iter

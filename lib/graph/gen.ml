@@ -224,46 +224,76 @@ let circulant_regular n r =
     done;
   Graph.of_edges ~n !edges
 
+(* The switch chain's state: edge [i] is [(eu.(i), ev.(i))], and
+   [slots.(u * r .. u * r + r - 1)] holds u's neighbours in no particular
+   order.  A switch keeps every degree at exactly r, so the slot table
+   never overflows, and the membership test is a scan of r ints: no
+   hashing, and no tuple or bucket allocated per switch. *)
+let[@inline] slot_mem (slots : int array) ~r u (v : int) =
+  let lo = u * r in
+  let i = ref lo in
+  while !i < lo + r && Array.unsafe_get slots !i <> v do
+    incr i
+  done;
+  !i < lo + r
+
+let[@inline] slot_replace (slots : int array) ~r u ~(old : int) v =
+  let i = ref (u * r) in
+  while Array.unsafe_get slots !i <> old do
+    incr i
+  done;
+  Array.unsafe_set slots !i v
+
+(* [count] double-edge switches.  Each draws two edge indices and, when
+   they differ, an orientation for the second edge, so both rewirings
+   (a-c, b-d) and (a-d, b-c) are reachable; it is taken only when the
+   result stays simple. *)
+let run_switches rng ~slots ~r ~(eu : int array) ~(ev : int array) count =
+  let m = Array.length eu in
+  for _ = 1 to count do
+    let i = Cobra_prng.Rng.int_below rng m in
+    let j = Cobra_prng.Rng.int_below rng m in
+    if i <> j then begin
+      let a = eu.(i) and b = ev.(i) in
+      let keep = Cobra_prng.Rng.bool rng in
+      let c = if keep then eu.(j) else ev.(j) and d = if keep then ev.(j) else eu.(j) in
+      if a <> c && a <> d && b <> c && b <> d
+         && (not (slot_mem slots ~r a c))
+         && not (slot_mem slots ~r b d)
+      then begin
+        slot_replace slots ~r a ~old:b c;
+        slot_replace slots ~r b ~old:a d;
+        slot_replace slots ~r c ~old:d a;
+        slot_replace slots ~r d ~old:c b;
+        eu.(i) <- a;
+        ev.(i) <- c;
+        eu.(j) <- b;
+        ev.(j) <- d
+      end
+    end
+  done
+
 let random_regular ~n ~r ?(switches_per_edge = 30) ?(ensure_connected = true) rng =
   if r < 1 then invalid_arg "Gen.random_regular: r must be >= 1";
   if r >= n then invalid_arg "Gen.random_regular: need r < n";
   if n * r mod 2 = 1 then invalid_arg "Gen.random_regular: n * r must be even";
   let base = circulant_regular n r in
   let m = Graph.m base in
-  let edge_arr = Array.of_list (Graph.edges base) in
-  (* Adjacency membership table keyed by the packed ordered pair. *)
-  let tbl = Hashtbl.create (2 * m) in
-  let key u v = if u < v then (u * n) + v else (v * n) + u in
-  Array.iteri (fun i (u, v) -> Hashtbl.replace tbl (key u v) i) edge_arr;
-  let attempt_switch () =
-    let i = Cobra_prng.Rng.int_below rng m in
-    let j = Cobra_prng.Rng.int_below rng m in
-    if i <> j then begin
-      let a, b = edge_arr.(i) in
-      let c, d = edge_arr.(j) in
-      (* Randomise the orientation of the second edge so both rewirings
-         (a-c, b-d) and (a-d, b-c) are reachable. *)
-      let c, d = if Cobra_prng.Rng.bool rng then (c, d) else (d, c) in
-      if a <> c && a <> d && b <> c && b <> d
-         && (not (Hashtbl.mem tbl (key a c)))
-         && not (Hashtbl.mem tbl (key b d))
-      then begin
-        Hashtbl.remove tbl (key a b);
-        Hashtbl.remove tbl (key c d);
-        edge_arr.(i) <- (a, c);
-        edge_arr.(j) <- (b, d);
-        Hashtbl.replace tbl (key a c) i;
-        Hashtbl.replace tbl (key b d) j
-      end
-    end
+  let edges = Array.of_list (Graph.edges base) in
+  let eu = Array.map fst edges and ev = Array.map snd edges in
+  let slots = Array.make (n * r) 0 and filled = Array.make n 0 in
+  let attach u v =
+    slots.((u * r) + filled.(u)) <- v;
+    filled.(u) <- filled.(u) + 1
   in
-  let run_switches count =
-    for _ = 1 to count do
-      attempt_switch ()
-    done
-  in
+  Array.iter
+    (fun (u, v) ->
+      attach u v;
+      attach v u)
+    edges;
+  let run_switches = run_switches rng ~slots ~r ~eu ~ev in
   run_switches (switches_per_edge * m);
-  let build () = Graph.of_edge_array ~n (Array.copy edge_arr) in
+  let build () = Graph.of_edge_array ~n (Array.init m (fun i -> (eu.(i), ev.(i)))) in
   if not ensure_connected then build ()
   else begin
     let rec go tries g =

@@ -2,9 +2,9 @@ module A1 = Bigarray.Array1
 
 (* Breadth-first search, one level at a time over the int32 CSR.  The
    queue holds every vertex reached, in level order, so each level is one
-   contiguous segment of it, and [level.(v)] is v's distance, or -1 while
-   v is unvisited: the visited set, the frontier test and bfs_distances'
-   result in one array.  A level runs top-down (each frontier vertex
+   contiguous segment of it, and [level.{v}] is v's distance, or -1 while
+   v is unvisited: the visited set, the frontier test and the source of
+   bfs_distances' result in one array.  A level runs top-down (each frontier vertex
    scans its neighbours) or bottom-up (each unvisited vertex scans its
    neighbours until one is at the frontier's distance).  Either way the
    level's vertex set is the same, so every distance, reach and depth
@@ -22,15 +22,22 @@ module A1 = Bigarray.Array1
    search raises on every such entry in the slice of a vertex it
    reaches: this is what turns a corrupted CSR (say, a damaged .cgr
    mapping) into an exception here rather than a stray write in a
-   kernel that trusts the graph.  A top-down level reads [level.(v)]
+   kernel that trusts the graph.  A top-down level reads [level.{v}]
    with its bounds check for each entry.  A bottom-up level skips
    entries (the frontier's own slices, and the rest of a slice after its
    first frontier neighbour), so before the first one a scratch
    range-checks the whole adjacency array in one sequential pass, and
-   records it in [checked]. *)
-type scratch = { queue : int array; level : int array; mutable checked : bool }
+   records it in [checked].
 
-let scratch n = { queue = Array.make n 0; level = Array.make n (-1); checked = false }
+   [queue] and [level] are int32 bigarrays (a distance is below n, which
+   fits, as every CSR index does): 8 bytes a vertex instead of 16, and
+   off the OCaml heap, so a search's scratch is not garbage that the
+   major collector must reach before it frees it. *)
+type scratch = { queue : Graph.int32_array; level : Graph.int32_array; mutable checked : bool }
+
+let scratch n =
+  let buf () = A1.create Bigarray.int32 Bigarray.c_layout n in
+  { queue = buf (); level = buf (); checked = false }
 
 let bad_entry v n = invalid_arg (Printf.sprintf "Props: adjacency entry %d outside [0, %d)" v n)
 
@@ -60,11 +67,11 @@ let sweep ({ queue; level; _ } as s) g src =
     invalid_arg (Printf.sprintf "Props: source vertex %d outside [0, %d)" src n);
   let offsets = Graph.csr_offsets g and adj = Graph.csr_adjacency g in
   let[@inline] offset u = Int32.to_int (A1.unsafe_get offsets u) in
-  Array.fill level 0 n (-1);
-  level.(src) <- 0;
-  queue.(0) <- src;
+  A1.fill level (-1l);
+  A1.set level src 0l;
+  A1.set queue 0 (Int32.of_int src);
   let tail = ref 1 in
-  (* The frontier is [queue.(lo .. hi - 1)], at distance [depth]; [seen]
+  (* The frontier is [queue.{lo .. hi - 1}], at distance [depth]; [seen]
      is the degree sum of the levels before it.  A top-down level reads
      its vertices' degrees as it goes, so only a frontier that passes
      the size test has its degree sum taken up front. *)
@@ -76,7 +83,7 @@ let sweep ({ queue; level; _ } as s) g src =
     let frontier_deg = ref 0 in
     if large then
       for i = !lo to !hi - 1 do
-        let u = Array.unsafe_get queue i in
+        let u = Int32.to_int (A1.unsafe_get queue i) in
         frontier_deg := !frontier_deg + offset (u + 1) - offset u
       done;
     if large && 2 * !frontier_deg > total - !seen - !frontier_deg then begin
@@ -85,36 +92,40 @@ let sweep ({ queue; level; _ } as s) g src =
         s.checked <- true
       end;
       seen := !seen + !frontier_deg;
+      let at_depth = Int32.of_int !depth and mark = Int32.of_int d in
       for v = 0 to n - 1 do
-        if Array.unsafe_get level v < 0 then begin
+        if A1.unsafe_get level v < 0l then begin
           let i = ref (offset v) and stop = offset (v + 1) in
           while
-            !i < stop && Array.unsafe_get level (Int32.to_int (A1.unsafe_get adj !i)) <> !depth
+            !i < stop
+            && A1.unsafe_get level (Int32.to_int (A1.unsafe_get adj !i)) <> at_depth
           do
             incr i
           done;
           if !i < stop then begin
-            Array.unsafe_set level v d;
-            Array.unsafe_set queue !tail v;
+            A1.unsafe_set level v mark;
+            A1.unsafe_set queue !tail (Int32.of_int v);
             incr tail
           end
         end
       done
     end
-    else
+    else begin
+      let mark = Int32.of_int d in
       for i = !lo to !hi - 1 do
-        let u = Array.unsafe_get queue i in
+        let u = Int32.to_int (A1.unsafe_get queue i) in
         let first = offset u and stop = offset (u + 1) in
         seen := !seen + stop - first;
         for j = first to stop - 1 do
           let v = Int32.to_int (A1.unsafe_get adj j) in
-          if level.(v) < 0 then begin
-            Array.unsafe_set level v d;
-            Array.unsafe_set queue !tail v;
+          if A1.get level v < 0l then begin
+            A1.unsafe_set level v mark;
+            A1.unsafe_set queue !tail (Int32.of_int v);
             incr tail
           end
         done
-      done;
+      done
+    end;
     if !tail = !hi then continue := false
     else begin
       lo := !hi;
@@ -122,16 +133,21 @@ let sweep ({ queue; level; _ } as s) g src =
       depth := d
     end
   done;
-  let far = ref (Array.unsafe_get queue !lo) in
+  let far = ref (Int32.to_int (A1.unsafe_get queue !lo)) in
   for i = !lo + 1 to !tail - 1 do
-    far := Int.min !far (Array.unsafe_get queue i)
+    far := Int.min !far (Int32.to_int (A1.unsafe_get queue i))
   done;
   { reached = !tail; depth = !depth; far = !far }
 
 let bfs_distances g src =
-  let s = scratch (Graph.n g) in
+  let n = Graph.n g in
+  let s = scratch n in
   ignore (sweep s g src : sweep);
-  s.level
+  let dist = Array.make n 0 in
+  for v = 0 to n - 1 do
+    Array.unsafe_set dist v (Int32.to_int (A1.unsafe_get s.level v))
+  done;
+  dist
 
 let is_connected g =
   let n = Graph.n g in

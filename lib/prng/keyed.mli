@@ -14,17 +14,34 @@
       domains, in any order, produces bit-identical results, because no
       draw depends on another vertex's draws;
     - {b random access} — repositioning to a [(round, vertex)] pair is
-      two finaliser applications, so per-vertex streams cost no
-      allocation and no seeding loop.
+      two finaliser applications, so per-vertex streams need no seeding
+      loop.
 
     A [Keyed.t] is a cheap mutable cursor (position + draw counter); each
     worker domain owns one and repositions it per vertex.  Statistically
     each position opens an independent SplitMix64 stream: the draw at
     index [i] is [mix (key + gamma * i)], exactly the [i]-th output of a
-    SplitMix64 state seeded at [key]. *)
+    SplitMix64 state seeded at [key].
+
+    {b Allocation.}  The cursor keeps its counter as unboxed bytes, so
+    repositioning and every draw that returns an [int] or a [bool]
+    ({!int_below}, {!masked_below}, {!int_below_run}, {!bool},
+    {!bernoulli}, {!position}, {!position_at}) allocate nothing.  The
+    library builds with dune's dev profile, whose [-opaque] stops
+    inlining across modules, so a call that returns an [int64] or a
+    [float] ({!next64}, {!float01}, {!round_base}) boxes its result. *)
 
 type t
 (** Mutable cursor: the current position key and draw counter. *)
+
+val gamma : int64
+(** The golden-ratio increment [0x9E3779B97F4A7C15]: draw [i] at a
+    position key [k] is [mix (k + gamma * i)]. *)
+
+val mix : int64 -> int64
+(** The SplitMix64 finaliser: [mix x] is the output a SplitMix64 state
+    produces for counter value [x + gamma].  Defined here, beside the
+    draw loops that inline it; {!Splitmix64.mix} is this function. *)
 
 val model_tag : string
 (** Names the randomness model the process kernels sample under: keyed

@@ -1,26 +1,25 @@
-type t = { mutable state : int64 }
+(* The state is 8 unboxed bytes: a mutable [int64] field would box a
+   fresh int64 on every [next].  The finaliser is {!Keyed.mix}, defined
+   beside the keyed draw loops that inline it. *)
+type t = Bytes.t
 
-let gamma = 0x9E3779B97F4A7C15L
+external get64 : Bytes.t -> int -> int64 = "%caml_bytes_get64u"
+external set64 : Bytes.t -> int -> int64 -> unit = "%caml_bytes_set64u"
 
-(* The two multiply-xorshift rounds of the SplitMix64 finaliser.  All
-   arithmetic is modulo 2^64, which Int64 provides natively.  [@inline]
-   matters: inlined into the keyed kernels the whole chain stays in
-   unboxed int64 registers; as an out-of-line call every intermediate
-   boxes. *)
-let[@inline] mix z =
-  let z = Int64.add z gamma in
-  let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 30)) 0xBF58476D1CE4E5B9L in
-  let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 27)) 0x94D049BB133111EBL in
-  Int64.logxor z (Int64.shift_right_logical z 31)
+let gamma = Keyed.gamma
+let mix = Keyed.mix
 
-let create seed = { state = seed }
+let create seed =
+  let t = Bytes.create 8 in
+  set64 t 0 seed;
+  t
 
+(* The output for state [s] is the finaliser applied to [s + gamma],
+   which is [mix s]. *)
 let next t =
-  let s = Int64.add t.state gamma in
-  t.state <- s;
-  let z = Int64.mul (Int64.logxor s (Int64.shift_right_logical s 30)) 0xBF58476D1CE4E5B9L in
-  let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 27)) 0x94D049BB133111EBL in
-  Int64.logxor z (Int64.shift_right_logical z 31)
+  let s = get64 t 0 in
+  set64 t 0 (Int64.add s gamma);
+  mix s
 
 let seed_of_pair master i =
   (* Feed the trial index through two mix rounds offset by the master

@@ -21,7 +21,8 @@ val next : t -> int64
 val mix : int64 -> int64
 (** [mix x] is the stateless finaliser: the output SplitMix64 would produce
     for counter value [x + gamma].  Useful to hash trial indices into
-    seeds without allocating a state. *)
+    seeds without allocating a state.  It is {!Keyed.mix}, defined once
+    beside the keyed draw loops that inline it. *)
 
 val gamma : int64
 (** The golden-ratio increment [0x9E3779B97F4A7C15].  [mix (k + gamma * i)]

@@ -1,37 +1,47 @@
-type t = {
-  mutable s0 : int64;
-  mutable s1 : int64;
-  mutable s2 : int64;
-  mutable s3 : int64;
-}
+(* The 256-bit state is 32 unboxed bytes, words s0..s3 at offsets 0, 8,
+   16 and 24.  Four mutable [int64] record fields would box a fresh
+   int64 on each of the four writes of every draw; [next] reads and
+   writes the words in place and is inlined into the draws below, so a
+   draw that returns an [int] or a [bool] allocates nothing. *)
+type t = Bytes.t
 
-let rotl x k =
+external get64 : Bytes.t -> int -> int64 = "%caml_bytes_get64u"
+external set64 : Bytes.t -> int -> int64 -> unit = "%caml_bytes_set64u"
+
+let[@inline] rotl x k =
   Int64.logor (Int64.shift_left x k) (Int64.shift_right_logical x (64 - k))
 
 let create seed =
   let sm = Splitmix64.create seed in
-  let s0 = Splitmix64.next sm in
-  let s1 = Splitmix64.next sm in
-  let s2 = Splitmix64.next sm in
-  let s3 = Splitmix64.next sm in
+  let t = Bytes.create 32 in
   (* An all-zero state is a fixed point of the recurrence; SplitMix64
      cannot produce four consecutive zeros, so this state is valid. *)
-  { s0; s1; s2; s3 }
+  for w = 0 to 3 do
+    set64 t (8 * w) (Splitmix64.next sm)
+  done;
+  t
 
-let copy t = { s0 = t.s0; s1 = t.s1; s2 = t.s2; s3 = t.s3 }
+let copy = Bytes.copy
 
-let next64 t =
-  let result = Int64.add (rotl (Int64.add t.s0 t.s3) 23) t.s0 in
-  let tmp = Int64.shift_left t.s1 17 in
-  t.s2 <- Int64.logxor t.s2 t.s0;
-  t.s3 <- Int64.logxor t.s3 t.s1;
-  t.s1 <- Int64.logxor t.s1 t.s2;
-  t.s0 <- Int64.logxor t.s0 t.s3;
-  t.s2 <- Int64.logxor t.s2 tmp;
-  t.s3 <- rotl t.s3 45;
+let[@inline] next t =
+  let s0 = get64 t 0 and s1 = get64 t 8 and s2 = get64 t 16 and s3 = get64 t 24 in
+  let result = Int64.add (rotl (Int64.add s0 s3) 23) s0 in
+  let tmp = Int64.shift_left s1 17 in
+  let s2 = Int64.logxor s2 s0 in
+  let s3 = Int64.logxor s3 s1 in
+  let s1 = Int64.logxor s1 s2 in
+  let s0 = Int64.logxor s0 s3 in
+  set64 t 0 s0;
+  set64 t 8 s1;
+  set64 t 16 (Int64.logxor s2 tmp);
+  set64 t 24 (rotl s3 45);
   result
 
-let bits30 t = Int64.to_int (Int64.shift_right_logical (next64 t) 34)
+let next64 t = next t
+
+let[@inline] bits30 t = Int64.to_int (Int64.shift_right_logical (next t) 34)
+
+let bits62 t = Int64.to_int (next t) land max_int
 
 let int_below t n =
   if n <= 0 then invalid_arg "Xoshiro.int_below: bound must be positive";
@@ -39,32 +49,29 @@ let int_below t n =
   else begin
     (* Masked rejection: draw ceil(log2 n) bits until the value is < n.
        Expected < 2 draws; no modulo bias. *)
-    let mask =
-      let rec widen m = if m >= n - 1 then m else widen ((m lsl 1) lor 1) in
-      widen 1
-    in
+    let mask = Keyed.mask_below n in
     if mask <= 0x3FFFFFFF then begin
-      let rec draw () =
-        let v = bits30 t land mask in
-        if v < n then v else draw ()
-      in
-      draw ()
+      let v = ref (bits30 t land mask) in
+      while !v >= n do
+        v := bits30 t land mask
+      done;
+      !v
     end
     else begin
-      let rec draw () =
-        let v = Int64.to_int (Int64.shift_right_logical (next64 t) 2) land mask in
-        if v < n then v else draw ()
-      in
-      draw ()
+      let v = ref (Int64.to_int (Int64.shift_right_logical (next t) 2) land mask) in
+      while !v >= n do
+        v := Int64.to_int (Int64.shift_right_logical (next t) 2) land mask
+      done;
+      !v
     end
   end
 
-let float01 t =
+let[@inline] float01 t =
   (* Top 53 bits of the output, scaled by 2^-53. *)
-  let bits = Int64.to_int (Int64.shift_right_logical (next64 t) 11) in
+  let bits = Int64.to_int (Int64.shift_right_logical (next t) 11) in
   float_of_int bits *. 0x1.0p-53
 
-let bool t = Int64.compare (next64 t) 0L < 0
+let bool t = Int64.compare (next t) 0L < 0
 
 let bernoulli t p = if p >= 1.0 then true else if p <= 0.0 then false else float01 t < p
 
@@ -73,22 +80,17 @@ let bernoulli t p = if p >= 1.0 then true else if p <= 0.0 then false else float
 let jump_tbl = [| 0x180EC6D33CFD0ABAL; 0xD5A61266F0C9392CL; 0xA9582618E03FC9AAL; 0x39ABDC4529B1661CL |]
 
 let jump t =
-  let s0 = ref 0L and s1 = ref 0L and s2 = ref 0L and s3 = ref 0L in
+  let acc = Bytes.make 32 '\000' in
   for i = 0 to 3 do
     for b = 0 to 63 do
-      if Int64.logand jump_tbl.(i) (Int64.shift_left 1L b) <> 0L then begin
-        s0 := Int64.logxor !s0 t.s0;
-        s1 := Int64.logxor !s1 t.s1;
-        s2 := Int64.logxor !s2 t.s2;
-        s3 := Int64.logxor !s3 t.s3
-      end;
-      ignore (next64 t)
+      if Int64.logand jump_tbl.(i) (Int64.shift_left 1L b) <> 0L then
+        for w = 0 to 3 do
+          set64 acc (8 * w) (Int64.logxor (get64 acc (8 * w)) (get64 t (8 * w)))
+        done;
+      ignore (next t : int64)
     done
   done;
-  t.s0 <- !s0;
-  t.s1 <- !s1;
-  t.s2 <- !s2;
-  t.s3 <- !s3
+  Bytes.blit acc 0 t 0 32
 
 let shuffle_in_place t a =
   for i = Array.length a - 1 downto 1 do

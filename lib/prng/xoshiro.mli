@@ -1,10 +1,18 @@
 (** xoshiro256++: the workhorse generator of the simulation engine.
 
     xoshiro256++ (Blackman, Vigna 2019) has 256 bits of state, passes
-    BigCrush, and is substantially faster than the stdlib's [Random] while
-    being trivially reproducible across OCaml versions.  States are
-    created from a 64-bit seed via {!Splitmix64} expansion, as the authors
-    recommend. *)
+    BigCrush, and is trivially reproducible across OCaml versions, which
+    the stdlib's [Random] (whose algorithm changed in OCaml 5.0) is not.
+    States are created from a 64-bit seed via {!Splitmix64} expansion, as
+    the authors recommend.
+
+    The state is 32 unboxed bytes, so every draw that returns an [int] or
+    a [bool] allocates nothing.  The library builds with dune's dev
+    profile, whose [-opaque] stops inlining across modules, so {!next64}
+    and {!float01} box their result.  It is not faster than [Random]: on
+    a 2-vCPU VM [int_below g 1000] takes about 17 ns (39 ns while the
+    state was four mutable [int64] record fields, which boxed on every
+    write) against 6–11 ns for [Random.State.int]. *)
 
 type t
 (** Mutable generator state. *)
@@ -21,6 +29,10 @@ val next64 : t -> int64
 
 val bits30 : t -> int
 (** [bits30 t] returns 30 uniform bits as a non-negative [int]. *)
+
+val bits62 : t -> int
+(** [bits62 t] is the low 62 bits of {!next64} as a non-negative [int].
+    Unlike [Int64.to_int (next64 t)] it boxes no intermediate [int64]. *)
 
 val int_below : t -> int -> int
 (** [int_below t n] is uniform on [\[0, n)].  Uses masked rejection, so

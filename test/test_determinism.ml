@@ -9,6 +9,8 @@
    master, across graph families and branching variants.  All but the
    without-replacement golden were recorded, at [Keyed { master = seed }],
    from the per-process runners that the single [Rounds] loop replaced.
+   The two graph goldens pin [Gen.random_regular]'s output; they were
+   recorded from the Hashtbl switch loop that its slot table replaced.
 
    A runner handed an [Rng.t] samples at the master of one
    [Rng.keyed_master] draw of it; the "master draw" group holds every
@@ -161,6 +163,15 @@ let without_replacement_fp g ~seed ~rounds =
   done;
   Printf.sprintf "tx=%d h=%d" !tx !h
 
+(* A generated graph, down to its edge order and every vertex's
+   neighbour order. *)
+let graph_fp family ~n ~seed =
+  let g = Gen.by_name family ~n (Rng.create seed) in
+  let edges = Array.of_list (List.concat_map (fun (u, v) -> [ u; v ]) (Graph.edges g)) in
+  let adj = Array.concat (List.init (Graph.n g) (Graph.neighbors g)) in
+  Printf.sprintf "n=%d m=%d eh=%d ah=%d" (Graph.n g) (Graph.m g) (hash_ints 17 edges)
+    (hash_ints 17 adj)
+
 (* Graph instances are fixed once; generator randomness uses its own
    dedicated seeds so case fingerprints depend only on the run seed. *)
 let hypercube6 = Gen.hypercube 6
@@ -187,6 +198,8 @@ let cases =
     ("bips regular4-64 rho=0.5", fun () -> bips_fp regular4_64 ~seed:112 ~branching:(Process.Bernoulli 0.5) ~lazy_:false);
     ("sis petersen {0,3}", fun () -> sis_fp petersen ~seed:113 ~initial:[ 0; 3 ]);
     ("without-replacement regular4-64", fun () -> without_replacement_fp regular4_64 ~seed:114 ~rounds:10);
+    ("graph regular-8 n=512", fun () -> graph_fp "regular-8" ~n:512 ~seed:115);
+    ("graph regular-16 n=1024", fun () -> graph_fp "regular-16" ~n:1024 ~seed:116);
   ]
 
 (* Fingerprints at master = seed; see the header for their provenance. *)
@@ -206,6 +219,8 @@ let goldens =
     ("bips regular4-64 rho=0.5", "rounds=19 sh=737989283527909152 ch=2752524180782091130");
     ("sis petersen {0,3}", "saturated@10 sh=4169792657404554986");
     ("without-replacement regular4-64", "tx=420 h=813255551819460171");
+    ("graph regular-8 n=512", "n=512 m=2048 eh=627542504037025153 ah=3703136067600202259");
+    ("graph regular-16 n=1024", "n=1024 m=8192 eh=2156758636698729979 ah=2563984862826648369");
   ]
 
 let dump () =

@@ -158,6 +158,21 @@ let test_random_regular_randomises () =
   let g2 = Gen.random_regular ~n:30 ~r:4 (Rng.create 11) in
   check_bool "different samples" false (Graph.edges g1 = Graph.edges g2)
 
+(* The switch phase allocates nothing: 30 switches per edge allocate no
+   more than none do, at two sizes. *)
+let test_random_regular_switches_allocate_nothing () =
+  List.iter
+    (fun n ->
+      let gen switches_per_edge () =
+        ignore
+          (Sys.opaque_identity
+             (Gen.random_regular ~n ~r:8 ~switches_per_edge ~ensure_connected:false (Rng.create 3)))
+      in
+      let w = Alloc.words (gen 30) -. Alloc.words (gen 0) in
+      check_bool (Printf.sprintf "n=%d: %.0f minor words for %d switches" n w (30 * 4 * n)) true
+        (w <= 64.))
+    [ 1024; 4096 ]
+
 let test_random_regular_errors () =
   let rng = Rng.create 5 in
   Alcotest.check_raises "odd n*r" (Invalid_argument "Gen.random_regular: n * r must be even")
@@ -313,6 +328,27 @@ let regular_switch_preserves_test =
       let g = Gen.random_regular ~n ~r ~ensure_connected:false (Rng.create (n + r)) in
       Graph.is_regular g && Graph.max_degree g = r && Graph.n g = n)
 
+(* The slot-table generator against the Hashtbl one it replaced
+   ([Regular_oracle]): the same draws and accept/reject decisions, so
+   the same edge list in the same order, and the same failure when no
+   connected sample is reached (r = 1 never connects n > 2). *)
+let regular_matches_oracle_test =
+  let outcome f =
+    match f () with
+    | g -> Ok (Graph.edges g, List.init (Graph.n g) (Graph.neighbors g))
+    | exception (Failure msg | Invalid_argument msg) -> Error msg
+  in
+  QCheck2.Test.make ~name:"random_regular equals the Hashtbl oracle" ~count:200
+    QCheck2.Gen.(tup5 (int_range 2 60) (int_range 1 9) (int_bound 10_000) (int_range 0 40) bool)
+    (fun (n, r, seed, switches_per_edge, ensure_connected) ->
+      let r = min r (n - 1) in
+      let n = if n * r mod 2 = 1 then n + 1 else n in
+      outcome (fun () ->
+          Gen.random_regular ~n ~r ~switches_per_edge ~ensure_connected (Rng.create seed))
+      = outcome (fun () ->
+          Regular_oracle.random_regular ~n ~r ~switches_per_edge ~ensure_connected
+            (Rng.create seed)))
+
 let () =
   Alcotest.run "gen"
     [
@@ -341,6 +377,8 @@ let () =
           Alcotest.test_case "random regular valid" `Quick test_random_regular_validity;
           Alcotest.test_case "random regular randomises" `Quick test_random_regular_randomises;
           Alcotest.test_case "random regular errors" `Quick test_random_regular_errors;
+          Alcotest.test_case "random regular switches allocate nothing" `Quick
+            test_random_regular_switches_allocate_nothing;
           Alcotest.test_case "random tree" `Quick test_random_tree;
         ] );
       ( "gen_extra",
@@ -364,5 +402,6 @@ let () =
         [
           QCheck_alcotest.to_alcotest tree_leaf_test;
           QCheck_alcotest.to_alcotest regular_switch_preserves_test;
+          QCheck_alcotest.to_alcotest regular_matches_oracle_test;
         ] );
     ]

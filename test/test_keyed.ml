@@ -170,6 +170,90 @@ let test_masked_and_run_draw_compatible () =
       check_bool (Printf.sprintf "n=%d counters aligned" n) true (va = vb && vb = vc))
     [ 1; 2; 3; 4; 7; 8; 63; 64; 65; 1000; 0x3FFFFFFF; 0x40000000; 0x40000001 ]
 
+(* Draws at a fixed (master, round, vertex), recorded before the cursor
+   moved from a mutable int64 record field to unboxed bytes: the storage
+   must not move a single bit. *)
+let test_known_answers () =
+  let k = Keyed.create ~master:2017 in
+  Keyed.position k ~round:3 ~vertex:5;
+  Alcotest.(check (list int64))
+    "next64 at (2017, 3, 5)"
+    [ 5243051534537771399L; -8535870139208726042L; 3526605039345047620L ]
+    (draws k 3);
+  Keyed.position k ~round:3 ~vertex:5;
+  check_int "int_below 1000003" 50149 (Keyed.int_below k 1_000_003);
+  check_int "int_below 2^40" 916269195897 (Keyed.int_below k (1 lsl 40));
+  check_int "int_below 7" 6 (Keyed.int_below k 7);
+  Alcotest.(check int64) "round_base 3" 3550733982712973731L (Keyed.round_base k ~round:3)
+
+(* --- Allocation ---
+
+   Repositioning and every draw that returns an [int] or a [bool]
+   allocate nothing, so 10^5 of them allocate no more than the
+   measurement; [next64] and [float01] box only their result.  The step
+   kernels built on them allocate a constant per call (a closure, the
+   hoisted round key), whatever the graph's size. *)
+
+let test_draws_allocate_nothing () =
+  let count = 100_000 in
+  let k = Keyed.create ~master:1 in
+  let base = Keyed.round_base k ~round:1 and mask = Keyed.mask_below 1000 in
+  let out = Array.make count 0 in
+  let each name ?(per_draw = 0) draw =
+    let w = Alloc.words (fun () -> for i = 1 to count do draw i done) in
+    check_bool
+      (Printf.sprintf "%s: %.0f minor words for %d calls" name w count)
+      true
+      (w <= float_of_int (per_draw * count) +. 64.)
+  in
+  each "position" (fun v -> Keyed.position k ~round:2 ~vertex:v);
+  each "position_at" (fun v -> Keyed.position_at k ~base ~vertex:v);
+  each "int_below" (fun _ -> ignore (Sys.opaque_identity (Keyed.int_below k 1000)));
+  each "int_below 2^40" (fun _ -> ignore (Sys.opaque_identity (Keyed.int_below k (1 lsl 40))));
+  each "masked_below" (fun _ -> ignore (Sys.opaque_identity (Keyed.masked_below k ~mask 1000)));
+  each "bool" (fun _ -> ignore (Sys.opaque_identity (Keyed.bool k)));
+  each "bernoulli" (fun _ -> ignore (Sys.opaque_identity (Keyed.bernoulli k 0.3)));
+  each "next64" ~per_draw:3 (fun _ -> ignore (Sys.opaque_identity (Keyed.next64 k)));
+  each "float01" ~per_draw:2 (fun _ -> ignore (Sys.opaque_identity (Keyed.float01 k)));
+  let w = Alloc.words (fun () -> Keyed.int_below_run k 1000 ~out ~count) in
+  check_bool (Printf.sprintf "int_below_run: %.0f minor words" w) true (w <= 64.)
+
+(* One serial dense round of each kernel, measured after a warm-up
+   round, at two sizes: the bound does not grow with n. *)
+let test_dense_steps_allocate_constant () =
+  List.iter
+    (fun d ->
+      let g = Gen.hypercube d in
+      let n = Graph.n g in
+      let current = Bitset.create n and next = Bitset.create n in
+      for u = 0 to n - 1 do
+        if u land 3 <> 0 then Bitset.add current u
+      done;
+      List.iter
+        (fun (label, branching, lazy_) ->
+          let ctx = Process.make_keyed_ctx g ~master:5 in
+          List.iter
+            (fun (kernel, step) ->
+              step ~round:1;
+              let w = Alloc.words (fun () -> step ~round:2) in
+              check_bool
+                (Printf.sprintf "%s %s n=%d: %.0f minor words" kernel label n w)
+                true (w <= 64.))
+            [
+              ( "cobra",
+                fun ~round ->
+                  ignore
+                    (Process.cobra_step_keyed g ctx ~round ~branching ~lazy_ ~current ~next : int)
+              );
+              ( "bips",
+                fun ~round ->
+                  Process.bips_step_keyed g ctx ~round ~branching ~lazy_ ~source:0 ~current ~next );
+              ( "sis",
+                fun ~round -> Process.sis_step_keyed g ctx ~round ~branching ~lazy_ ~current ~next );
+            ])
+        [ ("b=2", Process.Fixed 2, false); ("rho=0.5 lazy", Process.Bernoulli 0.5, true) ])
+    [ 12; 14 ]
+
 (* --- Pool-size invariance of the sharded kernels --- *)
 
 let graphs = [ ("hypercube d=6", Gen.hypercube 6); ("torus 8x8", Gen.torus ~dims:[ 8; 8 ]) ]
@@ -463,6 +547,10 @@ let () =
           Alcotest.test_case "float01 range" `Quick test_float01_range;
           Alcotest.test_case "round_base hoist" `Quick test_round_base_hoist;
           Alcotest.test_case "batched draws" `Quick test_masked_and_run_draw_compatible;
+          Alcotest.test_case "known answers" `Quick test_known_answers;
+          Alcotest.test_case "draws allocate nothing" `Quick test_draws_allocate_nothing;
+          Alcotest.test_case "dense steps allocate a constant" `Quick
+            test_dense_steps_allocate_constant;
         ] );
       ( "pool invariance",
         [

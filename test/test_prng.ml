@@ -211,6 +211,72 @@ let test_rng_split_diverges () =
   done;
   check_bool "split stream diverges" true (!agree <= 1)
 
+(* --- Known answers ---
+
+   The first outputs at fixed seeds, recorded before the states moved
+   from mutable int64 record fields to unboxed bytes.  A change to the
+   generators' storage must leave every one of them unchanged. *)
+
+let test_splitmix_known_answers () =
+  let g = Splitmix64.create 0x0123456789ABCDEFL in
+  Alcotest.(check (list int64))
+    "first three outputs"
+    [ 1547611027431991965L; -3066016094752747373L; 3427440727199435966L ]
+    (List.init 3 (fun _ -> Splitmix64.next g));
+  Alcotest.(check int64) "mix 0" (-2152535657050944081L) (Splitmix64.mix 0L);
+  Alcotest.(check int64) "seed_of_pair 99 7" (-4712655488026822124L) (Splitmix64.seed_of_pair 99L 7)
+
+let test_xoshiro_known_answers () =
+  let g = Xoshiro.create 42L in
+  Alcotest.(check (list int64))
+    "first three outputs"
+    [ -3425465463722317665L; 5881210131331364753L; -297100157724070516L ]
+    (List.init 3 (fun _ -> Xoshiro.next64 g));
+  check_int "int_below 1000" 984 (Xoshiro.int_below g 1000);
+  check_int "int_below 2^40" 60618250908 (Xoshiro.int_below g (1 lsl 40));
+  check_int "bits30" 631465920 (Xoshiro.bits30 g);
+  Alcotest.(check (float 0.0)) "float01" 0x1.00b8c7f910d18p-3 (Xoshiro.float01 g);
+  let r = Rng.create 7 in
+  check_int "Rng keyed_master" 3497273318368968759 (Rng.keyed_master r);
+  check_int "Rng int_below" 932 (Rng.int_below r 1000)
+
+(* --- Allocation ---
+
+   A draw that returns an [int] or a [bool] allocates nothing, so 10^5
+   of them allocate no more than the measurement itself.  [float01]
+   returns a float across a module boundary, which boxes it: two words a
+   draw and nothing else. *)
+
+let draws = 100_000
+
+let test_rng_draws_allocate_nothing () =
+  let g = Rng.create 1 and choices = [| 1; 2; 3 |] in
+  List.iter
+    (fun (name, draw) ->
+      let w = Alloc.words (fun () -> for _ = 1 to draws do draw () done) in
+      check_bool (Printf.sprintf "%s: %.0f minor words for %d draws" name w draws) true (w <= 64.))
+    [
+      ("int_below", fun () -> ignore (Sys.opaque_identity (Rng.int_below g 1000)));
+      ("int_below 2^40", fun () -> ignore (Sys.opaque_identity (Rng.int_below g (1 lsl 40))));
+      ("bool", fun () -> ignore (Sys.opaque_identity (Rng.bool g)));
+      ("bernoulli", fun () -> ignore (Sys.opaque_identity (Rng.bernoulli g 0.3)));
+      ("keyed_master", fun () -> ignore (Sys.opaque_identity (Rng.keyed_master g)));
+      ("pick", fun () -> ignore (Sys.opaque_identity (Rng.pick g choices)));
+    ];
+  let w =
+    Alloc.words (fun () ->
+        for _ = 1 to draws do
+          ignore (Sys.opaque_identity (Rng.float01 g))
+        done)
+  in
+  check_bool
+    (Printf.sprintf "float01: %.0f minor words" w)
+    true
+    (w <= (2. *. float_of_int draws) +. 64.);
+  let a = Array.init 1000 Fun.id in
+  let w = Alloc.words (fun () -> for _ = 1 to 100 do Rng.shuffle_in_place g a done) in
+  check_bool (Printf.sprintf "shuffle_in_place: %.0f minor words" w) true (w <= 64.)
+
 let () =
   Alcotest.run "prng"
     [
@@ -221,6 +287,7 @@ let () =
           Alcotest.test_case "mix matches next" `Quick test_splitmix_mix_matches_next;
           Alcotest.test_case "seed_of_pair distinct" `Quick test_seed_of_pair_distinct;
           Alcotest.test_case "seed_of_pair deterministic" `Quick test_seed_of_pair_deterministic;
+          Alcotest.test_case "known answers" `Quick test_splitmix_known_answers;
         ] );
       ( "xoshiro",
         [
@@ -239,6 +306,7 @@ let () =
           Alcotest.test_case "jump diverges" `Quick test_jump_diverges;
           Alcotest.test_case "shuffle permutation" `Quick test_shuffle_is_permutation;
           Alcotest.test_case "shuffle moves" `Quick test_shuffle_moves_elements;
+          Alcotest.test_case "known answers" `Quick test_xoshiro_known_answers;
         ] );
       ( "rng",
         [
@@ -246,5 +314,6 @@ let () =
           Alcotest.test_case "trials decorrelated" `Quick test_rng_trials_decorrelated;
           Alcotest.test_case "pick" `Quick test_rng_pick;
           Alcotest.test_case "split diverges" `Quick test_rng_split_diverges;
+          Alcotest.test_case "draws allocate nothing" `Quick test_rng_draws_allocate_nothing;
         ] );
     ]

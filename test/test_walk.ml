@@ -103,6 +103,27 @@ let walk_covers_trees_test =
       | Some steps -> steps >= n - 1
       | None -> false)
 
+(* A walk's steps allocate nothing: one cover run allocates its visited
+   set and a constant, on two graphs whose covers take 10^4 and 10^5
+   steps. *)
+let test_cover_allocates_constant () =
+  List.iter
+    (fun (g, lazy_) ->
+      let n = Graph.n g in
+      let visited =
+        Alloc.words (fun () -> ignore (Sys.opaque_identity (Cobra_bitset.Bitset.create n)))
+      in
+      let rng = Rng.create 3 in
+      let steps = ref None in
+      let w = Alloc.words (fun () -> steps := Walk.cover_time g rng ~lazy_ ~start:0 ()) in
+      check_bool
+        (Printf.sprintf "n=%d lazy=%b: %.0f minor words over %s steps, visited set %.0f" n lazy_ w
+           (match !steps with Some s -> string_of_int s | None -> "censored")
+           visited)
+        true
+        (!steps <> None && w <= visited +. 64.))
+    [ (Gen.hypercube 10, false); (Gen.hypercube 12, true) ]
+
 let () =
   Alcotest.run "walk"
     [
@@ -115,6 +136,7 @@ let () =
           Alcotest.test_case "censoring" `Quick test_censoring;
           Alcotest.test_case "lazy" `Quick test_lazy_walk_covers;
           Alcotest.test_case "coupon collector" `Quick test_complete_graph_coupon_collector;
+          Alcotest.test_case "cover allocates a constant" `Quick test_cover_allocates_constant;
         ] );
       ( "multi",
         [
