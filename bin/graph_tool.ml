@@ -171,13 +171,6 @@ let strict_arg =
   let doc = "Fail on self-loop lines instead of dropping them (SNAP input only)." in
   Arg.(value & flag & info [ "strict" ] ~doc)
 
-let eager_arg =
-  let doc =
-    "Slurp the whole input into memory and parse via of_string (cobra format only) — \
-     the reference path the streaming ingester is checked against."
-  in
-  Arg.(value & flag & info [ "eager" ] ~doc)
-
 let giant_arg =
   let doc = "Keep only the largest connected component (renumbered densely)." in
   Arg.(value & flag & info [ "giant" ] ~doc)
@@ -190,21 +183,15 @@ let with_input file f =
   end
 
 let ingest_cmd =
-  let run file format remap strict eager giant output =
+  let run file format remap strict giant output =
     let timer = Cobra_obs.Timer.start () in
     let g, stats =
       with_input file (fun ic ->
           match format with
           | `Snap ->
-              if eager then begin
-                Printf.eprintf "ingest: --eager applies to --format cobra only\n";
-                exit 2
-              end;
               let g, s = Graph_io.read_stream_stats ~remap ~drop_self_loops:(not strict) ic in
               (g, Some s)
-          | `Cobra ->
-              if eager then (Graph_io.of_string (In_channel.input_all ic), None)
-              else (Graph_io.read_channel ic, None))
+          | `Cobra -> (Graph_io.read_channel ic, None))
     in
     let g = if giant then Props.largest_component g else g in
     let elapsed = Cobra_obs.Timer.elapsed_s timer in
@@ -229,7 +216,7 @@ let ingest_cmd =
     (Cmd.info "ingest"
        ~doc:"Stream an edge list (file or pipe) into a CSR graph and report stats")
     Term.(
-      const run $ ingest_pos $ input_format_arg $ remap_arg $ strict_arg $ eager_arg
+      const run $ ingest_pos $ input_format_arg $ remap_arg $ strict_arg
       $ giant_arg $ output_arg)
 
 let pack_cmd =

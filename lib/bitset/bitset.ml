@@ -71,38 +71,14 @@ let add t i =
 (* Raw bit write: no range check, and — unlike [unsafe_add] — no
    cardinality maintenance, so concurrent writers touching disjoint
    words never contend on the shared [card] field.  The caller owns the
-   repair: [refresh_cardinal] after the writes complete. *)
+   repair: [unsafe_set_cardinal] after the writes complete. *)
 let[@inline] unsafe_set_bit t i =
   let w = div_bpw i in
   Array.unsafe_set t.words w (Array.unsafe_get t.words w lor (1 lsl mod_bpw i))
 
-let remove t i =
-  check t i;
-  let w = div_bpw i and b = 1 lsl mod_bpw i in
-  let old = Array.unsafe_get t.words w in
-  if old land b <> 0 then begin
-    Array.unsafe_set t.words w (old land lnot b);
-    t.card <- t.card - 1
-  end
-
 let clear t =
   Array.fill t.words 0 (Array.length t.words) 0;
   t.card <- 0
-
-(* Bits beyond [capacity] in the last word must stay zero so that word-wise
-   operations and popcounts remain exact.  Note bit 62 of a word is the
-   int's sign bit, so the all-ones 63-bit word is the int [-1]. *)
-let last_word_mask t =
-  let rem = t.capacity mod bpw in
-  if rem = 0 then -1 else (1 lsl rem) - 1
-
-let fill t =
-  if t.capacity > 0 then begin
-    Array.fill t.words 0 (Array.length t.words) (-1);
-    let last = Array.length t.words - 1 in
-    t.words.(last) <- t.words.(last) land last_word_mask t;
-    t.card <- t.capacity
-  end
 
 let copy t = { capacity = t.capacity; words = Array.copy t.words; card = t.card }
 
@@ -136,7 +112,7 @@ let popcount x =
    chosen (by exhaustive backtracking search) so the resulting top six
    bits are distinct for all 63 positions, indexing a lookup table.
    This replaces an O(63) shift-and-compare scan per emitted bit in the
-   iteration and sampling kernels.  The [-1] entry is the one 6-bit
+   iteration kernels.  The [-1] entry is the one 6-bit
    window no shift produces — unreachable for one-hot input. *)
 let debruijn = 0x0245434CB63AE7BF
 
@@ -151,43 +127,14 @@ let equal a b =
   same_capacity a b;
   a.card = b.card && a.words = b.words
 
-let subset a b =
-  same_capacity a b;
-  let n = Array.length a.words in
-  let rec go w = w >= n || (a.words.(w) land lnot b.words.(w) = 0 && go (w + 1)) in
-  go 0
-
-(* The three in-place binary operations fold the new cardinality into
-   the rewrite pass itself — one sweep over the words, not a second
-   recount sweep. *)
+(* The union folds the new cardinality into the rewrite pass itself —
+   one sweep over the words, not a second recount sweep. *)
 let union_into ~into b =
   same_capacity into b;
   let aw = into.words and bw = b.words in
   let c = ref 0 in
   for w = 0 to Array.length aw - 1 do
     let x = aw.(w) lor bw.(w) in
-    aw.(w) <- x;
-    c := !c + popcount x
-  done;
-  into.card <- !c
-
-let inter_into ~into b =
-  same_capacity into b;
-  let aw = into.words and bw = b.words in
-  let c = ref 0 in
-  for w = 0 to Array.length aw - 1 do
-    let x = aw.(w) land bw.(w) in
-    aw.(w) <- x;
-    c := !c + popcount x
-  done;
-  into.card <- !c
-
-let diff_into ~into b =
-  same_capacity into b;
-  let aw = into.words and bw = b.words in
-  let c = ref 0 in
-  for w = 0 to Array.length aw - 1 do
-    let x = aw.(w) land lnot bw.(w) in
     aw.(w) <- x;
     c := !c + popcount x
   done;
@@ -213,34 +160,19 @@ let iter f t =
     end
   done
 
-let iter_words f t =
-  let words = t.words in
-  for w = 0 to Array.length words - 1 do
-    let word = words.(w) in
-    if word <> 0 then f (w * bpw) word
-  done
-
 (* --- word-range kernels for domain-sharded steps ---
 
    A parallel step splits the word array into contiguous shards, one per
-   domain.  [iter_words_range]/[iter_range] scan one shard; the
-   per-domain output sets are then combined with [union_words_range],
-   itself sharded over word ranges, and a final [refresh_cardinal]
-   repairs the cardinality in one serial O(words) sweep. *)
+   domain.  [iter_range] scans one shard; the per-domain output sets are
+   then combined with [drain_words_range], itself sharded over word
+   ranges, and [unsafe_set_cardinal] of the summed range popcounts
+   repairs the cardinality. *)
 
 let check_word_range t ~lo ~hi =
   if lo < 0 || hi > Array.length t.words || lo > hi then
     invalid_arg
       (Printf.sprintf "Bitset: word range [%d, %d) outside [0, %d]" lo hi
          (Array.length t.words))
-
-let iter_words_range f t ~lo ~hi =
-  check_word_range t ~lo ~hi;
-  let words = t.words in
-  for w = lo to hi - 1 do
-    let word = Array.unsafe_get words w in
-    if word <> 0 then f (w * bpw) word
-  done
 
 let iter_range f t ~lo ~hi =
   check_word_range t ~lo ~hi;
@@ -257,25 +189,10 @@ let iter_range f t ~lo ~hi =
     end
   done
 
-let union_words_range ~into srcs ~lo ~hi =
-  check_word_range into ~lo ~hi;
-  Array.iter (fun s -> same_capacity into s) srcs;
-  let dst = into.words in
-  let c = ref 0 in
-  for w = lo to hi - 1 do
-    let x = ref 0 in
-    for s = 0 to Array.length srcs - 1 do
-      x := !x lor Array.unsafe_get (Array.unsafe_get srcs s).words w
-    done;
-    Array.unsafe_set dst w !x;
-    c := !c + popcount !x
-  done;
-  !c
-
-(* Like [union_words_range], but also zeroes every source word it reads:
-   one sweep both merges the per-shard scratch sets and leaves them clean
-   for the next round, so the sharded kernels pay no separate
-   clear-scratch pass at all.  Source cardinals are NOT maintained —
+(* OR-merges the per-shard scratch sets into [into] over one word range
+   and zeroes every source word it reads: one sweep both merges them and
+   leaves them clean for the next round, so the sharded kernels pay no
+   separate clear-scratch pass at all.  Source cardinals are NOT maintained —
    scratch sets written through {!unsafe_add}/{!unsafe_set_bit} carry
    meaningless counts by construction, and the merged count is the
    returned popcount. *)
@@ -314,14 +231,6 @@ let clear_words_range t ~lo ~hi =
 
 let unsafe_set_cardinal t c = t.card <- c
 
-let refresh_cardinal t =
-  let c = ref 0 in
-  let words = t.words in
-  for w = 0 to Array.length words - 1 do
-    c := !c + popcount (Array.unsafe_get words w)
-  done;
-  t.card <- !c
-
 let fold f t init =
   let acc = ref init in
   iter (fun i -> acc := f i !acc) t;
@@ -354,37 +263,6 @@ let of_list capacity xs =
   let t = create capacity in
   List.iter (add t) xs;
   t
-
-let choose t =
-  if t.card = 0 then None
-  else begin
-    let words = t.words in
-    let w = ref 0 in
-    while words.(!w) = 0 do
-      incr w
-    done;
-    let word = words.(!w) in
-    Some ((!w * bpw) + ctz_onehot (word land -word))
-  end
-
-let random_member t rng =
-  if t.card = 0 then invalid_arg "Bitset.random_member: empty set";
-  (* Draw the rank uniformly, walk words accumulating popcounts, then
-     strip set bits until the rank-th one within the word surfaces. *)
-  let rank = Cobra_prng.Rng.int_below rng t.card in
-  let words = t.words in
-  let w = ref 0 and seen = ref 0 in
-  let c = ref (popcount words.(0)) in
-  while !seen + !c <= rank do
-    seen := !seen + !c;
-    incr w;
-    c := popcount words.(!w)
-  done;
-  let word = ref words.(!w) in
-  for _ = 1 to rank - !seen do
-    word := !word land (!word - 1)
-  done;
-  (!w * bpw) + ctz_onehot (!word land - !word)
 
 let pp ppf t =
   Format.fprintf ppf "{";

@@ -34,7 +34,7 @@ val cardinal : t -> int
 val bits_per_word : int
 (** Elements packed per machine word (63).  Word index [w] covers
     elements [w * bits_per_word .. (w+1) * bits_per_word - 1] — the unit
-    in which {!iter_words_range} and friends address the set, and the
+    in which {!iter_range} and friends address the set, and the
     alignment parallel kernels use to give each domain a disjoint slice
     of the universe. *)
 
@@ -57,20 +57,14 @@ val unsafe_add : t -> int -> unit
 
 val unsafe_set_bit : t -> int -> unit
 (** Raw bit write: like {!unsafe_add} but does {e not} maintain the
-    cardinality, leaving [cardinal] stale until {!refresh_cardinal}
-    runs.  This is the write primitive for domain-parallel kernels in
+    cardinality, leaving [cardinal] stale until {!unsafe_set_cardinal}
+    repairs it.  This is the write primitive for domain-parallel kernels in
     which several workers set bits of the same set in disjoint word
     ranges: with no shared counter to update, disjoint-word writes are
     race-free.  Element must be in range (unchecked). *)
 
-val remove : t -> int -> unit
-(** Idempotent deletion. *)
-
 val clear : t -> unit
 (** Removes every member. *)
-
-val fill : t -> unit
-(** Adds every element of the universe. *)
 
 val copy : t -> t
 
@@ -78,18 +72,12 @@ val blit : src:t -> dst:t -> unit
 (** [blit ~src ~dst] makes [dst] equal to [src].  Capacities must match. *)
 
 val equal : t -> t -> bool
-
-val subset : t -> t -> bool
-(** [subset a b] is [true] iff every member of [a] is in [b]. *)
+(** Same capacity and members.  This, {!fold}, {!to_list} and
+    {!to_array} are the readers the set tests compare against models;
+    the kernels iterate with {!iter} and {!members_into}. *)
 
 val union_into : into:t -> t -> unit
 (** [union_into ~into b] sets [into := into ∪ b]. *)
-
-val inter_into : into:t -> t -> unit
-(** [inter_into ~into b] sets [into := into ∩ b]. *)
-
-val diff_into : into:t -> t -> unit
-(** [diff_into ~into b] sets [into := into \ b]. *)
 
 val intersects : t -> t -> bool
 (** [intersects a b] is [true] iff [a ∩ b] is non-empty; short-circuits. *)
@@ -97,76 +85,43 @@ val intersects : t -> t -> bool
 val iter : (int -> unit) -> t -> unit
 (** Iterates members in increasing order. *)
 
-val iter_words : (int -> int -> unit) -> t -> unit
-(** [iter_words f t] calls [f base bits] once per non-zero machine word
-    in increasing order, where [base] is the element index of the word's
-    bit 0: element [base + i] is a member iff bit [i] of [bits] is set.
-    This is the word-level escape hatch for kernels that want to consume
-    up to 63 membership bits per loop iteration instead of one; [bits]
-    may use the int's sign bit, so treat it as a bit pattern, not a
-    number. *)
-
-val iter_words_range : (int -> int -> unit) -> t -> lo:int -> hi:int -> unit
-(** [iter_words_range f t ~lo ~hi] is {!iter_words} restricted to word
-    indices [lo <= w < hi] — the shard-local scan of a domain-parallel
-    step.  @raise Invalid_argument on a range outside [0 .. num_words]. *)
-
 val iter_range : (int -> unit) -> t -> lo:int -> hi:int -> unit
 (** [iter_range f t ~lo ~hi] iterates the members whose word index lies
     in [lo <= w < hi], in increasing order — {!iter} restricted to a
     word range.  @raise Invalid_argument on an invalid range. *)
 
-val union_words_range : into:t -> t array -> lo:int -> hi:int -> int
-(** [union_words_range ~into srcs ~lo ~hi] overwrites each word [w] of
-    [into] with [lo <= w < hi] by the bitwise OR of the corresponding
-    words of [srcs] — the reduce step that combines per-domain scratch
-    sets into the round's [next] set — and returns the popcount of the
-    merged range, so shard counts can be summed into the exact
-    cardinality instead of re-swept.  Prior contents of [into] in the
-    range are discarded (no clear needed); words outside the range are
-    untouched.  [cardinal into] is left {e stale}; accumulate the
-    returned counts into {!unsafe_set_cardinal} (or call
-    {!refresh_cardinal}) once all ranges are written.  All sets must
-    share a capacity.
-    @raise Invalid_argument on a capacity mismatch or invalid range. *)
-
 val drain_words_range : into:t -> t array -> lo:int -> hi:int -> int
-(** [drain_words_range ~into srcs ~lo ~hi] is {!union_words_range} that
-    additionally zeroes every word of every source as it merges: the
-    single sweep that both reduces the per-domain scratch sets and
-    leaves them empty for the next round, eliminating the separate
-    clear-scratch pass.  Source [cardinal]s are {e not} maintained
-    (scratch sets are written through raw bit primitives and their
-    counts are meaningless by construction); [cardinal into] is left
-    stale exactly as in {!union_words_range}.
+(** [drain_words_range ~into srcs ~lo ~hi] overwrites each word [w] of
+    [into] with [lo <= w < hi] by the bitwise OR of the corresponding
+    words of [srcs], zeroes those source words, and returns the popcount
+    of the merged range: the single sweep that both reduces the
+    per-domain scratch sets into the round's [next] set and leaves them
+    empty for the next round.  Words outside the range are untouched.
+    Source [cardinal]s are {e not} maintained (scratch sets are written
+    through raw bit primitives and their counts are meaningless by
+    construction), and [cardinal into] is left stale: accumulate the
+    returned counts into {!unsafe_set_cardinal} once all ranges are
+    written.  All sets must share a capacity.
     @raise Invalid_argument on a capacity mismatch or invalid range. *)
 
 val popcount_words_range : t -> lo:int -> hi:int -> int
 (** Number of set bits whose word index lies in [\[lo, hi)] — the
     shard-local count a domain-parallel scan accumulates instead of a
-    final full-universe {!refresh_cardinal} sweep.
+    final full-universe popcount sweep.
     @raise Invalid_argument on an invalid range. *)
 
 val clear_words_range : t -> lo:int -> hi:int -> unit
 (** Zeroes the words in [\[lo, hi)] without touching [cardinal] — the
     shard-local clear of a scan kernel that overwrites [next] in place
     (each shard clears exactly the word range it then writes).
-    [cardinal] is left stale; repair it with {!unsafe_set_cardinal} or
-    {!refresh_cardinal}.
+    [cardinal] is left stale; repair it with {!unsafe_set_cardinal}.
     @raise Invalid_argument on an invalid range. *)
 
 val unsafe_set_cardinal : t -> int -> unit
 (** [unsafe_set_cardinal t c] declares [c] to be the number of set bits
     — the O(1) repair after sharded writes whose per-range popcounts
     were accumulated by the caller.  A wrong [c] corrupts every
-    cardinality-dependent operation; use {!refresh_cardinal} when in
-    doubt. *)
-
-val refresh_cardinal : t -> unit
-(** Recomputes the cardinality from the words in one O(num_words)
-    popcount sweep — the repair step after {!unsafe_set_bit} or
-    {!union_words_range} writes when per-range counts were not
-    accumulated. *)
+    cardinality-dependent operation. *)
 
 val fold : (int -> 'a -> 'a) -> t -> 'a -> 'a
 (** Folds members in increasing order. *)
@@ -185,13 +140,6 @@ val members_into : t -> int array -> int
 
 val of_list : int -> int list -> t
 (** [of_list capacity xs] builds a set containing [xs]. *)
-
-val choose : t -> int option
-(** Smallest member, if any. *)
-
-val random_member : t -> Cobra_prng.Rng.t -> int
-(** [random_member t rng] is a uniformly random member.
-    @raise Invalid_argument on the empty set. *)
 
 val pp : Format.formatter -> t -> unit
 (** Prints as [{0, 3, 7}]. *)

@@ -14,7 +14,8 @@
     - this paper: Theorems 1.1 and 1.2. *)
 
 val log2 : float -> float
-(** Base-2 logarithm (exposed because the lower bound uses it). *)
+(** Base-2 logarithm, which {!lower_bound} uses; exported for the
+    formula tests. *)
 
 val this_paper_general : n:int -> m:int -> dmax:int -> float
 (** Theorem 1.1: [m + dmax^2 log n] — this paper's bound for arbitrary
@@ -36,7 +37,10 @@ val spaa16_regular : n:int -> r:int -> phi:float -> float
 
 val spaa16_general : n:int -> float
 (** Mitzenmacher et al. SPAA'16: [n^{11/4} log n] for arbitrary connected
-    graphs. *)
+    graphs — the bound Theorem 1.1 improves.  It, {!spaa16_grid},
+    {!rho_scaling} and {!cheeger_gap_of_phi} are paper formulas no table
+    prints; they stay beside the ones the tables use, pinned by the
+    formula tests. *)
 
 val spaa16_grid : n:int -> dim:int -> float
 (** Mitzenmacher et al. SPAA'16: [D^2 n^{1/D}] for D-dimensional grids. *)

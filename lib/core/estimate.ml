@@ -21,27 +21,25 @@ let trial_codec =
 
 let summarise obs ~trials =
   let completed = Array.of_list (List.filter (fun (v, _) -> v >= 0.0) (Array.to_list obs)) in
-  let censored = trials - Array.length completed in
-  if Array.length completed = 0 then
-    {
-      summary = Cobra_stats.Summary.of_array [| nan |];
-      median = nan;
-      q90 = nan;
-      censored;
-      mean_transmissions = nan;
-    }
-  else begin
-    let values = Array.map fst completed in
-    let txs = Array.map snd completed in
-    let mean a = Array.fold_left ( +. ) 0.0 a /. float_of_int (Array.length a) in
-    {
-      summary = Cobra_stats.Summary.of_array values;
-      median = Cobra_stats.Quantile.median values;
-      q90 = Cobra_stats.Quantile.quantile values 0.9;
-      censored;
-      mean_transmissions = mean txs;
-    }
-  end
+  let values = Array.map fst completed and txs = Array.map snd completed in
+  let mean a = Array.fold_left ( +. ) 0.0 a /. float_of_int (Array.length a) in
+  (* With no completed trial this is the empty sample's summary: count 0
+     and every statistic nan. *)
+  let median, q90 =
+    match values with
+    | [||] -> (nan, nan)
+    | _ -> (
+        match Cobra_stats.Quantile.quantiles values [ 0.5; 0.9 ] with
+        | [ median; q90 ] -> (median, q90)
+        | _ -> assert false)
+  in
+  {
+    summary = Cobra_stats.Summary.of_array values;
+    median;
+    q90;
+    censored = trials - Array.length completed;
+    mean_transmissions = mean txs;
+  }
 
 let collect ?obs ~pool ~master_seed ~trials run_one =
   if trials < 1 then invalid_arg "Estimate: trials must be >= 1";

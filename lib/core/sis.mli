@@ -32,4 +32,5 @@ val run_trajectory :
   ?max_rounds:int -> ?pool:Cobra_parallel.Pool.t -> ?dense_threshold:int ->
   initial:Cobra_bitset.Bitset.t -> unit -> outcome * int array
 (** As {!run}, also returning the infected-count trajectory (entry 0 is
-    the initial size). *)
+    the initial size).  The tests read the trajectory; programs call
+    {!run}. *)

@@ -194,25 +194,3 @@ let harmonic k =
 let matthews_upper ?pool g =
   let n = Graph.n g in
   if n <= 1 then 0.0 else max_hitting_time ?pool g *. harmonic (n - 1)
-
-let matthews_lower ?pool g =
-  let n = Graph.n g in
-  if n <= 1 then 0.0
-  else begin
-    let h = all_hitting_times ?pool g in
-    let min_hit = ref infinity in
-    for u = 0 to n - 1 do
-      for v = 0 to n - 1 do
-        if u <> v && h.(u).(v) < !min_hit then min_hit := h.(u).(v)
-      done
-    done;
-    !min_hit *. harmonic (n - 1)
-  end
-
-let commute_time ?tol g u v =
-  let hu = hitting_times ?tol g ~target:v in
-  let hv = hitting_times ?tol g ~target:u in
-  hu.(u) +. hv.(v)
-
-(* The electrical-network identity: commute time = 2 m R_eff. *)
-let effective_resistance g u v = commute_time g u v /. float_of_int (Graph.total_degree g)

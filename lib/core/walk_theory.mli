@@ -28,7 +28,8 @@ val hitting_times :
     relative-residual threshold [||L_g h - d|| / ||d||], [max_iter]
     (default [max 1000 (20 n)]) caps CG iterations.  Deterministic.
     [obs] counts solves/iterations under the [walk] scope and gauges the
-    final residual.
+    final residual.  One column of {!all_hitting_times}, exported for the
+    closed-form tests.
 
     @raise Invalid_argument on a disconnected graph or bad target. *)
 
@@ -49,25 +50,9 @@ val max_hitting_time :
     {!all_hitting_times}. *)
 
 val harmonic : int -> float
-(** [harmonic k] is [H_k = 1 + 1/2 + ... + 1/k]; [H_0 = 0]. *)
+(** [harmonic k] is [H_k = 1 + 1/2 + ... + 1/k]; [H_0 = 0].  The factor
+    of {!matthews_upper}, exported for the tests' Matthews bounds. *)
 
 val matthews_upper : ?pool:Cobra_parallel.Pool.t -> Cobra_graph.Graph.t -> float
 (** Matthews' upper bound on the walk cover time from any start:
     [H_max * H_{n-1}]. *)
-
-val matthews_lower : ?pool:Cobra_parallel.Pool.t -> Cobra_graph.Graph.t -> float
-(** A Matthews-type lower bound: [min_{u <> v} H(u, v) * H_{n-1}].
-    Coarse but non-trivial on transitive graphs. *)
-
-val commute_time : ?tol:float -> Cobra_graph.Graph.t -> int -> int -> float
-(** [commute_time g u v = H(u,v) + H(v,u)], from two CG solves; by the
-    electrical-network identity this equals [2 m R_eff(u, v)], which the
-    tests exploit on paths and cycles.
-
-    @raise Invalid_argument on a disconnected graph or a vertex out of
-    range. *)
-
-val effective_resistance : Cobra_graph.Graph.t -> int -> int -> float
-(** [effective_resistance g u v = commute_time g u v / 2m], the
-    effective resistance between [u] and [v] with unit resistors on the
-    edges.  Same solves and errors as {!commute_time}. *)

@@ -26,7 +26,10 @@ val make :
     @raise Invalid_argument on a bad source or oversized graph. *)
 
 val n_states : t -> int
-(** [2^(n-1)]. *)
+(** [2^(n-1)].  The state indexing ({!n_states}, {!mask_of_state},
+    {!state_of_mask}), {!transition_probability} and
+    {!distribution_after} are the exact references the conformance tests
+    hold one keyed BIPS round and the simulator to. *)
 
 val transition_probability : t -> int -> int -> float
 (** [transition_probability t a a'] for subset masks [a], [a'] (both

@@ -22,7 +22,8 @@ val next_dist :
 (** [next_dist g ~current ()] is the exact distribution of [C_{t+1}]
     given [C_t = current], as [(mask, probability)] pairs with positive
     probability, summing to 1.  Defaults: [branching = Fixed 2],
-    [lazy_ = false].  Requires [Graph.n g <= 20].
+    [lazy_ = false].  Requires [Graph.n g <= 20].  The exact reference
+    the conformance tests hold one keyed COBRA round to.
 
     Cost, for k the size of the reachable set of [current]: each
     member's all-picks probabilities are tabulated once per call
@@ -49,7 +50,9 @@ val hit_tail :
 val cover_tail :
   Cobra_graph.Graph.t -> ?branching:Cobra_core.Process.branching -> ?lazy_:bool ->
   ?eps:float -> ?max_rounds:int -> start:int -> unit -> float array
-(** [cover_tail g ~start ()] is the exact array [t -> P(cover > t)],
+(** The law {!expected_cover} sums, exported for the exact-solver
+    tests.  [cover_tail g ~start ()] is the exact array
+    [t -> P(cover > t)],
     computed by evolving the joint (visited, current) distribution until
     the uncovered mass drops below [eps] (default 1e-12) or [max_rounds]
     (default 10000) is reached.  Requires [Graph.n g <= 7] (the joint

@@ -35,4 +35,5 @@ val expected_absorption_time : t -> initial:int -> float
     on the same singular systems. *)
 
 val transition_probability : t -> int -> int -> float
-(** Kernel entry between two subset masks. *)
+(** Kernel entry between two subset masks; the reference the
+    conformance tests hold one keyed SIS round to. *)

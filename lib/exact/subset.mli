@@ -29,7 +29,9 @@ val cardinal : int -> int
 
 val iter_subsets_of : int -> (int -> unit) -> unit
 (** [iter_subsets_of mask f] applies [f] to every subset of [mask],
-    including [0] and [mask] itself (2^popcount iterations). *)
+    including [0] and [mask] itself (2^popcount iterations).  No solver
+    calls it (each enumerates with its own loop); it stays as the
+    library's submask enumerator, its order pinned by a test. *)
 
 val neighborhood_mask : Cobra_graph.Graph.t -> int -> int
 (** [neighborhood_mask g c] is [N(C)] as a mask: all vertices adjacent
@@ -39,4 +41,4 @@ val degree_into : Cobra_graph.Graph.t -> int -> int -> int
 (** [degree_into g u s] is [|N(u) ∩ S|]. *)
 
 val pp : Format.formatter -> int -> unit
-(** Prints as [{0, 3}]. *)
+(** Prints as [{0, 3}]: the tests' failure messages. *)

@@ -22,8 +22,6 @@ let find id =
   let id = String.lowercase_ascii id in
   List.find_opt (fun (e : Experiment.t) -> e.id = id) all
 
-let ids = List.map (fun (e : Experiment.t) -> e.id) all
-
 let select = function
   | [ "all" ] -> Ok all
   | requested -> (

@@ -2,12 +2,8 @@
 
 val all : Experiment.t list
 
-val find : string -> Experiment.t option
-(** Lookup by id ("e1" .. "e16"), case-insensitive. *)
-
-val ids : string list
-
 val select : string list -> (Experiment.t list, string) result
-(** Resolve a CLI id list: [["all"]] selects every experiment; unknown
-    ids produce a human-readable error.  Shared by the experiments CLI
+(** Resolve a CLI id list: [["all"]] selects every experiment, ids
+    ("e1" .. "e16") match case-insensitively, and unknown ids produce a
+    human-readable error.  Shared by the experiments CLI
     and the bench harness. *)

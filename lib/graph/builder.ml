@@ -36,9 +36,6 @@ let create ?n ?(edges_hint = 1024) () =
   in
   { n; fixed_n; packed = Array.make (max 16 edges_hint) 0; count = 0; finished = false }
 
-let vertex_count t = t.n
-let edge_count t = t.count
-
 let[@inline never] grow t =
   let bigger = Array.make (2 * Array.length t.packed) 0 in
   Array.blit t.packed 0 bigger 0 t.count;
@@ -73,8 +70,3 @@ let finish t =
     Int_sort.assemble_csr ~who:"Builder.finish" ~n:t.n ~count:t.count packed
   in
   Graph.unsafe_of_packed_csr ~n:t.n ~m:(Bigarray.Array1.dim adj / 2) ~offsets ~adj
-
-let of_edge_seq ?n seq =
-  let b = create ?n () in
-  Seq.iter (fun (u, v) -> add_edge b u v) seq;
-  finish b

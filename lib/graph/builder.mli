@@ -35,12 +35,6 @@ val add_edge : t -> int -> int -> unit
     endpoint, an out-of-range endpoint in fixed-[n] mode, or a builder
     that has already been finished. *)
 
-val vertex_count : t -> int
-(** Current vertex count: the fixed [n], or the auto-grown bound. *)
-
-val edge_count : t -> int
-(** Edges added so far, before deduplication. *)
-
 val finish : t -> Graph.t
 (** [finish b] counting-sorts the buffered edges into a CSR graph and
     consumes the builder.  The CSR values are identical (same offsets
@@ -50,7 +44,3 @@ val finish : t -> Graph.t
     @raise Invalid_argument if called twice, or if the vertex count or
     twice the number of added edges exceeds [2^31 - 1] (checked before
     any O(n) allocation). *)
-
-val of_edge_seq : ?n:int -> (int * int) Seq.t -> Graph.t
-(** [of_edge_seq ?n seq] folds a sequence of edges through a fresh
-    builder — the one-shot convenience wrapper. *)

@@ -56,6 +56,3 @@ val is_cgr_file : string -> bool
 (** [is_cgr_file path] sniffs the first 8 bytes for the magic — the
     dispatch test [Graph_io.read_file] uses to route binary graphs
     here while text edge lists keep streaming through the builder. *)
-
-val magic : string
-(** The 8-byte magic, ["cobra.gr"]. *)

@@ -15,7 +15,9 @@
 
 val power_law_weights :
   n:int -> exponent:float -> ?wmin:float -> ?wmax:float -> unit -> float array
-(** [power_law_weights ~n ~exponent ()] is the deterministic weight
+(** This and {!chung_lu} are the two steps of {!power_law}, exported
+    for the degree-law tests.  [power_law_weights ~n ~exponent ()] is
+    the deterministic weight
     sequence [w_i = wmin * (n / (i+1))^(1/(exponent-1))], decreasing,
     whose induced Chung–Lu degree distribution has tail exponent
     [exponent].  [wmin] defaults to [1.0]; [wmax] (no default) caps the

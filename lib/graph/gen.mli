@@ -8,7 +8,11 @@
     graphs — for which the hard instances are path-like and
     volume-skewed graphs such as lollipops and barbells.  Each generator
     below produces one of those families; randomised generators take an
-    explicit {!Cobra_prng.Rng.t}. *)
+    explicit {!Cobra_prng.Rng.t}.  Programs reach the families through
+    {!by_name}; the tests and examples call the constructors directly,
+    which is why some ({!wheel}, {!binary_tree}, {!lollipop},
+    {!barbell}, {!ladder}, {!erdos_renyi_gnp}, {!connected_gnp},
+    {!random_tree}) have no other caller outside this module. *)
 
 val complete : int -> Graph.t
 (** [complete n] is K{_n}.  @raise Invalid_argument if [n < 1]. *)

@@ -12,7 +12,9 @@
     trade-offs (caterpillar, broom). *)
 
 val cartesian_product : Graph.t -> Graph.t -> Graph.t
-(** [cartesian_product g h] has vertex set pairs [(u, v)] encoded as
+(** No family is built from it; the tests build products of regular
+    graphs with it.  [cartesian_product g h] has vertex set pairs
+    [(u, v)] encoded as
     [u * n_h + v]; [(u1,v1) ~ (u2,v2)] iff ([u1 = u2] and [v1 ~ v2]) or
     ([v1 = v2] and [u1 ~ u2]).  [P2 x P2 = C4], [Pk x Pl] = grid,
     [Q_d x K2 = Q_{d+1}].

@@ -155,9 +155,6 @@ let edges t =
   iter_edges t (fun u v -> acc := (u, v) :: !acc);
   List.rev !acc
 
-let degree_of_set t s =
-  Cobra_bitset.Bitset.fold (fun u acc -> acc + unsafe_degree t u) s 0
-
 let total_degree t = 2 * t.m
 
 (* --- Raw CSR access for the float kernels (matvec, CG, .cgr writer) --- *)

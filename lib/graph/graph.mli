@@ -68,7 +68,9 @@ val is_regular : t -> bool
 val neighbor : t -> int -> int -> int
 (** [neighbor g u i] is the [i]-th neighbour of [u] (in increasing vertex
     order), [0 <= i < degree g u].  Unsafe index checks are on: raises
-    on out-of-range [i]. *)
+    on out-of-range [i].  This, {!neighbors} and {!mem_edge} are the
+    adjacency readers the tests check structure with; the kernels scan
+    the CSR. *)
 
 val random_neighbor : t -> Cobra_prng.Rng.t -> int -> int
 (** [random_neighbor g rng u] is a uniformly random neighbour of [u].
@@ -109,10 +111,6 @@ val edges : t -> (int * int) list
 
 val iter_edges : t -> (int -> int -> unit) -> unit
 (** [iter_edges g f] applies [f u v] once per edge, with [u < v]. *)
-
-val degree_of_set : t -> Cobra_bitset.Bitset.t -> int
-(** [degree_of_set g s] is [d(S) = sum over u in S of degree u], the
-    volume used by Theorem 1.4's potential function. *)
 
 val total_degree : t -> int
 (** [total_degree g = 2 * m g]. *)

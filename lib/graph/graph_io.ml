@@ -20,38 +20,6 @@ let tokens line =
   |> List.concat_map (String.split_on_char '\t')
   |> List.filter (fun t -> t <> "")
 
-let of_string s =
-  let lines = String.split_on_char '\n' s in
-  let meaningful =
-    List.filter
-      (fun line ->
-        let line = String.trim line in
-        line <> "" && not (String.length line > 0 && line.[0] = '#'))
-      lines
-  in
-  match meaningful with
-  | [] -> failwith "Graph_io.of_string: empty input"
-  | header :: rest ->
-      let n =
-        match tokens header with
-        | [ "cobra-graph"; n_str ] -> (
-            match int_of_string_opt n_str with
-            | Some n when n >= 0 -> n
-            | _ -> failwith "Graph_io.of_string: bad vertex count in header")
-        | _ -> failwith "Graph_io.of_string: expected 'cobra-graph <n>' header"
-      in
-      let parse_edge line =
-        match tokens line with
-        | [ a; b ] -> (
-            match (int_of_string_opt a, int_of_string_opt b) with
-            | Some u, Some v -> (u, v)
-            | _ -> failwith (Printf.sprintf "Graph_io.of_string: bad edge line %S" line))
-        | _ -> failwith (Printf.sprintf "Graph_io.of_string: bad edge line %S" line)
-      in
-      let edges = List.map parse_edge rest in
-      (try Graph.of_edges ~n edges
-       with Invalid_argument msg -> failwith ("Graph_io.of_string: " ^ msg))
-
 (* --- Streaming readers ---
 
    Everything below parses line-by-line out of a fixed chunk buffer: no

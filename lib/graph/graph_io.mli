@@ -10,12 +10,11 @@
     One edge per line, whitespace separated.  Parsers accept edges in
     either orientation, ignore blank and [#] lines, and tolerate CRLF.
 
-    Two parsing paths exist for the native format: {!of_string} over an
-    in-memory string, and {!read_channel} which streams fixed-size
-    chunks through an incremental {!Builder} — same result graph, but
-    the streaming path never materialises the file and therefore works
-    on pipes and fits inputs larger than memory.  {!read_stream} is the
-    header-less SNAP-style variant for real-world edge lists. *)
+    {!read_channel} parses the native format by streaming fixed-size
+    chunks through an incremental {!Builder}: it never materialises the
+    file, so it works on pipes and fits inputs larger than memory.
+    {!read_stream} is the header-less SNAP-style variant for real-world
+    edge lists. *)
 
 val to_string : Graph.t -> string
 (** Serialise in the edge-list format, edges in canonical order. *)
@@ -27,17 +26,12 @@ val to_snap : ?comment:string -> Graph.t -> string
     vertex count: trailing isolated vertices do not survive a
     {!read_stream} round-trip. *)
 
-val of_string : string -> Graph.t
-(** Parse the edge-list format from a string.
-    @raise Failure on malformed input (bad header, non-integer tokens,
-    out-of-range endpoints, self-loops). *)
-
 val read_channel : in_channel -> Graph.t
 (** [read_channel ic] parses the native edge-list format incrementally
     from any channel — regular file, pipe, or socket — in fixed 64 KiB
-    chunks, feeding a {!Builder} sized by the header.  Produces exactly
-    the graph {!of_string} would for the same bytes.
-    @raise Failure on malformed input. *)
+    chunks, feeding a {!Builder} sized by the header.
+    @raise Failure on malformed input (bad header, non-integer tokens,
+    out-of-range endpoints, self-loops). *)
 
 type ingest_stats = {
   edge_lines : int;  (** data lines parsed (before dedup/drops) *)
@@ -76,10 +70,8 @@ val write_file : string -> Graph.t -> unit
 
 val read_file : ?mmap:bool -> string -> Graph.t
 (** [read_file path] loads the graph at [path], dispatching on content:
-    a regular file starting with the {!Cgr.magic} bytes opens through
+    a regular file starting with the [.cgr] magic bytes opens through
     the packed binary loader (mmap-backed by default; [~mmap:false]
     loads eagerly with full validation), anything else parses via
-    {!read_channel} — streaming, so [path] may name a FIFO; on regular
-    text files the result is identical to reading the bytes through
-    {!of_string}.
+    {!read_channel} — streaming, so [path] may name a FIFO.
     @raise Sys_error / Failure / Cgr.Bad_file as appropriate. *)

@@ -43,6 +43,7 @@ val components : Graph.t -> int array * int
 
 val eccentricity : Graph.t -> int -> int
 (** [eccentricity g u] is the largest BFS distance from [u]; one search.
+    The start heuristic's criterion, exported for its tests.
     @raise Invalid_argument if the graph is disconnected. *)
 
 val diameter : Graph.t -> int

@@ -36,7 +36,8 @@ val of_string : string -> (t, string) result
     everything {!to_string} emits round-trips). *)
 
 val of_string_exn : string -> t
-(** @raise Failure on a parse error. *)
+(** {!of_string} for the tests, which parse what they just wrote.
+    @raise Failure on a parse error. *)
 
 val member : t -> string -> t option
 (** Field lookup in an [Obj]; [None] on other constructors. *)

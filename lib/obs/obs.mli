@@ -29,6 +29,7 @@ val metrics : t -> Metrics.t
     call sites stay total), but disciplined sites never reach it. *)
 
 val sink : t -> Trace.sink
+(** The sink events go to; the tests read a memory sink's events. *)
 
 val close : t -> unit
 (** Close the sink (flushes a JSONL file).  Idempotent. *)

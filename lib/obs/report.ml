@@ -1,37 +1,3 @@
-let fmt_float f =
-  if Float.is_integer f && Float.abs f < 1e15 then Printf.sprintf "%.0f" f
-  else Printf.sprintf "%.4g" f
-
-let to_text snapshot =
-  let buf = Buffer.create 256 in
-  let width =
-    List.fold_left (fun acc (name, _) -> max acc (String.length name)) 0 snapshot
-  in
-  List.iter
-    (fun (name, view) ->
-      match (view : Metrics.view) with
-      | Metrics.Counter_v c -> Buffer.add_string buf (Printf.sprintf "%-*s %12d\n" width name c)
-      | Metrics.Gauge_v g ->
-          Buffer.add_string buf (Printf.sprintf "%-*s %12s\n" width name (fmt_float g))
-      | Metrics.Histogram_v h ->
-          Buffer.add_string buf
-            (Printf.sprintf "%-*s %12d observations, sum %s\n" width name h.total
-               (fmt_float h.sum));
-          let lo = ref neg_infinity in
-          List.iter
-            (fun (upper, count) ->
-              if count > 0 then
-                Buffer.add_string buf
-                  (Printf.sprintf "%-*s   (%s, %s]: %d\n" width "" (fmt_float !lo)
-                     (fmt_float upper) count);
-              lo := upper)
-            h.buckets;
-          if h.overflow > 0 then
-            Buffer.add_string buf
-              (Printf.sprintf "%-*s   (%s, inf): %d\n" width "" (fmt_float !lo) h.overflow))
-    snapshot;
-  Buffer.contents buf
-
 let to_json snapshot =
   Json.Obj
     (List.map

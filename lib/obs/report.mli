@@ -1,9 +1,4 @@
-(** Rendering of metric snapshots: aligned text for terminals, JSON for
-    machines ([metrics.json]). *)
-
-val to_text : (string * Metrics.view) list -> string
-(** One aligned line per instrument; histograms expand to one line per
-    populated bucket plus a summary line. *)
+(** Rendering of metric snapshots as JSON ([metrics.json]). *)
 
 val to_json : (string * Metrics.view) list -> Json.t
 (** Object keyed by instrument name; counters become ints, gauges

@@ -21,10 +21,12 @@ type event =
   | Experiment_completed of { id : string; seconds : float }
 
 val to_json : event -> Json.t
-(** Tagged object, e.g. [{"event":"round_ended","round":3,...}]. *)
+(** Tagged object, e.g. [{"event":"round_ended","round":3,...}]; the
+    line a [jsonl] sink writes, exported for the round-trip tests. *)
 
 val of_json : Json.t -> (event, string) result
-(** Inverse of {!to_json}; total on everything {!to_json} produces. *)
+(** Inverse of {!to_json}; total on everything {!to_json} produces.
+    {!read_jsonl} parses with it. *)
 
 (** {2 Sinks} *)
 

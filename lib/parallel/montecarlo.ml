@@ -1,5 +1,3 @@
-let check_trials trials = if trials < 1 then invalid_arg "Montecarlo: trials must be >= 1"
-
 type failure = { exn : exn; backtrace : Printexc.raw_backtrace; attempts : int }
 
 exception Interrupted of { reason : [ `Cancelled | `Deadline ]; completed : int; total : int }
@@ -9,8 +7,8 @@ exception Interrupted of { reason : [ `Cancelled | `Deadline ]; completed : int;
    layer between the CLI and the innermost sweep (experiments -> Common
    -> Estimate -> here).  They are process-wide concerns — one journal,
    one SIGINT token per run — so they live in an ambient context scoped
-   by [with_context]; explicit arguments still override it.  The context
-   is only read in the submitting thread, never in workers. *)
+   by [with_context], the only way to set them.  The context is only
+   read in the submitting thread, never in workers. *)
 type context = {
   journal : Journal.t option;
   cancel : Pool.Cancel.t option;
@@ -33,14 +31,9 @@ let latency_buckets_ms =
 
 type 'a slot = Not_run | Done of 'a | Failed of failure
 
-let run_results ?(obs = Cobra_obs.Obs.null) ?codec ?journal ?cancel ?deadline_s ?retries ~pool
-    ~master_seed ~trials f =
-  check_trials trials;
-  let ctx = !ambient in
-  let journal = match journal with Some _ as j -> j | None -> ctx.journal in
-  let cancel = match cancel with Some _ as c -> c | None -> ctx.cancel in
-  let deadline_s = match deadline_s with Some _ as d -> d | None -> ctx.deadline_s in
-  let retries = match retries with Some r -> r | None -> ctx.retries in
+let run_results ?(obs = Cobra_obs.Obs.null) ?codec ~pool ~master_seed ~trials f =
+  if trials < 1 then invalid_arg "Montecarlo: trials must be >= 1";
+  let { journal; cancel; deadline_s; retries } = !ambient in
   if retries < 0 then invalid_arg "Montecarlo: retries must be >= 0";
   let sweep =
     match (journal, codec) with
@@ -155,10 +148,8 @@ let run_results ?(obs = Cobra_obs.Obs.null) ?codec ?journal ?cancel ?deadline_s 
           | Not_run -> assert false (* missing = 0 here *))
         slots
 
-let run ?obs ?codec ?journal ?cancel ?deadline_s ?retries ~pool ~master_seed ~trials f =
-  let results =
-    run_results ?obs ?codec ?journal ?cancel ?deadline_s ?retries ~pool ~master_seed ~trials f
-  in
+let run ?obs ?codec ~pool ~master_seed ~trials f =
+  let results = run_results ?obs ?codec ~pool ~master_seed ~trials f in
   (* Failure isolation means the rest of the ensemble completed and was
      checkpointed before we re-raise; the first failing trial's original
      exception and backtrace surface unchanged. *)
@@ -168,10 +159,3 @@ let run ?obs ?codec ?journal ?cancel ?deadline_s ?retries ~pool ~master_seed ~tr
       | Ok _ -> ())
     results;
   Array.map (function Ok v -> v | Error _ -> assert false) results
-
-let run_serial ~master_seed ~trials f =
-  check_trials trials;
-  Array.init trials (fun trial ->
-      f ~trial (Cobra_prng.Rng.for_trial ~master:master_seed ~trial))
-
-let summarize xs = Cobra_stats.Summary.of_array xs

@@ -33,24 +33,23 @@ val with_context :
   (unit -> 'a) -> 'a
 (** [with_context ~journal ~cancel ~deadline_s ~retries f] runs [f] with
     ambient fault-tolerance settings: every {!run} / {!run_results}
-    underneath it — however many layers down — uses them unless it
-    passes its own.  This is how the experiment harness injects one
-    journal, one SIGINT token and one deadline into sweeps nested deep
-    inside the experiments without threading arguments through every
-    layer.  The previous context is restored on exit; contexts are
-    per-process and must only be managed from the submitting thread. *)
+    underneath it — however many layers down — uses them.  This is how
+    the experiment harness and the server inject one journal, one cancel
+    token and one deadline into sweeps nested deep inside the
+    experiments without threading arguments through every layer, and it
+    is the only way to set them.  The previous context is restored on
+    exit; contexts are per-process and must only be managed from the
+    submitting thread. *)
 
 val run :
-  ?obs:Cobra_obs.Obs.t -> ?codec:'a Journal.codec -> ?journal:Journal.t ->
-  ?cancel:Pool.Cancel.t -> ?deadline_s:float -> ?retries:int ->
+  ?obs:Cobra_obs.Obs.t -> ?codec:'a Journal.codec ->
   pool:Pool.t -> master_seed:int -> trials:int ->
   (trial:int -> Cobra_prng.Rng.t -> 'a) -> 'a array
 (** [run ~pool ~master_seed ~trials f] evaluates
     [f ~trial rng_for_trial] for each [trial] in [0 .. trials-1] across
     the pool and returns the results in trial order.
 
-    Fault tolerance (each setting falls back to the ambient
-    {!with_context}):
+    Fault tolerance (settings from the ambient {!with_context}):
     - With a [journal] {e and} a [codec], trials found in the journal
       are replayed without executing [f], and every trial that executes
       is appended to the journal (and flushed) when the sweep ends —
@@ -73,20 +72,12 @@ val run :
     @raise Invalid_argument if [trials < 1] or [retries < 0]. *)
 
 val run_results :
-  ?obs:Cobra_obs.Obs.t -> ?codec:'a Journal.codec -> ?journal:Journal.t ->
-  ?cancel:Pool.Cancel.t -> ?deadline_s:float -> ?retries:int ->
+  ?obs:Cobra_obs.Obs.t -> ?codec:'a Journal.codec ->
   pool:Pool.t -> master_seed:int -> trials:int ->
   (trial:int -> Cobra_prng.Rng.t -> 'a) -> ('a, failure) result array
 (** Like {!run} but with per-trial failure isolation surfaced to the
     caller: failing trials come back as [Error] instead of raising, so
     one crashed trial cannot destroy the rest of the ensemble.  Raises
     {!Interrupted} only when cancellation or a deadline left trials
-    unexecuted. *)
-
-val run_serial :
-  master_seed:int -> trials:int -> (trial:int -> Cobra_prng.Rng.t -> 'a) -> 'a array
-(** Serial reference with the identical seeding discipline; used to test
-    schedule independence. *)
-
-val summarize : float array -> Cobra_stats.Summary.stats
-(** Convenience: summary statistics of a float trial ensemble. *)
+    unexecuted.  Exported for the fault-tolerance tests, which check
+    each trial's failure record; programs call {!run}. *)

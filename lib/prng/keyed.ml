@@ -9,9 +9,10 @@
    [int64] record field would box a fresh int64 on every write; a read
    or write through [%caml_bytes_get64u]/[%caml_bytes_set64u] is one
    unboxed load or store, so a draw allocates nothing.  The finaliser
-   lives here rather than in [Splitmix64] for the same reason: dune's dev
-   profile compiles with [-opaque], which stops inlining across modules,
-   and an out-of-line call boxes its int64 argument and result. *)
+   lives here, beside the loops that inline it, for the same reason:
+   dune's dev profile compiles with [-opaque], which stops inlining
+   across modules, and an out-of-line call boxes its int64 argument and
+   result. *)
 
 type t = Bytes.t
 
@@ -81,7 +82,7 @@ let[@inline] mask_below n =
   done;
   !m
 
-(* Same masked-rejection scheme as [Xoshiro.int_below]: no modulo bias,
+(* Same masked-rejection scheme as [Rng.int_below]: no modulo bias,
    expected < 2 draws.  Rejections advance the counter, which is fine —
    the draw sequence is still a pure function of the position. *)
 let[@inline] masked_below t ~mask n =

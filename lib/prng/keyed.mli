@@ -7,7 +7,7 @@
     consumed, so iteration order and any sharding of the round would
     change the results.  [Keyed.t] removes that coupling: every draw is a
     pure function of the tuple [(master seed, round, vertex, draw index)],
-    evaluated with the stateless {!Splitmix64.mix} finaliser.
+    evaluated with the stateless SplitMix64 finaliser {!mix}.
     Two consequences the parallel kernels rely on:
 
     - {b schedule independence} — a round sharded over any number of
@@ -41,7 +41,7 @@ val gamma : int64
 val mix : int64 -> int64
 (** The SplitMix64 finaliser: [mix x] is the output a SplitMix64 state
     produces for counter value [x + gamma].  Defined here, beside the
-    draw loops that inline it; {!Splitmix64.mix} is this function. *)
+    draw loops that inline it; {!Rng} seeds its states with it. *)
 
 val model_tag : string
 (** Names the randomness model the process kernels sample under: keyed
@@ -56,7 +56,10 @@ val create : master:int -> t
     at [~round:0 ~vertex:0]. *)
 
 val copy : t -> t
-(** Independent cursor at the same position and draw counter. *)
+(** Independent cursor at the same position and draw counter.  This,
+    {!position}, {!next64} and {!float01} are what the stream tests
+    replay draws through; the kernels use {!position_at} and the
+    integer draws. *)
 
 val position : t -> round:int -> vertex:int -> unit
 (** [position t ~round ~vertex] repositions the cursor and resets its
@@ -108,7 +111,7 @@ val next64 : t -> int64
 val int_below : t -> int -> int
 (** [int_below t n] is uniform on [\[0, n)]; masked rejection, no modulo
     bias — the same scheme (and hence acceptance law) as
-    {!Xoshiro.int_below}.
+    {!Rng.int_below}.
     @raise Invalid_argument if [n <= 0]. *)
 
 val float01 : t -> float
@@ -120,7 +123,7 @@ val bool : t -> bool
 val bernoulli : t -> float -> bool
 (** [bernoulli t p] is [true] with probability [p].
 
-    Stream contract (same as {!Xoshiro.bernoulli}): when [p >= 1.0] or
+    Stream contract (same as {!Rng.bernoulli}): when [p >= 1.0] or
     [p <= 0.0] the outcome is certain and {e no draw is consumed} — the
     counter does not advance.  Keyed kernels rely on this so that
     [Bernoulli 1.0] branching replays draw-for-draw as [Fixed 2]. *)

@@ -15,7 +15,8 @@ val find : 'a t -> string -> 'a option
 (** Bumps the entry to most-recently-used; counts a hit or a miss. *)
 
 val mem : 'a t -> string -> bool
-(** No recency or counter effect. *)
+(** No recency or counter effect: what the tests read entries with
+    without moving the hit counters. *)
 
 val add : 'a t -> string -> 'a -> unit
 (** Insert or overwrite; either way the key becomes most-recently-used.

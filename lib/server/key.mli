@@ -22,9 +22,9 @@
     wrong), trial count and master seed. *)
 
 val canonical : Proto.job -> string
-(** A stable one-line textual form of the normalised job; the digest
-    preimage, also used as the journal experiment id's human-readable
-    companion. *)
+(** A stable one-line textual form of the normalised job: the digest
+    preimage, exported so the tests can check what canonicalisation
+    merges. *)
 
 val digest : Proto.job -> string
 (** [Digest.to_hex] (MD5) of {!canonical} — 32 lowercase hex chars. *)

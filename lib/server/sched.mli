@@ -32,3 +32,5 @@ val drop_client : 'a t -> int -> 'a list
 
 val queued : 'a t -> int
 val queued_for : 'a t -> client:int -> int
+(** Jobs queued for [client]: the per-client bound's count, exported
+    for the backpressure tests. *)

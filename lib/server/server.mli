@@ -48,7 +48,8 @@ type config = {
 
 val default_config : config
 (** Loopback, port 0, cores-1 pool, 1024-entry cache, 64/1024 queue
-    bounds, no journal, no obs, 16 MiB frames, no default deadline. *)
+    bounds, no journal, no obs, 16 MiB frames, no default deadline: the
+    base the in-process server tests override. *)
 
 type t
 

@@ -16,7 +16,8 @@
     certificate, good enough to compare bound formulas). *)
 
 val of_set : Cobra_graph.Graph.t -> Cobra_bitset.Bitset.t -> float
-(** [of_set g s] is [phi(S)].
+(** [of_set g s] is [phi(S)]: the quantity the sweep and exact
+    minimisations optimise, exported for their tests.
     @raise Invalid_argument if [S] is empty or the whole vertex set. *)
 
 val exact : Cobra_graph.Graph.t -> float

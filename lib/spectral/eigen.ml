@@ -62,9 +62,6 @@ let second_eigenvalue ?obs ?tol ?max_iter ?seed ?pool g =
   | Ok lambda -> lambda
   | Error { best; _ } -> best
 
-let eigenvalue_gap ?obs ?tol ?max_iter ?seed ?pool g =
-  1.0 -. second_eigenvalue ?obs ?tol ?max_iter ?seed ?pool g
-
 let second_eigenvector ?(obs = Obs.null) ?(tol = 1e-10) ?(max_iter = 200_000) ?(seed = 1) ?pool g
     =
   if Graph.n g = 0 then invalid_arg "Eigen.second_eigenvector: empty graph";

@@ -50,11 +50,6 @@ val second_eigenvalue :
     [obs] ([spectral/not_converged]); callers that must distinguish use
     {!second_eigenvalue_r}. *)
 
-val eigenvalue_gap :
-  ?obs:Cobra_obs.Obs.t -> ?tol:float -> ?max_iter:int -> ?seed:int ->
-  ?pool:Cobra_parallel.Pool.t -> Cobra_graph.Graph.t -> float
-(** [eigenvalue_gap g = 1 - second_eigenvalue g]. *)
-
 val second_eigenvector :
   ?obs:Cobra_obs.Obs.t -> ?tol:float -> ?max_iter:int -> ?seed:int ->
   ?pool:Cobra_parallel.Pool.t -> Cobra_graph.Graph.t -> float * float array

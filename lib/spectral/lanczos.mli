@@ -67,7 +67,9 @@ val extremes :
     @raise Invalid_argument on [n < 1]. *)
 
 val sym_eig_qr : float array array -> float array * float array array
-(** [sym_eig_qr a] is the full eigendecomposition of the dense
+(** The projected solve of the Rayleigh–Ritz checkpoints, exported so
+    the tests can hold it to the Jacobi oracle.  [sym_eig_qr a] is the
+    full eigendecomposition of the dense
     symmetric matrix [a] (destroyed): eigenvalues in ascending order and
     [z] with [z.(i).(j)] the [i]-th component of the [j]-th eigenvector.
     Computed by Householder tridiagonalisation followed by

@@ -23,7 +23,8 @@ type op
     same op from two domains concurrently (the scratch is shared). *)
 
 val transition_op : Cobra_graph.Graph.t -> op
-(** The operator [x -> P x].  Isolated vertices map to 0. *)
+(** The operator [x -> P x].  Isolated vertices map to 0.  The
+    transpose of {!distribution_op}, exported for the operator tests. *)
 
 val normalized_op : Cobra_graph.Graph.t -> op
 (** The operator [x -> N x]. *)

@@ -6,7 +6,10 @@
 type t
 
 val create : lo:float -> hi:float -> bins:int -> t
-(** [create ~lo ~hi ~bins] covers [[lo, hi)] with [bins] equal bins.
+(** The CLIs build histograms with {!of_array} and print them with
+    {!render}; [create], {!add} and the readers below are exported for
+    the binning tests.
+    [create ~lo ~hi ~bins] covers [[lo, hi)] with [bins] equal bins.
     Observations outside the range are tallied separately as
     {!underflow} / {!overflow} — they never distort the edge bins.
     @raise Invalid_argument if [bins < 1] or [hi <= lo]. *)

@@ -19,15 +19,8 @@ let quantile xs q =
   Array.sort Float.compare sorted;
   of_sorted sorted q
 
-let median xs = quantile xs 0.5
-
 let quantiles xs qs =
   List.iter (fun q -> check xs q) qs;
   let sorted = Array.copy xs in
   Array.sort Float.compare sorted;
   List.map (of_sorted sorted) qs
-
-let iqr xs =
-  match quantiles xs [ 0.25; 0.75 ] with
-  | [ q25; q75 ] -> q75 -. q25
-  | _ -> assert false

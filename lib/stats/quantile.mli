@@ -9,11 +9,5 @@ val quantile : float array -> float -> float
     (a sorted copy is made).
     @raise Invalid_argument on an empty array or [q] outside [[0, 1]]. *)
 
-val median : float array -> float
-(** [median xs = quantile xs 0.5]. *)
-
 val quantiles : float array -> float list -> float list
 (** [quantiles xs qs] computes several quantiles with a single sort. *)
-
-val iqr : float array -> float
-(** Interquartile range [q75 - q25]. *)

@@ -38,5 +38,3 @@ let fit_exponent_vs_log ns ys =
         invalid_arg "Regress.fit_exponent_vs_log: need n > e so log log n > 0")
     ns;
   fit (Array.map (fun n -> log (log n)) ns) (Array.map log ys)
-
-let eval f x = (f.slope *. x) +. f.intercept

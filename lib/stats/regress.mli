@@ -17,7 +17,8 @@ type fit = {
 
 val fit : float array -> float array -> fit
 (** [fit xs ys] is the ordinary least-squares line [y = slope * x +
-    intercept].
+    intercept]: what the fits below run on transformed coordinates,
+    exported for the exact-line tests.
     @raise Invalid_argument on length mismatch or fewer than 2 points or
     zero variance in [xs]. *)
 
@@ -31,6 +32,3 @@ val fit_exponent_vs_log : float array -> float array -> fit
     intercept]: [slope] estimates [k] for poly-logarithmic growth
     [Theta(log^k n)] (used for the hypercube experiment).
     @raise Invalid_argument if any [n <= e] or [y <= 0]. *)
-
-val eval : fit -> float -> float
-(** [eval f x = f.slope * x + f.intercept]. *)

@@ -31,24 +31,11 @@ let add (t : t) x =
     if x > t.max then t.max <- x
   end
 
-let merge (a : t) (b : t) : t =
-  if a.count = 0 then { count = b.count; mean = b.mean; m2 = b.m2; min = b.min; max = b.max }
-  else if b.count = 0 then { count = a.count; mean = a.mean; m2 = a.m2; min = a.min; max = a.max }
-  else begin
-    let na = float_of_int a.count and nb = float_of_int b.count in
-    let n = na +. nb in
-    let delta = b.mean -. a.mean in
-    {
-      count = a.count + b.count;
-      mean = a.mean +. (delta *. nb /. n);
-      m2 = a.m2 +. b.m2 +. (delta *. delta *. na *. nb /. n);
-      min = Float.min a.min b.min;
-      max = Float.max a.max b.max;
-    }
-  end
-
 let stats (t : t) : stats =
-  let variance = if t.count < 2 then 0.0 else t.m2 /. float_of_int (t.count - 1) in
+  (* No observations carry no estimate at all; one carries no spread. *)
+  let variance =
+    if t.count = 0 then nan else if t.count < 2 then 0.0 else t.m2 /. float_of_int (t.count - 1)
+  in
   {
     count = t.count;
     mean = (if t.count = 0 then nan else t.mean);

@@ -50,32 +50,6 @@ let render t =
     rows;
   Buffer.contents buf
 
-let csv_escape cell =
-  let needs_quoting =
-    String.exists (fun c -> c = ',' || c = '"' || c = '\n' || c = '\r') cell
-  in
-  if not needs_quoting then cell
-  else begin
-    let buf = Buffer.create (String.length cell + 2) in
-    Buffer.add_char buf '"';
-    String.iter
-      (fun c ->
-        if c = '"' then Buffer.add_string buf "\"\"" else Buffer.add_char buf c)
-      cell;
-    Buffer.add_char buf '"';
-    Buffer.contents buf
-  end
-
-let render_csv t =
-  let buf = Buffer.create 512 in
-  let emit cells =
-    Buffer.add_string buf (String.concat "," (List.map csv_escape cells));
-    Buffer.add_char buf '\n'
-  in
-  emit (List.map fst t.headers);
-  List.iter (function Cells cells -> emit cells | Rule -> ()) (List.rev t.rows);
-  Buffer.contents buf
-
 let cell_f x =
   if Float.is_nan x then "-"
   else if Float.is_integer x && Float.abs x < 1e15 then Printf.sprintf "%.0f" x

@@ -19,10 +19,6 @@ val add_rule : t -> unit
 val render : t -> string
 (** Renders with column padding, a header rule, and [|] separators. *)
 
-val render_csv : t -> string
-(** RFC-4180-style CSV: header row then data rows; rules are skipped;
-    cells containing commas, quotes or newlines are quoted. *)
-
 val cell_f : float -> string
 (** Compact float formatting used across experiment tables: integers
     print without a fraction, small magnitudes keep two decimals. *)

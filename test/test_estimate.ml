@@ -52,6 +52,26 @@ let test_cover_time_censored () =
       check_int "all censored" 8 r.censored;
       check_bool "summary is nan" true (Float.is_nan r.summary.mean))
 
+(* With every trial censored the summary is the empty sample's: no
+   completed trial, and no statistic, not one nan trial of spread 0. *)
+let test_all_censored_summary () =
+  with_pool (fun pool ->
+      let g = Gen.path 10 in
+      List.iter
+        (fun (name, (r : Estimate.result)) ->
+          check_int (name ^ ": censored") 2 r.censored;
+          check_int (name ^ ": completed") 0 r.summary.count;
+          List.iter
+            (fun (stat, x) -> check_bool (Printf.sprintf "%s: %s nan" name stat) true (Float.is_nan x))
+            [
+              ("mean", r.summary.mean); ("stddev", r.summary.stddev); ("min", r.summary.min);
+              ("median", r.median); ("q90", r.q90); ("transmissions", r.mean_transmissions);
+            ])
+        [
+          ("cover", Estimate.cover_time ~pool ~master_seed:2 ~trials:2 ~max_rounds:1 g);
+          ("infection", Estimate.infection_time ~pool ~master_seed:2 ~trials:2 ~max_rounds:1 g);
+        ])
+
 let test_infection_time_basic () =
   with_pool (fun pool ->
       let g = Gen.complete 16 in
@@ -109,6 +129,7 @@ let () =
           Alcotest.test_case "cover basic" `Quick test_cover_time_basic;
           Alcotest.test_case "deterministic" `Quick test_cover_time_deterministic_given_seed;
           Alcotest.test_case "censoring" `Quick test_cover_time_censored;
+          Alcotest.test_case "all censored" `Quick test_all_censored_summary;
           Alcotest.test_case "infection basic" `Quick test_infection_time_basic;
           Alcotest.test_case "walks" `Quick test_walk_estimates;
           Alcotest.test_case "branching variants" `Quick test_branching_variants;

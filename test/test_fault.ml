@@ -35,7 +35,7 @@ let test_failure_isolation () =
       in
       let results = Montecarlo.run_results ~pool ~master_seed:5 ~trials:20 work in
       let reference =
-        Montecarlo.run_serial ~master_seed:5 ~trials:20 (fun ~trial rng ->
+        Serial_oracle.run ~master_seed:5 ~trials:20 (fun ~trial rng ->
             ignore trial;
             Rng.float01 rng)
       in
@@ -77,9 +77,12 @@ let test_retry_recovers_flaky_trial () =
         if trial = 4 && attempts.(trial) = 1 then failwith "flaky";
         Rng.float01 rng
       in
-      let results = Montecarlo.run_results ~retries:1 ~pool ~master_seed:9 ~trials:10 work in
+      let results =
+        Montecarlo.with_context ~retries:1 (fun () ->
+            Montecarlo.run_results ~pool ~master_seed:9 ~trials:10 work)
+      in
       let reference =
-        Montecarlo.run_serial ~master_seed:9 ~trials:10 (fun ~trial rng ->
+        Serial_oracle.run ~master_seed:9 ~trials:10 (fun ~trial rng ->
             ignore trial;
             Rng.float01 rng)
       in
@@ -97,10 +100,11 @@ let test_retry_recovers_flaky_trial () =
 let test_retry_exhaustion_counts_attempts () =
   Pool.with_pool ~num_domains:0 (fun pool ->
       let results =
-        Montecarlo.run_results ~retries:2 ~pool ~master_seed:1 ~trials:3 (fun ~trial rng ->
-            ignore (Rng.float01 rng);
-            if trial = 1 then failwith "always fails";
-            trial)
+        Montecarlo.with_context ~retries:2 (fun () ->
+            Montecarlo.run_results ~pool ~master_seed:1 ~trials:3 (fun ~trial rng ->
+                ignore (Rng.float01 rng);
+                if trial = 1 then failwith "always fails";
+                trial))
       in
       match results.(1) with
       | Error (f : Montecarlo.failure) -> check_int "1 + 2 retries" 3 f.attempts
@@ -121,7 +125,9 @@ let test_journal_replay_skips_execution () =
             Journal.set_experiment j "unit";
             Fun.protect
               ~finally:(fun () -> Journal.close j)
-              (fun () -> Montecarlo.run ~codec ~journal:j ~pool ~master_seed:42 ~trials:50 work)
+              (fun () ->
+                Montecarlo.with_context ~journal:j (fun () ->
+                    Montecarlo.run ~codec ~pool ~master_seed:42 ~trials:50 work))
         )
       in
       (* Resume: every trial is checkpointed, so a body that would crash
@@ -135,8 +141,9 @@ let test_journal_replay_skips_execution () =
               ~finally:(fun () -> Journal.close j)
               (fun () ->
                 let r =
-                  Montecarlo.run ~codec ~journal:j ~pool ~master_seed:42 ~trials:50
-                    (fun ~trial _ -> Alcotest.failf "trial %d executed despite checkpoint" trial)
+                  Montecarlo.with_context ~journal:j (fun () ->
+                      Montecarlo.run ~codec ~pool ~master_seed:42 ~trials:50 (fun ~trial _ ->
+                          Alcotest.failf "trial %d executed despite checkpoint" trial))
                 in
                 check_int "all trials replayed" 50 (Journal.replayed j);
                 check_int "nothing appended" 0 (Journal.appended j);
@@ -160,10 +167,10 @@ let test_journal_partial_resume_bit_identical () =
           let cancel = Pool.Cancel.create () in
           (try
              ignore
-               (Montecarlo.run ~codec ~journal:j ~cancel ~pool ~master_seed:7 ~trials:40
-                  (fun ~trial rng ->
-                    if trial = 3 then Pool.Cancel.cancel cancel;
-                    work ~trial rng));
+               (Montecarlo.with_context ~journal:j ~cancel (fun () ->
+                    Montecarlo.run ~codec ~pool ~master_seed:7 ~trials:40 (fun ~trial rng ->
+                        if trial = 3 then Pool.Cancel.cancel cancel;
+                        work ~trial rng)));
              Alcotest.fail "expected Interrupted"
            with Montecarlo.Interrupted { reason = `Cancelled; completed; total } ->
              check_int "total" 40 total;
@@ -179,7 +186,9 @@ let test_journal_partial_resume_bit_identical () =
             Journal.set_experiment j "unit";
             Fun.protect
               ~finally:(fun () -> Journal.close j)
-              (fun () -> Montecarlo.run ~codec ~journal:j ~pool ~master_seed:7 ~trials:40 work))
+              (fun () ->
+                Montecarlo.with_context ~journal:j (fun () ->
+                    Montecarlo.run ~codec ~pool ~master_seed:7 ~trials:40 work)))
       in
       Alcotest.(check bool) "kill + resume = uninterrupted" true (compare baseline resumed = 0))
 
@@ -196,7 +205,9 @@ let test_journal_tolerates_truncated_tail () =
             Journal.set_experiment j "unit";
             Fun.protect
               ~finally:(fun () -> Journal.close j)
-              (fun () -> Montecarlo.run ~codec ~journal:j ~pool ~master_seed:3 ~trials:30 work))
+              (fun () ->
+                Montecarlo.with_context ~journal:j (fun () ->
+                    Montecarlo.run ~codec ~pool ~master_seed:3 ~trials:30 work)))
       in
       (* Simulate a hard kill mid-write: keep 10 full lines plus half of
          the 11th. *)
@@ -217,7 +228,9 @@ let test_journal_tolerates_truncated_tail () =
             Journal.set_experiment j "unit";
             Fun.protect
               ~finally:(fun () -> Journal.close j)
-              (fun () -> Montecarlo.run ~codec ~journal:j ~pool ~master_seed:3 ~trials:30 work))
+              (fun () ->
+                Montecarlo.with_context ~journal:j (fun () ->
+                    Montecarlo.run ~codec ~pool ~master_seed:3 ~trials:30 work)))
       in
       Alcotest.(check (array (float 0.0))) "resume after torn write" baseline resumed)
 
@@ -229,11 +242,11 @@ let test_journal_failures_not_replayed () =
           let j = Journal.create path in
           Journal.set_experiment j "unit";
           let results =
-            Montecarlo.run_results ~codec ~journal:j ~pool ~master_seed:11 ~trials:5
-              (fun ~trial rng ->
-                ignore (Rng.float01 rng);
-                if trial = 2 then failwith "transient outage";
-                trial * 10)
+            Montecarlo.with_context ~journal:j (fun () ->
+                Montecarlo.run_results ~codec ~pool ~master_seed:11 ~trials:5 (fun ~trial rng ->
+                    ignore (Rng.float01 rng);
+                    if trial = 2 then failwith "transient outage";
+                    trial * 10))
           in
           check_bool "failure recorded" true (Result.is_error results.(2));
           Journal.close j);
@@ -245,10 +258,11 @@ let test_journal_failures_not_replayed () =
           Journal.set_experiment j "unit";
           let executed = ref [] in
           let results =
-            Montecarlo.run ~codec ~journal:j ~pool ~master_seed:11 ~trials:5 (fun ~trial rng ->
-                ignore (Rng.float01 rng);
-                executed := trial :: !executed;
-                trial * 10)
+            Montecarlo.with_context ~journal:j (fun () ->
+                Montecarlo.run ~codec ~pool ~master_seed:11 ~trials:5 (fun ~trial rng ->
+                    ignore (Rng.float01 rng);
+                    executed := trial :: !executed;
+                    trial * 10))
           in
           Alcotest.(check (list int)) "only the failed trial re-ran" [ 2 ] !executed;
           Alcotest.(check (array int)) "ensemble completed" [| 0; 10; 20; 30; 40 |] results;
@@ -264,13 +278,17 @@ let test_journal_address_mismatch_is_fresh_run () =
       Pool.with_pool ~num_domains:0 (fun pool ->
           let j = Journal.create path in
           Journal.set_experiment j "unit";
-          ignore (Montecarlo.run ~codec ~journal:j ~pool ~master_seed:1 ~trials:5 work);
+          ignore
+            (Montecarlo.with_context ~journal:j (fun () ->
+                 Montecarlo.run ~codec ~pool ~master_seed:1 ~trials:5 work));
           Journal.close j);
       Pool.with_pool ~num_domains:0 (fun pool ->
           let j = Journal.load path in
           Journal.set_experiment j "unit";
           (* Different master seed → different address → no replays. *)
-          ignore (Montecarlo.run ~codec ~journal:j ~pool ~master_seed:2 ~trials:5 work);
+          ignore
+            (Montecarlo.with_context ~journal:j (fun () ->
+                 Montecarlo.run ~codec ~pool ~master_seed:2 ~trials:5 work));
           check_int "wrong-seed checkpoints ignored" 0 (Journal.replayed j);
           Journal.close j))
 
@@ -293,8 +311,9 @@ let test_journal_other_model_not_replayed () =
           check_int "and not malformed" 0 (Journal.malformed j);
           Journal.set_experiment j "unit";
           let results =
-            Montecarlo.run ~codec:Journal.int_ ~journal:j ~pool ~master_seed:3 ~trials:4
-              (fun ~trial _ -> trial)
+            Montecarlo.with_context ~journal:j (fun () ->
+                Montecarlo.run ~codec:Journal.int_ ~pool ~master_seed:3 ~trials:4 (fun ~trial _ ->
+                    trial))
           in
           check_int "nothing replayed" 0 (Journal.replayed j);
           Alcotest.(check (array int)) "every trial executed" [| 0; 1; 2; 3 |] results;
@@ -305,8 +324,9 @@ let test_journal_other_model_not_replayed () =
           check_int "tagged lines loaded" 4 (Journal.loaded j);
           Journal.set_experiment j "unit";
           ignore
-            (Montecarlo.run ~codec:Journal.int_ ~journal:j ~pool ~master_seed:3 ~trials:4
-               (fun ~trial:_ _ -> Alcotest.fail "tagged trial re-executed"));
+            (Montecarlo.with_context ~journal:j (fun () ->
+                 Montecarlo.run ~codec:Journal.int_ ~pool ~master_seed:3 ~trials:4
+                   (fun ~trial:_ _ -> Alcotest.fail "tagged trial re-executed")));
           check_int "all replayed" 4 (Journal.replayed j);
           Journal.close j))
 
@@ -321,14 +341,14 @@ let test_deadline_interrupt_and_resume () =
           Journal.set_experiment j "unit";
           (try
              ignore
-               (Montecarlo.run ~codec ~journal:j ~deadline_s:0.05 ~pool ~master_seed:13
-                  ~trials:1000 (fun ~trial rng ->
-                    if !slow_once then begin
-                      slow_once := false;
-                      Unix.sleepf 0.1
-                    end;
-                    ignore trial;
-                    Rng.float01 rng));
+               (Montecarlo.with_context ~journal:j ~deadline_s:0.05 (fun () ->
+                    Montecarlo.run ~codec ~pool ~master_seed:13 ~trials:1000 (fun ~trial rng ->
+                        if !slow_once then begin
+                          slow_once := false;
+                          Unix.sleepf 0.1
+                        end;
+                        ignore trial;
+                        Rng.float01 rng)));
              Alcotest.fail "expected a deadline interrupt"
            with Montecarlo.Interrupted { reason = `Deadline; completed; total } ->
              check_int "total" 1000 total;
@@ -347,10 +367,10 @@ let test_deadline_interrupt_and_resume () =
             Fun.protect
               ~finally:(fun () -> Journal.close j)
               (fun () ->
-                Montecarlo.run ~codec ~journal:j ~pool ~master_seed:13 ~trials:1000
-                  (fun ~trial rng ->
-                    ignore trial;
-                    Rng.float01 rng)))
+                Montecarlo.with_context ~journal:j (fun () ->
+                    Montecarlo.run ~codec ~pool ~master_seed:13 ~trials:1000 (fun ~trial rng ->
+                        ignore trial;
+                        Rng.float01 rng))))
       in
       Alcotest.(check (array (float 0.0))) "deadline + resume = uninterrupted" baseline resumed)
 
@@ -359,9 +379,10 @@ let test_completed_sweep_ignores_cancel () =
   Pool.with_pool ~num_domains:0 (fun pool ->
       let cancel = Pool.Cancel.create () in
       let results =
-        Montecarlo.run ~cancel ~pool ~master_seed:1 ~trials:10 (fun ~trial rng ->
-            if trial = 9 then Pool.Cancel.cancel cancel;
-            Rng.float01 rng)
+        Montecarlo.with_context ~cancel (fun () ->
+            Montecarlo.run ~pool ~master_seed:1 ~trials:10 (fun ~trial rng ->
+                if trial = 9 then Pool.Cancel.cancel cancel;
+                Rng.float01 rng))
       in
       check_int "sweep completed" 10 (Array.length results))
 

@@ -1,7 +1,6 @@
 (* Tests for the CSR Graph module. *)
 
 module Graph = Cobra_graph.Graph
-module Bitset = Cobra_bitset.Bitset
 module Rng = Cobra_prng.Rng
 
 let check_int = Alcotest.(check int)
@@ -83,14 +82,6 @@ let test_random_neighbor_isolated () =
   Alcotest.check_raises "isolated"
     (Invalid_argument "Graph.random_neighbor: vertex 2 is isolated") (fun () ->
       ignore (Graph.random_neighbor g rng 2))
-
-let test_degree_of_set () =
-  let g = Graph.of_edges ~n:4 [ (0, 1); (1, 2); (2, 3); (3, 0); (0, 2) ] in
-  let s = Bitset.of_list 4 [ 0; 2 ] in
-  (* d(0) = 3, d(2) = 3 *)
-  check_int "degree_of_set" 6 (Graph.degree_of_set g s);
-  check_int "whole graph" (Graph.total_degree g)
-    (Graph.degree_of_set g (Bitset.of_list 4 [ 0; 1; 2; 3 ]))
 
 let test_empty_and_singleton () =
   let empty = Graph.of_edges ~n:0 [] in
@@ -180,7 +171,6 @@ let () =
           Alcotest.test_case "fold/iter neighbors" `Quick test_fold_iter_neighbors;
           Alcotest.test_case "random_neighbor" `Quick test_random_neighbor;
           Alcotest.test_case "random_neighbor isolated" `Quick test_random_neighbor_isolated;
-          Alcotest.test_case "degree_of_set" `Quick test_degree_of_set;
           Alcotest.test_case "empty/singleton" `Quick test_empty_and_singleton;
           Alcotest.test_case "errors" `Quick test_errors;
           Alcotest.test_case "pp_stats" `Quick test_pp_stats;

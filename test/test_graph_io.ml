@@ -1,4 +1,6 @@
-(* Tests for the edge-list and DOT serialisation. *)
+(* Tests for the edge-list and DOT serialisation.  Native-format text
+   is parsed by the streaming [read_channel], checked against the
+   reference parser in [Text_oracle]. *)
 
 module Graph = Cobra_graph.Graph
 module Gen = Cobra_graph.Gen
@@ -8,18 +10,45 @@ module Rng = Cobra_prng.Rng
 let check_bool = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
 
+let write_temp content =
+  let path = Filename.temp_file "cobra_test_io" ".graph" in
+  let oc = open_out_bin path in
+  output_string oc content;
+  close_out oc;
+  path
+
+let with_temp content f =
+  let path = write_temp content in
+  Fun.protect ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ()) (fun () -> f path)
+
+let int32s a = Array.init (Bigarray.Array1.dim a) (Bigarray.Array1.get a)
+
+let check_same_csr msg expected actual =
+  check_int (msg ^ ": n") (Graph.n expected) (Graph.n actual);
+  Alcotest.(check (array int32))
+    (msg ^ ": offsets") (int32s (Graph.csr_offsets expected)) (int32s (Graph.csr_offsets actual));
+  Alcotest.(check (array int32))
+    (msg ^ ": adjacency") (int32s (Graph.csr_adjacency expected))
+    (int32s (Graph.csr_adjacency actual))
+
+(* [parse text] streams [text] through [read_channel] from a file. *)
+let parse text =
+  with_temp text (fun path ->
+      let ic = open_in_bin path in
+      Fun.protect ~finally:(fun () -> close_in ic) (fun () -> Graph_io.read_channel ic))
+
 let test_to_string_format () =
   let g = Graph.of_edges ~n:3 [ (0, 1); (1, 2) ] in
   Alcotest.(check string) "format" "cobra-graph 3\n0 1\n1 2\n" (Graph_io.to_string g)
 
 let test_roundtrip_basic () =
   let g = Gen.petersen () in
-  let g2 = Graph_io.of_string (Graph_io.to_string g) in
+  let g2 = parse (Graph_io.to_string g) in
   check_int "n" (Graph.n g) (Graph.n g2);
   Alcotest.(check (list (pair int int))) "edges" (Graph.edges g) (Graph.edges g2)
 
 let test_parse_flexible () =
-  let g = Graph_io.of_string "# a comment\n\ncobra-graph 4\n  2   1 \n# another\n3 0\n" in
+  let g = parse "# a comment\n\ncobra-graph 4\n  2   1 \n# another\n3 0\n" in
   check_int "n" 4 (Graph.n g);
   Alcotest.(check (list (pair int int))) "edges" [ (0, 3); (1, 2) ] (Graph.edges g)
 
@@ -27,7 +56,7 @@ let test_parse_flexible () =
    "cobra-graph  4" (double space), a tab separator, or CRLF line
    endings failed even though edge lines tolerated all three. *)
 let test_parse_header_whitespace () =
-  let edges_of s = Graph.edges (Graph_io.of_string s) in
+  let edges_of s = Graph.edges (parse s) in
   Alcotest.(check (list (pair int int)))
     "double-space header" [ (0, 1) ] (edges_of "cobra-graph  4\n0 1\n");
   Alcotest.(check (list (pair int int)))
@@ -36,23 +65,23 @@ let test_parse_header_whitespace () =
     "leading/trailing blanks" [ (0, 1) ] (edges_of "  cobra-graph   4  \n0 1\n")
 
 let test_parse_tabs_and_crlf () =
-  let g = Graph_io.of_string "cobra-graph\t4\r\n0\t1\r\n2\t 3\r\n" in
+  let g = parse "cobra-graph\t4\r\n0\t1\r\n2\t 3\r\n" in
   check_int "n" 4 (Graph.n g);
   Alcotest.(check (list (pair int int))) "edges" [ (0, 1); (2, 3) ] (Graph.edges g);
   (* Mixed runs of tabs and spaces within one line. *)
-  let g = Graph_io.of_string "cobra-graph \t 3\n0 \t\t 2\n" in
+  let g = parse "cobra-graph \t 3\n0 \t\t 2\n" in
   Alcotest.(check (list (pair int int))) "mixed separators" [ (0, 2) ] (Graph.edges g)
 
 let test_parse_isolated_vertices () =
-  let g = Graph_io.of_string "cobra-graph 5\n0 1\n" in
+  let g = parse "cobra-graph 5\n0 1\n" in
   check_int "n includes isolated" 5 (Graph.n g);
   check_int "m" 1 (Graph.m g)
 
 let test_parse_errors () =
+  (* Each malformed input fails both parsers. *)
   let fails s =
-    match Graph_io.of_string s with
-    | exception Failure _ -> true
-    | _ -> false
+    let fails_with f = match f s with exception Failure _ -> true | _ -> false in
+    fails_with parse && fails_with Text_oracle.of_string
   in
   check_bool "empty" true (fails "");
   check_bool "bad header" true (fails "graph 3\n0 1\n");
@@ -93,50 +122,31 @@ let test_roundtrip_all_families () =
   List.iter
     (fun family ->
       let g = Gen.by_name family ~n:40 rng in
-      let g2 = Graph_io.of_string (Graph_io.to_string g) in
+      let g2 = parse (Graph_io.to_string g) in
       if Graph.edges g <> Graph.edges g2 || Graph.n g <> Graph.n g2 then
         Alcotest.failf "roundtrip failed for %s" family)
     Gen.family_names
 
-(* --- Streaming reader vs the eager string parser --- *)
-
-let write_temp content =
-  let path = Filename.temp_file "cobra_test_io" ".graph" in
-  let oc = open_out_bin path in
-  output_string oc content;
-  close_out oc;
-  path
-
-let with_temp content f =
-  let path = write_temp content in
-  Fun.protect ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ()) (fun () -> f path)
-
-let int32s a = Array.init (Bigarray.Array1.dim a) (Bigarray.Array1.get a)
-
-let check_same_csr msg expected actual =
-  check_int (msg ^ ": n") (Graph.n expected) (Graph.n actual);
-  Alcotest.(check (array int32))
-    (msg ^ ": offsets") (int32s (Graph.csr_offsets expected)) (int32s (Graph.csr_offsets actual));
-  Alcotest.(check (array int32))
-    (msg ^ ": adjacency") (int32s (Graph.csr_adjacency expected))
-    (int32s (Graph.csr_adjacency actual))
+(* --- Streaming reader vs the reference parser --- *)
 
 let test_stream_equals_string () =
-  (* The streaming channel reader and the eager of_string parser must
-     build bit-identical CSR graphs from the same bytes. *)
+  (* The streaming channel reader and the reference parser must build
+     bit-identical CSR graphs from the same bytes. *)
   let rng = Rng.create 2020 in
   List.iter
     (fun family ->
       let g = Gen.by_name family ~n:60 rng in
       let text = Graph_io.to_string g in
-      let eager = Graph_io.of_string text in
-      let streamed =
-        with_temp text (fun path ->
-            let ic = open_in_bin path in
-            Fun.protect ~finally:(fun () -> close_in ic) (fun () -> Graph_io.read_channel ic))
-      in
-      check_same_csr family eager streamed)
+      check_same_csr family (Text_oracle.of_string text) (parse text))
     [ "hypercube"; "lollipop"; "ba:4"; "chunglu:2.5" ]
+
+let test_stream_across_chunks () =
+  (* A text spanning many of the reader's 64 KiB chunks, so lines break
+     across chunk boundaries, streams to the reference parser's CSR. *)
+  let g = Gen.by_name "ba:8" ~n:20_000 (Rng.create 31) in
+  let text = Graph_io.to_string g in
+  check_bool "text spans many chunks" true (String.length text > 16 * 65536);
+  check_same_csr "ba:8 n=20000" (Text_oracle.of_string text) (parse text)
 
 let test_stream_from_pipe () =
   (* read_file used to seek (in_channel_length + really_input_string),
@@ -150,7 +160,7 @@ let test_stream_from_pipe () =
           ~finally:(fun () -> ignore (Unix.close_process_in ic))
           (fun () -> Graph_io.read_channel ic)
       in
-      check_same_csr "pipe" (Graph_io.of_string text) streamed)
+      check_same_csr "pipe" (Text_oracle.of_string text) streamed)
 
 let test_snap_from_pipe () =
   let g = Gen.by_name "ba:3" ~n:100 (Rng.create 8) in
@@ -190,8 +200,8 @@ let test_snap_roundtrip () =
   check_same_csr "snap roundtrip" g streamed
 
 let test_stream_million_edges () =
-  (* The ISSUE acceptance bar: a 10^6-edge list streams through the
-     chunked reader and lands bit-for-bit on the eager path's CSR. *)
+  (* A 10^6-edge list streams through the chunked reader and lands
+     bit-for-bit on the generated graph's CSR. *)
   let n = 125_009 and m = 8 in
   let g = Cobra_graph.Gen_extra.barabasi_albert ~n ~m (Rng.create 12) in
   check_bool "instance is above a million edges" true (Graph.m g >= 1_000_000);
@@ -214,7 +224,7 @@ let roundtrip_random_test =
           raw
       in
       let g = Graph.of_edges ~n edges in
-      let g2 = Graph_io.of_string (Graph_io.to_string g) in
+      let g2 = parse (Graph_io.to_string g) in
       Graph.n g = Graph.n g2 && Graph.edges g = Graph.edges g2)
 
 let () =
@@ -236,6 +246,7 @@ let () =
       ( "streaming",
         [
           Alcotest.test_case "stream equals of_string" `Quick test_stream_equals_string;
+          Alcotest.test_case "stream across chunks" `Quick test_stream_across_chunks;
           Alcotest.test_case "cobra from a pipe" `Quick test_stream_from_pipe;
           Alcotest.test_case "snap from a pipe" `Quick test_snap_from_pipe;
           Alcotest.test_case "torn tail" `Quick test_stream_torn_tail;

@@ -5,7 +5,7 @@
 
 module Graph = Cobra_graph.Graph
 module Gen = Cobra_graph.Gen
-module Ops = Cobra_graph.Ops
+module Props = Cobra_graph.Props
 module Bitset = Cobra_bitset.Bitset
 module Rng = Cobra_prng.Rng
 module Process = Cobra_core.Process
@@ -91,7 +91,7 @@ let exact_duality_multi_c =
    n-ish; sanity couplings across the two analysis modules. *)
 let test_theory_consistency_on_expander () =
   let g = Gen.random_regular ~n:100 ~r:6 (Rng.create 4) in
-  let gap = Cobra_spectral.Eigen.eigenvalue_gap g in
+  let gap = 1.0 -. Cobra_spectral.Eigen.second_eigenvalue g in
   let hmax = Cobra_core.Walk_theory.max_hitting_time g in
   (* H_max >= (n-1) always (a walk must find the target among n-1
      others); and on an expander H_max = O(n / gap). *)
@@ -109,7 +109,7 @@ let test_exact_chain_label_equivariance () =
      non-transitive graph for a sharper check. *)
   let lolli = Gen.lollipop ~clique:3 ~tail:3 in
   let perm = [| 5; 4; 3; 2; 1; 0 |] in
-  let relabeled = Ops.relabel lolli perm in
+  let relabeled = Graph_ops.relabel lolli perm in
   let e1 =
     Cobra_exact.Bips_chain.expected_infection_time
       (Cobra_exact.Bips_chain.make lolli ~source:0 ())
@@ -124,7 +124,7 @@ let test_exact_chain_label_equivariance () =
 (* 6. Censoring discipline: on a disconnected graph every engine reports
    non-completion instead of a bogus number. *)
 let test_disconnected_everywhere_censors () =
-  let g = Ops.disjoint_union (Gen.complete 4) (Gen.complete 4) in
+  let g = Graph_ops.disjoint_union (Gen.complete 4) (Gen.complete 4) in
   let rng = Rng.create 5 in
   check_bool "cobra censors" true (Cobra.run_cover g rng ~max_rounds:500 ~start:0 () = None);
   check_bool "bips censors" true (Bips.run_infection g rng ~max_rounds:500 ~source:0 () = None);
@@ -156,12 +156,19 @@ let test_lambda_three_ways () =
   let iter = Cobra_spectral.Eigen.second_eigenvalue g in
   let dense = Dense_oracle.second_eigenvalue_exact g in
   check_bool "iter vs dense" true (Float.abs (iter -. dense) < 1e-6);
-  (* TV distance after t lazy steps decays at least like lambda_lazy^t
-     times sqrt n... check the implied upper bound loosely at t = 30. *)
+  (* On a regular graph the TV distance after t lazy steps is at most
+     sqrt n * lambda_lazy^t from every start, so the walk mixes to
+     within eps by the first t where that bound drops to eps. *)
   let lazy_lambda = Cobra_spectral.Eigen.lazy_second_eigenvalue g in
-  let tv = Cobra_spectral.Mixing.distance_to_stationarity ~lazy_:true g ~start:0 ~rounds:30 in
-  let bound = sqrt 60.0 *. (lazy_lambda ** 30.0) in
-  check_bool (Printf.sprintf "tv %.2e <= spectral bound %.2e" tv bound) true (tv <= bound)
+  let eps = 1e-3 in
+  let bound = Float.ceil (log (sqrt 60.0 /. eps) /. -.log lazy_lambda) in
+  match Cobra_spectral.Mixing.mixing_time ~lazy_:true ~eps g with
+  | None -> Alcotest.fail "lazy walk on an expander must mix"
+  | Some t ->
+      check_bool
+        (Printf.sprintf "t_mix(%.0e) %d <= spectral bound %.0f" eps t bound)
+        true
+        (float_of_int t <= bound)
 
 (* 9. E3 shards its exact cells over the pool: the rendered tables must
    not depend on the pool width. *)
@@ -172,6 +179,55 @@ let test_e3_pool_width_invariance () =
           ~master_seed:2017 ~scale:Cobra_experiments.Experiment.Quick)
   in
   Alcotest.(check string) "serial pool = 3 extra domains" (render 0) (render 3)
+
+(* 10. The relabelling and union helpers the suites build inputs with. *)
+let test_disjoint_union () =
+  let u = Graph_ops.disjoint_union (Gen.complete 3) (Gen.path 4) in
+  Alcotest.(check int) "n" 7 (Graph.n u);
+  Alcotest.(check int) "m" 6 (Graph.m u);
+  check_bool "disconnected" false (Props.is_connected u);
+  let _, k = Props.components u in
+  Alcotest.(check int) "two components" 2 k
+
+let test_relabel_roundtrip () =
+  let g = Gen.petersen () in
+  let perm = [| 3; 1; 4; 0; 5; 9; 2; 6; 8; 7 |] in
+  let h = Graph_ops.relabel g perm in
+  Alcotest.(check int) "same m" (Graph.m g) (Graph.m h);
+  (* Inverse permutation restores the graph. *)
+  let inv = Array.make 10 0 in
+  Array.iteri (fun i p -> inv.(p) <- i) perm;
+  Alcotest.(check (list (pair int int))) "roundtrip" (Graph.edges g)
+    (Graph.edges (Graph_ops.relabel h inv));
+  Alcotest.check_raises "not a permutation" (Invalid_argument "Graph_ops.relabel: not a permutation")
+    (fun () -> ignore (Graph_ops.relabel g (Array.make 10 0)))
+
+let test_relabel_preserves_invariants () =
+  let g = Gen.lollipop ~clique:5 ~tail:4 in
+  let h = Graph_ops.random_relabel g (Rng.create 4) in
+  Alcotest.(check int) "diameter invariant" (Props.diameter g) (Props.diameter h);
+  check_bool "degree multiset invariant" true
+    (Props.degree_histogram g = Props.degree_histogram h);
+  Alcotest.(check (float 1e-6)) "lambda invariant"
+    (Cobra_spectral.Eigen.second_eigenvalue g)
+    (Cobra_spectral.Eigen.second_eigenvalue h)
+
+(* 11. The simulation pipeline is label-invariant in distribution: mean
+   cover times of a graph and a relabeled copy agree. *)
+let test_cover_time_label_invariance () =
+  let g = Gen.random_regular ~n:64 ~r:4 (Rng.create 9) in
+  let h = Graph_ops.random_relabel g (Rng.create 10) in
+  let mean graph seed_base =
+    let total = ref 0 in
+    for seed = 1 to 300 do
+      match Cobra.run_cover graph (Rng.create (seed + seed_base)) ~start:0 () with
+      | Some r -> total := !total + r
+      | None -> Alcotest.fail "censored"
+    done;
+    float_of_int !total /. 300.0
+  in
+  let mg = mean g 0 and mh = mean h 100_000 in
+  check_bool (Printf.sprintf "means %.2f vs %.2f" mg mh) true (Float.abs (mg -. mh) < 1.0)
 
 let () =
   Alcotest.run "integration"
@@ -194,4 +250,12 @@ let () =
           Alcotest.test_case "branching monotone" `Quick test_branching_monotonicity;
           Alcotest.test_case "E3 pool-width invariant" `Slow test_e3_pool_width_invariance;
         ] );
+      ( "transformations",
+        [
+          Alcotest.test_case "disjoint union" `Quick test_disjoint_union;
+          Alcotest.test_case "relabel roundtrip" `Quick test_relabel_roundtrip;
+          Alcotest.test_case "relabel invariants" `Quick test_relabel_preserves_invariants;
+        ] );
+      ( "pipeline invariance",
+        [ Alcotest.test_case "cover time label-invariant" `Slow test_cover_time_label_invariance ] );
     ]

@@ -16,6 +16,8 @@ module Gossip = Cobra_core.Gossip
 let check_int = Alcotest.(check int)
 let check_bool = Alcotest.(check bool)
 
+let subset a b = Bitset.fold (fun i ok -> ok && Bitset.mem b i) a true
+
 (* Replays the runner's rounds with [step] at the master the runner
    draws from [Rng.create seed], returning each round's informed-set
    size before the round and the messages [step] reported for it. *)
@@ -28,7 +30,7 @@ let replay g step ~seed =
     incr round;
     let before = Bitset.cardinal !current in
     let sent = step g ctx ~round:!round ~current:!current ~next:!next in
-    check_bool "informed set only grows" true (Bitset.subset !current !next);
+    check_bool "informed set only grows" true (subset !current !next);
     log := (before, sent) :: !log;
     let t = !current in
     current := !next;
@@ -141,7 +143,7 @@ let test_informed_monotone_for_latched_protocols () =
       let current = Bitset.of_list 64 [ 0 ] and next = Bitset.create 64 in
       for round = 1 to 15 do
         ignore (step g ctx ~round ~current ~next : int);
-        check_bool "monotone" true (Bitset.subset current next);
+        check_bool "monotone" true (subset current next);
         Bitset.blit ~src:next ~dst:current
       done)
     [ Process.push_step; Process.push_pull_step ]

@@ -294,7 +294,7 @@ let test_cobra_run_round_events () =
 (* Experiment wrapper: start/complete events bracket the run and the
    output string is identical to an unobserved run. *)
 let test_experiment_run_observed () =
-  let e = Option.get (Cobra_experiments.Registry.find "e1") in
+  let e = List.hd (Result.get_ok (Cobra_experiments.Registry.select [ "e1" ])) in
   Cobra_parallel.Pool.with_pool ~num_domains:1 (fun pool ->
       let plain =
         e.Cobra_experiments.Experiment.run ~obs:Obs.null ~pool ~master_seed:3
@@ -326,16 +326,11 @@ let test_report_renders () =
   Metrics.observe h 0.5;
   Metrics.observe h 99.0;
   let snapshot = Metrics.snapshot m in
-  let text = Cobra_obs.Report.to_text snapshot in
-  let contains hay needle =
-    let nh = String.length hay and nn = String.length needle in
-    let rec go i = i + nn <= nh && (String.sub hay i nn = needle || go (i + 1)) in
-    go 0
-  in
-  check_bool "text mentions every instrument" true
-    (List.for_all (contains text) [ "s/c"; "s/g"; "s/h" ]);
+  let json = Cobra_obs.Report.to_json snapshot in
+  check_bool "json has every instrument" true
+    (List.for_all (fun name -> Json.member json name <> None) [ "s/c"; "s/g"; "s/h" ]);
   (* JSON snapshot re-parses and keeps the counter value. *)
-  let json = Json.of_string_exn (Json.to_string (Cobra_obs.Report.to_json snapshot)) in
+  let json = Json.of_string_exn (Json.to_string json) in
   check_int "counter in json" 3
     (Option.get (Option.bind (Json.member json "s/c") Json.to_int_opt))
 

@@ -217,7 +217,7 @@ let test_montecarlo_schedule_independence () =
     done;
     !acc
   in
-  let serial = Montecarlo.run_serial ~master_seed:99 ~trials:200 work in
+  let serial = Serial_oracle.run ~master_seed:99 ~trials:200 work in
   List.iter
     (fun domains ->
       Pool.with_pool ~num_domains:domains (fun pool ->
@@ -232,9 +232,10 @@ let test_montecarlo_seed_sensitivity () =
     ignore trial;
     Rng.float01 rng
   in
-  let a = Montecarlo.run_serial ~master_seed:1 ~trials:50 work in
-  let b = Montecarlo.run_serial ~master_seed:2 ~trials:50 work in
-  check_bool "different seeds differ" false (a = b)
+  Pool.with_pool ~num_domains:0 (fun pool ->
+      let a = Montecarlo.run ~pool ~master_seed:1 ~trials:50 work in
+      let b = Montecarlo.run ~pool ~master_seed:2 ~trials:50 work in
+      check_bool "different seeds differ" false (a = b))
 
 let test_montecarlo_validation () =
   Pool.with_pool ~num_domains:1 (fun pool ->
@@ -244,11 +245,6 @@ let test_montecarlo_validation () =
             (Montecarlo.run ~pool ~master_seed:1 ~trials:0 (fun ~trial rng ->
                  ignore trial;
                  Rng.float01 rng))))
-
-let test_summarize () =
-  let s = Montecarlo.summarize [| 1.0; 2.0; 3.0 |] in
-  check_int "count" 3 s.count;
-  Alcotest.(check (float 1e-9)) "mean" 2.0 s.mean
 
 let test_pool_stats () =
   Pool.with_pool ~num_domains:2 (fun pool ->
@@ -314,7 +310,6 @@ let () =
           Alcotest.test_case "schedule independence" `Quick test_montecarlo_schedule_independence;
           Alcotest.test_case "seed sensitivity" `Quick test_montecarlo_seed_sensitivity;
           Alcotest.test_case "validation" `Quick test_montecarlo_validation;
-          Alcotest.test_case "summarize" `Quick test_summarize;
         ] );
       ("property", [ QCheck_alcotest.to_alcotest parallel_sum_matches_test ]);
     ]

@@ -132,9 +132,9 @@ let rec shape rng depth =
         let n = size 1 200 in
         Gen.erdos_renyi_gnp ~n ~p:(Float.min 1.0 (1.5 /. float_of_int n)) rng
     | 9 -> Graph.of_edges ~n:(size 1 5) []
-    | _ -> Cobra_graph.Ops.disjoint_union (shape rng 1) (shape rng 1)
+    | _ -> Graph_ops.disjoint_union (shape rng 1) (shape rng 1)
   in
-  if Rng.bool rng then Cobra_graph.Ops.random_relabel g rng else g
+  if Rng.bool rng then Graph_ops.random_relabel g rng else g
 
 let outcome f = match f () with x -> Ok x | exception Invalid_argument msg -> Error msg
 

@@ -356,6 +356,28 @@ let test_e2e_ping_submit_cache () =
                 (Option.bind (Json.member cache "hits") Json.to_int_opt = Some 2)
           | _ -> Alcotest.fail "no stats reply"))
 
+(* A job whose every trial hits the round cap reports no completed
+   trial and no statistic, not one trial of spread 0. *)
+let test_e2e_all_censored () =
+  with_server (test_config ()) (fun srv ->
+      with_client srv (fun c ->
+          let job =
+            { (quick_job ()) with
+              graph = { family = "path"; n = 10; gseed = 0 };
+              max_rounds = Some 1;
+              trials = 2 }
+          in
+          match Client.request c (Proto.Submit { job; deadline_s = None }) with
+          | Proto.Result { result; _ } ->
+              check_int "completed" 0 result.count;
+              check_int "censored" 2 result.censored;
+              check_bool "mean nan" true (Float.is_nan result.mean);
+              check_bool "stddev nan" true (Float.is_nan result.stddev);
+              (* [compare], not [=]: nan fields are never [=]. *)
+              check_bool "matches the direct estimate" true
+                (compare result (reference_result job) = 0)
+          | r -> Alcotest.failf "unexpected reply: %s" (Json.to_string (Proto.response_to_json ~id:"" r))))
+
 let test_e2e_bad_requests () =
   with_server (test_config ()) (fun srv ->
       with_client srv (fun c ->
@@ -599,6 +621,7 @@ let () =
       ( "e2e",
         [
           Alcotest.test_case "ping, submit, cache" `Quick test_e2e_ping_submit_cache;
+          Alcotest.test_case "all trials censored" `Quick test_e2e_all_censored;
           Alcotest.test_case "bad requests" `Quick test_e2e_bad_requests;
           Alcotest.test_case "malformed frame" `Quick test_e2e_malformed_frame;
           Alcotest.test_case "deadline" `Quick test_e2e_deadline;

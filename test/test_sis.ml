@@ -20,8 +20,7 @@ let test_absorbing_states () =
   | Sis.Extinct 0 -> ()
   | _ -> Alcotest.fail "empty set should be extinct at round 0");
   (* Full initial set: every vertex samples infected neighbours forever. *)
-  let full = Bitset.create 10 in
-  Bitset.fill full;
+  let full = Bitset.of_list 10 (List.init 10 Fun.id) in
   match Sis.run g rng ~initial:full () with
   | Sis.Saturated 0 -> ()
   | _ -> Alcotest.fail "full set should be saturated at round 0"

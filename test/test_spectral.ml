@@ -188,25 +188,46 @@ let cheeger_test =
 
 module Mixing = Cobra_spectral.Mixing
 
+(* [mixing_time] starts from point masses, whose TV distance to the
+   stationary distribution pi(u) = d(u)/2m is 1 - pi(start). *)
 let test_tv_basics () =
-  check_float "identical" 0.0 (Mixing.total_variation [| 0.5; 0.5 |] [| 0.5; 0.5 |]);
-  check_float "disjoint" 1.0 (Mixing.total_variation [| 1.0; 0.0 |] [| 0.0; 1.0 |]);
-  check_float "half" 0.5 (Mixing.total_variation [| 1.0; 0.0 |] [| 0.5; 0.5 |])
+  let k2 = Gen.complete 2 in
+  (* The lazy walk on K2 reaches pi = (1/2, 1/2) exactly in one step. *)
+  Alcotest.(check (option int)) "identical" (Some 1) (Mixing.mixing_time ~lazy_:true ~eps:0.0 k2);
+  (* The plain walk on K2 alternates between point masses, each at
+     distance exactly 1/2. *)
+  Alcotest.(check (option int)) "half" (Some 0) (Mixing.mixing_time ~eps:0.5 k2);
+  Alcotest.(check (option int)) "never below half" None
+    (Mixing.mixing_time ~eps:0.49 ~max_rounds:50 k2)
 
 let test_stationary () =
-  let pi = Mixing.stationary (Gen.star 5) in
-  check_float "hub mass" 0.5 pi.(0);
-  check_float "leaf mass" 0.125 pi.(1);
-  let pr = Mixing.stationary (Gen.petersen ()) in
-  Array.iter (fun x -> check_float "uniform on regular" 0.1 x) pr
+  (* At t = 0 the worst start is the vertex of least stationary mass, at
+     distance 1 - d(u)/2m: a leaf of the 5-vertex star (mass 1/8; the
+     hub has 1/2) and any vertex of the Petersen graph (uniform 1/10). *)
+  let worst_at_zero g tv =
+    Mixing.mixing_time ~eps:(tv +. 1e-12) g = Some 0
+    && Mixing.mixing_time ~eps:(tv -. 1e-12) g <> Some 0
+  in
+  check_bool "leaf mass" true (worst_at_zero (Gen.star 5) 0.875);
+  check_bool "uniform on regular" true (worst_at_zero (Gen.petersen ()) 0.9)
 
 let test_walk_distribution_mass () =
+  (* The distribution operator [mixing_time] steps with conserves mass
+     and agrees with naive stepping. *)
   let g = Gen.lollipop ~clique:4 ~tail:3 in
-  List.iter
-    (fun rounds ->
-      let d = Mixing.walk_distribution g ~start:0 ~rounds in
-      check_float "mass 1" ~eps:1e-12 1.0 (Array.fold_left ( +. ) 0.0 d))
-    [ 0; 1; 5; 20 ]
+  let n = Graph.n g in
+  let op = Matvec.distribution_op g in
+  let x = Array.make n 0.0 and y = Array.make n 0.0 in
+  x.(0) <- 1.0;
+  for rounds = 1 to 20 do
+    Matvec.apply op x y;
+    Array.blit y 0 x 0 n;
+    if List.mem rounds [ 1; 5; 20 ] then begin
+      check_float "mass 1" ~eps:1e-12 1.0 (Array.fold_left ( +. ) 0.0 x);
+      let naive = Dense_oracle.walk_distribution g ~start:0 ~rounds in
+      Array.iteri (fun v p -> check_float "naive stepping" ~eps:1e-12 naive.(v) p) x
+    end
+  done
 
 let test_mixing_complete () =
   (* K_n is within 1/(n-1) of uniform after one step. *)
@@ -231,12 +252,13 @@ let test_mixing_spectral_relation () =
         (float_of_int t <= 2.0 *. bound)
 
 let test_mixing_monotone_in_rounds () =
+  (* The worst-start distance decays monotonically, so a tighter
+     threshold takes at least as many rounds; by t = 20 the lazy walk on
+     the Petersen graph is within 0.01 of stationarity. *)
   let g = Gen.petersen () in
-  let d1 = Mixing.distance_to_stationarity ~lazy_:true g ~start:0 ~rounds:1 in
-  let d5 = Mixing.distance_to_stationarity ~lazy_:true g ~start:0 ~rounds:5 in
-  let d20 = Mixing.distance_to_stationarity ~lazy_:true g ~start:0 ~rounds:20 in
-  check_bool "decreasing" true (d1 >= d5 && d5 >= d20);
-  check_bool "converged" true (d20 < 0.01)
+  let t eps = Option.get (Mixing.mixing_time ~lazy_:true ~eps g) in
+  check_bool "decreasing" true (t 0.5 <= t 0.25 && t 0.25 <= t 0.01);
+  check_bool "converged" true (t 0.01 <= 20)
 
 (* --- Solver differentials: Lanczos vs oracles, pool determinism --- *)
 
@@ -358,34 +380,6 @@ let test_obs_solver_counters () =
   (match List.assoc_opt "walk/cg_solves" snap2 with
   | Some (Metrics.Counter_v c) -> check_bool "one cg solve per target" true (c = Graph.n g)
   | _ -> Alcotest.fail "missing walk/cg_solves")
-
-let test_cheb_matches_exact_evolution () =
-  (* At the default eps = 1e-9, [walk_distribution] steps up to t = 46
-     and expands from t = 47; cover both sides of the switch. *)
-  let g = Gen.lollipop ~clique:4 ~tail:5 in
-  List.iter
-    (fun rounds ->
-      let exact = Dense_oracle.walk_distribution ~lazy_:true g ~start:0 ~rounds in
-      let cheb = Mixing.walk_distribution ~lazy_:true g ~start:0 ~rounds in
-      check_float
-        (Printf.sprintf "tv at t=%d" rounds)
-        ~eps:1e-8 0.0
-        (Mixing.total_variation exact cheb))
-    [ 1; 5; 46; 47; 64; 70; 200 ]
-
-let test_mixing_time_from_bisection () =
-  let g = Gen.petersen () in
-  List.iter
-    (fun start ->
-      match Mixing.mixing_time_from ~lazy_:true g ~start with
-      | None -> Alcotest.fail "lazy walk on petersen must mix"
-      | Some t ->
-          check_bool "crossed at t" true
-            (Mixing.distance_to_stationarity ~lazy_:true g ~start ~rounds:t <= 0.25);
-          if t > 0 then
-            check_bool "not crossed at t-1" true
-              (Mixing.distance_to_stationarity ~lazy_:true g ~start ~rounds:(t - 1) > 0.25))
-    [ 0; 3; 9 ]
 
 let test_cg_matches_dense_oracle () =
   let module WT = Cobra_core.Walk_theory in
@@ -531,8 +525,6 @@ let () =
           Alcotest.test_case "bipartite never (plain)" `Quick test_mixing_bipartite_never;
           Alcotest.test_case "spectral relation" `Quick test_mixing_spectral_relation;
           Alcotest.test_case "monotone decay" `Quick test_mixing_monotone_in_rounds;
-          Alcotest.test_case "chebyshev = exact evolution" `Quick test_cheb_matches_exact_evolution;
-          Alcotest.test_case "mixing_time_from bisection" `Quick test_mixing_time_from_bisection;
         ] );
       ( "solvers",
         [

@@ -50,15 +50,20 @@ let test_cycle_hitting () =
     check_float (Printf.sprintf "C10 from %d" u) ~eps:1e-5 (float_of_int (k * (n - k))) h.(u)
   done
 
+(* The commute time between [u] and [v] is H(u, v) + H(v, u), two
+   hitting-time solves. *)
+let commute_time g u v =
+  (Walk_theory.hitting_times g ~target:v).(u) +. (Walk_theory.hitting_times g ~target:u).(v)
+
 let test_commute_time_electrical () =
   (* Commute time = 2 m R_eff.  Path P_n between the ends: R_eff = n-1,
      m = n-1, so commute = 2 (n-1)^2. *)
   let n = 12 in
   check_float "path commute" ~eps:1e-4
     (2.0 *. float_of_int ((n - 1) * (n - 1)))
-    (Walk_theory.commute_time (Gen.path n) 0 (n - 1));
+    (commute_time (Gen.path n) 0 (n - 1));
   (* K_n between any pair: R_eff = 2/n, m = n(n-1)/2 -> commute = 2(n-1). *)
-  check_float "K8 commute" ~eps:1e-5 14.0 (Walk_theory.commute_time (Gen.complete 8) 1 5)
+  check_float "K8 commute" ~eps:1e-5 14.0 (commute_time (Gen.complete 8) 1 5)
 
 let test_harmonic () =
   check_float "H_0" 0.0 (Walk_theory.harmonic 0);
@@ -70,7 +75,14 @@ let test_matthews_sandwich_monte_carlo () =
   List.iter
     (fun (name, g) ->
       let upper = Walk_theory.matthews_upper g in
-      let lower = Walk_theory.matthews_lower g in
+      (* The Matthews-type lower bound min_{u <> v} H(u, v) * H_{n-1}. *)
+      let n = Graph.n g in
+      let h = Walk_theory.all_hitting_times g in
+      let min_hit = ref infinity in
+      Array.iteri
+        (fun u row -> Array.iteri (fun v x -> if u <> v then min_hit := Float.min !min_hit x) row)
+        h;
+      let lower = !min_hit *. Walk_theory.harmonic (n - 1) in
       check_bool (name ^ ": bounds ordered") true (lower <= upper);
       let trials = 200 in
       let sum = ref 0.0 in
@@ -112,16 +124,18 @@ let test_dense_matches_iterative () =
     [ Gen.petersen (); Gen.lollipop ~clique:4 ~tail:3; Gen.wheel 8 ]
 
 let test_effective_resistance () =
+  (* R_eff(u, v) = commute time / 2m, with unit resistors on the edges. *)
+  let effective_resistance g u v = commute_time g u v /. float_of_int (Graph.total_degree g) in
   (* Path: resistors in series. *)
-  check_float "P5 ends" ~eps:1e-9 4.0 (Walk_theory.effective_resistance (Gen.path 5) 0 4);
-  check_float "P5 middle" ~eps:1e-9 2.0 (Walk_theory.effective_resistance (Gen.path 5) 0 2);
+  check_float "P5 ends" ~eps:1e-9 4.0 (effective_resistance (Gen.path 5) 0 4);
+  check_float "P5 middle" ~eps:1e-9 2.0 (effective_resistance (Gen.path 5) 0 2);
   (* Cycle: parallel paths k and n-k. *)
   let n = 8 and k = 3 in
   check_float "C8 distance 3" ~eps:1e-9
     (float_of_int (k * (n - k)) /. float_of_int n)
-    (Walk_theory.effective_resistance (Gen.cycle n) 0 k);
+    (effective_resistance (Gen.cycle n) 0 k);
   (* K_n: 2/n. *)
-  check_float "K10" ~eps:1e-9 0.2 (Walk_theory.effective_resistance (Gen.complete 10) 2 7)
+  check_float "K10" ~eps:1e-9 0.2 (effective_resistance (Gen.complete 10) 2 7)
 
 let test_validation () =
   Alcotest.check_raises "disconnected"
