@@ -110,4 +110,4 @@ let cmd =
   in
   Cmd.v (Cmd.info "bips-sim" ~version:"1.0.0" ~doc) term
 
-let () = exit (Cmd.eval cmd)
+let () = exit (Cli.eval cmd)

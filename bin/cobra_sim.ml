@@ -120,4 +120,4 @@ let cmd =
   in
   Cmd.v (Cmd.info "cobra-sim" ~version:"1.0.0" ~doc) term
 
-let () = exit (Cmd.eval cmd)
+let () = exit (Cli.eval cmd)

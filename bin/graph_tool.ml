@@ -359,4 +359,4 @@ let main_cmd =
     (Cmd.info "cobra-graph-tool" ~version:"1.0.0" ~doc)
     [ gen_cmd; info_cmd; dot_cmd; spectral_cmd; ingest_cmd; generate_cmd; pack_cmd ]
 
-let () = exit (Cmd.eval main_cmd)
+let () = exit (Cli.eval main_cmd)

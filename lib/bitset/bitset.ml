@@ -44,10 +44,11 @@ let is_empty t = t.card = 0
 let bits_per_word = bpw
 let num_words t = Array.length t.words
 
-let check t i =
-  if i < 0 || i >= t.capacity then
-    invalid_arg
-      (Printf.sprintf "Bitset: element %d out of range [0, %d)" i t.capacity)
+let[@inline never] out_of_range t i =
+  invalid_arg (Printf.sprintf "Bitset: element %d out of range [0, %d)" i t.capacity)
+
+(* Inlined into [mem] and [add], so a checked read is one call, not two. *)
+let[@inline] check t i = if i < 0 || i >= t.capacity then out_of_range t i
 
 let mem t i =
   check t i;
@@ -163,10 +164,9 @@ let iter f t =
 (* --- word-range kernels for domain-sharded steps ---
 
    A parallel step splits the word array into contiguous shards, one per
-   domain.  [iter_range] scans one shard; the per-domain output sets are
-   then combined with [drain_words_range], itself sharded over word
-   ranges, and [unsafe_set_cardinal] of the summed range popcounts
-   repairs the cardinality. *)
+   domain.  [next_member] walks one shard; the per-domain output sets are
+   then combined with [drain_words_range], and [unsafe_set_cardinal] of
+   the summed range popcounts repairs the cardinality. *)
 
 let check_word_range t ~lo ~hi =
   if lo < 0 || hi > Array.length t.words || lo > hi then
@@ -174,20 +174,31 @@ let check_word_range t ~lo ~hi =
       (Printf.sprintf "Bitset: word range [%d, %d) outside [0, %d]" lo hi
          (Array.length t.words))
 
-let iter_range f t ~lo ~hi =
-  check_word_range t ~lo ~hi;
-  let words = t.words in
-  for w = lo to hi - 1 do
-    let word = ref (Array.unsafe_get words w) in
-    if !word <> 0 then begin
-      let base = w * bpw in
-      while !word <> 0 do
-        let low = !word land - !word in
-        f (base + ctz_onehot low);
-        word := !word lxor low
-      done
+(* The smallest member in [i, stop), or [stop]: a step kernel walks its
+   range of the frontier by calling this in its own loop, so no closure
+   call per member sits between the kernel and its per-vertex work.  The
+   word holding [i] is masked below [i]; the scan then skips empty
+   words up to the one holding [stop - 1]. *)
+let next_member t i ~stop =
+  if i < 0 || stop > t.capacity then
+    invalid_arg
+      (Printf.sprintf "Bitset.next_member: range [%d, %d) outside [0, %d]" i stop t.capacity);
+  if i >= stop then stop
+  else begin
+    let words = t.words in
+    let last = div_bpw (stop - 1) in
+    let w = ref (div_bpw i) in
+    let word = ref (Array.unsafe_get words !w land (-1 lsl mod_bpw i)) in
+    while !word = 0 && !w < last do
+      incr w;
+      word := Array.unsafe_get words !w
+    done;
+    if !word = 0 then stop
+    else begin
+      let m = (!w * bpw) + ctz_onehot (!word land - !word) in
+      if m < stop then m else stop
     end
-  done
+  end
 
 (* OR-merges the per-shard scratch sets into [into] over one word range
    and zeroes every source word it reads: one sweep both merges them and
@@ -247,17 +258,6 @@ let to_array t =
       incr k)
     t;
   a
-
-let members_into t buf =
-  if Array.length buf < t.card then
-    invalid_arg "Bitset.members_into: buffer shorter than cardinal";
-  let k = ref 0 in
-  iter
-    (fun i ->
-      Array.unsafe_set buf !k i;
-      incr k)
-    t;
-  !k
 
 let of_list capacity xs =
   let t = create capacity in

@@ -34,7 +34,7 @@ val cardinal : t -> int
 val bits_per_word : int
 (** Elements packed per machine word (63).  Word index [w] covers
     elements [w * bits_per_word .. (w+1) * bits_per_word - 1] — the unit
-    in which {!iter_range} and friends address the set, and the
+    in which {!drain_words_range} and friends address the set, and the
     alignment parallel kernels use to give each domain a disjoint slice
     of the universe. *)
 
@@ -74,7 +74,7 @@ val blit : src:t -> dst:t -> unit
 val equal : t -> t -> bool
 (** Same capacity and members.  This, {!fold}, {!to_list} and
     {!to_array} are the readers the set tests compare against models;
-    the kernels iterate with {!iter} and {!members_into}. *)
+    the kernels walk a set with {!next_member}. *)
 
 val union_into : into:t -> t -> unit
 (** [union_into ~into b] sets [into := into ∪ b]. *)
@@ -85,10 +85,14 @@ val intersects : t -> t -> bool
 val iter : (int -> unit) -> t -> unit
 (** Iterates members in increasing order. *)
 
-val iter_range : (int -> unit) -> t -> lo:int -> hi:int -> unit
-(** [iter_range f t ~lo ~hi] iterates the members whose word index lies
-    in [lo <= w < hi], in increasing order — {!iter} restricted to a
-    word range.  @raise Invalid_argument on an invalid range. *)
+val next_member : t -> int -> stop:int -> int
+(** [next_member t i ~stop] is the smallest member [m] of [t] with
+    [i <= m < stop], or [stop] if there is none ([stop] too when
+    [i >= stop]).  The step kernels walk their range of a frontier with
+    it in their own loop, [u := next_member t (u + 1) ~stop], so no
+    closure call sits between a member and the kernel's per-vertex
+    work.  @raise Invalid_argument if [i < 0] or
+    [stop > capacity t]. *)
 
 val drain_words_range : into:t -> t array -> lo:int -> hi:int -> int
 (** [drain_words_range ~into srcs ~lo ~hi] overwrites each word [w] of
@@ -131,12 +135,6 @@ val to_list : t -> int list
 
 val to_array : t -> int array
 (** Members in increasing order. *)
-
-val members_into : t -> int array -> int
-(** [members_into t buf] writes the members, in increasing order, into
-    the prefix of [buf] and returns the count ([cardinal t]) — the
-    allocation-free variant of {!to_array} for per-run scratch buffers.
-    @raise Invalid_argument if [buf] is shorter than [cardinal t]. *)
 
 val of_list : int -> int list -> t
 (** [of_list capacity xs] builds a set containing [xs]. *)

@@ -1,3 +1,4 @@
+module A1 = Bigarray.Array1
 module Graph = Cobra_graph.Graph
 module Bitset = Cobra_bitset.Bitset
 module Keyed = Cobra_prng.Keyed
@@ -19,13 +20,6 @@ let expected_branching_factor = function
   | Fixed b -> float_of_int b
   | Bernoulli rho -> 1.0 +. rho
 
-(* Below this cardinality the frontier is materialised as a vertex array
-   and iterated directly — a tight counted loop instead of the word-scan
-   iterator's nested loop and closure call per member.  Every vertex
-   draws at its own keyed position, so the path taken cannot change a
-   result. *)
-let sparse_frontier_threshold = 64
-
 (* The round is a pure map over vertices: every vertex's randomness
    comes from the counter-based [Keyed] stream positioned at (round,
    vertex), so a pool can shard it over domains with bit-identical
@@ -33,11 +27,9 @@ let sparse_frontier_threshold = 64
    density threshold. *)
 
 type keyed_ctx = {
-  streams : Keyed.t array; (* one cursor per worker (0 = caller) *)
+  key : Keyed.t; (* the master's cursor: only [Keyed.round_base] reads it *)
   mutable scratch : Bitset.t array; (* per-worker next buffers; lazily allocated *)
-  shard_tx : int array; (* per-worker transmission accumulators *)
-  shard_card : int array; (* per-worker popcount accumulators (scan kernels) *)
-  members : int array; (* sparse-path frontier buffer *)
+  partial : int array; (* per-worker transmission or popcount sums *)
   mutable pulled : Bitset.t option; (* PUSH-PULL's pull half; lazily allocated *)
   pool : Pool.t option;
   nworkers : int;
@@ -52,11 +44,9 @@ let default_dense_threshold = 1024
 let make_keyed_ctx ?pool ?(dense_threshold = default_dense_threshold) _g ~master =
   let nworkers = match pool with None -> 1 | Some p -> Pool.size p in
   {
-    streams = Array.init nworkers (fun _ -> Keyed.create ~master);
+    key = Keyed.create ~master;
     scratch = [||];
-    shard_tx = Array.make nworkers 0;
-    shard_card = Array.make nworkers 0;
-    members = Array.make sparse_frontier_threshold 0;
+    partial = Array.make nworkers 0;
     pulled = None;
     pool;
     nworkers;
@@ -75,6 +65,16 @@ let shard_pool ctx size =
   | Some pool when ctx.nworkers > 1 && size > ctx.dense_threshold -> Some pool
   | _ -> None
 
+(* The sum of the workers' partial counts, which it resets for the next
+   round. *)
+let take_partials ctx =
+  let sum = ref 0 in
+  for w = 0 to ctx.nworkers - 1 do
+    sum := !sum + ctx.partial.(w);
+    ctx.partial.(w) <- 0
+  done;
+  !sum
+
 (* Chunk width (in bitset words) for the claim-based dense scan: small
    enough that ~8 chunks per worker exist for load balancing and that a
    dense chunk holds only a few hundred frontier members, large enough
@@ -86,59 +86,115 @@ let[@inline] scan_chunk ~card ~nw ~workers =
   let by_work = if card > 0 then max 1 (nw * 384 / card) else by_balance in
   max 4 (min by_balance by_work)
 
-let[@inline] keyed_fanout k = function
-  | Fixed b -> b
-  | Bernoulli rho -> if Keyed.bernoulli k rho then 2 else 1
+(* --- The keyed draws, inline ---
 
-let[@inline] keyed_select g k ~lazy_ u =
-  if lazy_ && Keyed.bool k then u else Graph.unsafe_keyed_neighbor g k u
+   [Keyed] defines the stream: in round t, vertex u's draws are the
+   outputs mix (k + gamma * i), i = 0, 1, ..., where k = mix (base + u)
+   is its position key and base is [Keyed.round_base] of t.  The kernels
+   below compute these draws in their own loop bodies, with the counter
+   in a local.  Dune's dev profile compiles with [-opaque], so a call
+   into [Keyed] is a real call that boxes an int64 argument or result,
+   and a cursor in memory, written on every draw, would put a sharded
+   round's workers on one cache line.  A helper holding the rejection
+   loop is not inlined either, so each kernel writes the loop out
+   itself.  [gamma], [mix]
+   and [smear] are copies of [Keyed]'s [gamma], [mix] and [mask_below]
+   that the compiler does inline.  test_keyed pins the kernels' draws to
+   [Keyed]'s at fixed (master, round, vertex, degree) points, and holds
+   every kernel to the per-vertex call chain on [Keyed] that it
+   replaced (test/keyed_step_oracle.ml). *)
 
-(* Canonical per-vertex draw sequence of the COBRA step: fan-out
-   decision first, then the selections, so variant alignment
-   (Bernoulli 1.0 ≡ Fixed 2) holds draw for draw.  [base] is the hoisted round key ({!Keyed.round_base}),
-   so positioning costs one finaliser application; the non-lazy fan-out
-   additionally hoists the degree's rejection mask across the
-   selections.  Draw consumption is identical to the naive
-   position/int_below sequence, so results match it bit for bit. *)
-let[@inline] cobra_keyed_visit g k ~base ~branching ~lazy_ ~into u =
-  Keyed.position_at k ~base ~vertex:u;
-  let fanout = keyed_fanout k branching in
-  if lazy_ then
-    for _ = 1 to fanout do
-      Bitset.unsafe_add into (keyed_select g k ~lazy_:true u)
-    done
-  else begin
-    let d = Graph.unsafe_degree g u in
-    if d <= 1 then
-      (* d = 0 raises exactly as [int_below 0] always did; d = 1
-         consumes no draw on either path. *)
-      for _ = 1 to fanout do
-        Bitset.unsafe_add into (Graph.unsafe_neighbor g u (Keyed.int_below k d))
-      done
-    else begin
-      let mask = Keyed.mask_below d in
-      for _ = 1 to fanout do
-        Bitset.unsafe_add into (Graph.unsafe_neighbor g u (Keyed.masked_below k ~mask d))
-      done
-    end
-  end;
-  fanout
+let gamma = 0x9E3779B97F4A7C15L
 
-(* The serial COBRA round: poolless runs and rounds at or below the
-   density threshold. *)
-let cobra_step_keyed_serial g ctx ~round ~branching ~lazy_ ~current ~next c =
-  Bitset.clear next;
-  let k = ctx.streams.(0) in
-  let base = Keyed.round_base k ~round in
+let[@inline] mix z =
+  let z = Int64.add z gamma in
+  let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 30)) 0xBF58476D1CE4E5B9L in
+  let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 27)) 0x94D049BB133111EBL in
+  Int64.logxor z (Int64.shift_right_logical z 31)
+
+(* [Keyed.mask_below (x + 1)] for x >= 1, the smallest all-ones mask
+   covering x, by a branch-free smear of its top bit. *)
+let[@inline] smear x =
+  let x = x lor (x lsr 1) in
+  let x = x lor (x lsr 2) in
+  let x = x lor (x lsr 4) in
+  let x = x lor (x lsr 8) in
+  let x = x lor (x lsr 16) in
+  x lor (x lsr 32)
+
+(* A rejection draw keeps the top 30 bits of the output when the mask
+   fits in them and the top 62 otherwise, as [Keyed.int_below] does. *)
+let[@inline] shift_for mask = if mask <= 0x3FFFFFFF then 34 else 2
+
+(* A vertex's fan-out is [fixed_fanout], unless [coin_fanout]: then it
+   is 2 with probability [coin_rho] and 1 otherwise, the one draw
+   [Keyed.bernoulli] makes when the outcome is not certain. *)
+let coin_fanout = function Fixed _ -> false | Bernoulli rho -> not (rho >= 1.0 || rho <= 0.0)
+let fixed_fanout = function Fixed b -> b | Bernoulli rho -> if rho >= 1.0 then 2 else 1
+let coin_rho = function Fixed _ -> 0.0 | Bernoulli rho -> rho
+
+let[@inline never] no_neighbour u d =
+  invalid_arg (Printf.sprintf "Process: vertex %d has no neighbour to draw (degree %d)" u d)
+
+(* The COBRA round over the members of [current] in words [lo, hi).
+   Member u draws its fan-out (the Bernoulli coin, when it is not
+   certain), then each pick: the lazy coin, then a neighbour index below
+   its degree by masked rejection.  This order keeps Bernoulli 1.0 and
+   Fixed 2 aligned draw for draw.  A pick lands in [into] as a raw bit,
+   leaving its cardinal to the caller: [Bitset.unsafe_add], which
+   branches on whether the bit is new and keeps the count in memory,
+   makes the serial round on a hypercube of 2^16 vertices about twice
+   as slow as one popcount sweep after it.  Returns the transmissions,
+   one per pick. *)
+let cobra_range g ~base ~branching ~lazy_ ~current ~into ~lo ~hi =
+  let offsets = Graph.csr_offsets g and adj = Graph.csr_adjacency g in
+  let coin = coin_fanout branching and fixed = fixed_fanout branching in
+  let rho = coin_rho branching in
+  let stop = Int.min (Graph.n g) (hi * Bitset.bits_per_word) in
   let tx = ref 0 in
-  let visit u = tx := !tx + cobra_keyed_visit g k ~base ~branching ~lazy_ ~into:next u in
-  if c > 0 && c <= sparse_frontier_threshold then begin
-    let m = Bitset.members_into current ctx.members in
-    for i = 0 to m - 1 do
-      visit (Array.unsafe_get ctx.members i)
-    done
-  end
-  else Bitset.iter visit current;
+  let u = ref (Bitset.next_member current (lo * Bitset.bits_per_word) ~stop) in
+  while !u < stop do
+    let src = !u in
+    let ctr = ref (mix (Int64.add base (Int64.of_int src))) in
+    let fanout =
+      if coin then begin
+        let c = !ctr in
+        ctr := Int64.add c gamma;
+        let bits = Int64.to_int (Int64.shift_right_logical (mix c) 11) in
+        if float_of_int bits *. 0x1.0p-53 < rho then 2 else 1
+      end
+      else fixed
+    in
+    let first = Int32.to_int (A1.unsafe_get offsets src) in
+    let d = Int32.to_int (A1.unsafe_get offsets (src + 1)) - first in
+    let mask = smear (d - 1) in
+    let shift = shift_for mask in
+    for _ = 1 to fanout do
+      let v =
+        if
+          lazy_
+          &&
+          let c = !ctr in
+          ctr := Int64.add c gamma;
+          mix c < 0L
+        then src
+        else if d > 1 then begin
+          let r = ref d in
+          while !r >= d do
+            let c = !ctr in
+            ctr := Int64.add c gamma;
+            r := Int64.to_int (Int64.shift_right_logical (mix c) shift) land mask
+          done;
+          Int32.to_int (A1.unsafe_get adj (first + !r))
+        end
+        else if d = 1 then Int32.to_int (A1.unsafe_get adj first)
+        else no_neighbour src d
+      in
+      Bitset.unsafe_set_bit into v
+    done;
+    tx := !tx + fanout;
+    u := Bitset.next_member current (src + 1) ~stop
+  done;
   !tx
 
 (* Dense sharded COBRA round, one barrier: workers claim word-range
@@ -148,35 +204,29 @@ let cobra_step_keyed_serial g ctx ~round ~branching ~lazy_ ~current ~next c =
    instead of spinning at the join.  The scratches are then OR-drained
    into [next] serially: the sweep is O(num_words) word ops, far below
    the cost of waking the pool again, and it both counts the merged
-   cardinality and re-zeroes the scratches for the next round. *)
-let cobra_step_keyed_par g ctx pool ~round ~branching ~lazy_ ~current ~next c =
-  let n = Graph.n g in
-  let nw = Bitset.num_words current in
-  ensure_scratch ctx n;
-  let base = Keyed.round_base ctx.streams.(0) ~round in
-  let chunk = scan_chunk ~card:c ~nw ~workers:ctx.nworkers in
-  Pool.parallel_chunked pool ~lo:0 ~hi:nw ~chunk (fun ~worker ~lo ~hi ->
-      let into = ctx.scratch.(worker) in
-      let k = ctx.streams.(worker) in
-      let tx = ref 0 in
-      Bitset.iter_range
-        (fun u -> tx := !tx + cobra_keyed_visit g k ~base ~branching ~lazy_ ~into u)
-        current ~lo ~hi;
-      ctx.shard_tx.(worker) <- ctx.shard_tx.(worker) + !tx);
-  let card = Bitset.drain_words_range ~into:next ctx.scratch ~lo:0 ~hi:nw in
-  Bitset.unsafe_set_cardinal next card;
-  let tx = ref 0 in
-  for w = 0 to ctx.nworkers - 1 do
-    tx := !tx + ctx.shard_tx.(w);
-    ctx.shard_tx.(w) <- 0
-  done;
-  !tx
-
+   cardinality and re-zeroes the scratches for the next round.  Below
+   the density threshold the caller runs the same kernel over every
+   word, into [next], and counts it. *)
 let cobra_step_keyed g ctx ~round ~branching ~lazy_ ~current ~next =
+  let base = Keyed.round_base ctx.key ~round in
+  let nw = Bitset.num_words current in
   let c = Bitset.cardinal current in
   match shard_pool ctx c with
-  | Some pool -> cobra_step_keyed_par g ctx pool ~round ~branching ~lazy_ ~current ~next c
-  | None -> cobra_step_keyed_serial g ctx ~round ~branching ~lazy_ ~current ~next c
+  | None ->
+      Bitset.clear next;
+      let tx = cobra_range g ~base ~branching ~lazy_ ~current ~into:next ~lo:0 ~hi:nw in
+      Bitset.unsafe_set_cardinal next (Bitset.popcount_words_range next ~lo:0 ~hi:nw);
+      tx
+  | Some pool ->
+      ensure_scratch ctx (Graph.n g);
+      let chunk = scan_chunk ~card:c ~nw ~workers:ctx.nworkers in
+      Pool.parallel_chunked pool ~lo:0 ~hi:nw ~chunk (fun ~worker ~lo ~hi ->
+          let into = ctx.scratch.(worker) in
+          let tx = cobra_range g ~base ~branching ~lazy_ ~current ~into ~lo ~hi in
+          ctx.partial.(worker) <- ctx.partial.(worker) + tx);
+      let card = Bitset.drain_words_range ~into:next ctx.scratch ~lo:0 ~hi:nw in
+      Bitset.unsafe_set_cardinal next card;
+      take_partials ctx
 
 (* Floyd's sample of [b] distinct indices from [0, d) per active vertex,
    every index drawn at the vertex's keyed position; [chosen] holds at
@@ -184,108 +234,138 @@ let cobra_step_keyed g ctx ~round ~branching ~lazy_ ~current ~next =
 let cobra_step_without_replacement g ctx ~round ~b ~current ~next =
   if b < 1 then invalid_arg "Process: branching factor must be >= 1";
   Bitset.clear next;
-  let k = ctx.streams.(0) in
-  let base = Keyed.round_base k ~round in
+  let base = Keyed.round_base ctx.key ~round in
+  let offsets = Graph.csr_offsets g and adj = Graph.csr_adjacency g in
+  let n = Graph.n g in
   let transmissions = ref 0 in
   let chosen = Array.make b 0 in
-  Bitset.iter
-    (fun u ->
-      let d = Graph.degree g u in
-      if d <= b then begin
-        (* Fewer neighbours than the fan-out: inform all of them. *)
-        Graph.iter_neighbors g u (fun v -> Bitset.unsafe_add next v);
-        transmissions := !transmissions + d
-      end
-      else begin
-        Keyed.position_at k ~base ~vertex:u;
-        for i = 0 to b - 1 do
-          let j = d - b + i in
-          let r = Keyed.int_below k (j + 1) in
-          let dup = ref false in
-          for l = 0 to i - 1 do
-            if Array.unsafe_get chosen l = r then dup := true
-          done;
-          Array.unsafe_set chosen i (if !dup then j else r)
+  let u = ref (Bitset.next_member current 0 ~stop:n) in
+  while !u < n do
+    let src = !u in
+    let first = Int32.to_int (A1.unsafe_get offsets src) in
+    let d = Int32.to_int (A1.unsafe_get offsets (src + 1)) - first in
+    if d <= b then begin
+      (* Fewer neighbours than the fan-out: inform all of them. *)
+      for i = first to first + d - 1 do
+        Bitset.unsafe_add next (Int32.to_int (A1.unsafe_get adj i))
+      done;
+      transmissions := !transmissions + d
+    end
+    else begin
+      let ctr = ref (mix (Int64.add base (Int64.of_int src))) in
+      for i = 0 to b - 1 do
+        (* A draw below j + 1 >= 2. *)
+        let j = d - b + i in
+        let mask = smear j in
+        let shift = shift_for mask in
+        let r = ref (j + 1) in
+        while !r > j do
+          let c = !ctr in
+          ctr := Int64.add c gamma;
+          r := Int64.to_int (Int64.shift_right_logical (mix c) shift) land mask
         done;
-        for i = 0 to b - 1 do
-          Bitset.unsafe_add next (Graph.unsafe_neighbor g u (Array.unsafe_get chosen i))
+        let dup = ref false in
+        for l = 0 to i - 1 do
+          if Array.unsafe_get chosen l = !r then dup := true
         done;
-        transmissions := !transmissions + b
-      end)
-    current;
+        Array.unsafe_set chosen i (if !dup then j else !r)
+      done;
+      for i = 0 to b - 1 do
+        let v = Int32.to_int (A1.unsafe_get adj (first + Array.unsafe_get chosen i)) in
+        Bitset.unsafe_add next v
+      done;
+      transmissions := !transmissions + b
+    end;
+    u := Bitset.next_member current (src + 1) ~stop:n
+  done;
   !transmissions
 
-let[@inline] keyed_infected g k ~base ~branching ~lazy_ ~current u =
-  Keyed.position_at k ~base ~vertex:u;
-  let fanout = keyed_fanout k branching in
-  let infected = ref false in
-  for _ = 1 to fanout do
-    if Bitset.mem current (keyed_select g k ~lazy_ u) then infected := true
-  done;
-  !infected
-
-(* BIPS/SIS scan every vertex and write only bit [u], so chunks aligned
-   to word boundaries write disjoint words of [next] directly — no
-   scratch sets, no merge.  Each chunk zeroes exactly the words it then
-   writes and accumulates its own popcount, so neither a full clear nor
-   a full cardinality sweep runs: the only serial work is summing one
-   integer per worker. *)
-let keyed_scan_par pool ctx ~n ~next body =
-  let nw = Bitset.num_words next in
-  let chunk = max 4 (nw / (ctx.nworkers * 8)) in
-  Pool.parallel_chunked pool ~lo:0 ~hi:nw ~chunk (fun ~worker ~lo ~hi ->
-      let k = ctx.streams.(worker) in
-      Bitset.clear_words_range next ~lo ~hi;
-      let vlo = lo * Bitset.bits_per_word in
-      let vhi = min n (hi * Bitset.bits_per_word) in
-      for u = vlo to vhi - 1 do
-        body k u
+(* BIPS and SIS over the vertices in words [lo, hi) of [next]: every
+   vertex but [source] draws its fan-out and picks as [cobra_range]
+   does, and is infected when a pick lies in [current].  A vertex writes
+   only its own bit, so the range's words of [next] are cleared, set
+   raw and counted here, and chunks aligned to word boundaries write
+   disjoint words: no scratch sets, no merge.  Once a vertex is infected
+   its remaining picks cannot change the outcome and are not drawn,
+   except at degree 0: there every pick is drawn, so the round raises
+   whenever one of them needs a neighbour.  Returns the popcount of the
+   range. *)
+let scan_range g ~base ~branching ~lazy_ ~source ~current ~next ~lo ~hi =
+  let offsets = Graph.csr_offsets g and adj = Graph.csr_adjacency g in
+  let coin = coin_fanout branching and fixed = fixed_fanout branching in
+  let rho = coin_rho branching in
+  Bitset.clear_words_range next ~lo ~hi;
+  for u = lo * Bitset.bits_per_word to Int.min (Graph.n g) (hi * Bitset.bits_per_word) - 1 do
+    if u <> source then begin
+      let ctr = ref (mix (Int64.add base (Int64.of_int u))) in
+      let fanout =
+        if coin then begin
+          let c = !ctr in
+          ctr := Int64.add c gamma;
+          let bits = Int64.to_int (Int64.shift_right_logical (mix c) 11) in
+          if float_of_int bits *. 0x1.0p-53 < rho then 2 else 1
+        end
+        else fixed
+      in
+      let first = Int32.to_int (A1.unsafe_get offsets u) in
+      let d = Int32.to_int (A1.unsafe_get offsets (u + 1)) - first in
+      let mask = smear (d - 1) in
+      let shift = shift_for mask in
+      let infected = ref false and pick = ref 0 in
+      while !pick < fanout && not (!infected && d > 0) do
+        let v =
+          if
+            lazy_
+            &&
+            let c = !ctr in
+            ctr := Int64.add c gamma;
+            mix c < 0L
+          then u
+          else if d > 1 then begin
+            let r = ref d in
+            while !r >= d do
+              let c = !ctr in
+              ctr := Int64.add c gamma;
+              r := Int64.to_int (Int64.shift_right_logical (mix c) shift) land mask
+            done;
+            Int32.to_int (A1.unsafe_get adj (first + !r))
+          end
+          else if d = 1 then Int32.to_int (A1.unsafe_get adj first)
+          else no_neighbour u d
+        in
+        if Bitset.mem current v then infected := true;
+        incr pick
       done;
-      ctx.shard_card.(worker) <-
-        ctx.shard_card.(worker) + Bitset.popcount_words_range next ~lo ~hi);
-  let card = ref 0 in
-  for w = 0 to ctx.nworkers - 1 do
-    card := !card + ctx.shard_card.(w);
-    ctx.shard_card.(w) <- 0
+      if !infected then Bitset.unsafe_set_bit next u
+    end
   done;
-  Bitset.unsafe_set_cardinal next !card
+  Bitset.popcount_words_range next ~lo ~hi
 
-(* Dispatch one full-universe scan round: sharded when the pool is
-   engaged, the serial loop otherwise. *)
-let keyed_scan_round ctx ~n ~par ~serial =
-  match shard_pool ctx n with Some pool -> par pool | None -> serial ()
+(* One BIPS or SIS round: the serial path runs [scan_range] over every
+   word, the sharded path once per claimed chunk.  Each chunk
+   accumulates its own popcount, so neither a full clear nor a full
+   cardinality sweep runs. *)
+let scan_step g ctx ~round ~branching ~lazy_ ~source ~current ~next =
+  let base = Keyed.round_base ctx.key ~round in
+  let nw = Bitset.num_words next in
+  let card =
+    match shard_pool ctx (Graph.n g) with
+    | None -> scan_range g ~base ~branching ~lazy_ ~source ~current ~next ~lo:0 ~hi:nw
+    | Some pool ->
+        let chunk = max 4 (nw / (ctx.nworkers * 8)) in
+        Pool.parallel_chunked pool ~lo:0 ~hi:nw ~chunk (fun ~worker ~lo ~hi ->
+            let card = scan_range g ~base ~branching ~lazy_ ~source ~current ~next ~lo ~hi in
+            ctx.partial.(worker) <- ctx.partial.(worker) + card);
+        take_partials ctx
+  in
+  Bitset.unsafe_set_cardinal next card
 
 let bips_step_keyed g ctx ~round ~branching ~lazy_ ~source ~current ~next =
-  let n = Graph.n g in
-  let base = Keyed.round_base ctx.streams.(0) ~round in
-  keyed_scan_round ctx ~n
-    ~par:(fun pool ->
-      keyed_scan_par pool ctx ~n ~next (fun k u ->
-          if u <> source && keyed_infected g k ~base ~branching ~lazy_ ~current u then
-            Bitset.unsafe_set_bit next u))
-    ~serial:(fun () ->
-      Bitset.clear next;
-      let k = ctx.streams.(0) in
-      for u = 0 to n - 1 do
-        if u <> source && keyed_infected g k ~base ~branching ~lazy_ ~current u then
-          Bitset.unsafe_add next u
-      done);
+  scan_step g ctx ~round ~branching ~lazy_ ~source ~current ~next;
   Bitset.add next source
 
 let sis_step_keyed g ctx ~round ~branching ~lazy_ ~current ~next =
-  let n = Graph.n g in
-  let base = Keyed.round_base ctx.streams.(0) ~round in
-  keyed_scan_round ctx ~n
-    ~par:(fun pool ->
-      keyed_scan_par pool ctx ~n ~next (fun k u ->
-          if keyed_infected g k ~base ~branching ~lazy_ ~current u then
-            Bitset.unsafe_set_bit next u))
-    ~serial:(fun () ->
-      Bitset.clear next;
-      let k = ctx.streams.(0) in
-      for u = 0 to n - 1 do
-        if keyed_infected g k ~base ~branching ~lazy_ ~current u then Bitset.unsafe_add next u
-      done)
+  scan_step g ctx ~round ~branching ~lazy_ ~source:(-1) ~current ~next
 
 (* PUSH: every informed vertex calls one uniform neighbour — the COBRA
    round at b = 1 over I, accumulated onto I. *)

@@ -47,6 +47,15 @@
     including none.  A fixed density threshold keeps sparse rounds on
     the serial path.
 
+    {b One kernel per process.}  COBRA has one range kernel over a word
+    range of the frontier, BIPS and SIS share one over a vertex range;
+    the serial path runs it over the whole range and the sharded path
+    once per claimed chunk.  {!Cobra_prng.Keyed} defines the stream,
+    and the kernels compute its draws inline: the counter in a local,
+    copies of its finaliser and rejection mask, the CSR read directly.
+    [test_keyed] pins their draws to [Keyed]'s and holds each kernel to
+    the per-vertex call chain on [Keyed] it replaced.
+
     Sets are {!Cobra_bitset.Bitset.t} over the vertex universe; the step
     functions write into a caller-provided [next] set so the run loop
     ({!Rounds}) runs allocation-free.  The pool's nesting rule applies:
@@ -87,9 +96,10 @@ val expected_branching_factor : branching -> float
 (** [Fixed b -> float b]; [Bernoulli rho -> 1 + rho]. *)
 
 type keyed_ctx
-(** Per-run state of the step kernels: one keyed cursor and scratch set
-    per shard, the sparse-path buffer, PUSH-PULL's pull set, and the
-    scheduling threshold.
+(** Per-run state of the step kernels: the master's keyed cursor, which
+    the kernels only read the round key from, one scratch set and one
+    partial count per shard, PUSH-PULL's pull set, and the scheduling
+    threshold.
     Create once per run; reuse across runs only when the graph
     (capacity) and master seed are the same. *)
 

@@ -58,8 +58,7 @@ let storage_bytes t = 4 * (A1.dim t.offsets + A1.dim t.adj)
 let[@inline] offset t u = Int32.to_int (A1.unsafe_get t.offsets u)
 
 (* [degree] without the vertex-range check — the companion of
-   [unsafe_neighbor] for kernels that draw many indices below the same
-   degree and hoist the rejection mask across the fan-out. *)
+   [unsafe_neighbor] for loops over vertices in range by construction. *)
 let[@inline] unsafe_degree t u = offset t (u + 1) - offset t u
 
 let degree t u =
@@ -97,15 +96,6 @@ let neighbor t u i =
   if i < 0 || i >= d then
     invalid_arg (Printf.sprintf "Graph.neighbor: index %d out of range [0, %d)" i d);
   unsafe_neighbor t u i
-
-(* No vertex-range or isolation check and no array bounds checks: the
-   step kernels call this once per transmission with vertices that are
-   in range by construction, from any domain.  An isolated vertex makes
-   [Keyed.int_below] raise on 0. *)
-let[@inline] unsafe_keyed_neighbor t k u =
-  let lo = offset t u in
-  let d = offset t (u + 1) - lo in
-  Int32.to_int (A1.unsafe_get t.adj (lo + Cobra_prng.Keyed.int_below k d))
 
 let random_neighbor t rng u =
   check_vertex t u;

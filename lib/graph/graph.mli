@@ -76,13 +76,6 @@ val random_neighbor : t -> Cobra_prng.Rng.t -> int -> int
 (** [random_neighbor g rng u] is a uniformly random neighbour of [u].
     @raise Invalid_argument if [u] is isolated. *)
 
-val unsafe_keyed_neighbor : t -> Cobra_prng.Keyed.t -> int -> int
-(** [unsafe_keyed_neighbor g k u] is a uniformly random neighbour of [u]
-    drawn from a counter-based {!Cobra_prng.Keyed} stream (one
-    [Keyed.int_below] of the degree) — the neighbour selection primitive
-    of the step kernels.  No vertex-range or isolation checks:
-    out-of-range or isolated [u] is undefined behaviour. *)
-
 val unsafe_neighbor : t -> int -> int -> int
 (** [neighbor] without the vertex-range and index checks, for inner
     loops whose indices are in [0, degree u) by construction.
@@ -90,8 +83,9 @@ val unsafe_neighbor : t -> int -> int -> int
 
 val unsafe_degree : t -> int -> int
 (** [degree] without the vertex-range check — the companion of
-    {!unsafe_neighbor} for kernels that draw many indices below the same
-    degree and hoist the rejection mask across the fan-out.
+    {!unsafe_neighbor} for loops over vertices in range by construction
+    (the bench ledger's CSR scan row; the step kernels in
+    [Cobra_core.Process] read {!csr_offsets} themselves).
     Out-of-range [u] is undefined behaviour. *)
 
 val neighbors : t -> int -> int array

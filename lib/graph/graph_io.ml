@@ -81,6 +81,33 @@ let classify line =
 
 exception Bad_line
 
+(* Largest value a decimal field may hold before one more digit: past
+   it, [acc * 10 + 9] would wrap. *)
+let before_last_digit = (max_int - 9) / 10
+
+(* The decimal integer starting at [!pos]: one or more digits, after a
+   '-' when [signed]; [pos] ends past it.  Anything else — "0x4", "1_0",
+   "+4", a value past [max_int] — raises [Bad_line].  Edge lines and the
+   header's vertex count share it, so the two accept the same numbers. *)
+let decimal_at line pos ~signed =
+  let len = String.length line in
+  let neg = signed && !pos < len && line.[!pos] = '-' in
+  if neg then incr pos;
+  let start = !pos in
+  let acc = ref 0 in
+  while
+    !pos < len
+    &&
+    let c = line.[!pos] in
+    c >= '0' && c <= '9'
+  do
+    if !acc > before_last_digit then raise Bad_line;
+    acc := (!acc * 10) + (Char.code line.[!pos] - Char.code '0');
+    incr pos
+  done;
+  if !pos = start then raise Bad_line;
+  if neg then - !acc else !acc
+
 (* Parse exactly two decimal integers (optionally '-'-signed, so range
    errors on negative ids surface as such rather than as parse errors)
    separated and surrounded by blanks.  Anything else — a third token,
@@ -93,30 +120,20 @@ let parse_two_ints line =
       incr pos
     done
   in
-  let int_at () =
-    let neg = !pos < len && line.[!pos] = '-' in
-    if neg then incr pos;
-    let start = !pos in
-    let acc = ref 0 in
-    while
-      !pos < len
-      &&
-      let c = line.[!pos] in
-      c >= '0' && c <= '9'
-    do
-      acc := (!acc * 10) + (Char.code line.[!pos] - Char.code '0');
-      incr pos
-    done;
-    if !pos = start then raise Bad_line;
-    if neg then - !acc else !acc
-  in
   skip ();
-  let u = int_at () in
+  let u = decimal_at line pos ~signed:true in
   skip ();
-  let v = int_at () in
+  let v = decimal_at line pos ~signed:true in
   skip ();
   if !pos <> len then raise Bad_line;
   (u, v)
+
+(* The header's vertex count: a whole token of decimal digits. *)
+let parse_count token =
+  let pos = ref 0 in
+  match decimal_at token pos ~signed:false with
+  | n when !pos = String.length token -> Some n
+  | _ | (exception Bad_line) -> None
 
 let read_channel ic =
   let builder = ref None in
@@ -128,9 +145,11 @@ let read_channel ic =
           | None -> (
               match tokens line with
               | [ "cobra-graph"; n_str ] -> (
-                  match int_of_string_opt n_str with
-                  | Some n when n >= 0 -> builder := Some (Builder.create ~n ())
-                  | _ -> failwith "Graph_io.read_channel: bad vertex count in header")
+                  match parse_count n_str with
+                  | Some n -> (
+                      try builder := Some (Builder.create ~n ())
+                      with Invalid_argument msg -> failwith ("Graph_io.read_channel: " ^ msg))
+                  | None -> failwith "Graph_io.read_channel: bad vertex count in header")
               | _ -> failwith "Graph_io.read_channel: expected 'cobra-graph <n>' header")
           | Some b -> (
               match parse_two_ints line with

@@ -7,8 +7,10 @@
     <u> <v>
     ...
     v}
-    One edge per line, whitespace separated.  Parsers accept edges in
-    either orientation, ignore blank and [#] lines, and tolerate CRLF.
+    One edge per line, whitespace separated.  The vertex count and the
+    endpoints are plain decimal digits: no sign on the count, no [0x],
+    [_] or [+].  Parsers accept edges in either orientation, ignore
+    blank and [#] lines, and tolerate CRLF.
 
     {!read_channel} parses the native format by streaming fixed-size
     chunks through an incremental {!Builder}: it never materialises the

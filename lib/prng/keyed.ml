@@ -74,7 +74,9 @@ let next64 t = next t
 let[@inline] bits30 t = Int64.to_int (Int64.shift_right_logical (next t) 34)
 
 (* Smallest all-ones mask covering [0, n): the rejection mask both
-   [int_below] and the mask-hoisted [masked_below] draw under. *)
+   [int_below] and the mask-hoisted [masked_below] draw under.  [Rng]
+   and the step kernels compute it by a bit smear instead; this loop is
+   the definition the tests hold the smear to. *)
 let[@inline] mask_below n =
   let m = ref 1 in
   while !m < n - 1 do

@@ -17,19 +17,28 @@
       two finaliser applications, so per-vertex streams need no seeding
       loop.
 
-    A [Keyed.t] is a cheap mutable cursor (position + draw counter); each
-    worker domain owns one and repositions it per vertex.  Statistically
-    each position opens an independent SplitMix64 stream: the draw at
-    index [i] is [mix (key + gamma * i)], exactly the [i]-th output of a
-    SplitMix64 state seeded at [key].
+    A [Keyed.t] is a cheap mutable cursor (position + draw counter).
+    Statistically each position opens an independent SplitMix64 stream:
+    the draw at index [i] is [mix (key + gamma * i)], exactly the [i]-th
+    output of a SplitMix64 state seeded at [key].
+
+    {b One definition, inlined by the kernels.}  This module defines the
+    stream.  The step kernels in [Cobra_core.Process] take only
+    {!round_base} from it and compute each vertex's draws in their own
+    loop bodies, with copies of {!gamma}, {!mix} and {!mask_below} and
+    the counter in a local: under [-opaque] a call here boxes an int64,
+    and a shared cursor written on every draw puts a sharded round's
+    workers on one cache line.  [test_keyed] pins the kernels' draws to
+    this module's at fixed (master, round, vertex, degree) points; the
+    [bench/] and [perfbench/] draw rows call this module.
 
     {b Allocation.}  The cursor keeps its counter as unboxed bytes, so
     repositioning and every draw that returns an [int] or a [bool]
-    ({!int_below}, {!masked_below}, {!int_below_run}, {!bool},
-    {!bernoulli}, {!position}, {!position_at}) allocate nothing.  The
-    library builds with dune's dev profile, whose [-opaque] stops
-    inlining across modules, so a call that returns an [int64] or a
-    [float] ({!next64}, {!float01}, {!round_base}) boxes its result. *)
+    ({!int_below}, {!int_below_run}, {!bool}, {!bernoulli},
+    {!position}, {!position_at}) allocate nothing.  The library builds
+    with dune's dev profile, whose [-opaque] stops inlining across
+    modules, so a call that returns an [int64] or a [float] ({!next64},
+    {!float01}, {!round_base}) boxes its result. *)
 
 type t
 (** Mutable cursor: the current position key and draw counter. *)
@@ -85,16 +94,10 @@ val position_at : t -> base:int64 -> vertex:int -> unit
 
 val mask_below : int -> int
 (** [mask_below n] is the smallest all-ones bit mask covering
-    [\[0, n)] — the rejection mask {!int_below} draws under, exposed so
-    kernels drawing many indices below the same bound can hoist it
-    (see {!masked_below}). *)
-
-val masked_below : t -> mask:int -> int -> int
-(** [masked_below t ~mask n] is {!int_below t n} with the mask supplied
-    by the caller; draws (and rejections) consume the counter exactly as
-    {!int_below} does, so the two are draw-for-draw interchangeable.
-    [mask] {e must} equal [mask_below n] — anything else skews the
-    distribution.  No bound validation: kernel primitive. *)
+    [\[0, n)] — the rejection mask {!int_below} draws under.  No program
+    calls it: [Rng] and the step kernels compute the same mask inline
+    with a branch-free bit smear of [n - 1], and this loop is the
+    definition the tests hold that smear to. *)
 
 val int_below_run : t -> int -> out:int array -> count:int -> unit
 (** [int_below_run t n ~out ~count] fills [out.(0 .. count-1)] with

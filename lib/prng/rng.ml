@@ -49,13 +49,27 @@ let keyed_master t = Int64.to_int (next t) land max_int
 
 let[@inline] bits30 t = Int64.to_int (Int64.shift_right_logical (next t) 34)
 
+(* [Keyed.mask_below (x + 1)] for x >= 1, the smallest all-ones mask
+   covering x, by a branch-free smear of its top bit: a call to
+   [Keyed.mask_below] would be out of line under [-opaque], and it
+   loops. *)
+let[@inline] smear x =
+  let x = x lor (x lsr 1) in
+  let x = x lor (x lsr 2) in
+  let x = x lor (x lsr 4) in
+  let x = x lor (x lsr 8) in
+  let x = x lor (x lsr 16) in
+  x lor (x lsr 32)
+
+let mask_below n = smear (n - 1)
+
 let int_below t n =
   if n <= 0 then invalid_arg "Rng.int_below: bound must be positive";
   if n = 1 then 0
   else begin
     (* Masked rejection: draw ceil(log2 n) bits until the value is < n.
        Expected < 2 draws; no modulo bias. *)
-    let mask = Keyed.mask_below n in
+    let mask = smear (n - 1) in
     if mask <= 0x3FFFFFFF then begin
       let v = ref (bits30 t land mask) in
       while !v >= n do

@@ -39,8 +39,16 @@ val keyed_master : t -> int
 
 val int_below : t -> int -> int
 (** [int_below t n] is uniform on [\[0, n)].  Uses masked rejection
-    ({!Keyed.mask_below}), so there is no modulo bias.
+    under {!Keyed.mask_below}'s mask, computed inline by a bit smear, so
+    there is no modulo bias.
     @raise Invalid_argument if [n <= 0]. *)
+
+val mask_below : int -> int
+(** [mask_below n], for [n >= 2], is the rejection mask {!int_below}
+    draws under: {!Keyed.mask_below}[ n], computed by a branch-free bit
+    smear of [n - 1] instead of [Keyed]'s loop.  No program calls it;
+    it is exported so that [test_prng] can hold the smear to
+    {!Keyed.mask_below}. *)
 
 val float01 : t -> float
 (** [float01 t] is uniform on [\[0, 1)] with 53 bits of precision. *)

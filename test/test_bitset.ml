@@ -96,7 +96,13 @@ let test_errors () =
     (Invalid_argument "Bitset: operands have different capacities") (fun () ->
       Bitset.union_into ~into:s t);
   Alcotest.check_raises "negative capacity" (Invalid_argument "Bitset.create: negative capacity")
-    (fun () -> ignore (Bitset.create (-1)))
+    (fun () -> ignore (Bitset.create (-1)));
+  Alcotest.check_raises "next_member past the capacity"
+    (Invalid_argument "Bitset.next_member: range [0, 11) outside [0, 10]") (fun () ->
+      ignore (Bitset.next_member s 0 ~stop:11));
+  Alcotest.check_raises "next_member from a negative index"
+    (Invalid_argument "Bitset.next_member: range [-1, 10) outside [0, 10]") (fun () ->
+      ignore (Bitset.next_member s (-1) ~stop:10))
 
 (* The multiply-shift word addressing is only exact below 2^30, so
    [create] caps capacity there.  Exercise both sides of the boundary:
@@ -204,19 +210,24 @@ let word_range_kernels_test =
       let bs = Bitset.of_list cap xs in
       let nw = Bitset.num_words bs in
       let expected = IntSet.elements (IntSet.of_list xs) in
-      (* Tiling [0, nw) at any split must reproduce iter exactly. *)
-      let collect lo hi =
+      (* Walking [0, cap) with next_member, split at any point, must
+         reproduce iter exactly. *)
+      let collect lo stop =
         let acc = ref [] in
-        Bitset.iter_range (fun i -> acc := i :: !acc) bs ~lo ~hi;
+        let i = ref (Bitset.next_member bs lo ~stop) in
+        while !i < stop do
+          acc := !i :: !acc;
+          i := Bitset.next_member bs (!i + 1) ~stop
+        done;
         List.rev !acc
       in
       let mid = nw / 2 in
-      let ok_iter_range = collect 0 mid @ collect mid nw = expected in
-      (* members_into fills a prefix with exactly to_array's contents. *)
-      let buf = Array.make (Bitset.cardinal bs + 3) (-1) in
-      let k = Bitset.members_into bs buf in
-      let ok_members =
-        k = Bitset.cardinal bs && Array.to_list (Array.sub buf 0 k) = expected
+      let split = cap / 3 in
+      let ok_next_member =
+        collect 0 split @ collect split cap = expected
+        && collect 0 cap = expected
+        && collect cap cap = []
+        && collect (cap - 1) cap = List.filter (fun i -> i = cap - 1) expected
       in
       (* unsafe_set_bit leaves cardinal stale; the range popcounts sum
          to the true cardinality, and unsafe_set_cardinal of the sum
@@ -243,7 +254,7 @@ let word_range_kernels_test =
         && Bitset.cardinal drained = Bitset.cardinal reference
         && Array.for_all (fun s -> Bitset.popcount_words_range s ~lo:0 ~hi:nw = 0) srcs
       in
-      ok_iter_range && ok_members && ok_raw && ok_drain)
+      ok_next_member && ok_raw && ok_drain)
 
 let () =
   Alcotest.run "bitset"

@@ -89,7 +89,15 @@ let test_parse_errors () =
   check_bool "bad token" true (fails "cobra-graph 3\n0 a\n");
   check_bool "triple token" true (fails "cobra-graph 3\n0 1 2\n");
   check_bool "self loop" true (fails "cobra-graph 3\n1 1\n");
-  check_bool "out of range" true (fails "cobra-graph 3\n0 7\n")
+  check_bool "out of range" true (fails "cobra-graph 3\n0 7\n");
+  (* Numbers are decimal digits, in the header as on edge lines. *)
+  check_bool "hex count" true (fails "cobra-graph 0x4\n0 1\n2 3\n");
+  check_bool "underscore count" true (fails "cobra-graph 1_0\n0 1\n");
+  check_bool "signed count" true (fails "cobra-graph +4\n0 1\n");
+  check_bool "negative count" true (fails "cobra-graph -1\n");
+  check_bool "count past max_int" true (fails "cobra-graph 99999999999999999999\n");
+  check_bool "hex endpoint" true (fails "cobra-graph 4\n0x1 1\n");
+  check_bool "endpoint past max_int" true (fails "cobra-graph 4\n0 18446744073709551617\n")
 
 let test_dot () =
   let g = Graph.of_edges ~n:3 [ (0, 1); (1, 2) ] in

@@ -138,10 +138,9 @@ let test_round_base_hoist () =
     [ (0, 0); (1, 1); (3, 17); (5, 9); (12, 65535); (100, 1) ]
 
 let test_masked_and_run_draw_compatible () =
-  (* mask_below is the int_below rejection mask; masked_below and
-     int_below_run must be draw-for-draw interchangeable with repeated
-     int_below — same values, same counter consumption (including
-     rejections). *)
+  (* mask_below is the int_below rejection mask; int_below_run must be
+     draw-for-draw interchangeable with repeated int_below — same
+     values, same counter consumption (including rejections). *)
   List.iter
     (fun n ->
       let mask = Keyed.mask_below n in
@@ -151,23 +150,17 @@ let test_masked_and_run_draw_compatible () =
         (mask >= n - 1 && (mask = 1 || mask / 2 < n - 1) && mask land (mask + 1) = 0);
       let a = Keyed.create ~master:23 in
       let b = Keyed.create ~master:23 in
-      let c = Keyed.create ~master:23 in
       Keyed.position a ~round:1 ~vertex:n;
       Keyed.position b ~round:1 ~vertex:n;
-      Keyed.position c ~round:1 ~vertex:n;
       let count = 64 in
       let out = Array.make count (-1) in
       Keyed.int_below_run a n ~out ~count;
       for i = 0 to count - 1 do
-        check_int (Printf.sprintf "n=%d draw %d (int_below)" n i) out.(i) (Keyed.int_below b n);
-        check_int
-          (Printf.sprintf "n=%d draw %d (masked_below)" n i)
-          out.(i)
-          (Keyed.masked_below c ~mask n)
+        check_int (Printf.sprintf "n=%d draw %d (int_below)" n i) out.(i) (Keyed.int_below b n)
       done;
-      (* All three cursors consumed the same number of draws. *)
-      let va = Keyed.next64 a and vb = Keyed.next64 b and vc = Keyed.next64 c in
-      check_bool (Printf.sprintf "n=%d counters aligned" n) true (va = vb && vb = vc))
+      (* Both cursors consumed the same number of draws. *)
+      let va = Keyed.next64 a and vb = Keyed.next64 b in
+      check_bool (Printf.sprintf "n=%d counters aligned" n) true (va = vb))
     [ 1; 2; 3; 4; 7; 8; 63; 64; 65; 1000; 0x3FFFFFFF; 0x40000000; 0x40000001 ]
 
 (* Draws at a fixed (master, round, vertex), recorded before the cursor
@@ -197,7 +190,7 @@ let test_known_answers () =
 let test_draws_allocate_nothing () =
   let count = 100_000 in
   let k = Keyed.create ~master:1 in
-  let base = Keyed.round_base k ~round:1 and mask = Keyed.mask_below 1000 in
+  let base = Keyed.round_base k ~round:1 in
   let out = Array.make count 0 in
   let each name ?(per_draw = 0) draw =
     let w = Alloc.words (fun () -> for i = 1 to count do draw i done) in
@@ -210,7 +203,6 @@ let test_draws_allocate_nothing () =
   each "position_at" (fun v -> Keyed.position_at k ~base ~vertex:v);
   each "int_below" (fun _ -> ignore (Sys.opaque_identity (Keyed.int_below k 1000)));
   each "int_below 2^40" (fun _ -> ignore (Sys.opaque_identity (Keyed.int_below k (1 lsl 40))));
-  each "masked_below" (fun _ -> ignore (Sys.opaque_identity (Keyed.masked_below k ~mask 1000)));
   each "bool" (fun _ -> ignore (Sys.opaque_identity (Keyed.bool k)));
   each "bernoulli" (fun _ -> ignore (Sys.opaque_identity (Keyed.bernoulli k 0.3)));
   each "next64" ~per_draw:3 (fun _ -> ignore (Sys.opaque_identity (Keyed.next64 k)));
@@ -218,41 +210,282 @@ let test_draws_allocate_nothing () =
   let w = Alloc.words (fun () -> Keyed.int_below_run k 1000 ~out ~count) in
   check_bool (Printf.sprintf "int_below_run: %.0f minor words" w) true (w <= 64.)
 
-(* One serial dense round of each kernel, measured after a warm-up
-   round, at two sizes: the bound does not grow with n. *)
+(* One dense round of each kernel, measured after a warm-up round, at
+   two sizes: the bound does not grow with n.  Serially the whole round
+   runs on the calling domain.  On a 2-wide pool with every round
+   sharded, the words counted are the submitting domain's: the pool's
+   job bookkeeping plus the chunks it claims itself.  A kernel that
+   boxed an int64 per draw or per vertex allocates thousands of words
+   here. *)
 let test_dense_steps_allocate_constant () =
+  Pool.with_pool ~num_domains:1 (fun pool ->
+      List.iter
+        (fun d ->
+          let g = Gen.hypercube d in
+          let n = Graph.n g in
+          let current = Bitset.create n and next = Bitset.create n in
+          for u = 0 to n - 1 do
+            if u land 3 <> 0 then Bitset.add current u
+          done;
+          List.iter
+            (fun (path, bound, make_ctx) ->
+              List.iter
+                (fun (label, branching, lazy_) ->
+                  let ctx = make_ctx () in
+                  List.iter
+                    (fun (kernel, step) ->
+                      step ~round:1;
+                      let w = Alloc.words (fun () -> step ~round:2) in
+                      check_bool
+                        (Printf.sprintf "%s %s %s n=%d: %.0f minor words" path kernel label n w)
+                        true (w <= bound))
+                    [
+                      ( "cobra",
+                        fun ~round ->
+                          ignore
+                            (Process.cobra_step_keyed g ctx ~round ~branching ~lazy_ ~current ~next
+                              : int) );
+                      ( "bips",
+                        fun ~round ->
+                          Process.bips_step_keyed g ctx ~round ~branching ~lazy_ ~source:0 ~current
+                            ~next );
+                      ( "sis",
+                        fun ~round ->
+                          Process.sis_step_keyed g ctx ~round ~branching ~lazy_ ~current ~next );
+                    ])
+                [ ("b=2", Process.Fixed 2, false); ("rho=0.5 lazy", Process.Bernoulli 0.5, true) ])
+            [
+              ("serial", 64., fun () -> Process.make_keyed_ctx g ~master:5);
+              ( "sharded",
+                256.,
+                fun () -> Process.make_keyed_ctx ~pool ~dense_threshold:1 g ~master:5 );
+            ])
+        [ 12; 14 ])
+
+(* --- The kernels' inline draws --- *)
+
+(* A star on [n] vertices whose centre [c] has the [d] lowest other
+   vertices as leaves; every vertex above them is isolated. *)
+let star ~n ~c ~d =
+  let others = List.filter (fun v -> v <> c) (List.init (d + 1) Fun.id) in
+  Graph.of_edges ~n (List.filteri (fun i _ -> i < d) (List.map (fun v -> (c, v)) others))
+
+(* At fixed (master, round, vertex, degree) points, the kernels' draws
+   are [Keyed]'s: one COBRA round from the single vertex [c] reaches
+   exactly the neighbours the draws of [Keyed.position ~round ~vertex:c]
+   pick, with as many transmissions as [Keyed] draws for the fan-out,
+   and one round without replacement reaches the neighbours of Floyd's
+   sample drawn from the same position.  Degrees 2^k and 2^k + 1 make
+   the rejection loop run; the large masters, rounds and vertex ids
+   reach the finaliser's high bits. *)
+let test_kernel_draws_are_keyed () =
   List.iter
-    (fun d ->
-      let g = Gen.hypercube d in
-      let n = Graph.n g in
-      let current = Bitset.create n and next = Bitset.create n in
-      for u = 0 to n - 1 do
-        if u land 3 <> 0 then Bitset.add current u
-      done;
+    (fun (master, round, c, d) ->
+      let n = max (c + 1) (d + 1) in
+      let g = star ~n ~c ~d in
+      let current = Bitset.of_list n [ c ] and next = Bitset.create n in
+      let k = Keyed.create ~master in
+      let point = Printf.sprintf "master=%d round=%d vertex=%d degree=%d" master round c d in
       List.iter
         (fun (label, branching, lazy_) ->
-          let ctx = Process.make_keyed_ctx g ~master:5 in
+          Keyed.position k ~round ~vertex:c;
+          let fanout =
+            match branching with
+            | Process.Fixed b -> b
+            | Process.Bernoulli rho -> if Keyed.bernoulli k rho then 2 else 1
+          in
+          let expected =
+            List.sort_uniq compare
+              (List.init fanout (fun _ ->
+                   if lazy_ && Keyed.bool k then c
+                   else Graph.neighbor g c (Keyed.int_below k d)))
+          in
+          let ctx = Process.make_keyed_ctx g ~master in
+          let tx = Process.cobra_step_keyed g ctx ~round ~branching ~lazy_ ~current ~next in
+          Alcotest.(check (list int)) (point ^ " " ^ label) expected (Bitset.to_list next);
+          check_int (point ^ " " ^ label ^ " transmissions") fanout tx)
+        [
+          ("b=1", Process.Fixed 1, false);
+          ("b=2", Process.Fixed 2, false);
+          ("b=3", Process.Fixed 3, false);
+          ("rho=0.5", Process.Bernoulli 0.5, false);
+          ("b=2 lazy", Process.Fixed 2, true);
+          ("rho=0.5 lazy", Process.Bernoulli 0.5, true);
+        ];
+      let b = min 3 (d - 1) in
+      Keyed.position k ~round ~vertex:c;
+      let chosen = Array.make b 0 in
+      for i = 0 to b - 1 do
+        let j = d - b + i in
+        let r = Keyed.int_below k (j + 1) in
+        chosen.(i) <- (if Array.exists (( = ) r) (Array.sub chosen 0 i) then j else r)
+      done;
+      let expected = List.sort compare (Array.to_list (Array.map (Graph.neighbor g c) chosen)) in
+      let ctx = Process.make_keyed_ctx g ~master in
+      ignore (Process.cobra_step_without_replacement g ctx ~round ~b ~current ~next : int);
+      Alcotest.(check (list int))
+        (Printf.sprintf "%s without replacement b=%d" point b)
+        expected (Bitset.to_list next))
+    [
+      (2017, 3, 5, 7);
+      (1, 1, 0, 2);
+      (0, 1, 1, 3);
+      (42, 100, 65_535, 3);
+      (7, 12, 17, 5);
+      (99, 1000, 1000, 64);
+      (5, 2, 3, 65);
+      (123_456_789, 77, 40_000, 1000);
+      (max_int, 1 lsl 40, 9, 1025);
+      (11, 5, 4095, 4097);
+      (3, 4, 70_000, 65_537);
+    ]
+
+(* --- Every kernel held to the call chain it replaced --- *)
+
+(* Graphs without isolated vertices but with degree-1 ones: a random
+   tree plus random extra edges, or a star whose centre's degree (just
+   above a power of two, or not) makes the rejection loop run; the
+   centre sits at a random vertex. *)
+let oracle_graph_gen =
+  let open QCheck2.Gen in
+  let tree =
+    int_range 2 200 >>= fun n ->
+    list_repeat (n - 1) nat >>= fun parents ->
+    list_size (int_bound n) (pair (int_bound (n - 1)) (int_bound (n - 1))) >|= fun extra ->
+    ( n,
+      List.mapi (fun i p -> (i + 1, p mod (i + 1))) parents
+      @ List.filter (fun (u, v) -> u <> v) extra )
+  in
+  let star =
+    oneofl [ 2; 3; 5; 9; 17; 33; 65; 100; 129; 257; 513; 1025 ] >>= fun d ->
+    int_bound d >|= fun c ->
+    let leaves = List.filter (fun v -> v <> c) (List.init (d + 1) Fun.id) in
+    (d + 1, List.map (fun v -> (c, v)) leaves)
+  in
+  oneof [ tree; star ]
+
+type oracle_case = {
+  n : int;
+  edges : (int * int) list;
+  members : int list;
+  source : int;
+  master : int;
+  round : int;
+}
+
+let oracle_case_gen =
+  let open QCheck2.Gen in
+  oracle_graph_gen >>= fun (n, edges) ->
+  float_bound_inclusive 1.0 >>= fun density ->
+  list_repeat n (float_bound_exclusive 1.0) >>= fun coins ->
+  int_bound (n - 1) >>= fun source ->
+  int >>= fun master ->
+  int_range 1 1_000_000 >|= fun round ->
+  let members = List.concat (List.mapi (fun v x -> if x < density then [ v ] else []) coins) in
+  { n; edges; members; source; master; round }
+
+let print_oracle_case c =
+  Printf.sprintf "n=%d source=%d master=%d round=%d members=[%s] edges=[%s]" c.n c.source c.master
+    c.round
+    (String.concat ";" (List.map string_of_int c.members))
+    (String.concat ";" (List.map (fun (u, v) -> Printf.sprintf "%d-%d" u v) c.edges))
+
+let variants =
+  List.concat_map
+    (fun lazy_ ->
+      List.map
+        (fun (label, branching) -> ((if lazy_ then label ^ " lazy" else label), branching, lazy_))
+        [
+          ("b=1", Process.Fixed 1);
+          ("b=2", Process.Fixed 2);
+          ("b=3", Process.Fixed 3);
+          ("rho=0", Process.Bernoulli 0.0);
+          ("rho=0.5", Process.Bernoulli 0.5);
+          ("rho=1", Process.Bernoulli 1.0);
+        ])
+    [ false; true ]
+
+(* One round of every kernel, serial and on every pool width with every
+   round sharded, equals the oracle's: the next set, the transmission
+   count and the cardinal.  The contexts are reused across variants and
+   kernels, so stale scratch state would show too. *)
+let kernels_match_oracle pools =
+  QCheck2.Test.make ~name:"kernels = Keyed_step_oracle" ~count:150 ~print:print_oracle_case
+    oracle_case_gen (fun c ->
+      let g = Graph.of_edges ~n:c.n c.edges in
+      let current = Bitset.of_list c.n c.members in
+      let master = c.master and round = c.round in
+      let ctxs =
+        ("serial", Process.make_keyed_ctx g ~master)
+        :: List.map
+             (fun (width, pool) ->
+               ( Printf.sprintf "%d worker(s)" width,
+                 Process.make_keyed_ctx ~pool ~dense_threshold:1 g ~master ))
+             pools
+      in
+      let same label (tx_oracle, oracle) (tx, next) =
+        if not (tx = tx_oracle && Bitset.equal next oracle) then
+          QCheck2.Test.fail_reportf "%s: oracle tx=%d card=%d %s; kernel tx=%d card=%d %s" label
+            tx_oracle (Bitset.cardinal oracle)
+            (Format.asprintf "%a" Bitset.pp oracle)
+            tx (Bitset.cardinal next)
+            (Format.asprintf "%a" Bitset.pp next)
+      in
+      let run step =
+        let next = Bitset.create c.n in
+        let tx = step next in
+        (tx, next)
+      in
+      List.iter
+        (fun (vlabel, branching, lazy_) ->
+          let cobra = run (fun next ->
+              Keyed_step_oracle.cobra_step g ~master ~round ~branching ~lazy_ ~current ~next) in
+          let bips = run (fun next ->
+              Keyed_step_oracle.bips_step g ~master ~round ~branching ~lazy_ ~source:c.source
+                ~current ~next;
+              0) in
+          let sis = run (fun next ->
+              Keyed_step_oracle.sis_step g ~master ~round ~branching ~lazy_ ~current ~next;
+              0) in
           List.iter
-            (fun (kernel, step) ->
-              step ~round:1;
-              let w = Alloc.words (fun () -> step ~round:2) in
-              check_bool
-                (Printf.sprintf "%s %s n=%d: %.0f minor words" kernel label n w)
-                true (w <= 64.))
-            [
-              ( "cobra",
-                fun ~round ->
-                  ignore
-                    (Process.cobra_step_keyed g ctx ~round ~branching ~lazy_ ~current ~next : int)
-              );
-              ( "bips",
-                fun ~round ->
-                  Process.bips_step_keyed g ctx ~round ~branching ~lazy_ ~source:0 ~current ~next );
-              ( "sis",
-                fun ~round -> Process.sis_step_keyed g ctx ~round ~branching ~lazy_ ~current ~next );
-            ])
-        [ ("b=2", Process.Fixed 2, false); ("rho=0.5 lazy", Process.Bernoulli 0.5, true) ])
-    [ 12; 14 ]
+            (fun (clabel, ctx) ->
+              let label kernel = Printf.sprintf "%s %s %s" kernel vlabel clabel in
+              same (label "cobra") cobra
+                (run (fun next ->
+                     Process.cobra_step_keyed g ctx ~round ~branching ~lazy_ ~current ~next));
+              same (label "bips") bips
+                (run (fun next ->
+                     Process.bips_step_keyed g ctx ~round ~branching ~lazy_ ~source:c.source
+                       ~current ~next;
+                     0));
+              same (label "sis") sis
+                (run (fun next ->
+                     Process.sis_step_keyed g ctx ~round ~branching ~lazy_ ~current ~next;
+                     0)))
+            ctxs)
+        variants;
+      List.iter
+        (fun b ->
+          same
+            (Printf.sprintf "without replacement b=%d" b)
+            (run (fun next ->
+                 Keyed_step_oracle.without_replacement_step g ~master ~round ~b ~current ~next))
+            (run (fun next ->
+                 Process.cobra_step_without_replacement g (snd (List.hd ctxs)) ~round ~b ~current
+                   ~next)))
+        [ 1; 2; 3 ];
+      true)
+
+let rec with_pools widths f =
+  match widths with
+  | [] -> f []
+  | width :: rest ->
+      with_width width (fun pool -> with_pools rest (fun pools -> f ((width, pool) :: pools)))
+
+let test_kernels_match_oracle () =
+  with_pools pool_widths (fun pools ->
+      let _, _, run = QCheck_alcotest.to_alcotest (kernels_match_oracle pools) in
+      run ())
 
 (* --- Pool-size invariance of the sharded kernels --- *)
 
@@ -551,6 +784,8 @@ let () =
           Alcotest.test_case "draws allocate nothing" `Quick test_draws_allocate_nothing;
           Alcotest.test_case "dense steps allocate a constant" `Quick
             test_dense_steps_allocate_constant;
+          Alcotest.test_case "kernel draws are Keyed's" `Quick test_kernel_draws_are_keyed;
+          Alcotest.test_case "kernels = oracle" `Quick test_kernels_match_oracle;
         ] );
       ( "pool invariance",
         [

@@ -102,6 +102,29 @@ let test_int_below_invalid () =
   Alcotest.check_raises "zero bound" (Invalid_argument "Rng.int_below: bound must be positive")
     (fun () -> ignore (Rng.int_below g 0))
 
+(* The smear [Rng.int_below] computes its mask with equals the loop
+   that defines it, [Keyed.mask_below]: for every n in [2, 2^16], and
+   at 2^k - 1, 2^k and 2^k + 1 for every k up to 61, and at
+   2^62 - 1 = max_int. *)
+let test_mask_smear () =
+  let check n =
+    if Rng.mask_below n <> Keyed.mask_below n then
+      Alcotest.failf "n=%d: smear %d, Keyed.mask_below %d" n (Rng.mask_below n)
+        (Keyed.mask_below n)
+  in
+  for n = 2 to 1 lsl 16 do
+    check n
+  done;
+  for k = 1 to 61 do
+    List.iter (fun n -> if n >= 2 then check n) [ (1 lsl k) - 1; 1 lsl k; (1 lsl k) + 1 ]
+  done;
+  check max_int
+
+let mask_smear_property =
+  QCheck2.Test.make ~name:"mask smear = Keyed.mask_below" ~count:2000
+    QCheck2.Gen.(int_range 2 max_int)
+    (fun n -> Rng.mask_below n = Keyed.mask_below n)
+
 let test_float01_range () =
   let g = Rng.create 8 in
   for _ = 1 to 10_000 do
@@ -278,6 +301,8 @@ let () =
           Alcotest.test_case "int_below bound 1" `Quick test_int_below_one;
           Alcotest.test_case "int_below large bound" `Quick test_int_below_large_bound;
           Alcotest.test_case "int_below invalid" `Quick test_int_below_invalid;
+          Alcotest.test_case "mask smear" `Quick test_mask_smear;
+          QCheck_alcotest.to_alcotest mask_smear_property;
           Alcotest.test_case "float01 range" `Quick test_float01_range;
           Alcotest.test_case "float01 mean" `Quick test_float01_mean;
           Alcotest.test_case "bernoulli extremes" `Quick test_bernoulli_extremes;

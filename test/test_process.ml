@@ -385,6 +385,55 @@ let cobra_b2_equals_paper_probability_test =
       let c = Bitset.cardinal next in
       (c = 1 || c = 2) && not (Bitset.mem next 0))
 
+(* A vertex with no neighbour can neither send nor sample: every kernel
+   that needs a neighbour of it raises an error naming [Process] and the
+   vertex, on the serial path and on a sharded round alike (the pool
+   re-raises a worker's exception on the submitting thread). *)
+let test_isolated_vertex_raises () =
+  let g = Graph.of_edges ~n:6 [ (0, 1); (1, 2); (2, 3); (3, 0) ] in
+  let expected = Invalid_argument "Process: vertex 4 has no neighbour to draw (degree 0)" in
+  let current = sets 6 [ 4 ] and next = Bitset.create 6 in
+  let run ?pool path =
+    let ctx = Process.make_keyed_ctx ?pool ~dense_threshold:0 g ~master:3 in
+    let branching = Process.Fixed 2 in
+    Alcotest.check_raises (path ^ " cobra") expected (fun () ->
+        ignore
+          (Process.cobra_step_keyed g ctx ~round:1 ~branching ~lazy_:false ~current ~next : int));
+    Alcotest.check_raises (path ^ " bips") expected (fun () ->
+        Process.bips_step_keyed g ctx ~round:1 ~branching ~lazy_:false ~source:0 ~current ~next);
+    Alcotest.check_raises (path ^ " sis") expected (fun () ->
+        Process.sis_step_keyed g ctx ~round:1 ~branching ~lazy_:false ~current ~next)
+  in
+  run "serial";
+  Cobra_parallel.Pool.with_pool ~num_domains:1 (fun pool -> run ~pool "sharded")
+
+(* Lazily, a pick of an isolated vertex may stay home, which needs no
+   neighbour.  At degree 0 every pick is drawn, so a round raises
+   exactly when one of them has to leave home, as the per-vertex chain
+   the kernels replaced did, even after an earlier pick has already
+   infected the vertex. *)
+let test_isolated_vertex_lazy () =
+  let g = Graph.of_edges ~n:5 [ (0, 1); (1, 2); (2, 3); (3, 0) ] in
+  let coins master =
+    let k = Cobra_prng.Keyed.create ~master in
+    Cobra_prng.Keyed.position k ~round:1 ~vertex:4;
+    let first = Cobra_prng.Keyed.bool k in
+    (first, Cobra_prng.Keyed.bool k)
+  in
+  let rec find p master = if p (coins master) then master else find p (master + 1) in
+  let both_stay = find (fun (a, b) -> a && b) 0 in
+  let second_leaves = find (fun (a, b) -> a && not b) 0 in
+  let current = sets 5 [ 4 ] and next = Bitset.create 5 in
+  let sis master =
+    let ctx = Process.make_keyed_ctx g ~master in
+    Process.sis_step_keyed g ctx ~round:1 ~branching:(Process.Fixed 2) ~lazy_:true ~current ~next
+  in
+  sis both_stay;
+  Alcotest.(check (list int)) "both picks stay home" [ 4 ] (Bitset.to_list next);
+  Alcotest.check_raises "the second pick leaves home"
+    (Invalid_argument "Process: vertex 4 has no neighbour to draw (degree 0)") (fun () ->
+      sis second_leaves)
+
 let () =
   Alcotest.run "process"
     [
@@ -404,6 +453,8 @@ let () =
           Alcotest.test_case "bernoulli rate" `Quick test_cobra_step_bernoulli_rate;
           Alcotest.test_case "lazy stays" `Quick test_cobra_step_lazy_can_stay;
           Alcotest.test_case "clears next" `Quick test_cobra_step_clears_next;
+          Alcotest.test_case "isolated vertex raises" `Quick test_isolated_vertex_raises;
+          Alcotest.test_case "isolated vertex, lazy" `Quick test_isolated_vertex_lazy;
         ] );
       ( "without replacement",
         [

@@ -13,6 +13,18 @@ let tokens line =
   |> List.concat_map (String.split_on_char '\t')
   |> List.filter (fun t -> t <> "")
 
+(* A token of decimal digits, after a '-' when [signed]: the format's
+   numbers, which [int_of_string_opt] alone would widen to "0x4", "1_0"
+   and "+4". *)
+let decimal ~signed t =
+  let digits =
+    if signed && String.length t > 1 && t.[0] = '-' then String.sub t 1 (String.length t - 1)
+    else t
+  in
+  if digits <> "" && String.for_all (fun c -> c >= '0' && c <= '9') digits then
+    int_of_string_opt t
+  else None
+
 (* Parse the text [s]; raises [Failure] on malformed input (bad header,
    non-integer tokens, out-of-range endpoints, self-loops). *)
 let of_string s =
@@ -29,13 +41,13 @@ let of_string s =
       let n =
         match tokens header with
         | [ "cobra-graph"; n_str ] -> (
-            match int_of_string_opt n_str with
-            | Some n when n >= 0 -> n
+            match decimal ~signed:false n_str with
+            | Some n -> n
             | _ -> failwith "Text_oracle.of_string: bad vertex count in header")
         | _ -> failwith "Text_oracle.of_string: expected 'cobra-graph <n>' header"
       in
       let parse_edge line =
-        match List.map int_of_string_opt (tokens line) with
+        match List.map (decimal ~signed:true) (tokens line) with
         | [ Some u; Some v ] -> (u, v)
         | _ -> failwith (Printf.sprintf "Text_oracle.of_string: bad edge line %S" line)
       in
