@@ -415,8 +415,9 @@ let kernels_match_oracle pools =
       let g = Graph.of_edges ~n:c.n c.edges in
       let current = Bitset.of_list c.n c.members in
       let master = c.master and round = c.round in
+      let serial = Process.make_keyed_ctx g ~master in
       let ctxs =
-        ("serial", Process.make_keyed_ctx g ~master)
+        ("serial", serial)
         :: List.map
              (fun (width, pool) ->
                ( Printf.sprintf "%d worker(s)" width,
@@ -438,15 +439,21 @@ let kernels_match_oracle pools =
       in
       List.iter
         (fun (vlabel, branching, lazy_) ->
-          let cobra = run (fun next ->
-              Keyed_step_oracle.cobra_step g ~master ~round ~branching ~lazy_ ~current ~next) in
-          let bips = run (fun next ->
-              Keyed_step_oracle.bips_step g ~master ~round ~branching ~lazy_ ~source:c.source
-                ~current ~next;
-              0) in
-          let sis = run (fun next ->
-              Keyed_step_oracle.sis_step g ~master ~round ~branching ~lazy_ ~current ~next;
-              0) in
+          let cobra =
+            run (fun next ->
+                Keyed_step_oracle.cobra_step g ~master ~round ~branching ~lazy_ ~current ~next)
+          in
+          let bips =
+            run (fun next ->
+                Keyed_step_oracle.bips_step g ~master ~round ~branching ~lazy_ ~source:c.source
+                  ~current ~next;
+                0)
+          in
+          let sis =
+            run (fun next ->
+                Keyed_step_oracle.sis_step g ~master ~round ~branching ~lazy_ ~current ~next;
+                0)
+          in
           List.iter
             (fun (clabel, ctx) ->
               let label kernel = Printf.sprintf "%s %s %s" kernel vlabel clabel in
@@ -471,8 +478,7 @@ let kernels_match_oracle pools =
             (run (fun next ->
                  Keyed_step_oracle.without_replacement_step g ~master ~round ~b ~current ~next))
             (run (fun next ->
-                 Process.cobra_step_without_replacement g (snd (List.hd ctxs)) ~round ~b ~current
-                   ~next)))
+                 Process.cobra_step_without_replacement g serial ~round ~b ~current ~next)))
         [ 1; 2; 3 ];
       true)
 
