@@ -139,7 +139,8 @@ let spectral_rows () =
   small @ large @ hitting @ matvec
 
 (* A full neighbour scan, the access pattern of every kernel's inner
-   loop: on a fresh mapping it prices the page faults, not just mmap. *)
+   loop: the cgr_read_mmap row times the checked open and then one pass
+   of reads over the mapping. *)
 let scan g =
   let acc = ref 0 in
   for u = 0 to Graph.n g - 1 do
@@ -186,7 +187,6 @@ let graph_rows () =
             In_channel.with_open_text snap Cobra_graph.Graph_io.read_stream)
       in
       let write = one "cgr_write" (fun () -> Cobra_graph.Cgr.write cgr ba) in
-      let eager = one "cgr_read_eager" (fun () -> Cobra_graph.Cgr.read_eager cgr) in
       let mmap = one "cgr_read_mmap" (fun () -> scan (Cobra_graph.Cgr.read_mmap cgr)) in
       let bytes =
         float_of_int (Graph.storage_bytes ba) /. float_of_int (2 * Graph.m ba)
@@ -195,7 +195,7 @@ let graph_rows () =
         timed ~layer:"estimator" ~family:"ba:8" ba ~reps:10
           [ ("start_heuristic", 1, run (fun () -> Cobra_core.Estimate.start_heuristic ba)) ]
       in
-      builder @ tuples @ gen_ba @ gen_cl @ gen_regular @ stream @ write @ eager @ mmap @ start
+      builder @ tuples @ gen_ba @ gen_cl @ gen_regular @ stream @ write @ mmap @ start
       @ [
           {
             Ledger.layer = "graph";

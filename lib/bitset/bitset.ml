@@ -54,10 +54,8 @@ let mem t i =
   check t i;
   Array.unsafe_get t.words (div_bpw i) land (1 lsl mod_bpw i) <> 0
 
-(* No range check and no array bounds checks: for kernel loops whose
-   elements are in-range by construction (graph adjacency entries, loop
-   counters below n).  Behaviour is otherwise identical to [add]. *)
-let[@inline] unsafe_add t i =
+let add t i =
+  check t i;
   let w = div_bpw i and b = 1 lsl mod_bpw i in
   let old = Array.unsafe_get t.words w in
   if old land b = 0 then begin
@@ -65,14 +63,10 @@ let[@inline] unsafe_add t i =
     t.card <- t.card + 1
   end
 
-let add t i =
-  check t i;
-  unsafe_add t i
-
-(* Raw bit write: no range check, and — unlike [unsafe_add] — no
-   cardinality maintenance, so concurrent writers touching disjoint
-   words never contend on the shared [card] field.  The caller owns the
-   repair: [unsafe_set_cardinal] after the writes complete. *)
+(* Raw bit write: no range check, and — unlike [add] — no cardinality
+   maintenance, so concurrent writers touching disjoint words never
+   contend on the shared [card] field.  The caller owns the repair:
+   [unsafe_set_cardinal] after the writes complete. *)
 let[@inline] unsafe_set_bit t i =
   let w = div_bpw i in
   Array.unsafe_set t.words w (Array.unsafe_get t.words w lor (1 lsl mod_bpw i))
@@ -204,7 +198,7 @@ let next_member t i ~stop =
    and zeroes every source word it reads: one sweep both merges them and
    leaves them clean for the next round, so the sharded kernels pay no
    separate clear-scratch pass at all.  Source cardinals are NOT maintained —
-   scratch sets written through {!unsafe_add}/{!unsafe_set_bit} carry
+   scratch sets written through {!unsafe_set_bit} carry
    meaningless counts by construction, and the merged count is the
    returned popcount. *)
 let drain_words_range ~into srcs ~lo ~hi =

@@ -49,19 +49,15 @@ val mem : t -> int -> bool
 val add : t -> int -> unit
 (** Idempotent insertion. *)
 
-val unsafe_add : t -> int -> unit
-(** [add] without the range check, for kernel loops whose elements are
-    in-range by construction.  Out-of-range elements corrupt the set or
-    crash; prefer [add] everywhere performance does not demand
-    otherwise. *)
-
 val unsafe_set_bit : t -> int -> unit
-(** Raw bit write: like {!unsafe_add} but does {e not} maintain the
-    cardinality, leaving [cardinal] stale until {!unsafe_set_cardinal}
-    repairs it.  This is the write primitive for domain-parallel kernels in
-    which several workers set bits of the same set in disjoint word
-    ranges: with no shared counter to update, disjoint-word writes are
-    race-free.  Element must be in range (unchecked). *)
+(** Raw bit write: like {!add} without the range check, and it does
+    {e not} maintain the cardinality, leaving [cardinal] stale until
+    {!unsafe_set_cardinal} repairs it.  This is the write primitive of
+    every kernel: one popcount sweep after the writes is cheaper than a
+    count kept per write, and several workers can set bits of the same
+    set in disjoint word ranges with no shared counter to update, so
+    disjoint-word writes are race-free.  Element must be in range
+    (unchecked). *)
 
 val clear : t -> unit
 (** Removes every member. *)

@@ -141,11 +141,10 @@ let[@inline never] no_neighbour u d =
    certain), then each pick: the lazy coin, then a neighbour index below
    its degree by masked rejection.  This order keeps Bernoulli 1.0 and
    Fixed 2 aligned draw for draw.  A pick lands in [into] as a raw bit,
-   leaving its cardinal to the caller: [Bitset.unsafe_add], which
-   branches on whether the bit is new and keeps the count in memory,
-   makes the serial round on a hypercube of 2^16 vertices about twice
-   as slow as one popcount sweep after it.  Returns the transmissions,
-   one per pick. *)
+   leaving its cardinal to the caller: a write that branches on whether
+   the bit is new and keeps the count in memory makes the serial round
+   on a hypercube of 2^16 vertices about twice as slow as one popcount
+   sweep after it.  Returns the transmissions, one per pick. *)
 let cobra_range g ~base ~branching ~lazy_ ~current ~into ~lo ~hi =
   let offsets = Graph.csr_offsets g and adj = Graph.csr_adjacency g in
   let coin = coin_fanout branching and fixed = fixed_fanout branching in
@@ -230,7 +229,8 @@ let cobra_step_keyed g ctx ~round ~branching ~lazy_ ~current ~next =
 
 (* Floyd's sample of [b] distinct indices from [0, d) per active vertex,
    every index drawn at the vertex's keyed position; [chosen] holds at
-   most [b] indices and is reused across vertices. *)
+   most [b] indices and is reused across vertices.  Picks land as raw
+   bits, counted by one popcount sweep at the end, as in [cobra_range]. *)
 let cobra_step_without_replacement g ctx ~round ~b ~current ~next =
   if b < 1 then invalid_arg "Process: branching factor must be >= 1";
   Bitset.clear next;
@@ -247,7 +247,7 @@ let cobra_step_without_replacement g ctx ~round ~b ~current ~next =
     if d <= b then begin
       (* Fewer neighbours than the fan-out: inform all of them. *)
       for i = first to first + d - 1 do
-        Bitset.unsafe_add next (Int32.to_int (A1.unsafe_get adj i))
+        Bitset.unsafe_set_bit next (Int32.to_int (A1.unsafe_get adj i))
       done;
       transmissions := !transmissions + d
     end
@@ -272,12 +272,14 @@ let cobra_step_without_replacement g ctx ~round ~b ~current ~next =
       done;
       for i = 0 to b - 1 do
         let v = Int32.to_int (A1.unsafe_get adj (first + Array.unsafe_get chosen i)) in
-        Bitset.unsafe_add next v
+        Bitset.unsafe_set_bit next v
       done;
       transmissions := !transmissions + b
     end;
     u := Bitset.next_member current (src + 1) ~stop:n
   done;
+  let nw = Bitset.num_words next in
+  Bitset.unsafe_set_cardinal next (Bitset.popcount_words_range next ~lo:0 ~hi:nw);
   !transmissions
 
 (* BIPS and SIS over the vertices in words [lo, hi) of [next]: every

@@ -22,18 +22,6 @@ let idx_of_mask ~source mask =
   let high = mask lsr (source + 1) in
   low lor (high lsl source)
 
-(* Per-vertex next-round infection probability given A. *)
-let infect_prob g branching lazy_ u a =
-  let d = Graph.degree g u in
-  if d = 0 then 0.0
-  else begin
-    let into = float_of_int (Subset.degree_into g u a) /. float_of_int d in
-    let p1 = if lazy_ then (0.5 *. if Subset.mem a u then 1.0 else 0.0) +. (0.5 *. into) else into in
-    match branching with
-    | Process.Fixed b -> 1.0 -. ((1.0 -. p1) ** float_of_int b)
-    | Process.Bernoulli rho -> 1.0 -. ((1.0 -. p1) *. (1.0 -. (rho *. p1)))
-  end
-
 let make g ?(branching = Process.Fixed 2) ?(lazy_ = false) ~source () =
   let n = Graph.n g in
   Subset.check_n n;
@@ -42,25 +30,9 @@ let make g ?(branching = Process.Fixed 2) ?(lazy_ = false) ~source () =
   if source < 0 || source >= n then invalid_arg "Bips_chain.make: source out of range";
   Process.validate_branching branching;
   let states = 1 lsl (n - 1) in
-  let matrix = Array.make_matrix states states 0.0 in
-  let probs = Array.make n 0.0 in
-  for a_idx = 0 to states - 1 do
-    let a = mask_of_idx ~n ~source a_idx in
-    for u = 0 to n - 1 do
-      if u <> source then probs.(u) <- infect_prob g branching lazy_ u a
-    done;
-    (* Fill the row using the product form. *)
-    let row = matrix.(a_idx) in
-    for a'_idx = 0 to states - 1 do
-      let a' = mask_of_idx ~n ~source a'_idx in
-      let p = ref 1.0 in
-      for u = 0 to n - 1 do
-        if u <> source then
-          p := !p *. (if Subset.mem a' u then probs.(u) else 1.0 -. probs.(u))
-      done;
-      row.(a'_idx) <- !p
-    done
-  done;
+  let matrix =
+    Factorised.kernel g branching lazy_ ~skip:source ~states ~mask_of:(mask_of_idx ~n ~source)
+  in
   { source; n; states; matrix }
 
 let n_states t = t.states

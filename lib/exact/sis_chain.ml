@@ -11,17 +11,6 @@ type t = {
   mutable tables : (float array * float array) option;
 }
 
-let infect_prob g branching lazy_ u a =
-  let d = Graph.degree g u in
-  if d = 0 then 0.0
-  else begin
-    let into = float_of_int (Subset.degree_into g u a) /. float_of_int d in
-    let p1 = if lazy_ then (0.5 *. if Subset.mem a u then 1.0 else 0.0) +. (0.5 *. into) else into in
-    match branching with
-    | Process.Fixed b -> 1.0 -. ((1.0 -. p1) ** float_of_int b)
-    | Process.Bernoulli rho -> 1.0 -. ((1.0 -. p1) *. (1.0 -. (rho *. p1)))
-  end
-
 let make g ?(branching = Process.Fixed 2) ?(lazy_ = false) () =
   let n = Graph.n g in
   Subset.check_n n;
@@ -29,21 +18,7 @@ let make g ?(branching = Process.Fixed 2) ?(lazy_ = false) () =
   if n > 10 then invalid_arg "Sis_chain.make: n <= 10 required";
   Process.validate_branching branching;
   let states = 1 lsl n in
-  let matrix = Array.make_matrix states states 0.0 in
-  let probs = Array.make n 0.0 in
-  for a = 0 to states - 1 do
-    for u = 0 to n - 1 do
-      probs.(u) <- infect_prob g branching lazy_ u a
-    done;
-    let row = matrix.(a) in
-    for a' = 0 to states - 1 do
-      let p = ref 1.0 in
-      for u = 0 to n - 1 do
-        p := !p *. (if Subset.mem a' u then probs.(u) else 1.0 -. probs.(u))
-      done;
-      row.(a') <- !p
-    done
-  done;
+  let matrix = Factorised.kernel g branching lazy_ ~skip:(-1) ~states ~mask_of:Fun.id in
   { n; states; matrix; tables = None }
 
 let transition_probability t a a' = t.matrix.(a).(a')

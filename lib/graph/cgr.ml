@@ -11,30 +11,28 @@
      32      4 (n + 1)   CSR offsets, int32 each
      ...     4 * 2 m     CSR adjacency, int32 each
 
-   The payload is exactly the packed in-memory representation, so a
-   loader can either read it eagerly into fresh bigarrays or hand the
-   kernel mmap-backed views of the file: both 4-byte aligned sections
-   start at fixed, computable offsets, and [Unix.map_file] accepts an
-   arbitrary byte position.  A graph therefore opens in O(1) time and
-   O(1) resident memory, with the OS paging adjacency in on demand —
-   the only way an m ~ 10^9 instance fits the container.
+   The payload is exactly the packed in-memory representation, so the
+   loader hands the kernels mmap-backed views of the file: both 4-byte
+   aligned sections start at fixed, computable offsets, and
+   [Unix.map_file] accepts an arbitrary byte position.  No copy of the
+   graph is made, clean pages stay evictable, and the page cache is
+   shared with every other process that maps the same file.
 
    The format is defined little-endian (the byte order of every target
    this project runs on); on a big-endian host both reader and writer
    refuse rather than silently swapping.
 
-   Validation tiers:
-   - both loaders check magic, version, flags, non-negative counts,
-     int32 range, and that the file length is exactly
-     [32 + 4 (n + 1) + 8 m] — a torn or truncated file is rejected
-     before any data is interpreted;
-   - the eager loader additionally walks the offsets (monotone, 0 to
-     2m) and range-checks every adjacency entry — O(n + m) on data it
-     is reading anyway;
-   - the mmap loader skips the O(n + m) walk: the point is O(1) open,
-     so it trusts the payload under the same contract as
-     [Graph.unsafe_of_packed_csr].  Pack files you trust, or load
-     eagerly once to verify. *)
+   One trust rule: a file is checked once, when it is opened, and the
+   graph it yields is trusted everywhere after.  The loader checks the
+   magic, version, flags, non-negative counts, int32 range, and that
+   the file length is exactly [32 + 4 (n + 1) + 8 m] (a torn or
+   truncated file is rejected before any data is interpreted).  It then
+   makes one sequential pass over the mapped payload: the offsets start
+   at 0, never decrease and end at 2m, and every adjacency entry lies in
+   [0, n).  That is the range invariant every graph built by
+   [Int_sort.assemble_csr] meets by construction, and the one the
+   kernels, the search and the matvec rely on when they index by CSR
+   values without a bounds check. *)
 
 module A1 = Bigarray.Array1
 
@@ -90,11 +88,12 @@ let write path g =
       write_entries oc buf ~count:(n + 1) (fun i -> A1.unsafe_get offsets i);
       write_entries oc buf ~count:(2 * m) (fun i -> A1.unsafe_get adj i))
 
-(* --- Header parsing shared by both loaders --- *)
+(* --- Loader --- *)
 
-let read_header path ic_len read_exactly =
-  if ic_len < header_bytes then fail path "truncated header (%d bytes)" ic_len;
-  let header = read_exactly header_bytes in
+let read_header path fd len =
+  if len < header_bytes then fail path "truncated header (%d bytes)" len;
+  let header = Bytes.create header_bytes in
+  if Unix.read fd header 0 header_bytes < header_bytes then fail path "short header read";
   if Bytes.sub_string header 0 8 <> magic then fail path "bad magic (not a .cgr file)";
   let v = Int32.to_int (Bytes.get_int32_le header 8) in
   if v <> version then fail path "unsupported version %d (this reader handles %d)" v version;
@@ -105,60 +104,38 @@ let read_header path ic_len read_exactly =
   let n = Int64.to_int n64 and m = Int64.to_int m64 in
   if 2 * m > Int32.to_int Int32.max_int then fail path "2m = %d exceeds the int32 payload" (2 * m);
   let expected = expected_size ~n ~m in
-  if ic_len <> expected then
-    fail path "file is %d bytes, header promises %d (n=%d, m=%d) — torn or truncated" ic_len
+  if len <> expected then
+    fail path "file is %d bytes, header promises %d (n=%d, m=%d) — torn or truncated" len
       expected n m;
   (n, m)
 
-(* --- Eager loader --- *)
-
-let read_array1 ic buf ~count =
-  let a = A1.create Bigarray.int32 Bigarray.c_layout count in
-  let pos = ref 0 in
-  while !pos < count do
-    let batch = min chunk_entries (count - !pos) in
-    really_input ic buf 0 (4 * batch);
-    for i = 0 to batch - 1 do
-      A1.unsafe_set a (!pos + i) (Bytes.get_int32_le buf (4 * i))
-    done;
-    pos := !pos + batch
+(* The structural check, one sequential pass over the mapped payload.
+   The arrays are typed: with the bigarray kind left to inference, each
+   read compiles to a generic [caml_ba_get_1] call, and opening ba:8 at
+   n = 10^6 took 290-450 ms instead of 22-36.  Neither loop makes a
+   call; the defect is described only after a loop stops early. *)
+let check_payload path ~n ~m (offsets : Graph.int32_array) (adj : Graph.int32_array) =
+  let[@inline] offset u = Int32.to_int (A1.unsafe_get offsets u) in
+  if offset 0 <> 0 then fail path "offsets.{0} = %d, not 0" (offset 0);
+  let u = ref 0 in
+  while !u < n && offset (!u + 1) >= offset !u do
+    incr u
   done;
-  a
-
-let validate_payload path ~n ~m offsets adj =
-  if A1.get offsets 0 <> 0l then fail path "offsets.(0) <> 0";
-  for u = 0 to n - 1 do
-    if A1.unsafe_get offsets (u + 1) < A1.unsafe_get offsets u then
-      fail path "offsets not monotone at vertex %d" u
+  if !u < n then
+    fail path "offsets decrease at vertex %d: offsets.{%d} = %d > offsets.{%d} = %d" !u !u
+      (offset !u) (!u + 1) (offset (!u + 1));
+  if offset n <> 2 * m then fail path "offsets.{n} = %d, not 2m = %d" (offset n) (2 * m);
+  let i = ref 0 and len = 2 * m in
+  while
+    !i < len
+    &&
+    let v = Int32.to_int (A1.unsafe_get adj !i) in
+    v >= 0 && v < n
+  do
+    incr i
   done;
-  if Int32.to_int (A1.get offsets n) <> 2 * m then fail path "offsets.(n) <> 2m";
-  let n32 = Int32.of_int n in
-  for i = 0 to (2 * m) - 1 do
-    let v = A1.unsafe_get adj i in
-    if v < 0l || v >= n32 then
-      fail path "adjacency entry %ld out of range [0, %d)" v n
-  done
-
-let read_eager path =
-  check_endianness path;
-  let ic = open_in_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_in ic)
-    (fun () ->
-      let len = in_channel_length ic in
-      let n, m =
-        read_header path len (fun k ->
-            let b = Bytes.create k in
-            really_input ic b 0 k;
-            b)
-      in
-      let buf = Bytes.create (4 * chunk_entries) in
-      let offsets = read_array1 ic buf ~count:(n + 1) in
-      let adj = read_array1 ic buf ~count:(2 * m) in
-      validate_payload path ~n ~m offsets adj;
-      Graph.unsafe_of_packed_csr ~n ~m ~offsets ~adj)
-
-(* --- Mmap loader --- *)
+  if !i < len then
+    fail path "adjacency slot %d holds %ld, outside [0, %d)" !i (A1.unsafe_get adj !i) n
 
 let read_mmap path =
   check_endianness path;
@@ -169,17 +146,9 @@ let read_mmap path =
       let len = (Unix.LargeFile.fstat fd).Unix.LargeFile.st_size in
       if Int64.compare len (Int64.of_int Sys.max_string_length) > 0 then
         fail path "file too large for this platform";
-      let len = Int64.to_int len in
-      let n, m =
-        read_header path len (fun k ->
-            let b = Bytes.create k in
-            let got = Unix.read fd b 0 k in
-            if got < k then fail path "short header read";
-            b)
-      in
+      let n, m = read_header path fd (Int64.to_int len) in
       (* MAP_PRIVATE read-only views; the mappings survive the fd close
-         and are reclaimed by the GC when the graph dies.  Pages fault
-         in on first touch, so opening is O(1) regardless of m. *)
+         and are reclaimed by the GC when the graph dies. *)
       let map ~pos ~dim =
         A1.change_layout
           (Bigarray.array1_of_genarray
@@ -189,13 +158,8 @@ let read_mmap path =
       in
       let offsets = map ~pos:header_bytes ~dim:(n + 1) in
       let adj = map ~pos:(header_bytes + (4 * (n + 1))) ~dim:(2 * m) in
-      (* Cheap spot checks only (see the module comment for the trust
-         model): the ends of the offset array must frame the payload. *)
-      if A1.get offsets 0 <> 0l || Int32.to_int (A1.get offsets n) <> 2 * m then
-        fail path "offset array does not frame the adjacency payload";
+      check_payload path ~n ~m offsets adj;
       Graph.unsafe_of_packed_csr ~n ~m ~offsets ~adj)
-
-let read ?(mmap = true) path = if mmap then read_mmap path else read_eager path
 
 (* Magic sniff for format dispatch: true iff [path] starts with the
    .cgr magic bytes.  Does not validate anything else. *)

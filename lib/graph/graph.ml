@@ -4,8 +4,8 @@ type int32_array = (int32, Bigarray.int32_elt, Bigarray.c_layout) A1.t
 
 (* CSR in C-layout int32 bigarrays: 4 bytes per entry, so the adjacency
    of an m-edge graph costs 8m bytes, and the storage can be backed by
-   [Unix.map_file] so multi-GiB graphs open in O(1) and page in on
-   demand (see {!Cgr}).  The loads compile to an unboxed 32-bit read
+   [Unix.map_file] so multi-GiB graphs open without a copy, checked in
+   one sequential pass (see {!Cgr}).  The loads compile to an unboxed 32-bit read
    plus sign extension — allocation-free in the kernel loops.
 
    Every stored value fits an int32: vertex ids and offsets (bounded by
@@ -38,12 +38,12 @@ let of_edge_array ~n edges =
 
 let of_edges ~n edges = of_edge_array ~n (Array.of_list edges)
 
-(* Trusted constructor for Builder.finish and the .cgr loaders: the
+(* Trusted constructor for Builder.finish and the .cgr loader: the
    caller guarantees the CSR invariants (offsets monotone with
-   offsets.(n) = 2m, every slice sorted and duplicate-free, edges
-   symmetric, no self-loops).  Only the cheap length consistency is
-   re-checked here — re-validating the structure would cost the O(m)
-   pass this constructor exists to avoid. *)
+   offsets.(n) = 2m, entries in [0, n), every slice sorted and
+   duplicate-free, edges symmetric, no self-loops).  Only the cheap
+   length consistency is re-checked here; the loader makes its one
+   O(n + m) range pass itself, and assembled arrays need none. *)
 let unsafe_of_packed_csr ~n ~m ~offsets ~adj =
   if n < 0 || m < 0 || A1.dim offsets <> n + 1
      || Int32.to_int (A1.get offsets n) <> 2 * m

@@ -11,8 +11,9 @@
 
     The CSR arrays are C-layout int32 bigarrays: 4 bytes per entry, and
     mmap-able from a {!Cgr} file.  Every constructor goes through
-    {!Int_sort.assemble_csr} or a {!Cgr} loader, so [n] and [2 m] are
-    below [2^31] for every graph. *)
+    {!Int_sort.assemble_csr} or {!Cgr.read_mmap}, so for every graph
+    [n] and [2 m] are below [2^31], the offsets rise from [0] to [2 m],
+    and every adjacency entry lies in [\[0, n)]. *)
 
 type t
 
@@ -34,12 +35,16 @@ val unsafe_of_packed_csr :
   n:int -> m:int -> offsets:int32_array -> adj:int32_array -> t
 (** [unsafe_of_packed_csr ~n ~m ~offsets ~adj] wraps pre-built CSR
     arrays (possibly mmap-backed) without structural validation — the
-    constructor behind {!Builder.finish} and the {!Cgr} loaders.  The
-    caller must guarantee: [offsets] has [n + 1] entries, is monotone
-    with [offsets.{n} = 2 m]; [adj] has [2 m] entries; every slice is
-    sorted and duplicate-free; edges are symmetric with no self-loops.
-    Violating these is undefined behaviour everywhere else in the
-    library.  Only the lengths and [offsets.{n} = 2 m] are checked.
+    constructor behind {!Builder.finish} and {!Cgr.read_mmap}.  Only the
+    lengths and [offsets.{n} = 2 m] are checked here.  The caller must
+    guarantee the range invariant: [offsets] rises from [0] to [2 m]
+    and every entry of [adj] lies in [\[0, n)].  The kernels, the search
+    and the matvec index by these values without bounds checks, so a
+    CSR that breaks it reads or writes out of bounds: the builders meet
+    it by construction and {!Cgr.read_mmap} checks it when it opens a
+    file.  The caller must also guarantee that every slice is sorted
+    and duplicate-free and that edges are symmetric with no self-loops;
+    results are wrong without these, but no access goes out of bounds.
     @raise Invalid_argument on inconsistent dimensions. *)
 
 val storage_bytes : t -> int

@@ -235,17 +235,18 @@ let write_file path g =
   end
 
 (* Format dispatch: a regular file starting with the .cgr magic is the
-   packed binary format (mmap-opened, O(1)); anything else — including
-   FIFOs, which can't be sniffed without consuming bytes and can't be
-   mmapped anyway — streams through the text parser. *)
-let read_file ?(mmap = true) path =
+   packed binary format (mapped and checked by Cgr.read_mmap); anything
+   else — including FIFOs, which can't be sniffed without consuming
+   bytes and can't be mmapped anyway — streams through the text
+   parser. *)
+let read_file path =
   let is_regular =
     match (Unix.stat path).Unix.st_kind with
     | Unix.S_REG -> true
     | _ -> false
     | exception Unix.Unix_error _ -> false
   in
-  if is_regular && Cgr.is_cgr_file path then Cgr.read ~mmap path
+  if is_regular && Cgr.is_cgr_file path then Cgr.read_mmap path
   else begin
     let ic = open_in path in
     Fun.protect ~finally:(fun () -> close_in ic) (fun () -> read_channel ic)

@@ -70,10 +70,10 @@ val write_file : string -> Graph.t -> unit
     via {!Cgr.write} instead.  Every [-o] flag in the CLI tools
     therefore emits binary by just naming a [.cgr] output. *)
 
-val read_file : ?mmap:bool -> string -> Graph.t
+val read_file : string -> Graph.t
 (** [read_file path] loads the graph at [path], dispatching on content:
     a regular file starting with the [.cgr] magic bytes opens through
-    the packed binary loader (mmap-backed by default; [~mmap:false]
-    loads eagerly with full validation), anything else parses via
-    {!read_channel} — streaming, so [path] may name a FIFO.
+    {!Cgr.read_mmap}, which maps it and checks its CSR in one pass;
+    anything else parses via {!read_channel} — streaming, so [path] may
+    name a FIFO.
     @raise Sys_error / Failure / Cgr.Bad_file as appropriate. *)

@@ -18,50 +18,26 @@ module A1 = Bigarray.Array1
    no work beyond their own frontier's edges, so a search is O(n + m)
    even on a path.
 
-   No adjacency entry outside [0, n) indexes [level] unchecked, and a
-   search raises on every such entry in the slice of a vertex it
-   reaches: this is what turns a corrupted CSR (say, a damaged .cgr
-   mapping) into an exception here rather than a stray write in a
-   kernel that trusts the graph.  A top-down level reads [level.{v}]
-   with its bounds check for each entry.  A bottom-up level skips
-   entries (the frontier's own slices, and the rest of a slice after its
-   first frontier neighbour), so before the first one a scratch
-   range-checks the whole adjacency array in one sequential pass, and
-   records it in [checked].
+   Every level reads [level] unchecked: a graph's adjacency entries lie
+   in [0, n) by construction (Int_sort.assemble_csr) or by the check
+   Cgr.read_mmap runs when it opens a file.
 
    [queue] and [level] are int32 bigarrays (a distance is below n, which
    fits, as every CSR index does): 8 bytes a vertex instead of 16, and
    off the OCaml heap, so a search's scratch is not garbage that the
    major collector must reach before it frees it. *)
-type scratch = { queue : Graph.int32_array; level : Graph.int32_array; mutable checked : bool }
+type scratch = { queue : Graph.int32_array; level : Graph.int32_array }
 
 let scratch n =
   let buf () = A1.create Bigarray.int32 Bigarray.c_layout n in
-  { queue = buf (); level = buf (); checked = false }
-
-let bad_entry v n = invalid_arg (Printf.sprintf "Props: adjacency entry %d outside [0, %d)" v n)
-
-(* No call inside the loop, which would spill its registers: 31 ms
-   rather than 43 over the 1.6 * 10^7 entries of ba:8, n = 10^6. *)
-let check_adjacency g =
-  let n = Graph.n g and adj = Graph.csr_adjacency g in
-  let i = ref 0 and len = A1.dim adj in
-  while
-    !i < len
-    &&
-    let v = Int32.to_int (A1.unsafe_get adj !i) in
-    v >= 0 && v < n
-  do
-    incr i
-  done;
-  if !i < len then bad_entry (Int32.to_int (A1.get adj !i)) n
+  { queue = buf (); level = buf () }
 
 (* A search reaches [reached] vertices; its deepest level is at distance
    [depth], and [far] is that level's smallest vertex: the tie-break
    that makes the double sweep a function of the distances alone. *)
 type sweep = { reached : int; depth : int; far : int }
 
-let sweep ({ queue; level; _ } as s) g src =
+let sweep { queue; level } g src =
   let n = Graph.n g in
   if src < 0 || src >= n then
     invalid_arg (Printf.sprintf "Props: source vertex %d outside [0, %d)" src n);
@@ -87,10 +63,6 @@ let sweep ({ queue; level; _ } as s) g src =
         frontier_deg := !frontier_deg + offset (u + 1) - offset u
       done;
     if large && 2 * !frontier_deg > total - !seen - !frontier_deg then begin
-      if not s.checked then begin
-        check_adjacency g;
-        s.checked <- true
-      end;
       seen := !seen + !frontier_deg;
       let at_depth = Int32.of_int !depth and mark = Int32.of_int d in
       for v = 0 to n - 1 do
@@ -118,7 +90,7 @@ let sweep ({ queue; level; _ } as s) g src =
         seen := !seen + stop - first;
         for j = first to stop - 1 do
           let v = Int32.to_int (A1.unsafe_get adj j) in
-          if A1.get level v < 0l then begin
+          if A1.unsafe_get level v < 0l then begin
             A1.unsafe_set level v mark;
             A1.unsafe_set queue !tail (Int32.of_int v);
             incr tail

@@ -16,15 +16,7 @@
     degree sum exceeds half the unvisited vertices' and the frontier
     holds more than [n/24] vertices, and top-down otherwise.  A level's
     vertices do not depend on its direction, so no result does.  A
-    search is O(n + m).
-
-    An adjacency entry outside [\[0, n)] in a CSR built with
-    {!Graph.unsafe_of_packed_csr} (a corrupted [.cgr], say) raises
-    [Invalid_argument] whenever it lies in the slice of a vertex the
-    search reaches, as with a queue BFS that reads every such slice.
-    Top-down levels check each entry they read; since bottom-up levels
-    skip entries, a call's first bottom-up level range-checks the whole
-    adjacency array first, one O(m) pass. *)
+    search is O(n + m). *)
 
 val bfs_distances : Graph.t -> int -> int array
 (** [bfs_distances g src] is the array of hop distances from [src];

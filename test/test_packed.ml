@@ -4,8 +4,10 @@
    the storage itself: 4 bytes per entry across the generator zoo (both
    construction paths: classic families via of_edge_array, power-law
    families via the Builder), every accessor against the raw arrays,
-   and a .cgr write -> eager load -> mmap load round trip including
-   torn-file rejection and a simulation run off the mapped file. *)
+   and a .cgr write -> mmap load round trip, a simulation run off the
+   mapped file, and the loader's rejection of torn files and of
+   payloads that break the CSR range invariant, by hand-picked
+   corruptions and by a fuzzing property. *)
 
 module Graph = Cobra_graph.Graph
 module Gen = Cobra_graph.Gen
@@ -124,10 +126,7 @@ let test_cgr_roundtrip () =
           Cgr.write path g;
           let expected_bytes = 32 + (4 * (Graph.n g + 1 + (2 * Graph.m g))) in
           check_int (fam ^ ": file size") expected_bytes (Unix.stat path).Unix.st_size;
-          let eager = Cgr.read_eager path in
-          let mapped = Cgr.read_mmap path in
-          check_csr_equal (fam ^ ": eager round trip") g eager;
-          check_csr_equal (fam ^ ": mmap round trip") g mapped;
+          check_csr_equal (fam ^ ": mmap round trip") g (Cgr.read_mmap path);
           (* Dispatch through the generic loader must land here too. *)
           check_bool (fam ^ ": sniff") true (Cgr.is_cgr_file path);
           check_csr_equal (fam ^ ": read_file dispatch") g (Graph_io.read_file path)))
@@ -148,70 +147,171 @@ let test_cgr_simulation_identical () =
 
 (* --- Malformed files are rejected, never misread --- *)
 
-let expect_bad name f =
-  match f () with
-  | (_ : Graph.t) -> Alcotest.failf "%s: malformed file was accepted" name
-  | exception Cgr.Bad_file _ -> ()
+(* [read_mmap] must raise [Bad_file] with a message that names the
+   file, and so must [read_file] whenever the magic survives and it
+   dispatches to the loader. *)
+let expect_bad name path =
+  let check_one loader f =
+    match f path with
+    | (_ : Graph.t) -> Alcotest.failf "%s (%s): malformed file was accepted" name loader
+    | exception Cgr.Bad_file msg ->
+        if not (String.starts_with ~prefix:(path ^ ": ") msg) then
+          Alcotest.failf "%s (%s): message does not name the file: %s" name loader msg
+  in
+  check_one "read_mmap" Cgr.read_mmap;
+  if Cgr.is_cgr_file path then check_one "read_file" Graph_io.read_file
 
-let patch_byte path ~pos ~byte =
+(* Overwrite the bytes at [pos] with [b]. *)
+let patch path ~pos b =
   let fd = Unix.openfile path [ Unix.O_WRONLY ] 0 in
   Fun.protect
     ~finally:(fun () -> Unix.close fd)
     (fun () ->
       ignore (Unix.lseek fd pos Unix.SEEK_SET : int);
-      ignore (Unix.write fd (Bytes.make 1 (Char.chr byte)) 0 1 : int))
+      ignore (Unix.write fd b 0 (Bytes.length b) : int))
 
-let truncate_to path len =
+let patch_byte path ~pos ~byte = patch path ~pos (Bytes.make 1 (Char.chr byte))
+
+(* A little-endian int32 word. *)
+let patch_int32 path ~pos v =
+  let b = Bytes.create 4 in
+  Bytes.set_int32_le b 0 v;
+  patch path ~pos b
+
+let resize_to path len =
   let fd = Unix.openfile path [ Unix.O_WRONLY ] 0 in
   Fun.protect ~finally:(fun () -> Unix.close fd) (fun () -> Unix.ftruncate fd len)
+
+(* Byte positions of offset [u] and of adjacency slot [i] in [g]'s file. *)
+let offset_pos u = 32 + (4 * u)
+let slot_pos g i = 32 + (4 * (Graph.n g + 1)) + (4 * i)
+
+let with_cgr g f =
+  with_tmp (fun path ->
+      Cgr.write path g;
+      f path)
 
 let test_cgr_rejects_malformed () =
   let g = Gen.by_name "hypercube" ~n:64 (Rng.create 1) in
   let size = 32 + (4 * (Graph.n g + 1 + (2 * Graph.m g))) in
-  let fresh f =
-    with_tmp (fun path ->
-        Cgr.write path g;
-        f path)
-  in
   (* Truncation at several depths: inside the header, inside the
-     offsets, one byte short of complete. *)
+     offsets, one byte short of complete; and a trailing extra byte,
+     which is as torn as a missing one. *)
   List.iter
     (fun len ->
-      fresh (fun path ->
-          truncate_to path len;
-          expect_bad (Printf.sprintf "truncated to %d (eager)" len) (fun () ->
-              Cgr.read_eager path);
-          expect_bad (Printf.sprintf "truncated to %d (mmap)" len) (fun () ->
-              Cgr.read_mmap path)))
-    [ 0; 16; 40; size - 1 ];
-  (* A trailing extra byte is as torn as a missing one. *)
-  fresh (fun path ->
-      let oc = open_out_gen [ Open_append; Open_binary ] 0 path in
-      output_char oc '\x00';
-      close_out oc;
-      expect_bad "oversize (eager)" (fun () -> Cgr.read_eager path);
-      expect_bad "oversize (mmap)" (fun () -> Cgr.read_mmap path));
+      with_cgr g (fun path ->
+          resize_to path len;
+          expect_bad (Printf.sprintf "resized to %d" len) path))
+    [ 0; 16; 40; size - 1; size + 1 ];
   (* Wrong version and nonzero reserved flags. *)
-  fresh (fun path ->
+  with_cgr g (fun path ->
       patch_byte path ~pos:8 ~byte:9;
-      expect_bad "bad version" (fun () -> Cgr.read_eager path));
-  fresh (fun path ->
+      expect_bad "bad version" path);
+  with_cgr g (fun path ->
       patch_byte path ~pos:12 ~byte:1;
-      expect_bad "nonzero flags" (fun () -> Cgr.read_mmap path));
+      expect_bad "nonzero flags" path);
   (* A corrupted magic is simply not a .cgr file: the sniff says no and
      the generic loader falls back to the text parser (which then fails
      on binary junk with its own error, not a misparse). *)
-  fresh (fun path ->
+  with_cgr g (fun path ->
       patch_byte path ~pos:0 ~byte:Char.(code 'X');
       check_bool "sniff rejects" false (Cgr.is_cgr_file path);
       match Graph_io.read_file path with
       | (_ : Graph.t) -> Alcotest.fail "binary junk parsed as text"
       | exception Failure _ -> ());
-  (* The eager loader's structural walk catches payload corruption the
-     size checks cannot: an adjacency entry pointing past n. *)
-  fresh (fun path ->
+  (* The size checks cannot see payload corruption: the last adjacency
+     entry's high byte set puts it past n. *)
+  with_cgr g (fun path ->
       patch_byte path ~pos:(size - 1) ~byte:0x7f;
-      expect_bad "out-of-range adjacency (eager)" (fun () -> Cgr.read_eager path))
+      expect_bad "out-of-range adjacency" path)
+
+(* Payloads that break the CSR range invariant, each rejected at open.
+   Adjacency entries at n and 2^31 - 1: vertex 0's only entry on a path;
+   a star's leaf 5, whose only entry is slot 9 + 4; and the star
+   centre's first entry, which no level of a search from the centre
+   reads, since every level there runs bottom-up.  Then offsets: an
+   interior offset raised above its successor, one lowered below its
+   predecessor, and a first offset other than 0. *)
+let test_cgr_rejects_bad_payload () =
+  List.iter
+    (fun (case, g, slot) ->
+      List.iter
+        (fun bad ->
+          with_cgr g (fun path ->
+              patch_int32 path ~pos:(slot_pos g slot) bad;
+              expect_bad (Printf.sprintf "%s, entry %ld" case bad) path))
+        [ Int32.of_int (Graph.n g); Int32.max_int ])
+    [ ("path", Gen.path 6, 0); ("star leaf", Gen.star 10, 9 + 4); ("star centre", Gen.star 10, 0) ];
+  List.iter
+    (fun (case, g, u, value) ->
+      with_cgr g (fun path ->
+          let off v = Int32.to_int (Graph.csr_offsets g).{v} in
+          patch_int32 path ~pos:(offset_pos u) (Int32.of_int (value off));
+          expect_bad case path))
+    [
+      ("path, offset 3 above offset 4", Gen.path 6, 3, fun off -> off 4 + 1);
+      ("star, offset 5 above offset 6", Gen.star 10, 5, fun off -> off 6 + 1);
+      ("star, offset 2 below offset 1", Gen.star 10, 2, fun off -> off 1 - 1);
+      ("path, offsets.{0} = 1", Gen.path 6, 0, fun _ -> 1);
+      ("star, offsets.{0} = -1", Gen.star 10, 0, fun _ -> -1);
+    ]
+
+(* --- Fuzzing the loader --- *)
+
+(* What every reader of a graph relies on: offsets rising from 0 to 2m
+   and every adjacency entry in [0, n).  Read with checked accesses. *)
+let meets_invariant g =
+  let n = Graph.n g and m = Graph.m g in
+  let offsets = Graph.csr_offsets g and adj = Graph.csr_adjacency g in
+  let ok = ref (Bigarray.Array1.dim offsets = n + 1 && Bigarray.Array1.dim adj = 2 * m) in
+  if !ok then begin
+    ok := offsets.{0} = 0l && Int32.to_int offsets.{n} = 2 * m;
+    for u = 0 to n - 1 do
+      if offsets.{u + 1} < offsets.{u} then ok := false
+    done;
+    for i = 0 to (2 * m) - 1 do
+      if adj.{i} < 0l || Int32.to_int adj.{i} >= n then ok := false
+    done
+  end;
+  !ok
+
+let random_graph rng =
+  let n = 1 + Rng.int_below rng 16 in
+  let edges =
+    List.init (Rng.int_below rng (2 * n)) (fun _ -> (Rng.int_below rng n, Rng.int_below rng n))
+  in
+  Graph.of_edges ~n (List.filter (fun (u, v) -> u <> v) edges)
+
+(* A valid file of a random small graph, then one corruption: 1-4 int32
+   words of the offsets or the adjacency overwritten, or the file
+   truncated or extended to a random length.  [read_mmap] must raise
+   [Bad_file] or return a graph that meets the invariant; any other
+   exception fails the property. *)
+let fuzz_test =
+  QCheck2.Test.make ~name:"read_mmap: Bad_file or the CSR invariant" ~count:500
+    ~print:string_of_int QCheck2.Gen.int (fun seed ->
+      let rng = Rng.create seed in
+      let g = random_graph rng in
+      let n = Graph.n g and m = Graph.m g in
+      let size = 32 + (4 * (n + 1 + (2 * m))) in
+      with_cgr g (fun path ->
+          (if Rng.int_below rng 4 = 0 then resize_to path (Rng.int_below rng (2 * size))
+           else
+             let values =
+               [| 0; n - 1; n; -1; Int32.to_int Int32.max_int; 2 * m; Rng.int_below rng (2 * m + 2) |]
+             in
+             for _ = 1 to 1 + Rng.int_below rng 4 do
+               let pos =
+                 if m = 0 || Rng.bool rng then offset_pos (Rng.int_below rng (n + 1))
+                 else slot_pos g (Rng.int_below rng (2 * m))
+               in
+               patch_int32 path ~pos (Int32.of_int values.(Rng.int_below rng (Array.length values)))
+             done);
+          match Cgr.read_mmap path with
+          | exception Cgr.Bad_file _ -> true
+          | h -> meets_invariant h
+          | exception e ->
+              QCheck2.Test.fail_reportf "read_mmap raised %s" (Printexc.to_string e)))
 
 let () =
   Alcotest.run "packed"
@@ -223,8 +323,10 @@ let () =
         ] );
       ( "cgr",
         [
-          Alcotest.test_case "write/eager/mmap round trip" `Quick test_cgr_roundtrip;
+          Alcotest.test_case "write/mmap round trip" `Quick test_cgr_roundtrip;
           Alcotest.test_case "simulation on mmap graph" `Quick test_cgr_simulation_identical;
           Alcotest.test_case "malformed files rejected" `Quick test_cgr_rejects_malformed;
+          Alcotest.test_case "corrupted payload rejected" `Quick test_cgr_rejects_bad_payload;
+          QCheck_alcotest.to_alcotest fuzz_test;
         ] );
     ]

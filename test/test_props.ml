@@ -155,46 +155,6 @@ let oracle_test =
       && Props.is_connected g = Bfs_oracle.is_connected g
       && Props.double_sweep g = Bfs_oracle.double_sweep g)
 
-(* A CSR whose entry at [slot] is replaced by [bad]: the stand-in for a
-   corrupted .cgr mapping, which only the search's own range check
-   stands between and a bitset write. *)
-let corrupt g ~slot ~bad =
-  let copy a =
-    let b = Bigarray.(Array1.create int32 c_layout (Array1.dim a)) in
-    Bigarray.Array1.blit a b;
-    b
-  in
-  let adj = copy (Graph.csr_adjacency g) in
-  adj.{slot} <- bad;
-  Graph.unsafe_of_packed_csr ~n:(Graph.n g) ~m:(Graph.m g) ~offsets:(copy (Graph.csr_offsets g))
-    ~adj
-
-let test_bad_entry_raises () =
-  let raises name f =
-    match f () with
-    | exception Invalid_argument _ -> ()
-    | _ -> Alcotest.failf "%s: no Invalid_argument" name
-  in
-  (* Vertex 0's only entry on a path, read by a top-down level.  On a
-     star searched from its centre, every level runs bottom-up (the
-     centre's frontier carries the whole degree): leaf 5's only entry is
-     read there, and the centre's first entry is never read by any level,
-     so only the whole-array check before the first bottom-up level sees
-     it. *)
-  List.iter
-    (fun (case, g, slot) ->
-      List.iter
-        (fun bad ->
-          let g = corrupt g ~slot ~bad in
-          let name fn = Printf.sprintf "%s, entry %ld: %s" case bad fn in
-          raises (name "oracle") (fun () -> Bfs_oracle.bfs_distances g 0);
-          raises (name "bfs_distances") (fun () -> Props.bfs_distances g 0);
-          raises (name "is_connected") (fun () -> Props.is_connected g);
-          raises (name "double_sweep") (fun () -> Props.double_sweep g);
-          raises (name "start_heuristic") (fun () -> Cobra_core.Estimate.start_heuristic g))
-        [ Int32.of_int (Graph.n g); Int32.max_int ])
-    [ ("path", Gen.path 6, 0); ("star leaf", Gen.star 10, 9 + 4); ("star centre", Gen.star 10, 0) ]
-
 let () =
   Alcotest.run "props"
     [
@@ -211,7 +171,6 @@ let () =
           Alcotest.test_case "degree histogram" `Quick test_degree_histogram;
           Alcotest.test_case "average degree" `Quick test_average_degree;
           Alcotest.test_case "double sweep on trees" `Quick test_diameter_lower_bound_tree_exact;
-          Alcotest.test_case "bad adjacency entry raises" `Quick test_bad_entry_raises;
         ] );
       ( "property",
         [
