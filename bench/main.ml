@@ -108,10 +108,13 @@ let spectral_rows () =
   let regular8_256 = Gen.random_regular ~n:256 ~r:8 (Rng.create 2) in
   let regular8_4096 = Gen.random_regular ~n:4096 ~r:8 ~switches_per_edge:5 (Rng.create 5) in
   let hypercube16 = Gen.hypercube 16 in
+  (* One spectrum solve; the kernel keeps the name of the entry point it
+     replaced, because the gate and the committed ledgers look it up by
+     that name. *)
   let lanczos g ~reps =
     timed ~layer:"spectral" ~family:"regular8" g ~reps
       [
-        ("second_eigenvalue", 1, run (fun () -> Cobra_spectral.Eigen.second_eigenvalue ~tol:1e-8 g));
+        ("second_eigenvalue", 1, run (fun () -> Cobra_spectral.Eigen.spectrum ~tol:1e-8 g));
       ]
   in
   let small = lanczos regular8_256 ~reps:20 in

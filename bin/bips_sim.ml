@@ -55,7 +55,7 @@ let run family file n trials seed source rho lazy_ trajectory phases domains =
   in
   let branching = match rho with Some r -> Process.Bernoulli r | None -> Process.Fixed 2 in
   Format.printf "graph: %a@." Graph.pp_stats g;
-  let lambda = Cobra_spectral.Eigen.second_eigenvalue g in
+  let lambda = (Cobra_spectral.Eigen.spectrum g).lambda in
   Format.printf "lambda = %.4f (gap %.4f)%s@." lambda (1.0 -. lambda)
     (if lambda >= 0.9999 then "  [degenerate: bipartite or disconnected]" else "");
   Cobra_parallel.Pool.with_pool ?num_domains:domains (fun pool ->

@@ -97,19 +97,8 @@ let run family file n trials seed b rho lazy_ start max_rounds domains histogram
         Format.printf "mean transmissions per run: %.0f (%.2f per vertex)@."
           est.mean_transmissions
           (est.mean_transmissions /. float_of_int (Graph.n g));
-      if histogram && est.summary.count > 1 then begin
-        (* Re-run the estimate's trials (same per-trial streams, so the
-           same values) to collect them for the histogram. *)
-        let raw =
-          Cobra_parallel.Montecarlo.run ~pool ~master_seed:seed ~trials (fun ~trial:_ rng ->
-              match Cobra_core.Cobra.run_cover g rng ~branching ~lazy_ ?max_rounds ~start () with
-              | Some r -> float_of_int r
-              | None -> nan)
-        in
-        let finite = Array.of_list (List.filter (fun x -> not (Float.is_nan x)) (Array.to_list raw)) in
-        if Array.length finite > 0 then
-          print_string (Cobra_stats.Histogram.render (Cobra_stats.Histogram.of_array finite))
-      end)
+      if histogram && est.summary.count > 1 then
+        print_string (Cobra_stats.Histogram.render (Cobra_stats.Histogram.of_array est.values)))
 
 let cmd =
   let doc = "Estimate COBRA cover times on generated or loaded graphs" in

@@ -1,9 +1,9 @@
 (* cobra-graph-tool: generate, inspect, ingest and export graphs.
 
    Examples:
-     cobra-graph-tool gen --family hypercube -n 256 -o cube.graph
+     cobra-graph-tool generate --family hypercube -n 256 -o cube.graph
      cobra-graph-tool info cube.graph
-     cobra-graph-tool info --family lollipop -n 100 --spectral
+     cobra-graph-tool spectral --family lollipop -n 100
      cobra-graph-tool dot --family petersen -n 10
      cobra-graph-tool generate --family chunglu:2.5 -n 100000 --format snap -o web.snap
      cat web.snap | cobra-graph-tool ingest -
@@ -17,6 +17,8 @@ module Props = Cobra_graph.Props
 module Graph_io = Cobra_graph.Graph_io
 module Eigen = Cobra_spectral.Eigen
 module Conductance = Cobra_spectral.Conductance
+module Mixing = Cobra_spectral.Mixing
+module Walk_theory = Cobra_core.Walk_theory
 
 open Cmdliner
 
@@ -35,10 +37,6 @@ let output_arg =
   let doc = "Output path (stdout when omitted)." in
   Arg.(value & opt (some string) None & info [ "o"; "output" ] ~docv:"OUT" ~doc)
 
-let spectral_arg =
-  let doc = "Also compute lambda, the lazy gap and a conductance estimate." in
-  Arg.(value & flag & info [ "spectral" ] ~doc)
-
 let obtain file family n seed =
   match file with
   | Some path -> Graph_io.read_file path
@@ -56,22 +54,8 @@ let emit output text =
    subcommand's text format flags; [Graph_io.write_file] dispatches. *)
 let is_cgr_output = function Some path -> Filename.check_suffix path ".cgr" | None -> false
 
-let gen_cmd =
-  let run family n seed output =
-    let g = Gen.by_name family ~n (Cobra_prng.Rng.create seed) in
-    if is_cgr_output output then begin
-      let path = Option.get output in
-      Graph_io.write_file path g;
-      Printf.printf "wrote %s\n" path
-    end
-    else emit output (Graph_io.to_string g)
-  in
-  Cmd.v
-    (Cmd.info "gen" ~doc:"Generate a graph and write it as an edge list (or .cgr binary)")
-    Term.(const run $ family_arg $ n_arg $ seed_arg $ output_arg)
-
 let info_cmd =
-  let run file family n seed spectral =
+  let run file family n seed =
     let g = obtain file family n seed in
     Format.printf "%a@." Graph.pp_stats g;
     Format.printf "storage: packed int32, %d bytes (%.2f bytes/entry)@."
@@ -88,32 +72,12 @@ let info_cmd =
         Format.printf "degree histogram:";
         List.iter (fun (d, c) -> Format.printf " %d:%d" d c) hist;
         Format.printf "@."
-      end;
-      if spectral then begin
-        let lambda = Eigen.second_eigenvalue g in
-        Format.printf "lambda (abs 2nd eigenvalue of P): %.6f, gap: %.6f@." lambda
-          (1.0 -. lambda);
-        Format.printf "lazy lambda: %.6f, lazy gap: %.6f@."
-          (Eigen.lazy_second_eigenvalue g) (Eigen.lazy_eigenvalue_gap g);
-        let phi_upper = Conductance.sweep_upper_bound g in
-        Format.printf "conductance: <= %.6f (sweep cut)" phi_upper;
-        if Graph.n g <= 20 then Format.printf ", = %.6f (exact)" (Conductance.exact g);
-        Format.printf "@.";
-        if Graph.n g <= 1024 then begin
-          (match Cobra_spectral.Mixing.mixing_time ~lazy_:true g with
-          | Some t -> Format.printf "lazy mixing time (TV <= 1/4): %d rounds@." t
-          | None -> Format.printf "lazy mixing time: did not mix within the cap@.");
-          if Graph.n g <= 512 then
-            Format.printf "max hitting time (walk): %.1f; Matthews cover bound: %.1f@."
-              (Cobra_core.Walk_theory.max_hitting_time g)
-              (Cobra_core.Walk_theory.matthews_upper g)
-        end
       end
     end
   in
   Cmd.v
-    (Cmd.info "info" ~doc:"Print structural (and optionally spectral) statistics")
-    Term.(const run $ file_pos $ family_arg $ n_arg $ seed_arg $ spectral_arg)
+    (Cmd.info "info" ~doc:"Print structural statistics")
+    Term.(const run $ file_pos $ family_arg $ n_arg $ seed_arg)
 
 let dot_cmd =
   let run file family n seed output =
@@ -301,7 +265,9 @@ let tol_arg =
   Arg.(value & opt float 1e-10 & info [ "tol" ] ~docv:"TOL" ~doc:"Lanczos residual tolerance.")
 
 let threads_arg =
-  let doc = "Extra domains sharding the matrix-vector products (0 = serial)." in
+  let doc =
+    "Extra domains sharding the matrix-vector products and the hitting-time columns (0 = serial)."
+  in
   Arg.(value & opt int 0 & info [ "threads" ] ~docv:"K" ~doc)
 
 let spectral_cmd =
@@ -314,28 +280,34 @@ let spectral_cmd =
     end;
     Cobra_parallel.Pool.with_pool ~num_domains:threads (fun pool ->
         let obs = Cobra_obs.Obs.create () in
-        (* lambda_2 (signed) and its eigenvector drive everything else:
-           lambda needs one more solve for the bottom end, the lazy
-           quantities are arithmetic on lambda_2, the sweep cut reuses
-           the vector. *)
-        (match Eigen.second_eigenvalue_r ~obs ~tol ~pool g with
-        | Ok lambda ->
-            Format.printf "lambda (abs 2nd eigenvalue of P): %.10f, gap: %.6g@." lambda
-              (1.0 -. lambda)
-        | Error nc ->
-            Format.printf
-              "lambda: NOT CONVERGED after %d iterations (%d matvecs): best %.10f, residual %.3g@."
-              nc.Eigen.iterations nc.Eigen.matvecs nc.Eigen.best nc.Eigen.residual);
-        let lambda2, v2 = Eigen.second_eigenvector ~obs ~tol ~pool g in
-        Format.printf "lambda_2 (signed): %.10f@." lambda2;
-        Format.printf "lazy lambda: %.10f, lazy gap: %.6g@."
-          ((1.0 +. lambda2) /. 2.0)
-          ((1.0 -. lambda2) /. 2.0);
+        (* One Lanczos solve gives both ends of the spectrum and lambda_2's
+           vector: the lazy quantities are arithmetic on lambda_2 and the
+           sweep cut orders the vertices by the vector. *)
+        let s = Eigen.spectrum ~obs ~tol ~pool g in
+        if s.stats.converged then
+          Format.printf "lambda (abs 2nd eigenvalue of P): %.10f, gap: %.6g@." s.lambda
+            (1.0 -. s.lambda)
+        else
+          Format.printf
+            "lambda: NOT CONVERGED after %d iterations (%d matvecs): best %.10f, residual %.3g@."
+            s.stats.iterations s.stats.matvecs s.lambda s.stats.residual;
+        Format.printf "lambda_2 (signed): %.10f@." s.lambda2;
+        Format.printf "lazy lambda: %.10f, lazy gap: %.6g@." s.lazy_lambda
+          ((1.0 -. s.lambda2) /. 2.0);
         Format.printf "bipartite: %b@." (Props.is_bipartite g);
-        let phi_upper = Conductance.sweep_of_vector g v2 in
-        Format.printf "conductance: <= %.6f (sweep cut)" phi_upper;
+        Format.printf "conductance: <= %.6f (sweep cut)" (Conductance.sweep_of_vector g s.vec2);
         if Graph.n g <= 20 then Format.printf ", = %.6f (exact)" (Conductance.exact g);
         Format.printf "@.";
+        if Graph.n g <= 1024 then begin
+          (match Mixing.mixing_time ~lazy_:true g with
+          | Some t -> Format.printf "lazy mixing time (TV <= 1/4): %d rounds@." t
+          | None -> Format.printf "lazy mixing time: did not mix within the cap@.");
+          if Graph.n g <= 512 then begin
+            let h_max = Walk_theory.max_hitting_time ~obs ~pool g in
+            Format.printf "max hitting time (walk): %.1f; Matthews cover bound: %.1f@." h_max
+              (Walk_theory.matthews_upper ~n:(Graph.n g) ~h_max)
+          end
+        end;
         Format.printf "solver telemetry:";
         List.iter
           (fun (name, view) ->
@@ -348,13 +320,16 @@ let spectral_cmd =
   in
   Cmd.v
     (Cmd.info "spectral"
-       ~doc:"Eigenvalues, gaps and conductance, by deflated thick-restart Lanczos")
+       ~doc:
+         "Eigenvalues, gaps and conductance from one deflated thick-restart Lanczos solve; \
+          the lazy mixing time up to 1024 vertices, hitting times and Matthews' bound up to \
+          512")
     Term.(const run $ file_pos $ family_arg $ n_arg $ seed_arg $ tol_arg $ threads_arg)
 
 let main_cmd =
   let doc = "Generate and inspect the graph families used by the COBRA experiments" in
   Cmd.group
     (Cmd.info "cobra-graph-tool" ~version:"1.0.0" ~doc)
-    [ gen_cmd; info_cmd; dot_cmd; spectral_cmd; ingest_cmd; generate_cmd; pack_cmd ]
+    [ info_cmd; dot_cmd; spectral_cmd; ingest_cmd; generate_cmd; pack_cmd ]
 
 let () = exit (Cli.eval main_cmd)

@@ -27,7 +27,7 @@ let () =
   let n = Graph.n g in
   let rng = Cobra_prng.Rng.create 99 in
   Format.printf "graph: %a (33x33 torus)@." Graph.pp_stats g;
-  let lambda = Eigen.second_eigenvalue g in
+  let lambda = (Eigen.spectrum g).lambda in
   Format.printf "lambda = %.4f, gap = %.4f@.@." lambda (1.0 -. lambda);
   match Bips.run_trajectory g rng ~source:0 () with
   | None -> print_endline "outbreak did not saturate within the cap (unexpected)"

@@ -37,7 +37,7 @@ let () =
         (fun d ->
           let g = Gen.hypercube d in
           let n = Graph.n g in
-          let gap = Eigen.lazy_eigenvalue_gap g in
+          let gap = 1.0 -. (Eigen.spectrum g).lazy_lambda in
           let est = Estimate.cover_time ~pool ~master_seed:42 ~trials ~lazy_:true ~start:0 g in
           points := (float_of_int n, est.summary.mean) :: !points;
           Table.add_row t

@@ -35,7 +35,7 @@ let () =
 
       (* Compare with the paper's bounds. *)
       let n = Graph.n g and m = Graph.m g in
-      let lambda = Cobra_spectral.Eigen.second_eigenvalue g in
+      let lambda = (Cobra_spectral.Eigen.spectrum g).lambda in
       let general = Cobra_core.Bounds.this_paper_general ~n ~m ~dmax:(Graph.max_degree g) in
       let regular = Cobra_core.Bounds.this_paper_regular ~n ~r:8 ~lambda in
       let lower =

@@ -7,6 +7,7 @@ type result = {
   q90 : float;
   censored : int;
   mean_transmissions : float;
+  values : float array;
 }
 
 let start_heuristic g =
@@ -39,6 +40,7 @@ let summarise obs ~trials =
     q90;
     censored = trials - Array.length completed;
     mean_transmissions = mean txs;
+    values;
   }
 
 let collect ?obs ~pool ~master_seed ~trials run_one =

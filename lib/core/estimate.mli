@@ -16,6 +16,9 @@ type result = {
   mean_transmissions : float;
       (** Mean total transmissions per completed trial (COBRA only;
           [nan] for BIPS estimates). *)
+  values : float array;
+      (** The completed trials' values, in trial order: the sample the
+          summary and quantiles are computed from. *)
 }
 
 val start_heuristic : Cobra_graph.Graph.t -> int

@@ -139,32 +139,33 @@ let cg_hitting g ~pre ~target ~tol ~max_iter =
     (h, !iter, Matvec.norm2 r /. b_norm)
   end
 
-let default_max_iter n = Int.max 1000 (20 * n)
+(* CG's stopping rule: relative residual [||L_g h - d|| / ||d||] below
+   [cg_tol], or [cg_max_iter n] iterations. *)
+let cg_tol = 1e-8
+let cg_max_iter n = Int.max 1000 (20 * n)
 
-let hitting_times ?(obs = Obs.null) ?(tol = 1e-8) ?max_iter g ~target =
+let check_connected who g =
+  if not (Props.is_connected g) then invalid_arg (who ^ ": graph must be connected")
+
+let hitting_times g ~target =
   let n = Graph.n g in
   if target < 0 || target >= n then invalid_arg "Walk_theory.hitting_times: target out of range";
-  if not (Props.is_connected g) then
-    invalid_arg "Walk_theory.hitting_times: graph must be connected";
-  let max_iter = Option.value max_iter ~default:(default_max_iter n) in
-  let pre = cg_precompute g in
-  let h, iters, res = cg_hitting g ~pre ~target ~tol ~max_iter in
-  emit_cg_obs obs ~solves:1 ~iterations:iters ~residual:res;
+  check_connected "Walk_theory.hitting_times" g;
+  let h, _, _ = cg_hitting g ~pre:(cg_precompute g) ~target ~tol:cg_tol ~max_iter:(cg_max_iter n) in
   h
 
-let all_hitting_times ?(obs = Obs.null) ?(tol = 1e-8) ?max_iter ?pool g =
+let all_hitting_times ?(obs = Obs.null) ?pool g =
   let n = Graph.n g in
-  if not (Props.is_connected g) then
-    invalid_arg "Walk_theory.all_hitting_times: graph must be connected";
-  let max_iter = Option.value max_iter ~default:(default_max_iter n) in
+  check_connected "Walk_theory.all_hitting_times" g;
   (* One grounded-Laplacian CG solve per target column.  Columns are
      independent, so a pool spreads them across domains; obs contexts
      are single-domain, so telemetry is aggregated after the loop. *)
   let pre = cg_precompute g in
+  let max_iter = cg_max_iter n in
   let iters = Array.make n 0 in
   let resid = Array.make n 0.0 in
   let solve v =
-    let h, it, res = cg_hitting g ~pre ~target:v ~tol ~max_iter in
+    let h, it, res = cg_hitting g ~pre ~target:v ~tol:cg_tol ~max_iter in
     iters.(v) <- it;
     resid.(v) <- res;
     h
@@ -180,8 +181,8 @@ let all_hitting_times ?(obs = Obs.null) ?(tol = 1e-8) ?max_iter ?pool g =
     ~residual:(Array.fold_left Float.max 0.0 resid);
   Array.init n (fun u -> Array.init n (fun v -> cols.(v).(u)))
 
-let max_hitting_time ?obs ?tol ?max_iter ?pool g =
-  let h = all_hitting_times ?obs ?tol ?max_iter ?pool g in
+let max_hitting_time ?obs ?pool g =
+  let h = all_hitting_times ?obs ?pool g in
   Array.fold_left (fun acc row -> Array.fold_left Float.max acc row) 0.0 h
 
 let harmonic k =
@@ -191,6 +192,4 @@ let harmonic k =
   done;
   !s
 
-let matthews_upper ?pool g =
-  let n = Graph.n g in
-  if n <= 1 then 0.0 else max_hitting_time ?pool g *. harmonic (n - 1)
+let matthews_upper ~n ~h_max = h_max *. harmonic (n - 1)

@@ -1,18 +1,9 @@
-let cover ?obs ~pool ~master_seed ~trials ?branching ?lazy_ ?max_rounds ?start g =
-  Cobra_core.Estimate.cover_time ?obs ~pool ~master_seed ~trials ?branching ?lazy_ ?max_rounds
-    ?start g
-
 let graph_of name ~n ~seed =
   let rng = Cobra_prng.Rng.create (seed + (1000 * n)) in
   Cobra_graph.Gen.by_name name ~n rng
 
-let lambda_of ?obs ?pool g = Cobra_spectral.Eigen.second_eigenvalue ?obs ?pool g
-let lazy_gap_of ?obs ?pool g = Cobra_spectral.Eigen.lazy_eigenvalue_gap ?obs ?pool g
 let verdict ok = if ok then "PASS" else "FAIL"
 let section title = Printf.sprintf "\n-- %s --\n" title
 
 let ratio measured bound =
   if Float.is_nan measured || Float.is_nan bound || bound = 0.0 then nan else measured /. bound
-
-let fmt_f = Cobra_stats.Table.cell_f
-let fmt_i = Cobra_stats.Table.cell_i

@@ -1,22 +1,7 @@
 (** Shared plumbing for the experiment modules. *)
 
-val cover :
-  ?obs:Cobra_obs.Obs.t -> pool:Cobra_parallel.Pool.t -> master_seed:int -> trials:int ->
-  ?branching:Cobra_core.Process.branching -> ?lazy_:bool -> ?max_rounds:int -> ?start:int ->
-  Cobra_graph.Graph.t -> Cobra_core.Estimate.result
-(** {!Cobra_core.Estimate.cover_time} with the experiment defaults. *)
-
 val graph_of : string -> n:int -> seed:int -> Cobra_graph.Graph.t
 (** Deterministic instance of a named family at ~[n] vertices. *)
-
-val lambda_of :
-  ?obs:Cobra_obs.Obs.t -> ?pool:Cobra_parallel.Pool.t -> Cobra_graph.Graph.t -> float
-(** Measured absolute second eigenvalue (Lanczos; [pool] shards the
-    matvecs, [obs] records solver telemetry). *)
-
-val lazy_gap_of :
-  ?obs:Cobra_obs.Obs.t -> ?pool:Cobra_parallel.Pool.t -> Cobra_graph.Graph.t -> float
-(** Measured lazy eigenvalue gap [(1 - lambda_2)/2]. *)
 
 val verdict : bool -> string
 (** ["PASS"] / ["FAIL"]. *)
@@ -26,9 +11,3 @@ val section : string -> string
 
 val ratio : float -> float -> float
 (** [ratio measured bound] with [nan] guarded to [nan]. *)
-
-val fmt_f : float -> string
-(** {!Cobra_stats.Table.cell_f}. *)
-
-val fmt_i : int -> string
-(** {!Cobra_stats.Table.cell_i}. *)

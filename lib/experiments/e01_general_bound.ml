@@ -1,5 +1,6 @@
 module Graph = Cobra_graph.Graph
 module Table = Cobra_stats.Table
+module Estimate = Cobra_core.Estimate
 module Bounds = Cobra_core.Bounds
 
 (* Families chosen to stress different terms of the bound: the [m] term
@@ -30,7 +31,7 @@ let run ~obs ~pool ~master_seed ~scale =
       List.iter
         (fun n ->
           let g = Common.graph_of family ~n ~seed:master_seed in
-          let est = Common.cover ~obs ~pool ~master_seed ~trials g in
+          let est = Estimate.cover_time ~obs ~pool ~master_seed ~trials g in
           if est.censored > 0 then all_covered := false;
           let bound =
             Bounds.this_paper_general ~n:(Graph.n g) ~m:(Graph.m g) ~dmax:(Graph.max_degree g)
@@ -42,9 +43,9 @@ let run ~obs ~pool ~master_seed ~scale =
           end;
           Table.add_row t
             [
-              family; Common.fmt_i (Graph.n g); Common.fmt_i (Graph.m g);
-              Common.fmt_i (Graph.max_degree g); Common.fmt_f est.summary.mean;
-              Common.fmt_f est.q90; Common.fmt_f bound; Common.fmt_f r;
+              family; Table.cell_i (Graph.n g); Table.cell_i (Graph.m g);
+              Table.cell_i (Graph.max_degree g); Table.cell_f est.summary.mean;
+              Table.cell_f est.q90; Table.cell_f bound; Table.cell_f r;
             ])
         ns;
       (* Shape check for an O(.) claim: the measured/bound ratio must not

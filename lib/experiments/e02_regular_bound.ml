@@ -1,5 +1,7 @@
 module Graph = Cobra_graph.Graph
 module Table = Cobra_stats.Table
+module Eigen = Cobra_spectral.Eigen
+module Estimate = Cobra_core.Estimate
 module Bounds = Cobra_core.Bounds
 
 (* Regular, non-bipartite families: random r-regular expanders (big
@@ -32,20 +34,20 @@ let run ~obs ~pool ~master_seed ~scale =
       List.iter
         (fun n ->
           let g = Common.graph_of family ~n ~seed:master_seed in
-          let lambda = Common.lambda_of ~obs ~pool g in
+          let lambda = (Eigen.spectrum ~obs ~pool g).lambda in
           if (not (Graph.is_regular g)) || lambda >= 1.0 then all_valid := false
           else begin
             let r = Graph.max_degree g in
-            let est = Common.cover ~obs ~pool ~master_seed ~trials g in
+            let est = Estimate.cover_time ~obs ~pool ~master_seed ~trials g in
             if est.censored > 0 then all_valid := false;
             let bound = Bounds.this_paper_regular ~n:(Graph.n g) ~r ~lambda in
             let ratio = Common.ratio est.q90 bound in
             if not (Float.is_nan ratio) then worst_ratio := Float.max !worst_ratio ratio;
             Table.add_row t
               [
-                family; Common.fmt_i (Graph.n g); Common.fmt_i r; Common.fmt_f lambda;
-                Common.fmt_f (1.0 -. lambda); Common.fmt_f est.summary.mean;
-                Common.fmt_f est.q90; Common.fmt_f bound; Common.fmt_f ratio;
+                family; Table.cell_i (Graph.n g); Table.cell_i r; Table.cell_f lambda;
+                Table.cell_f (1.0 -. lambda); Table.cell_f est.summary.mean;
+                Table.cell_f est.q90; Table.cell_f bound; Table.cell_f ratio;
               ]
           end)
         (pick ns);

@@ -86,7 +86,7 @@ let run ~obs:_ ~pool ~master_seed ~scale =
               if not ok then all_ok := false;
               Table.add_row t
                 [
-                  name; vname; Common.fmt_i horizon; Printf.sprintf "%.4f" e.cobra_miss;
+                  name; vname; Table.cell_i horizon; Printf.sprintf "%.4f" e.cobra_miss;
                   Printf.sprintf "%.4f" e.bips_miss; Printf.sprintf "%.4f" gap;
                   Printf.sprintf "%.4f" e.stderr; (if ok then "yes" else "NO");
                 ])

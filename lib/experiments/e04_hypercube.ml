@@ -1,6 +1,8 @@
 module Graph = Cobra_graph.Graph
 module Gen = Cobra_graph.Gen
 module Table = Cobra_stats.Table
+module Eigen = Cobra_spectral.Eigen
+module Estimate = Cobra_core.Estimate
 module Bounds = Cobra_core.Bounds
 module Regress = Cobra_stats.Regress
 
@@ -33,11 +35,13 @@ let run ~obs ~pool ~master_seed ~scale =
     (fun d ->
       let g = Gen.hypercube d in
       let n = Graph.n g in
-      let gap = Common.lazy_gap_of ~obs ~pool g in
+      let gap = 1.0 -. (Eigen.spectrum ~obs ~pool g).lazy_lambda in
       let lambda = 1.0 -. gap in
       let phi = 1.0 /. float_of_int d in
-      let plain = Common.cover ~obs ~pool ~master_seed ~trials ~start:0 g in
-      let lzy = Common.cover ~obs ~pool ~master_seed:(master_seed + 1) ~trials ~lazy_:true ~start:0 g in
+      let plain = Estimate.cover_time ~obs ~pool ~master_seed ~trials ~start:0 g in
+      let lzy =
+        Estimate.cover_time ~obs ~pool ~master_seed:(master_seed + 1) ~trials ~lazy_:true ~start:0 g
+      in
       let this_paper = Bounds.this_paper_regular ~n ~r:d ~lambda in
       let podc = Bounds.podc16_regular ~n ~lambda in
       let spaa16 = Bounds.spaa16_regular ~n ~r:d ~phi in
@@ -47,9 +51,9 @@ let run ~obs ~pool ~master_seed ~scale =
       rows := (float_of_int n, lzy.summary.mean) :: !rows;
       Table.add_row t
         [
-          Common.fmt_i d; Common.fmt_i n; Printf.sprintf "%.4f" gap;
-          Common.fmt_f plain.summary.mean; Common.fmt_f lzy.summary.mean;
-          Common.fmt_f this_paper; Common.fmt_f podc; Common.fmt_f spaa16; Common.fmt_f r;
+          Table.cell_i d; Table.cell_i n; Printf.sprintf "%.4f" gap;
+          Table.cell_f plain.summary.mean; Table.cell_f lzy.summary.mean;
+          Table.cell_f this_paper; Table.cell_f podc; Table.cell_f spaa16; Table.cell_f r;
         ])
     dims;
   (* Poly-log growth exponent of the measured lazy cover time: the best

@@ -1,5 +1,6 @@
 module Graph = Cobra_graph.Graph
 module Table = Cobra_stats.Table
+module Estimate = Cobra_core.Estimate
 module Regress = Cobra_stats.Regress
 module Bounds = Cobra_core.Bounds
 
@@ -19,10 +20,10 @@ let run ~obs ~pool ~master_seed ~scale =
   List.iter
     (fun n ->
       let g = Common.graph_of "complete" ~n ~seed:master_seed in
-      let est = Common.cover ~obs ~pool ~master_seed ~trials g in
+      let est = Estimate.cover_time ~obs ~pool ~master_seed ~trials g in
       let r = est.summary.mean /. Bounds.dutta_complete ~n in
       ratios := r :: !ratios;
-      Table.add_row t [ Common.fmt_i n; Common.fmt_f est.summary.mean; Common.fmt_f r ])
+      Table.add_row t [ Table.cell_i n; Table.cell_f est.summary.mean; Table.cell_f r ])
     ns;
   let flatness = List.fold_left Float.max 0.0 !ratios /. List.fold_left Float.min infinity !ratios in
   if flatness > 2.0 then all_ok := false;
@@ -41,13 +42,13 @@ let run ~obs ~pool ~master_seed ~scale =
     (fun n ->
       let n = if n mod 2 = 1 then n + 1 else n in
       let g = Common.graph_of "regular-3" ~n ~seed:master_seed in
-      let est = Common.cover ~obs ~pool ~master_seed ~trials g in
+      let est = Estimate.cover_time ~obs ~pool ~master_seed ~trials g in
       pts := (float_of_int n, est.summary.mean) :: !pts;
       Table.add_row t
         [
-          Common.fmt_i n; Common.fmt_f est.summary.mean;
-          Common.fmt_f (est.summary.mean /. Bounds.dutta_complete ~n);
-          Common.fmt_f (est.summary.mean /. Bounds.dutta_expander ~n);
+          Table.cell_i n; Table.cell_f est.summary.mean;
+          Table.cell_f (est.summary.mean /. Bounds.dutta_complete ~n);
+          Table.cell_f (est.summary.mean /. Bounds.dutta_expander ~n);
         ])
     ns;
   let fit =
@@ -76,13 +77,13 @@ let run ~obs ~pool ~master_seed ~scale =
         (fun n ->
           let g = Common.graph_of family ~n ~seed:master_seed in
           let n_real = Graph.n g in
-          let est = Common.cover ~obs ~pool ~master_seed ~trials g in
+          let est = Estimate.cover_time ~obs ~pool ~master_seed ~trials g in
           let ref_curve = Bounds.dutta_grid ~n:n_real ~dim in
           pts := (float_of_int n_real, est.summary.mean) :: !pts;
           Table.add_row t
             [
-              Common.fmt_i n_real; Common.fmt_f est.summary.mean; Common.fmt_f ref_curve;
-              Common.fmt_f (est.summary.mean /. ref_curve);
+              Table.cell_i n_real; Table.cell_f est.summary.mean; Table.cell_f ref_curve;
+              Table.cell_f (est.summary.mean /. ref_curve);
             ])
         ns;
       let fit =

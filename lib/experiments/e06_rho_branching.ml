@@ -1,5 +1,6 @@
 module Graph = Cobra_graph.Graph
 module Table = Cobra_stats.Table
+module Estimate = Cobra_core.Estimate
 module Process = Cobra_core.Process
 
 let rhos = [ 1.0; 0.75; 0.5; 0.25; 0.125 ]
@@ -27,15 +28,15 @@ let run ~obs ~pool ~master_seed ~scale =
       List.iter
         (fun rho ->
           let est =
-            Common.cover ~obs ~pool ~master_seed ~trials ~branching:(Process.Bernoulli rho) g
+            Estimate.cover_time ~obs ~pool ~master_seed ~trials ~branching:(Process.Bernoulli rho) g
           in
           if est.censored > 0 then all_ok := false;
           let s = est.summary.mean *. rho *. rho in
           scaled := s :: !scaled;
           Table.add_row t
             [
-              Common.fmt_f rho; Common.fmt_f (1.0 +. rho); Common.fmt_f est.summary.mean;
-              Common.fmt_f est.q90; Common.fmt_f s;
+              Table.cell_f rho; Table.cell_f (1.0 +. rho); Table.cell_f est.summary.mean;
+              Table.cell_f est.q90; Table.cell_f s;
             ])
         rhos;
       Buffer.add_string buf (Table.render t);

@@ -1,5 +1,6 @@
 module Graph = Cobra_graph.Graph
 module Table = Cobra_stats.Table
+module Eigen = Cobra_spectral.Eigen
 module Process = Cobra_core.Process
 module Growth = Cobra_core.Growth
 
@@ -14,7 +15,7 @@ let run ~obs ~pool ~master_seed ~scale =
       let g =
         Cobra_graph.Gen.random_regular ~n ~r:8 (Cobra_prng.Rng.create (master_seed + 17))
       in
-      let lambda = Common.lambda_of ~obs ~pool g in
+      let lambda = (Eigen.spectrum ~obs ~pool g).lambda in
       Buffer.add_string buf
         (Common.section
            (Printf.sprintf "random 8-regular, n = %d, lambda = %.4f, %s" n lambda rho_label));
@@ -35,7 +36,7 @@ let run ~obs ~pool ~master_seed ~scale =
             if not ok then all_ok := false;
             Table.add_row t
               [
-                Printf.sprintf "[%d, %d)" b.lo b.hi; Common.fmt_i b.count;
+                Printf.sprintf "[%d, %d)" b.lo b.hi; Table.cell_i b.count;
                 Printf.sprintf "%.4f" b.mean_growth; Printf.sprintf "%.4f" b.lemma41_growth;
                 (if ok then "yes" else "NO");
               ]

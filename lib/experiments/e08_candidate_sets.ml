@@ -1,5 +1,6 @@
 module Graph = Cobra_graph.Graph
 module Table = Cobra_stats.Table
+module Eigen = Cobra_spectral.Eigen
 module Process = Cobra_core.Process
 module Growth = Cobra_core.Growth
 
@@ -15,7 +16,7 @@ let run ~obs ~pool ~master_seed ~scale =
     (fun (family, n) ->
       let g = Common.graph_of family ~n ~seed:master_seed in
       let n_real = Graph.n g in
-      let lambda = Common.lambda_of ~obs ~pool g in
+      let lambda = (Eigen.spectrum ~obs ~pool g).lambda in
       let target = (1.0 -. lambda) /. 2.0 in
       Buffer.add_string buf
         (Common.section
@@ -37,7 +38,7 @@ let run ~obs ~pool ~master_seed ~scale =
             if not ok then all_ok := false;
             Table.add_row t
               [
-                Printf.sprintf "[%d, %d)" b.lo b.hi; Common.fmt_i b.count;
+                Printf.sprintf "[%d, %d)" b.lo b.hi; Table.cell_i b.count;
                 Printf.sprintf "%.4f" b.min_candidate_ratio; (if ok then "yes" else "NO");
               ]
           end)

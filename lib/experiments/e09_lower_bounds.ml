@@ -1,6 +1,8 @@
 module Graph = Cobra_graph.Graph
 module Props = Cobra_graph.Props
 module Table = Cobra_stats.Table
+module Estimate = Cobra_core.Estimate
+module Walk_theory = Cobra_core.Walk_theory
 module Bounds = Cobra_core.Bounds
 
 let families = [ "complete"; "cycle"; "path"; "star"; "binary-tree"; "hypercube"; "torus2d" ]
@@ -24,15 +26,15 @@ let run ~obs ~pool ~master_seed ~scale =
       let g = Common.graph_of family ~n ~seed:master_seed in
       let diam = Props.diameter g in
       let lower = Bounds.lower_bound ~n:(Graph.n g) ~diameter:diam in
-      let est = Common.cover ~obs ~pool ~master_seed ~trials g in
+      let est = Estimate.cover_time ~obs ~pool ~master_seed ~trials g in
       (* The theoretical statement bounds every sample, so compare the
          observed minimum; allow the ceiling effect on log2. *)
       let ok = est.summary.min >= Float.of_int (int_of_float lower) in
       if not ok then all_ok := false;
       Table.add_row t
         [
-          family; Common.fmt_i (Graph.n g); Common.fmt_i diam; Common.fmt_f lower;
-          Common.fmt_f est.summary.min; Common.fmt_f est.summary.mean;
+          family; Table.cell_i (Graph.n g); Table.cell_i diam; Table.cell_f lower;
+          Table.cell_f est.summary.min; Table.cell_f est.summary.mean;
           (if ok then "yes" else "NO");
         ])
     families;
@@ -52,12 +54,13 @@ let run ~obs ~pool ~master_seed ~scale =
   List.iter
     (fun family ->
       let g = Common.graph_of family ~n ~seed:master_seed in
-      let walk =
-        Cobra_core.Estimate.walk_cover_time ~obs ~pool ~master_seed ~trials g
-      in
-      let cobra = Common.cover ~obs ~pool ~master_seed ~trials g in
+      let walk = Estimate.walk_cover_time ~obs ~pool ~master_seed ~trials g in
+      let cobra = Estimate.cover_time ~obs ~pool ~master_seed ~trials g in
       let nlogn = Bounds.walk_cover_lower ~n:(Graph.n g) in
-      let matthews = Cobra_core.Walk_theory.matthews_upper g in
+      let matthews =
+        Walk_theory.matthews_upper ~n:(Graph.n g)
+          ~h_max:(Walk_theory.max_hitting_time ~obs ~pool g)
+      in
       let walk_ratio = Common.ratio walk.summary.mean nlogn in
       (* Omega(n log n) with a known constant for these families: the
          measured mean should not be far below n ln n; and Matthews'
@@ -66,9 +69,9 @@ let run ~obs ~pool ~master_seed ~scale =
       if walk.summary.mean > matthews *. 1.05 then all_ok := false;
       Table.add_row t
         [
-          family; Common.fmt_i (Graph.n g); Common.fmt_f walk.summary.mean; Common.fmt_f nlogn;
-          Common.fmt_f matthews; Common.fmt_f cobra.summary.mean;
-          Common.fmt_f (walk.summary.mean /. cobra.summary.mean);
+          family; Table.cell_i (Graph.n g); Table.cell_f walk.summary.mean; Table.cell_f nlogn;
+          Table.cell_f matthews; Table.cell_f cobra.summary.mean;
+          Table.cell_f (walk.summary.mean /. cobra.summary.mean);
         ])
     [ "complete"; "cycle"; "regular-8" ];
   Buffer.add_string buf (Table.render t);

@@ -2,6 +2,8 @@ module Graph = Cobra_graph.Graph
 module Gen = Cobra_graph.Gen
 module Props = Cobra_graph.Props
 module Table = Cobra_stats.Table
+module Eigen = Cobra_spectral.Eigen
+module Estimate = Cobra_core.Estimate
 module Bounds = Cobra_core.Bounds
 
 let run ~obs ~pool ~master_seed ~scale =
@@ -27,10 +29,12 @@ let run ~obs ~pool ~master_seed ~scale =
   List.iter
     (fun (name, g) ->
       let bip = Props.is_bipartite g in
-      let lambda = Common.lambda_of ~obs ~pool g in
-      let lazy_gap = Common.lazy_gap_of ~obs ~pool g in
-      let plain = Common.cover ~obs ~pool ~master_seed ~trials g in
-      let lzy = Common.cover ~obs ~pool ~master_seed:(master_seed + 1) ~trials ~lazy_:true g in
+      let s = Eigen.spectrum ~obs ~pool g in
+      let lambda = s.lambda and lazy_gap = 1.0 -. s.lazy_lambda in
+      let plain = Estimate.cover_time ~obs ~pool ~master_seed ~trials g in
+      let lzy =
+        Estimate.cover_time ~obs ~pool ~master_seed:(master_seed + 1) ~trials ~lazy_:true g
+      in
       (* All these instances are regular, so Theorem 1.2 applies to the
          lazy chain with its gap. *)
       let bound =
@@ -48,8 +52,8 @@ let run ~obs ~pool ~master_seed ~scale =
       Table.add_row t
         [
           name; (if bip then "yes" else "no"); Printf.sprintf "%.4f" lambda;
-          Printf.sprintf "%.4f" lazy_gap; Common.fmt_f plain.summary.mean;
-          Common.fmt_f lzy.summary.mean; Common.fmt_f bound; Common.fmt_f ratio;
+          Printf.sprintf "%.4f" lazy_gap; Table.cell_f plain.summary.mean;
+          Table.cell_f lzy.summary.mean; Table.cell_f bound; Table.cell_f ratio;
         ])
     cases;
   Table.render t

@@ -1,5 +1,6 @@
 module Graph = Cobra_graph.Graph
 module Table = Cobra_stats.Table
+module Eigen = Cobra_spectral.Eigen
 module Bips = Cobra_core.Bips
 module Phases = Cobra_core.Phases
 
@@ -22,7 +23,7 @@ let run ~obs ~pool ~master_seed ~scale =
     (fun (family, n) ->
       let g = Common.graph_of family ~n ~seed:master_seed in
       let n_real = Graph.n g in
-      let lambda = Common.lambda_of ~obs ~pool g in
+      let lambda = (Eigen.spectrum ~obs ~pool g).lambda in
       let gap = 1.0 -. lambda in
       let threshold = Phases.default_small_threshold ~n:n_real ~lambda in
       let split_codec =
@@ -53,9 +54,9 @@ let run ~obs ~pool ~master_seed ~scale =
       if tail_ratio > 1.0 then all_ok := false;
       Table.add_row t
         [
-          family; Common.fmt_i n_real; Printf.sprintf "%.4f" gap; Common.fmt_i threshold;
-          Common.fmt_f start; Common.fmt_f bulk; Common.fmt_f tail;
-          Common.fmt_f (start +. bulk +. tail); Printf.sprintf "%.3f" tail_ratio;
+          family; Table.cell_i n_real; Printf.sprintf "%.4f" gap; Table.cell_i threshold;
+          Table.cell_f start; Table.cell_f bulk; Table.cell_f tail;
+          Table.cell_f (start +. bulk +. tail); Printf.sprintf "%.3f" tail_ratio;
         ])
     cases;
   Table.render t

@@ -28,9 +28,9 @@ let run ~obs ~pool ~master_seed ~scale =
             ("transmissions (mean)", Table.Right);
           ]
       in
-      let cobra = Common.cover ~obs ~pool ~master_seed ~trials g in
+      let cobra = Estimate.cover_time ~obs ~pool ~master_seed ~trials g in
       Table.add_row t
-        [ "COBRA b=2"; Common.fmt_f cobra.summary.mean; Common.fmt_f cobra.mean_transmissions ];
+        [ "COBRA b=2"; Table.cell_f cobra.summary.mean; Table.cell_f cobra.mean_transmissions ];
       let walk_rounds = ref infinity in
       List.iter
         (fun k ->
@@ -39,8 +39,8 @@ let run ~obs ~pool ~master_seed ~scale =
           if k = n_real then walk_rounds := est.summary.mean;
           Table.add_row t
             [
-              Printf.sprintf "%d walks" k; Common.fmt_f est.summary.mean;
-              Common.fmt_f (est.summary.mean *. float_of_int k);
+              Printf.sprintf "%d walks" k; Table.cell_f est.summary.mean;
+              Table.cell_f (est.summary.mean *. float_of_int k);
             ])
         [ 1; 8; 64; n_real ];
       Buffer.add_string buf (Table.render t);

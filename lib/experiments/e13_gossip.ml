@@ -93,9 +93,9 @@ let run ~obs ~pool ~master_seed ~scale =
           if proto.pname = "PUSH-PULL" then pp_rounds := rs.mean;
           Table.add_row t
             [
-              proto.pname; Common.fmt_f rs.mean;
-              Common.fmt_f (Cobra_stats.Quantile.quantile rounds 0.9); Common.fmt_f ms.mean;
-              Common.fmt_f (ms.mean /. float_of_int (Graph.n g));
+              proto.pname; Table.cell_f rs.mean;
+              Table.cell_f (Cobra_stats.Quantile.quantile rounds 0.9); Table.cell_f ms.mean;
+              Table.cell_f (ms.mean /. float_of_int (Graph.n g));
             ])
         protos;
       Buffer.add_string buf (Table.render t);

@@ -72,8 +72,8 @@ let run ~obs ~pool ~master_seed ~scale =
       if ratio < 0.95 || ratio > 2.5 then all_ok := false;
       Table.add_row t
         [
-          family; Common.fmt_i (Graph.n g); Common.fmt_f with_r.mean;
-          Common.fmt_f without_r.mean; Printf.sprintf "%.3f" ratio;
+          family; Table.cell_i (Graph.n g); Table.cell_f with_r.mean;
+          Table.cell_f without_r.mean; Printf.sprintf "%.3f" ratio;
         ])
     families;
   Buffer.add_string buf (Table.render t);
@@ -102,7 +102,7 @@ let run ~obs ~pool ~master_seed ~scale =
       if ratio < 0.9 || ratio > 4.0 then all_ok := false;
       Table.add_row t
         [
-          family; Common.fmt_i (Graph.n g); Common.fmt_f plain.mean; Common.fmt_f lzy.mean;
+          family; Table.cell_i (Graph.n g); Table.cell_f plain.mean; Table.cell_f lzy.mean;
           Printf.sprintf "%.3f" ratio;
         ])
     families;
@@ -130,7 +130,7 @@ let run ~obs ~pool ~master_seed ~scale =
           let nf = float_of_int (Graph.n g) in
           Table.add_row t
             [
-              family; Common.fmt_i (Graph.n g); Printf.sprintf "%.3f" s.waste;
+              family; Table.cell_i (Graph.n g); Printf.sprintf "%.3f" s.waste;
               Printf.sprintf "%.3f" (float_of_int s.peak_active /. nf);
               Printf.sprintf "%.3f" (s.mean_active /. nf);
             ])

@@ -90,8 +90,8 @@ let run ~obs ~pool ~master_seed ~scale =
       let sat = Array.fold_left ( + ) 0 sis_saturated in
       Table.add_row t
         [
-          family; Common.fmt_i (Graph.n g); Printf.sprintf "64/64";
-          Common.fmt_f bips.summary.mean; Printf.sprintf "%d/64" sat;
+          family; Table.cell_i (Graph.n g); Printf.sprintf "64/64";
+          Table.cell_f bips.summary.mean; Printf.sprintf "%d/64" sat;
         ])
     [ ("regular-8", 128); ("cycle", 65) ];
   Buffer.add_string buf (Table.render t);

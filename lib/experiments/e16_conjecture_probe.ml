@@ -2,6 +2,7 @@ module Graph = Cobra_graph.Graph
 module Gen = Cobra_graph.Gen
 module Gen_extra = Cobra_graph.Gen_extra
 module Table = Cobra_stats.Table
+module Estimate = Cobra_core.Estimate
 module Regress = Cobra_stats.Regress
 module Bounds = Cobra_core.Bounds
 
@@ -34,7 +35,7 @@ let run ~obs ~pool ~master_seed ~scale =
       (* Families with rigid sizes (e.g. petersen) can realise far fewer
          vertices than requested; skip them to keep ratios comparable. *)
       if Graph.n g >= n / 2 then begin
-        let est = Common.cover ~obs ~pool ~master_seed ~trials g in
+        let est = Estimate.cover_time ~obs ~pool ~master_seed ~trials g in
         if est.censored = 0 then begin
           let ratio = est.summary.mean /. Bounds.walk_cover_lower ~n:(Graph.n g) in
           measurements := (name, Graph.n g, est.summary.mean, ratio) :: !measurements
@@ -55,7 +56,7 @@ let run ~obs ~pool ~master_seed ~scale =
   List.iter
     (fun (name, n_real, mean, ratio) ->
       Table.add_row t
-        [ name; Common.fmt_i n_real; Common.fmt_f mean; Printf.sprintf "%.4f" ratio ])
+        [ name; Table.cell_i n_real; Table.cell_f mean; Printf.sprintf "%.4f" ratio ])
     sorted;
   Buffer.add_string buf (Table.render t);
   let worst_name, _, _, worst_ratio = List.hd sorted in
@@ -78,12 +79,12 @@ let run ~obs ~pool ~master_seed ~scale =
         | Some g -> g
         | None -> Common.graph_of worst_name ~n ~seed:master_seed
       in
-      let est = Common.cover ~obs ~pool ~master_seed ~trials g in
+      let est = Estimate.cover_time ~obs ~pool ~master_seed ~trials g in
       if est.censored = 0 then begin
         pts := (float_of_int (Graph.n g), est.summary.mean) :: !pts;
         Table.add_row t
           [
-            Common.fmt_i (Graph.n g); Common.fmt_f est.summary.mean;
+            Table.cell_i (Graph.n g); Table.cell_f est.summary.mean;
             Printf.sprintf "%.4f" (est.summary.mean /. Bounds.walk_cover_lower ~n:(Graph.n g));
           ]
       end)

@@ -43,8 +43,11 @@ val unsafe_of_packed_csr :
     CSR that breaks it reads or writes out of bounds: the builders meet
     it by construction and {!Cgr.read_mmap} checks it when it opens a
     file.  The caller must also guarantee that every slice is sorted
-    and duplicate-free and that edges are symmetric with no self-loops;
-    results are wrong without these, but no access goes out of bounds.
+    and duplicate-free, that no slice lists its own vertex, and that
+    edges are symmetric; results are wrong without these, but no access
+    goes out of bounds.  {!Cgr.read_mmap} checks the slices too, but
+    trusts symmetry: checking it would look up every entry's reverse
+    edge, several times the cost of the rest of the check.
     @raise Invalid_argument on inconsistent dimensions. *)
 
 val storage_bytes : t -> int

@@ -77,9 +77,3 @@ let sweep_of_vector g v =
     end
   done;
   !best
-
-let sweep_upper_bound ?obs ?tol ?max_iter ?seed ?pool g =
-  let n = Graph.n g in
-  if n < 2 then invalid_arg "Conductance.sweep_upper_bound: need at least 2 vertices";
-  let _, v = Eigen.second_eigenvector ?obs ?tol ?max_iter ?seed ?pool g in
-  sweep_of_vector g v

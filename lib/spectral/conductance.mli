@@ -13,7 +13,8 @@
     Exact conductance is NP-hard in general, so we provide exact
     enumeration for small graphs plus a sweep-cut {e upper} bound from
     the second eigenvector for larger ones (the Cheeger-rounding
-    certificate, good enough to compare bound formulas). *)
+    certificate, good enough to compare bound formulas):
+    [sweep_of_vector g (Eigen.spectrum g).vec2]. *)
 
 val of_set : Cobra_graph.Graph.t -> Cobra_bitset.Bitset.t -> float
 (** [of_set g s] is [phi(S)]: the quantity the sweep and exact
@@ -28,15 +29,7 @@ val exact : Cobra_graph.Graph.t -> float
 val sweep_of_vector : Cobra_graph.Graph.t -> float array -> float
 (** [sweep_of_vector g v] is the minimum conductance over the [n - 1]
     prefix cuts of the vertices ordered by [v] — the sweep-cut rounding
-    of any embedding vector.  Callers that already hold the second
-    eigenvector use this directly instead of paying a fresh solve.
+    of any embedding vector.  With [v] the second eigenvector of [P]
+    ({!Eigen.spectrum}'s [vec2]) it is an upper bound on [phi(G)], tight
+    up to Cheeger's quadratic loss.
     @raise Invalid_argument on [n < 2] or a length mismatch. *)
-
-val sweep_upper_bound :
-  ?obs:Cobra_obs.Obs.t -> ?tol:float -> ?max_iter:int -> ?seed:int ->
-  ?pool:Cobra_parallel.Pool.t -> Cobra_graph.Graph.t -> float
-(** [sweep_upper_bound g] orders vertices by the second eigenvector of
-    [P] and returns the minimum conductance over all prefix cuts — an
-    upper bound on [phi(G)], tight up to Cheeger's quadratic loss.
-    [obs], [tol], [max_iter], [seed] and [pool] are passed to
-    {!Eigen.second_eigenvector}. *)

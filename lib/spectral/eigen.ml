@@ -2,7 +2,13 @@ module Graph = Cobra_graph.Graph
 module Obs = Cobra_obs.Obs
 module Metrics = Cobra_obs.Metrics
 
-type not_converged = { best : float; iterations : int; matvecs : int; residual : float }
+type spectrum = {
+  lambda : float;
+  lambda2 : float;
+  lazy_lambda : float;
+  vec2 : float array;
+  stats : Lanczos.stats;
+}
 
 (* Solver telemetry: iteration/matvec counts and final residuals land in
    the metrics registry so manifests show convergence behaviour instead
@@ -19,65 +25,33 @@ let emit_obs obs (stats : Lanczos.stats) =
     if not stats.converged then Metrics.incr (Metrics.counter m ~scope "not_converged")
   end
 
-(* --- Lanczos driver: both spectrum ends in one basis --- *)
+let clamp01 x = Float.max 0.0 (Float.min 1.0 x)
 
-let lanczos_extremes ?pool ~obs ~tol ~max_matvecs ~seed g =
+let spectrum ?(obs = Obs.null) ?(tol = 1e-10) ?(max_iter = 200_000) ?pool g =
   let n = Graph.n g in
+  if n = 0 then invalid_arg "Eigen.spectrum: empty graph";
+  (* Both ends of the deflated spectrum of N come from one basis.  On a
+     single vertex nothing is orthogonal to the stationary direction and
+     the solver returns zeros, so lambda is 0 there. *)
   let op = Matvec.normalized_op g in
-  let pi = Matvec.stationary_direction g in
   let r =
     Lanczos.extremes ~n
       ~matvec:(fun x y -> Matvec.apply ?pool op x y)
-      ~ortho:[| pi |] ~tol ~max_matvecs ~seed ?pool ()
+      ~ortho:[| Matvec.stationary_direction g |]
+      ~tol ~max_matvecs:max_iter ?pool ()
   in
   emit_obs obs r.stats;
-  r
-
-let clamp01 x = Float.max 0.0 (Float.min 1.0 x)
-
-let second_eigenvalue_r ?(obs = Obs.null) ?(tol = 1e-10) ?(max_iter = 200_000) ?(seed = 1) ?pool
-    g =
-  if Graph.n g = 0 then invalid_arg "Eigen.second_eigenvalue: empty graph";
-  if Graph.n g = 1 then Ok 0.0
-  else begin
-    let r = lanczos_extremes ?pool ~obs ~tol ~max_matvecs:max_iter ~seed g in
-    let lambda = clamp01 (Float.max (Float.abs r.top) (Float.abs r.bottom)) in
-    if r.stats.converged then Ok lambda
-    else
-      Error
-        {
-          best = lambda;
-          iterations = r.stats.iterations;
-          matvecs = r.stats.matvecs;
-          residual = r.stats.residual;
-        }
-  end
-
-(* The plain entry point keeps its historical contract — always a float,
-   clamped to [0, 1] — but a failed convergence is no longer silent: it
-   bumps the [spectral/not_converged] counter (via {!second_eigenvalue_r})
-   and the typed result is one call away. *)
-let second_eigenvalue ?obs ?tol ?max_iter ?seed ?pool g =
-  match second_eigenvalue_r ?obs ?tol ?max_iter ?seed ?pool g with
-  | Ok lambda -> lambda
-  | Error { best; _ } -> best
-
-let second_eigenvector ?(obs = Obs.null) ?(tol = 1e-10) ?(max_iter = 200_000) ?(seed = 1) ?pool g
-    =
-  if Graph.n g = 0 then invalid_arg "Eigen.second_eigenvector: empty graph";
-  let r = lanczos_extremes ?pool ~obs ~tol ~max_matvecs:max_iter ~seed g in
   (* Convert the eigenvector of N into one of P: v_P = D^{-1/2} v_N. *)
-  let vp =
-    Array.init (Graph.n g) (fun u ->
+  let vec2 =
+    Array.init n (fun u ->
         let d = Graph.degree g u in
         if d = 0 then 0.0 else r.top_vec.(u) /. sqrt (float_of_int d))
   in
-  Matvec.scale_to_unit vp;
-  (r.top, vp)
-
-let lazy_second_eigenvalue ?obs ?tol ?max_iter ?seed ?pool g =
-  let lambda2, _ = second_eigenvector ?obs ?tol ?max_iter ?seed ?pool g in
-  Float.max 0.0 (Float.min 1.0 ((1.0 +. lambda2) /. 2.0))
-
-let lazy_eigenvalue_gap ?obs ?tol ?max_iter ?seed ?pool g =
-  1.0 -. lazy_second_eigenvalue ?obs ?tol ?max_iter ?seed ?pool g
+  Matvec.scale_to_unit vec2;
+  {
+    lambda = clamp01 (Float.max (Float.abs r.top) (Float.abs r.bottom));
+    lambda2 = r.top;
+    lazy_lambda = clamp01 ((1.0 +. r.top) /. 2.0);
+    vec2;
+    stats = r.stats;
+  }

@@ -37,8 +37,8 @@ type extremes = {
    O(m^2)-per-eigenvalue QL instead of O(m^3) per Jacobi sweep — roughly
    two orders of magnitude faster at m = 40, which is what makes
    frequent Rayleigh–Ritz checkpoints affordable.  The projected
-   matrices are at most [basis] x [basis] (tens), so this is noise next
-   to one matvec on a large graph. *)
+   matrices are at most [basis_cap] x [basis_cap] (tens), so this is
+   noise next to one matvec on a large graph. *)
 let sym_eig_qr a =
   let n = Array.length a in
   if n = 0 then ([||], [||])
@@ -208,18 +208,23 @@ let orthogonalize ?pool ~ortho ~basis ~ms ~coeffs w =
   let after = Matvec.norm2 ?pool w in
   if after < dgks_eta *. before then pass ()
 
-let extremes ~n ~matvec ?(ortho = [||]) ?(tol = 1e-10) ?(basis = 24) ?(max_matvecs = 200_000)
-    ?(seed = 1) ?pool () =
+(* The stored basis holds at most [basis_cap] vectors; a full basis
+   thick-restarts, keeping a few Ritz pairs from each end.  The random
+   start direction is drawn from a fixed seed. *)
+let basis_cap = 24
+let start_seed = 1
+
+let extremes ~n ~matvec ~ortho ~tol ~max_matvecs ?pool () =
   let norm2 x = Matvec.norm2 ?pool x in
   if n < 1 then invalid_arg "Lanczos.extremes: empty operator";
   let dim_free = Int.max 1 (n - Array.length ortho) in
-  let m = Int.max 4 (Int.min basis dim_free) in
+  let m = Int.max 4 (Int.min basis_cap dim_free) in
   let m = Int.min m n in
   (* How many Ritz pairs survive a restart at each end of the spectrum:
      enough to keep the converging wavefronts warm, small enough that a
      restart discards most of the basis. *)
   let keep_per_end = Int.max 1 (Int.min 6 ((m - 2) / 4)) in
-  let rng = Cobra_prng.Rng.create seed in
+  let rng = Cobra_prng.Rng.create start_seed in
   let v = Array.init m (fun _ -> Array.make n 0.0) in
   let t = Array.make_matrix m m 0.0 in
   let coeffs = Array.make m 0.0 in

@@ -2,9 +2,9 @@
     operator, with full reorthogonalisation and deflation of known
     eigenvectors.
 
-    This is the engine behind every {!Eigen} entry point: the paper's
-    spectral parameter needs [lambda_2] and [lambda_n] of the normalised
-    walk operator, i.e. both ends of the deflated spectrum, and a single
+    This is the engine behind {!Eigen.spectrum}: the paper's spectral
+    parameter needs [lambda_2] and [lambda_n] of the normalised walk
+    operator, i.e. both ends of the deflated spectrum, and a single
     Lanczos basis converges to both in tens of matvecs where deflated
     power iteration needs thousands of steps per end.
 
@@ -34,30 +34,31 @@ type extremes = {
 val extremes :
   n:int ->
   matvec:(float array -> float array -> unit) ->
-  ?ortho:float array array ->
-  ?tol:float ->
-  ?basis:int ->
-  ?max_matvecs:int ->
-  ?seed:int ->
+  ortho:float array array ->
+  tol:float ->
+  max_matvecs:int ->
   ?pool:Cobra_parallel.Pool.t ->
   unit ->
   extremes
-(** [extremes ~n ~matvec ()] computes the smallest and largest
-    eigenvalues (with eigenvectors) of the symmetric operator
-    [matvec : x -> A x] on [R^n], restricted to the orthogonal
-    complement of the unit vectors in [ortho] (default none).
+(** [extremes ~n ~matvec ~ortho ~tol ~max_matvecs ()] computes the
+    smallest and largest eigenvalues (with eigenvectors) of the
+    symmetric operator [matvec : x -> A x] on [R^n], restricted to the
+    orthogonal complement of the unit vectors in [ortho].
 
-    [tol] (default [1e-10]) is the residual threshold, relative to
-    [max 1 |theta|].  [basis] (default 24) caps the stored basis; when
-    it fills, the solver thick-restarts keeping a few Ritz pairs from
-    each end.  [max_matvecs] (default [200_000]) bounds total operator
-    applications; on exhaustion the best available pairs are returned
-    with [stats.converged = false].  [seed] fixes the random start
-    direction, making the solve deterministic.
+    [tol] is the residual threshold, relative to [max 1 |theta|].  The
+    stored basis holds at most 24 vectors; when it fills, the solver
+    thick-restarts keeping a few Ritz pairs from each end.
+    [max_matvecs] caps the operator applications that extend the basis
+    (the two explicit residual checks of the final pairs come on top);
+    on exhaustion the best available pairs are returned with
+    [stats.converged = false].
+    The random start direction has a fixed seed, so the solve is
+    deterministic.
 
-    If the complement of [ortho] has dimension [< basis] the Krylov
-    space closes on itself and the returned pairs are exact (up to the
-    dense solve of the projected matrix).
+    If the complement of [ortho] has dimension [< 24] the Krylov space
+    closes on itself and the returned pairs are exact (up to the dense
+    solve of the projected matrix); if it is empty, both pairs are
+    zero.
 
     [pool] shards the Gram–Schmidt dots and axpys (the dominant vector
     work on large graphs) as well as anything the [matvec] closure

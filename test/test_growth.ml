@@ -36,7 +36,7 @@ let test_bands_structure () =
   with_pool (fun pool ->
       let g = Gen.random_regular ~n:128 ~r:6 (Rng.create 3) in
       let obs = Growth.sample ~pool ~master_seed:4 ~trajectories:30 g in
-      let lambda = Eigen.second_eigenvalue g in
+      let lambda = (Eigen.spectrum g).lambda in
       let bands = Growth.bands ~n:128 ~lambda ~branching:(Process.Fixed 2) obs in
       check_bool "bands exist" true (List.length bands >= 3);
       List.iter
@@ -54,7 +54,7 @@ let test_bands_structure () =
 let test_lemma41_on_expander () =
   with_pool (fun pool ->
       let g = Gen.random_regular ~n:256 ~r:8 (Rng.create 5) in
-      let lambda = Eigen.second_eigenvalue g in
+      let lambda = (Eigen.spectrum g).lambda in
       let obs = Growth.sample ~pool ~master_seed:6 ~trajectories:200 g in
       let bands = Growth.bands ~n:256 ~lambda ~branching:(Process.Fixed 2) obs in
       List.iter
@@ -71,7 +71,7 @@ let test_lemma41_on_expander () =
 let test_corollary52_on_expander () =
   with_pool (fun pool ->
       let g = Gen.random_regular ~n:256 ~r:8 (Rng.create 7) in
-      let lambda = Eigen.second_eigenvalue g in
+      let lambda = (Eigen.spectrum g).lambda in
       let obs = Growth.sample ~pool ~master_seed:8 ~trajectories:100 g in
       let bands = Growth.bands ~n:256 ~lambda ~branching:(Process.Fixed 2) obs in
       let target = (1.0 -. lambda) /. 2.0 in

@@ -91,7 +91,7 @@ let exact_duality_multi_c =
    n-ish; sanity couplings across the two analysis modules. *)
 let test_theory_consistency_on_expander () =
   let g = Gen.random_regular ~n:100 ~r:6 (Rng.create 4) in
-  let gap = 1.0 -. Cobra_spectral.Eigen.second_eigenvalue g in
+  let gap = 1.0 -. (Cobra_spectral.Eigen.spectrum g).lambda in
   let hmax = Cobra_core.Walk_theory.max_hitting_time g in
   (* H_max >= (n-1) always (a walk must find the target among n-1
      others); and on an expander H_max = O(n / gap). *)
@@ -153,13 +153,14 @@ let test_branching_monotonicity () =
    and the mixing rate they imply. *)
 let test_lambda_three_ways () =
   let g = Gen.random_regular ~n:60 ~r:4 (Rng.create 6) in
-  let iter = Cobra_spectral.Eigen.second_eigenvalue g in
+  let s = Cobra_spectral.Eigen.spectrum g in
+  let iter = s.lambda in
   let dense = Dense_oracle.second_eigenvalue_exact g in
   check_bool "iter vs dense" true (Float.abs (iter -. dense) < 1e-6);
   (* On a regular graph the TV distance after t lazy steps is at most
      sqrt n * lambda_lazy^t from every start, so the walk mixes to
      within eps by the first t where that bound drops to eps. *)
-  let lazy_lambda = Cobra_spectral.Eigen.lazy_second_eigenvalue g in
+  let lazy_lambda = s.lazy_lambda in
   let eps = 1e-3 in
   let bound = Float.ceil (log (sqrt 60.0 /. eps) /. -.log lazy_lambda) in
   match Cobra_spectral.Mixing.mixing_time ~lazy_:true ~eps g with
@@ -209,8 +210,8 @@ let test_relabel_preserves_invariants () =
   check_bool "degree multiset invariant" true
     (Props.degree_histogram g = Props.degree_histogram h);
   Alcotest.(check (float 1e-6)) "lambda invariant"
-    (Cobra_spectral.Eigen.second_eigenvalue g)
-    (Cobra_spectral.Eigen.second_eigenvalue h)
+    (Cobra_spectral.Eigen.spectrum g).lambda
+    (Cobra_spectral.Eigen.spectrum h).lambda
 
 (* 11. The simulation pipeline is label-invariant in distribution: mean
    cover times of a graph and a relabeled copy agree. *)

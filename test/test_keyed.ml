@@ -723,10 +723,11 @@ let test_matvec_pool_bit_identical () =
         if not (Int64.equal (Int64.bits_of_float y_serial.(i)) (Int64.bits_of_float y_pool.(i)))
         then Alcotest.failf "transition matvec row %d differs" i
       done;
-      let l_serial = Cobra_spectral.Eigen.second_eigenvalue ~tol:1e-9 g in
-      let l_pool = Cobra_spectral.Eigen.second_eigenvalue ~tol:1e-9 ~pool g in
-      if not (Int64.equal (Int64.bits_of_float l_serial) (Int64.bits_of_float l_pool)) then
-        Alcotest.failf "second_eigenvalue differs: %.17g vs %.17g" l_serial l_pool)
+      let s_serial = Cobra_spectral.Eigen.spectrum ~tol:1e-9 g in
+      let s_pool = Cobra_spectral.Eigen.spectrum ~tol:1e-9 ~pool g in
+      if not (Int64.equal (Int64.bits_of_float s_serial.lambda) (Int64.bits_of_float s_pool.lambda))
+      then Alcotest.failf "lambda differs: %.17g vs %.17g" s_serial.lambda s_pool.lambda;
+      if s_serial.vec2 <> s_pool.vec2 then Alcotest.fail "lambda_2's eigenvector differs")
 
 (* --- Estimators --- *)
 

@@ -5,9 +5,10 @@
    construction paths: classic families via of_edge_array, power-law
    families via the Builder), every accessor against the raw arrays,
    and a .cgr write -> mmap load round trip, a simulation run off the
-   mapped file, and the loader's rejection of torn files and of
-   payloads that break the CSR range invariant, by hand-picked
-   corruptions and by a fuzzing property. *)
+   mapped file, and the loader's rejection of torn files, of payloads
+   that break the CSR range invariant and of slices that are unsorted,
+   repeat an entry or list their own vertex, by hand-picked corruptions
+   and by a fuzzing property. *)
 
 module Graph = Cobra_graph.Graph
 module Gen = Cobra_graph.Gen
@@ -256,10 +257,33 @@ let test_cgr_rejects_bad_payload () =
       ("star, offsets.{0} = -1", Gen.star 10, 0, fun _ -> -1);
     ]
 
+(* Slices that meet the range invariant but not the simple-graph one,
+   on Petersen, whose vertex 0 lists 1, 4, 5 in slots 0-2: slot 0 set
+   to 0 makes 0 its own neighbour (the diameter then reads 4, not 2),
+   slot 1 set to 1 repeats an entry, slot 0 set to 5 puts 5 before 4.
+   Each is rejected at open, naming vertex 0 and the first slot that
+   does not rise (for the unsorted slice, slot 1). *)
+let test_cgr_rejects_bad_slices () =
+  let g = Gen.petersen () in
+  check_bool "vertex 0 lists 1, 4, 5" true (Graph.neighbors g 0 = [| 1; 4; 5 |]);
+  List.iter
+    (fun (case, slot, value, reported) ->
+      with_cgr g (fun path ->
+          patch_int32 path ~pos:(slot_pos g slot) value;
+          expect_bad case path;
+          match Cgr.read_mmap path with
+          | _ -> ()
+          | exception Cgr.Bad_file msg ->
+              let names = Printf.sprintf "%s: vertex 0, adjacency slot %d " path reported in
+              if not (String.starts_with ~prefix:names msg) then
+                Alcotest.failf "%s: message does not name the vertex and slot: %s" case msg))
+    [ ("self entry", 0, 0l, 0); ("duplicate", 1, 1l, 1); ("unsorted", 0, 5l, 1) ]
+
 (* --- Fuzzing the loader --- *)
 
-(* What every reader of a graph relies on: offsets rising from 0 to 2m
-   and every adjacency entry in [0, n).  Read with checked accesses. *)
+(* What every reader of a graph relies on: offsets rising from 0 to 2m,
+   and every slice rising strictly inside [0, n) without its own
+   vertex.  Read with checked accesses. *)
 let meets_invariant g =
   let n = Graph.n g and m = Graph.m g in
   let offsets = Graph.csr_offsets g and adj = Graph.csr_adjacency g in
@@ -271,6 +295,12 @@ let meets_invariant g =
     done;
     for i = 0 to (2 * m) - 1 do
       if adj.{i} < 0l || Int32.to_int adj.{i} >= n then ok := false
+    done;
+    for u = 0 to n - 1 do
+      for i = Int32.to_int offsets.{u} to Int32.to_int offsets.{u + 1} - 1 do
+        if Int32.to_int adj.{i} = u || (i > Int32.to_int offsets.{u} && adj.{i} <= adj.{i - 1})
+        then ok := false
+      done
     done
   end;
   !ok
@@ -327,6 +357,7 @@ let () =
           Alcotest.test_case "simulation on mmap graph" `Quick test_cgr_simulation_identical;
           Alcotest.test_case "malformed files rejected" `Quick test_cgr_rejects_malformed;
           Alcotest.test_case "corrupted payload rejected" `Quick test_cgr_rejects_bad_payload;
+          Alcotest.test_case "bad slices rejected" `Quick test_cgr_rejects_bad_slices;
           QCheck_alcotest.to_alcotest fuzz_test;
         ] );
     ]

@@ -64,7 +64,7 @@ let test_phases_on_expander () =
   Pool.with_pool ~num_domains:2 (fun pool ->
       ignore pool;
       let g = Gen.random_regular ~n:256 ~r:8 (Rng.create 1) in
-      let lambda = Eigen.second_eigenvalue g in
+      let lambda = (Eigen.spectrum g).lambda in
       let threshold = Phases.default_small_threshold ~n:256 ~lambda in
       let splits = ref [] in
       for seed = 1 to 10 do

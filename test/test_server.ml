@@ -290,11 +290,14 @@ let quick_job ?(seed = 2017) () : Proto.job =
     master_seed = seed;
   }
 
-(* A job slow enough (seconds) to still be running when we act on it. *)
+(* A job still running when we act on it.  A deadline stops a job only
+   between chunks of trials, so each trial must outlast the 50 ms
+   deadline of [test_e2e_deadline]: on a 2-vCPU VM one takes about
+   30 ms at n = 1200 and 0.19 s at n = 3000. *)
 let slow_job ?(seed = 7) () : Proto.job =
   {
     kind = Proto.Cover_time;
-    graph = { family = "path"; n = 1200; gseed = 0 };
+    graph = { family = "path"; n = 3000; gseed = 0 };
     branching = Cobra_core.Process.Fixed 2;
     lazy_ = false;
     max_rounds = None;
@@ -363,7 +366,7 @@ let test_e2e_all_censored () =
       with_client srv (fun c ->
           let job =
             { (quick_job ()) with
-              graph = { family = "path"; n = 10; gseed = 0 };
+              graph = { family = "path"; n = 3000; gseed = 0 };
               max_rounds = Some 1;
               trials = 2 }
           in

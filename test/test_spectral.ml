@@ -12,6 +12,7 @@ module Rng = Cobra_prng.Rng
 
 let check_float msg ?(eps = 1e-6) expected actual = Alcotest.(check (float eps)) msg expected actual
 let check_bool = Alcotest.(check bool)
+let lambda g = (Eigen.spectrum g).lambda
 
 (* --- Matvec --- *)
 
@@ -70,7 +71,7 @@ let test_lambda_complete () =
       let g = Gen.complete n in
       check_float (Printf.sprintf "K%d" n) ~eps:1e-6
         (1.0 /. float_of_int (n - 1))
-        (Eigen.second_eigenvalue g))
+        (lambda g))
     [ 4; 7; 12 ]
 
 let test_lambda_odd_cycle () =
@@ -78,15 +79,15 @@ let test_lambda_odd_cycle () =
      is |cos(pi (n-1)/n)| = cos(pi/n). *)
   let n = 9 in
   let g = Gen.cycle n in
-  check_float "C9" ~eps:1e-6 (cos (Float.pi /. float_of_int n)) (Eigen.second_eigenvalue g)
+  check_float "C9" ~eps:1e-6 (cos (Float.pi /. float_of_int n)) (lambda g)
 
 let test_lambda_petersen () =
   (* Petersen adjacency spectrum: 3, 1 (x5), -2 (x4); P = A/3. *)
-  check_float "petersen" ~eps:1e-6 (2.0 /. 3.0) (Eigen.second_eigenvalue (Gen.petersen ()))
+  check_float "petersen" ~eps:1e-6 (2.0 /. 3.0) (lambda (Gen.petersen ()))
 
 let test_lambda_bipartite_is_one () =
-  check_float "even cycle" ~eps:1e-4 1.0 (Eigen.second_eigenvalue (Gen.cycle 8));
-  check_float "hypercube" ~eps:1e-4 1.0 (Eigen.second_eigenvalue (Gen.hypercube 3))
+  check_float "even cycle" ~eps:1e-4 1.0 (lambda (Gen.cycle 8));
+  check_float "hypercube" ~eps:1e-4 1.0 (lambda (Gen.hypercube 3))
 
 let test_lazy_gap_hypercube () =
   (* Lazy walk on the d-cube: lambda_2(P) = 1 - 2/d, so the lazy lambda is
@@ -96,12 +97,12 @@ let test_lazy_gap_hypercube () =
       let g = Gen.hypercube d in
       check_float (Printf.sprintf "lazy gap d=%d" d) ~eps:1e-6
         (1.0 /. float_of_int d)
-        (Eigen.lazy_eigenvalue_gap g))
+        (1.0 -. (Eigen.spectrum g).lazy_lambda))
     [ 3; 5; 7 ]
 
 let test_second_eigenvector_residual () =
   let g = Gen.petersen () in
-  let lambda2, v = Eigen.second_eigenvector g in
+  let { Eigen.lambda2; vec2 = v; _ } = Eigen.spectrum g in
   check_float "lambda2 = 1/3" ~eps:1e-6 (1.0 /. 3.0) lambda2;
   (* Residual ||P v - lambda2 v|| should be tiny. *)
   let y = Array.make 10 0.0 in
@@ -123,7 +124,7 @@ let test_dense_spectrum_known () =
   check_float "cube last" ~eps:1e-9 (-1.0) cube.(7)
 
 let test_singleton () =
-  check_float "single vertex" 0.0 (Eigen.second_eigenvalue (Graph.of_edges ~n:1 []))
+  check_float "single vertex" 0.0 (lambda (Graph.of_edges ~n:1 []))
 
 let lanczos_vs_dense_test =
   QCheck2.Test.make ~name:"lanczos matches dense solver" ~count:25
@@ -132,7 +133,7 @@ let lanczos_vs_dense_test =
       let rng = Rng.create (n * 7) in
       let p = Float.min 1.0 (3.0 *. log (float_of_int n) /. float_of_int n) in
       let g = Gen.connected_gnp ~n ~p rng in
-      let iter = Eigen.second_eigenvalue g in
+      let iter = lambda g in
       let exact = Dense_oracle.second_eigenvalue_exact g in
       Float.abs (iter -. exact) < 1e-5)
 
@@ -168,7 +169,7 @@ let sweep_upper_bounds_exact_test =
       let rng = Rng.create (n * 13) in
       let p = Float.min 1.0 (3.5 *. log (float_of_int n) /. float_of_int n) in
       let g = Gen.connected_gnp ~n ~p rng in
-      Conductance.sweep_upper_bound g >= Conductance.exact g -. 1e-9)
+      Conductance.sweep_of_vector g (Eigen.spectrum g).vec2 >= Conductance.exact g -. 1e-9)
 
 let cheeger_test =
   QCheck2.Test.make ~name:"Cheeger: phi^2/2 <= 1 - lambda2 <= 2 phi" ~count:20
@@ -246,7 +247,7 @@ let test_mixing_spectral_relation () =
   match Mixing.mixing_time ~lazy_:true g with
   | None -> Alcotest.fail "expander failed to mix"
   | Some t ->
-      let gap = Eigen.lazy_eigenvalue_gap g in
+      let gap = 1.0 -. (Eigen.spectrum g).lazy_lambda in
       let bound = log (64.0 /. 0.25) /. gap in
       check_bool (Printf.sprintf "t_mix %d <= 2 * spectral bound %.1f" t bound) true
         (float_of_int t <= 2.0 *. bound)
@@ -284,7 +285,7 @@ let zoo () =
 let test_lanczos_matches_jacobi () =
   List.iter
     (fun (name, g) ->
-      let l = Eigen.second_eigenvalue g in
+      let l = lambda g in
       let j = Dense_oracle.second_eigenvalue_exact g in
       check_float name ~eps:1e-8 j l)
     (zoo ())
@@ -350,30 +351,40 @@ let test_pool_width_invariance () =
             (Matvec.dot ~pool a b = serial_dot)))
     [ 1; 2; 4 ];
   (* And the full eigensolve built on both. *)
-  let lam_serial = Eigen.second_eigenvalue g in
+  let serial = Eigen.spectrum g in
   Pool.with_pool ~num_domains:2 (fun pool ->
-      check_bool "eigensolve width 2" true (Eigen.second_eigenvalue ~pool g = lam_serial))
+      let pooled = Eigen.spectrum ~pool g in
+      check_bool "eigensolve width 2" true
+        (pooled.lambda = serial.lambda && pooled.vec2 = serial.vec2))
 
+(* A starved matvec budget is the one way to reach non-convergence: the
+   solve reports it in [stats] and in obs, and [lambda] is the clamped
+   best estimate at that point. *)
 let test_not_converged_typed () =
   let g = Gen.random_regular ~n:64 ~r:8 (Rng.create 4) in
-  match Eigen.second_eigenvalue_r ~max_iter:2 g with
-  | Ok lam -> Alcotest.failf "expected Error, got Ok %g" lam
-  | Error nc ->
-      check_bool "best clamped" true (nc.Eigen.best >= 0.0 && nc.Eigen.best <= 1.0);
-      check_bool "matvecs bounded" true (nc.Eigen.matvecs >= 1)
+  let obs = Obs.create () in
+  let s = Eigen.spectrum ~obs ~max_iter:2 g in
+  check_bool "not converged" false s.stats.converged;
+  check_bool "best clamped" true (s.lambda >= 0.0 && s.lambda <= 1.0);
+  check_bool "matvecs bounded" true (s.stats.matvecs >= 1);
+  match List.assoc_opt "spectral/not_converged" (Metrics.snapshot (Obs.metrics obs)) with
+  | Some (Metrics.Counter_v c) -> Alcotest.(check int) "counted" 1 c
+  | _ -> Alcotest.fail "missing spectral/not_converged"
 
 let test_obs_solver_counters () =
   let obs = Obs.create () in
   let g = Gen.petersen () in
-  ignore (Eigen.second_eigenvalue ~obs g);
-  let snap = Metrics.snapshot (Obs.metrics obs) in
   let counter name =
-    match List.assoc_opt name snap with
+    match List.assoc_opt name (Metrics.snapshot (Obs.metrics obs)) with
     | Some (Metrics.Counter_v c) -> c
     | _ -> Alcotest.failf "missing counter %s" name
   in
-  check_bool "one solve" true (counter "spectral/solves_lanczos" = 1);
+  (* Every quantity comes from one solve, and each call makes exactly one. *)
+  ignore (Eigen.spectrum ~obs g);
+  Alcotest.(check int) "one solve" 1 (counter "spectral/solves_lanczos");
   check_bool "matvecs counted" true (counter "spectral/matvecs" > 0);
+  ignore (Eigen.spectrum ~obs g);
+  Alcotest.(check int) "one more solve" 2 (counter "spectral/solves_lanczos");
   let obs2 = Obs.create () in
   ignore (Cobra_core.Walk_theory.all_hitting_times ~obs:obs2 g);
   let snap2 = Metrics.snapshot (Obs.metrics obs2) in
@@ -476,11 +487,11 @@ let test_cospectral_oracle_spectra () =
 
 let test_cospectral_lanczos () =
   List.iter
-    (fun (name, g) -> check_float name ~eps:1e-9 (1.0 /. 3.0) (Eigen.second_eigenvalue g))
+    (fun (name, g) -> check_float name ~eps:1e-9 (1.0 /. 3.0) (lambda g))
     (cospectral_pair ())
 
 let test_cospectral_regular_bound () =
-  let bound g = Bounds.this_paper_regular ~n:16 ~r:6 ~lambda:(Eigen.second_eigenvalue g) in
+  let bound g = Bounds.this_paper_regular ~n:16 ~r:6 ~lambda:(lambda g) in
   let closed = Bounds.this_paper_regular ~n:16 ~r:6 ~lambda:(1.0 /. 3.0) in
   let b_shr = bound (shrikhande ()) and b_rook = bound (rook4 ()) in
   check_float "shrikhande = rook" ~eps:(1e-9 *. closed) b_shr b_rook;

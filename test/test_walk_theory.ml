@@ -74,10 +74,13 @@ let test_matthews_sandwich_monte_carlo () =
   (* Measured walk cover times must respect Matthews' bounds. *)
   List.iter
     (fun (name, g) ->
-      let upper = Walk_theory.matthews_upper g in
-      (* The Matthews-type lower bound min_{u <> v} H(u, v) * H_{n-1}. *)
+      (* Matthews' upper bound H_max * H_{n-1} and the Matthews-type
+         lower bound min_{u <> v} H(u, v) * H_{n-1}, from one all-pairs
+         solve. *)
       let n = Graph.n g in
       let h = Walk_theory.all_hitting_times g in
+      let h_max = Array.fold_left (Array.fold_left Float.max) 0.0 h in
+      let upper = Walk_theory.matthews_upper ~n ~h_max in
       let min_hit = ref infinity in
       Array.iteri
         (fun u row -> Array.iteri (fun v x -> if u <> v then min_hit := Float.min !min_hit x) row)
