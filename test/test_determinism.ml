@@ -11,6 +11,8 @@
    from the per-process runners that the single [Rounds] loop replaced.
    The two graph goldens pin [Gen.random_regular]'s output; they were
    recorded from the Hashtbl switch loop that its slot table replaced.
+   The "csr digests" group pins every registered family's CSR at two
+   sizes and two generator seeds.
 
    A runner handed an [Rng.t] samples at the master of one
    [Rng.keyed_master] draw of it; the "master draw" group holds every
@@ -18,8 +20,9 @@
    the goldens pin the runners too.
 
    Run the executable with `--dump` to print the current fingerprints in
-   the form of the [goldens] list below; only update the list when a
-   change to the keyed draw order is both intended and understood. *)
+   the form of the [goldens] and [family_goldens] lists below; only
+   update a list when a change to the keyed draw order or to a
+   generator's output is both intended and understood. *)
 
 module Graph = Cobra_graph.Graph
 module Gen = Cobra_graph.Gen
@@ -172,6 +175,34 @@ let graph_fp family ~n ~seed =
   Printf.sprintf "n=%d m=%d eh=%d ah=%d" (Graph.n g) (Graph.m g) (hash_ints 17 edges)
     (hash_ints 17 adj)
 
+(* Every registered family's CSR, offsets then adjacency, as one MD5
+   digest of their little-endian int32 bytes. *)
+let csr_digest g =
+  let buf = Buffer.create 4096 in
+  let add a =
+    for i = 0 to Bigarray.Array1.dim a - 1 do
+      Buffer.add_int32_le buf (Bigarray.Array1.get a i)
+    done
+  in
+  add (Graph.csr_offsets g);
+  add (Graph.csr_adjacency g);
+  Digest.to_hex (Digest.string (Buffer.contents buf))
+
+let digest_key family ~n ~seed = Printf.sprintf "%s n=%d gseed=%d" family n seed
+
+let family_cases =
+  List.concat_map
+    (fun family ->
+      List.concat_map
+        (fun n ->
+          List.map
+            (fun seed ->
+              ( digest_key family ~n ~seed,
+                fun () -> csr_digest (Gen.by_name family ~n (Rng.create seed)) ))
+            [ 1; 2 ])
+        [ 64; 512 ])
+    Gen.family_names
+
 (* Graph instances are fixed once; generator randomness uses its own
    dedicated seeds so case fingerprints depend only on the run seed. *)
 let hypercube6 = Gen.hypercube 6
@@ -223,8 +254,135 @@ let goldens =
     ("graph regular-16 n=1024", "n=1024 m=8192 eh=2156758636698729979 ah=2563984862826648369");
   ]
 
+(* Per-family CSR digests, keyed by [digest_key]: recorded from the
+   generators as they stood before every generator was moved onto
+   [Builder] and the switch chain onto slot-indexed edge records. *)
+let family_goldens =
+  [
+    ("complete n=64 gseed=1", "e8b7b993542f347f7bea741d7988921e");
+    ("complete n=64 gseed=2", "e8b7b993542f347f7bea741d7988921e");
+    ("complete n=512 gseed=1", "e4b7d20ff1d37965e0dfed41e699413b");
+    ("complete n=512 gseed=2", "e4b7d20ff1d37965e0dfed41e699413b");
+    ("path n=64 gseed=1", "ec5e942d69b3357b07ef7f81be916578");
+    ("path n=64 gseed=2", "ec5e942d69b3357b07ef7f81be916578");
+    ("path n=512 gseed=1", "13d2636d2304ddceb35ef4bae7bee001");
+    ("path n=512 gseed=2", "13d2636d2304ddceb35ef4bae7bee001");
+    ("cycle n=64 gseed=1", "68d100cded1d9f770155f0a66cc4bbaa");
+    ("cycle n=64 gseed=2", "68d100cded1d9f770155f0a66cc4bbaa");
+    ("cycle n=512 gseed=1", "1b3e13cc3a5355f6a1a1b98a398624ad");
+    ("cycle n=512 gseed=2", "1b3e13cc3a5355f6a1a1b98a398624ad");
+    ("star n=64 gseed=1", "298521a52d0185a8f64efe82e84444eb");
+    ("star n=64 gseed=2", "298521a52d0185a8f64efe82e84444eb");
+    ("star n=512 gseed=1", "8e969cc83e98b07e9c53a61b7f1d7a82");
+    ("star n=512 gseed=2", "8e969cc83e98b07e9c53a61b7f1d7a82");
+    ("wheel n=64 gseed=1", "0810984df64b87e18962980fe921515d");
+    ("wheel n=64 gseed=2", "0810984df64b87e18962980fe921515d");
+    ("wheel n=512 gseed=1", "7c0134285d5a1019c25555d600264f93");
+    ("wheel n=512 gseed=2", "7c0134285d5a1019c25555d600264f93");
+    ("binary-tree n=64 gseed=1", "c15a5280674163e21e57dfa93ee9a168");
+    ("binary-tree n=64 gseed=2", "c15a5280674163e21e57dfa93ee9a168");
+    ("binary-tree n=512 gseed=1", "2d6dfcc7a595e788b5c50e3bf448e286");
+    ("binary-tree n=512 gseed=2", "2d6dfcc7a595e788b5c50e3bf448e286");
+    ("grid2d n=64 gseed=1", "8f71694b2b90ca9d39a499c604afd1c8");
+    ("grid2d n=64 gseed=2", "8f71694b2b90ca9d39a499c604afd1c8");
+    ("grid2d n=512 gseed=1", "6afc75619411679830f51e9f2b03d51a");
+    ("grid2d n=512 gseed=2", "6afc75619411679830f51e9f2b03d51a");
+    ("grid3d n=64 gseed=1", "a0836948584d7cd22f80de43d2f32928");
+    ("grid3d n=64 gseed=2", "a0836948584d7cd22f80de43d2f32928");
+    ("grid3d n=512 gseed=1", "f88eb7f0c8352deee1dc01e0e087b16f");
+    ("grid3d n=512 gseed=2", "f88eb7f0c8352deee1dc01e0e087b16f");
+    ("torus2d n=64 gseed=1", "ecbecde7e939afd1000b3964ef75a578");
+    ("torus2d n=64 gseed=2", "ecbecde7e939afd1000b3964ef75a578");
+    ("torus2d n=512 gseed=1", "30bf686b31cafb5ed764889eb11803c2");
+    ("torus2d n=512 gseed=2", "30bf686b31cafb5ed764889eb11803c2");
+    ("torus3d n=64 gseed=1", "674bab42ec21cfd3b2cf23b03ac25a39");
+    ("torus3d n=64 gseed=2", "674bab42ec21cfd3b2cf23b03ac25a39");
+    ("torus3d n=512 gseed=1", "520956d7f201815202a3615edbc822aa");
+    ("torus3d n=512 gseed=2", "520956d7f201815202a3615edbc822aa");
+    ("hypercube n=64 gseed=1", "ca60a0e993c45fb93db06d9ed88bb372");
+    ("hypercube n=64 gseed=2", "ca60a0e993c45fb93db06d9ed88bb372");
+    ("hypercube n=512 gseed=1", "40ec59fa7b8dee0580b3afb953cc0abe");
+    ("hypercube n=512 gseed=2", "40ec59fa7b8dee0580b3afb953cc0abe");
+    ("lollipop n=64 gseed=1", "68fa08b3526cfff117274f3d77468d49");
+    ("lollipop n=64 gseed=2", "68fa08b3526cfff117274f3d77468d49");
+    ("lollipop n=512 gseed=1", "813678611699942a14474ac0c33c4298");
+    ("lollipop n=512 gseed=2", "813678611699942a14474ac0c33c4298");
+    ("barbell n=64 gseed=1", "50b68c8bd110336479bb88c7f5c177bf");
+    ("barbell n=64 gseed=2", "50b68c8bd110336479bb88c7f5c177bf");
+    ("barbell n=512 gseed=1", "f471c777a1998fdf98358d2a8fdf26c1");
+    ("barbell n=512 gseed=2", "f471c777a1998fdf98358d2a8fdf26c1");
+    ("ladder n=64 gseed=1", "543b0e18a0faaaab0746323b21067c49");
+    ("ladder n=64 gseed=2", "543b0e18a0faaaab0746323b21067c49");
+    ("ladder n=512 gseed=1", "810b6c8c7fd21b58ca3cfc8a572bf1d4");
+    ("ladder n=512 gseed=2", "810b6c8c7fd21b58ca3cfc8a572bf1d4");
+    ("petersen n=64 gseed=1", "77d157253dc17ee80f1486c9b3d4a9de");
+    ("petersen n=64 gseed=2", "77d157253dc17ee80f1486c9b3d4a9de");
+    ("petersen n=512 gseed=1", "77d157253dc17ee80f1486c9b3d4a9de");
+    ("petersen n=512 gseed=2", "77d157253dc17ee80f1486c9b3d4a9de");
+    ("random-tree n=64 gseed=1", "5a60e03fedcfc35636928a48bab91735");
+    ("random-tree n=64 gseed=2", "35907d227b218e7cecabef9cf54f9a58");
+    ("random-tree n=512 gseed=1", "6dbd0e5adba71e310ec2e436db6121c0");
+    ("random-tree n=512 gseed=2", "218e39fbccbc3fc5a052db5096e67373");
+    ("gnp n=64 gseed=1", "e67353fd819e8831dc3b5f7b6f11249c");
+    ("gnp n=64 gseed=2", "1c77a2204ca38565e0615f0c08da84af");
+    ("gnp n=512 gseed=1", "ca125d7f7ba1c03f7f7967282a98c61f");
+    ("gnp n=512 gseed=2", "a354e22b44dad45dacd771d954403472");
+    ("regular-3 n=64 gseed=1", "96aaefa80d92272e88d6a63c051ee1fd");
+    ("regular-3 n=64 gseed=2", "b86944a6c53d36c9c3c57cf31b2ae7a1");
+    ("regular-3 n=512 gseed=1", "7ed84a8675158a63f27a57fc42e3531c");
+    ("regular-3 n=512 gseed=2", "d066398a8463a1c70356da3c3f083362");
+    ("regular-4 n=64 gseed=1", "82b581fca8336d1395d2f19032dcf8df");
+    ("regular-4 n=64 gseed=2", "fbb73295e2205ed8eea0d8b6c479bb41");
+    ("regular-4 n=512 gseed=1", "da7ed7a6c196207be97ec6bb3d22d5f5");
+    ("regular-4 n=512 gseed=2", "50b0e74bb438990d1ef64e22281bcd4d");
+    ("regular-8 n=64 gseed=1", "9ffd79d7135265e73e6b613deebb4e88");
+    ("regular-8 n=64 gseed=2", "2902d717a863a7efe1052f757abda5f3");
+    ("regular-8 n=512 gseed=1", "6ce1d23f86f7077cd263b3fcda8a40ae");
+    ("regular-8 n=512 gseed=2", "115caa4a2b4034358a0bd915cde07190");
+    ("regular-16 n=64 gseed=1", "b8d66f664575dfe83369c6017ca38c0f");
+    ("regular-16 n=64 gseed=2", "a1ee62722607effe504c0337b0716f02");
+    ("regular-16 n=512 gseed=1", "f0f115a1b617736a3337d809c3cd5bed");
+    ("regular-16 n=512 gseed=2", "6ff5e134d13bb6be1e8859c6fd2cd4d5");
+    ("cycle-matching n=64 gseed=1", "4926bfc356e5c533462ad9854cc085df");
+    ("cycle-matching n=64 gseed=2", "3597922b735640b0c2d9bf1f5bae1e2a");
+    ("cycle-matching n=512 gseed=1", "54dcf0c2210da7abe3f51a77c75ef2fb");
+    ("cycle-matching n=512 gseed=2", "aaa60b06062ce11b8a36afe3b56946b6");
+    ("small-world n=64 gseed=1", "595f6a5ff3af4eed6737cb914628893f");
+    ("small-world n=64 gseed=2", "0f6f3a26b8158cda00ff34cc71bec53c");
+    ("small-world n=512 gseed=1", "783d9a71ddecdc13fd623785994646da");
+    ("small-world n=512 gseed=2", "3ae2e81ca2f559d89a5c67eb718f66a2");
+    ("pref-attach n=64 gseed=1", "e99bdf9db90067a0c5fd3b0f25ab210b");
+    ("pref-attach n=64 gseed=2", "ec3ceb250d9958441ddd24400ca717d2");
+    ("pref-attach n=512 gseed=1", "b6ff019f8d9ab51416b7bc452ea3895c");
+    ("pref-attach n=512 gseed=2", "5e755244270a26ac24ee0df8f2dd45ae");
+    ("ccc n=64 gseed=1", "d151b94875ac0445eb6a2d52d97f39af");
+    ("ccc n=64 gseed=2", "d151b94875ac0445eb6a2d52d97f39af");
+    ("ccc n=512 gseed=1", "9ee88196ee061997253cd4fe70d863c0");
+    ("ccc n=512 gseed=2", "9ee88196ee061997253cd4fe70d863c0");
+    ("broom n=64 gseed=1", "d53dfce24bafd5a5aa84b61996d993a6");
+    ("broom n=64 gseed=2", "d53dfce24bafd5a5aa84b61996d993a6");
+    ("broom n=512 gseed=1", "34302e1cb56c32b0635c722990378f69");
+    ("broom n=512 gseed=2", "34302e1cb56c32b0635c722990378f69");
+    ("chunglu:2.5 n=64 gseed=1", "f8986d2b93921a219efdb4439b710dfa");
+    ("chunglu:2.5 n=64 gseed=2", "86a5c1e5b50054d259b7670ba552f77a");
+    ("chunglu:2.5 n=512 gseed=1", "1bd065c5a2155a511f957db99b508a5b");
+    ("chunglu:2.5 n=512 gseed=2", "05b6b365f0b661c33ac8777de9fd3cdf");
+    ("config:2.5 n=64 gseed=1", "09444005840935b799eb6fcab7fcda1a");
+    ("config:2.5 n=64 gseed=2", "40c042ca28e98752202a3a8eb78c3f1d");
+    ("config:2.5 n=512 gseed=1", "60720e1e1cfbfb0dbd61ccd316bdebbe");
+    ("config:2.5 n=512 gseed=2", "81422ddef944908184b67bc301efddb5");
+    ("ba:4 n=64 gseed=1", "0c4c839e3a9c4e1988c8661f5d9466d6");
+    ("ba:4 n=64 gseed=2", "4da2983e44fa66d4cb4e59ad6e29a23c");
+    ("ba:4 n=512 gseed=1", "35b1b7518ecea6a86016555328cfc809");
+    ("ba:4 n=512 gseed=2", "c491b99f5546f77626f14688e907004a");
+  ]
+
 let dump () =
-  List.iter (fun (name, fp) -> Printf.printf "    (%S, %S);\n" name (fp ())) cases
+  let print = List.iter (fun (name, fp) -> Printf.printf "    (%S, %S);\n" name (fp ())) in
+  print_endline "(* goldens *)";
+  print cases;
+  print_endline "(* family_goldens *)";
+  print family_cases
 
 let test_golden (name, fp) golden () = Alcotest.(check string) name golden (fp ())
 
@@ -314,8 +472,9 @@ let alignment_tests =
 let () =
   if Array.exists (( = ) "--dump") Sys.argv then dump ()
   else begin
-    if List.length goldens <> List.length cases then
-      failwith "test_determinism: goldens out of sync with cases (run with --dump)";
+    if List.length goldens <> List.length cases
+       || List.map fst family_goldens <> List.map fst family_cases
+    then failwith "test_determinism: goldens out of sync with cases (run with --dump)";
     Alcotest.run "determinism"
       [
         ( "golden runs",
@@ -324,6 +483,16 @@ let () =
               if name <> gname then failwith "test_determinism: case/golden order mismatch";
               Alcotest.test_case name `Quick (test_golden (name, fp) golden))
             cases goldens );
+        ( "csr digests",
+          List.map
+            (fun family ->
+              Alcotest.test_case family `Quick (fun () ->
+                  List.iter
+                    (fun (key, fp) ->
+                      if String.starts_with ~prefix:(family ^ " ") key then
+                        Alcotest.(check string) key (List.assoc key family_goldens) (fp ()))
+                    family_cases))
+            Gen.family_names );
         ("master draw", master_draw_tests);
         ("stream alignment", alignment_tests);
       ]
