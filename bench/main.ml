@@ -10,7 +10,8 @@
      (test/dense_oracle.ml), and the matvec both solvers run on;
    - graph: CSR assembly, generators and SNAP/.cgr ingest of a ba:8
      graph with n = 50 000, the CSR's bytes per directed entry, and the
-     regular-8 generator at n = 512;
+     generators of serve-mixed's heavy and light jobs (regular-8 at
+     n = 512, hypercube at n = 1 024);
    - estimator: the start-vertex double sweep (Estimate.start_heuristic)
      on that same ba:8 graph;
    - substrate: 2^20 keyed draws (Keyed.int_below_run), no graph. *)
@@ -185,6 +186,12 @@ let graph_rows () =
         timed ~layer:"graph" ~family:"regular8" (regular8 ()) ~reps:15
           [ ("generate_regular8", 1, run regular8) ]
       in
+      (* And the one a light job builds: hypercube at n = 1 024. *)
+      let hypercube () = Gen.by_name "hypercube" ~n:1024 (Rng.create 25) in
+      let gen_hypercube =
+        timed ~layer:"graph" ~family:"hypercube" (hypercube ()) ~reps:15
+          [ ("generate_hypercube", 1, run hypercube) ]
+      in
       let stream =
         one "read_stream" (fun () ->
             In_channel.with_open_text snap Cobra_graph.Graph_io.read_stream)
@@ -198,7 +205,7 @@ let graph_rows () =
         timed ~layer:"estimator" ~family:"ba:8" ba ~reps:10
           [ ("start_heuristic", 1, run (fun () -> Cobra_core.Estimate.start_heuristic ba)) ]
       in
-      builder @ tuples @ gen_ba @ gen_cl @ gen_regular @ stream @ write @ mmap @ start
+      builder @ tuples @ gen_ba @ gen_cl @ gen_regular @ gen_hypercube @ stream @ write @ mmap @ start
       @ [
           {
             Ledger.layer = "graph";

@@ -295,10 +295,13 @@ let spectral_cmd =
         Format.printf "lazy lambda: %.10f, lazy gap: %.6g@." s.lazy_lambda
           ((1.0 -. s.lambda2) /. 2.0);
         Format.printf "bipartite: %b@." (Props.is_bipartite g);
-        Format.printf "conductance: <= %.6f (sweep cut)" (Conductance.sweep_of_vector g s.vec2);
-        if Graph.n g <= 20 then Format.printf ", = %.6f (exact)" (Conductance.exact g);
-        Format.printf "@.";
-        if Graph.n g <= 1024 then begin
+        (* A cut, a mixing time and a hitting time need a second vertex. *)
+        if Graph.n g >= 2 then begin
+          Format.printf "conductance: <= %.6f (sweep cut)" (Conductance.sweep_of_vector g s.vec2);
+          if Graph.n g <= 20 then Format.printf ", = %.6f (exact)" (Conductance.exact g);
+          Format.printf "@."
+        end;
+        if Graph.n g >= 2 && Graph.n g <= 1024 then begin
           (match Mixing.mixing_time ~lazy_:true g with
           | Some t -> Format.printf "lazy mixing time (TV <= 1/4): %d rounds@." t
           | None -> Format.printf "lazy mixing time: did not mix within the cap@.");

@@ -1,49 +1,74 @@
+(* Every generator adds its edges to one [Builder] sized to the exact
+   edge count where the generator knows it, so no graph allocates a
+   tuple per edge; [Builder.finish] assembles the CSR with the same
+   [Int_sort.assemble_csr] as [Graph.of_edge_array], so the same edge
+   multiset gives the same graph. *)
+
+let add_clique b ~base ~size =
+  for u = base to base + size - 1 do
+    for v = u + 1 to base + size - 1 do
+      Builder.add_edge b u v
+    done
+  done
+
 let complete n =
   if n < 1 then invalid_arg "Gen.complete: n must be >= 1";
-  let edges = ref [] in
-  for u = 0 to n - 1 do
-    for v = u + 1 to n - 1 do
-      edges := (u, v) :: !edges
-    done
-  done;
-  Graph.of_edges ~n !edges
+  let b = Builder.create ~n ~edges_hint:(n * (n - 1) / 2) () in
+  add_clique b ~base:0 ~size:n;
+  Builder.finish b
 
 let path n =
   if n < 1 then invalid_arg "Gen.path: n must be >= 1";
-  Graph.of_edges ~n (List.init (max 0 (n - 1)) (fun i -> (i, i + 1)))
+  let b = Builder.create ~n ~edges_hint:(n - 1) () in
+  for i = 0 to n - 2 do
+    Builder.add_edge b i (i + 1)
+  done;
+  Builder.finish b
 
 let cycle n =
   if n < 3 then invalid_arg "Gen.cycle: n must be >= 3";
-  Graph.of_edges ~n (List.init n (fun i -> (i, (i + 1) mod n)))
+  let b = Builder.create ~n ~edges_hint:n () in
+  for i = 0 to n - 1 do
+    Builder.add_edge b i ((i + 1) mod n)
+  done;
+  Builder.finish b
 
 let star n =
   if n < 2 then invalid_arg "Gen.star: n must be >= 2";
-  Graph.of_edges ~n (List.init (n - 1) (fun i -> (0, i + 1)))
+  let b = Builder.create ~n ~edges_hint:(n - 1) () in
+  for i = 1 to n - 1 do
+    Builder.add_edge b 0 i
+  done;
+  Builder.finish b
 
 let wheel n =
   if n < 4 then invalid_arg "Gen.wheel: n must be >= 4";
-  let rim = List.init (n - 1) (fun i -> (1 + i, 1 + ((i + 1) mod (n - 1)))) in
-  let spokes = List.init (n - 1) (fun i -> (0, i + 1)) in
-  Graph.of_edges ~n (rim @ spokes)
+  let b = Builder.create ~n ~edges_hint:(2 * (n - 1)) () in
+  for i = 0 to n - 2 do
+    (* Rim edge, then spoke. *)
+    Builder.add_edge b (1 + i) (1 + ((i + 1) mod (n - 1)));
+    Builder.add_edge b 0 (i + 1)
+  done;
+  Builder.finish b
 
 let complete_bipartite a b =
   if a < 1 || b < 1 then invalid_arg "Gen.complete_bipartite: sides must be >= 1";
-  let edges = ref [] in
+  let bld = Builder.create ~n:(a + b) ~edges_hint:(a * b) () in
   for u = 0 to a - 1 do
     for v = a to a + b - 1 do
-      edges := (u, v) :: !edges
+      Builder.add_edge bld u v
     done
   done;
-  Graph.of_edges ~n:(a + b) !edges
+  Builder.finish bld
 
 let binary_tree n =
   if n < 1 then invalid_arg "Gen.binary_tree: n must be >= 1";
-  let edges = ref [] in
+  let b = Builder.create ~n ~edges_hint:(n - 1) () in
   for i = 0 to n - 1 do
-    if (2 * i) + 1 < n then edges := (i, (2 * i) + 1) :: !edges;
-    if (2 * i) + 2 < n then edges := (i, (2 * i) + 2) :: !edges
+    if (2 * i) + 1 < n then Builder.add_edge b i ((2 * i) + 1);
+    if (2 * i) + 2 < n then Builder.add_edge b i ((2 * i) + 2)
   done;
-  Graph.of_edges ~n !edges
+  Builder.finish b
 
 (* Mixed-radix lattice coding shared by [grid] and [torus]: vertex id
    encodes coordinates with dimension 0 as the most significant digit. *)
@@ -57,7 +82,14 @@ let lattice ~dims ~wrap =
   for i = k - 2 downto 0 do
     strides.(i) <- strides.(i + 1) * dims.(i + 1)
   done;
-  let edges = ref [] in
+  (* Dimension i has d - 1 steps on each of its n / d lines, plus the
+     wraparound when it is on and d >= 3. *)
+  let m =
+    Array.fold_left
+      (fun acc d -> acc + (n / d * (d - 1)) + if wrap && d >= 3 then n / d else 0)
+      0 dims
+  in
+  let b = Builder.create ~n ~edges_hint:m () in
   let coord = Array.make k 0 in
   for v = 0 to n - 1 do
     let rest = ref v in
@@ -66,13 +98,13 @@ let lattice ~dims ~wrap =
       rest := !rest mod strides.(i)
     done;
     for i = 0 to k - 1 do
-      if coord.(i) + 1 < dims.(i) then edges := (v, v + strides.(i)) :: !edges
+      if coord.(i) + 1 < dims.(i) then Builder.add_edge b v (v + strides.(i))
       else if wrap && dims.(i) >= 3 then
         (* Wraparound edge back to coordinate 0 in dimension i. *)
-        edges := (v, v - ((dims.(i) - 1) * strides.(i))) :: !edges
+        Builder.add_edge b v (v - ((dims.(i) - 1) * strides.(i)))
     done
   done;
-  Graph.of_edges ~n !edges
+  Builder.finish b
 
 let grid ~dims = lattice ~dims ~wrap:false
 let torus ~dims = lattice ~dims ~wrap:true
@@ -81,57 +113,46 @@ let hypercube d =
   if d < 1 then invalid_arg "Gen.hypercube: dimension must be >= 1";
   if d > 24 then invalid_arg "Gen.hypercube: dimension too large";
   let n = 1 lsl d in
-  let edges = ref [] in
+  let b = Builder.create ~n ~edges_hint:(n / 2 * d) () in
   for v = 0 to n - 1 do
-    for b = 0 to d - 1 do
-      let u = v lxor (1 lsl b) in
-      if u > v then edges := (v, u) :: !edges
+    for bit = 0 to d - 1 do
+      let u = v lxor (1 lsl bit) in
+      if u > v then Builder.add_edge b v u
     done
   done;
-  Graph.of_edges ~n !edges
+  Builder.finish b
 
 let lollipop ~clique ~tail =
   if clique < 2 then invalid_arg "Gen.lollipop: clique must be >= 2";
   if tail < 1 then invalid_arg "Gen.lollipop: tail must be >= 1";
   let n = clique + tail in
-  let edges = ref [] in
-  for u = 0 to clique - 1 do
-    for v = u + 1 to clique - 1 do
-      edges := (u, v) :: !edges
-    done
-  done;
+  let b = Builder.create ~n ~edges_hint:((clique * (clique - 1) / 2) + tail) () in
+  add_clique b ~base:0 ~size:clique;
   (* Attach the path at clique vertex 0. *)
-  edges := (0, clique) :: !edges;
+  Builder.add_edge b 0 clique;
   for i = clique to n - 2 do
-    edges := (i, i + 1) :: !edges
+    Builder.add_edge b i (i + 1)
   done;
-  Graph.of_edges ~n !edges
+  Builder.finish b
 
 let barbell ~clique ~bridge =
   if clique < 2 then invalid_arg "Gen.barbell: clique must be >= 2";
   if bridge < 0 then invalid_arg "Gen.barbell: bridge must be >= 0";
   let n = (2 * clique) + bridge in
-  let edges = ref [] in
-  let add_clique base =
-    for u = base to base + clique - 1 do
-      for v = u + 1 to base + clique - 1 do
-        edges := (u, v) :: !edges
-      done
-    done
-  in
-  add_clique 0;
-  add_clique clique;
+  let b = Builder.create ~n ~edges_hint:((clique * (clique - 1)) + bridge + 1) () in
+  add_clique b ~base:0 ~size:clique;
+  add_clique b ~base:clique ~size:clique;
   (* Bridge path between vertex 0 of the first clique and vertex [clique]
      of the second; bridge vertices are 2*clique .. n-1. *)
-  if bridge = 0 then edges := (0, clique) :: !edges
+  if bridge = 0 then Builder.add_edge b 0 clique
   else begin
-    edges := (0, 2 * clique) :: !edges;
+    Builder.add_edge b 0 (2 * clique);
     for i = 0 to bridge - 2 do
-      edges := ((2 * clique) + i, (2 * clique) + i + 1) :: !edges
+      Builder.add_edge b ((2 * clique) + i) ((2 * clique) + i + 1)
     done;
-    edges := ((2 * clique) + bridge - 1, clique) :: !edges
+    Builder.add_edge b ((2 * clique) + bridge - 1) clique
   end;
-  Graph.of_edges ~n !edges
+  Builder.finish b
 
 let ladder k =
   if k < 2 then invalid_arg "Gen.ladder: k must be >= 2";
@@ -139,10 +160,13 @@ let ladder k =
 
 let petersen () =
   (* Outer 5-cycle 0..4, inner pentagram 5..9, spokes i -- i+5. *)
-  let outer = List.init 5 (fun i -> (i, (i + 1) mod 5)) in
-  let inner = List.init 5 (fun i -> (5 + i, 5 + ((i + 2) mod 5))) in
-  let spokes = List.init 5 (fun i -> (i, i + 5)) in
-  Graph.of_edges ~n:10 (outer @ inner @ spokes)
+  let b = Builder.create ~n:10 ~edges_hint:15 () in
+  for i = 0 to 4 do
+    Builder.add_edge b i ((i + 1) mod 5);
+    Builder.add_edge b (5 + i) (5 + ((i + 2) mod 5));
+    Builder.add_edge b i (i + 5)
+  done;
+  Builder.finish b
 
 let erdos_renyi_gnp ~n ~p rng =
   if n < 1 then invalid_arg "Gen.erdos_renyi_gnp: n must be >= 1";
@@ -150,8 +174,11 @@ let erdos_renyi_gnp ~n ~p rng =
   if p >= 1.0 then complete n
   else begin
     (* Batagelj–Brandes skip sampling: walk the pair sequence with
-       geometric jumps so the cost is O(n + m), not O(n^2). *)
-    let edges = ref [] in
+       geometric jumps so the cost is O(n + m), not O(n^2).  The edge
+       count is random; the hint is its mean. *)
+    let b =
+      Builder.create ~n ~edges_hint:(int_of_float (p *. float_of_int (n * (n - 1) / 2))) ()
+    in
     let log1mp = log (1.0 -. p) in
     if p > 0.0 then begin
       let v = ref 1 and w = ref (-1) in
@@ -163,10 +190,10 @@ let erdos_renyi_gnp ~n ~p rng =
           w := !w - !v;
           incr v
         done;
-        if !v < n then edges := (!w, !v) :: !edges
+        if !v < n then Builder.add_edge b !w !v
       done
     end;
-    Graph.of_edges ~n !edges
+    Builder.finish b
   end
 
 let connected_gnp ~n ~p ?(max_tries = 1000) rng =
@@ -186,7 +213,7 @@ let random_tree ~n rng =
     let seq = Array.init (n - 2) (fun _ -> Cobra_prng.Rng.int_below rng n) in
     let deg = Array.make n 1 in
     Array.iter (fun v -> deg.(v) <- deg.(v) + 1) seq;
-    let edges = ref [] in
+    let b = Builder.create ~n ~edges_hint:(n - 1) () in
     let ptr = ref 0 in
     while deg.(!ptr) <> 1 do
       incr ptr
@@ -194,7 +221,7 @@ let random_tree ~n rng =
     let leaf = ref !ptr in
     Array.iter
       (fun v ->
-        edges := (!leaf, v) :: !edges;
+        Builder.add_edge b !leaf v;
         deg.(v) <- deg.(v) - 1;
         if deg.(v) = 1 && v < !ptr then leaf := v
         else begin
@@ -205,30 +232,20 @@ let random_tree ~n rng =
           leaf := !ptr
         end)
       seq;
-    edges := (!leaf, n - 1) :: !edges;
-    Graph.of_edges ~n !edges
+    Builder.add_edge b !leaf (n - 1);
+    Builder.finish b
   end
 
 (* --- Random regular graphs by double-edge-switch randomisation --- *)
 
-let circulant_regular n r =
-  let edges = ref [] in
-  for i = 0 to n - 1 do
-    for k = 1 to r / 2 do
-      edges := (i, (i + k) mod n) :: !edges
-    done
-  done;
-  if r mod 2 = 1 then
-    for i = 0 to (n / 2) - 1 do
-      edges := (i, i + (n / 2)) :: !edges
-    done;
-  Graph.of_edges ~n !edges
-
-(* The switch chain's state: edge [i] is [(eu.(i), ev.(i))], and
-   [slots.(u * r .. u * r + r - 1)] holds u's neighbours in no particular
-   order.  A switch keeps every degree at exactly r, so the slot table
-   never overflows, and the membership test is a scan of r ints: no
-   hashing, and no tuple or bucket allocated per switch. *)
+(* The switch chain's state.  Edge [e] is the record [recs.(4e) ..
+   recs.(4e + 3)] = [(u, v, su, sv)]: its endpoints, the index in
+   [slots] of v's entry in u's slice and of u's entry in v's.
+   [slots.(u * r .. u * r + r - 1)] holds u's neighbours.  A switch
+   keeps every degree at exactly r, so the slot table never overflows;
+   it rewrites the four slots its records name, and the membership test
+   is a scan of r contiguous ints: no hashing, no search for the slot
+   to rewrite, and no tuple or bucket allocated per switch. *)
 let[@inline] slot_mem (slots : int array) ~r u (v : int) =
   let lo = u * r in
   let i = ref lo in
@@ -237,63 +254,95 @@ let[@inline] slot_mem (slots : int array) ~r u (v : int) =
   done;
   !i < lo + r
 
-let[@inline] slot_replace (slots : int array) ~r u ~(old : int) v =
-  let i = ref (u * r) in
-  while Array.unsafe_get slots !i <> old do
-    incr i
-  done;
-  Array.unsafe_set slots !i v
-
-(* [count] double-edge switches.  Each draws two edge indices and, when
-   they differ, an orientation for the second edge, so both rewirings
-   (a-c, b-d) and (a-d, b-c) are reachable; it is taken only when the
+(* [count] double-edge switches.  Each draws two edge indices i and j
+   and, when they differ, an orientation for edge j, so both rewirings
+   (a-c, b-d) and (a-d, b-c) of a-b and c-d are reachable; the coin is
+   the 0/1 offset of c in j's record.  A switch is taken only when the
    result stays simple. *)
-let run_switches rng ~slots ~r ~(eu : int array) ~(ev : int array) count =
-  let m = Array.length eu in
+let run_switches rng ~slots ~r ~(recs : int array) count =
+  let m = Array.length recs / 4 in
   for _ = 1 to count do
-    let i = Cobra_prng.Rng.int_below rng m in
-    let j = Cobra_prng.Rng.int_below rng m in
+    let i = 4 * Cobra_prng.Rng.int_below rng m in
+    let j = 4 * Cobra_prng.Rng.int_below rng m in
     if i <> j then begin
-      let a = eu.(i) and b = ev.(i) in
-      let keep = Cobra_prng.Rng.bool rng in
-      let c = if keep then eu.(j) else ev.(j) and d = if keep then ev.(j) else eu.(j) in
+      let a = recs.(i) and b = recs.(i + 1) in
+      let o = Bool.to_int (not (Cobra_prng.Rng.bool rng)) in
+      let c = recs.(j + o) and d = recs.(j + 1 - o) in
       if a <> c && a <> d && b <> c && b <> d
          && (not (slot_mem slots ~r a c))
          && not (slot_mem slots ~r b d)
       then begin
-        slot_replace slots ~r a ~old:b c;
-        slot_replace slots ~r b ~old:a d;
-        slot_replace slots ~r c ~old:d a;
-        slot_replace slots ~r d ~old:c b;
-        eu.(i) <- a;
-        ev.(i) <- c;
-        eu.(j) <- b;
-        ev.(j) <- d
+        (* The slots holding b in a's slice, a in b's, d in c's and c
+           in d's. *)
+        let sa = recs.(i + 2) and sb = recs.(i + 3) in
+        let sc = recs.(j + 2 + o) and sd = recs.(j + 3 - o) in
+        slots.(sa) <- c;
+        slots.(sb) <- d;
+        slots.(sc) <- a;
+        slots.(sd) <- b;
+        (* Edge i becomes (a, c) and edge j (b, d). *)
+        recs.(i + 1) <- c;
+        recs.(i + 3) <- sc;
+        recs.(j) <- b;
+        recs.(j + 1) <- d;
+        recs.(j + 2) <- sb;
+        recs.(j + 3) <- sd
       end
     end
   done
+
+(* The circulant start: u is adjacent to u ± 1 .. u ± r/2 (mod n), and
+   to u + n/2 when r is odd.  [offset] lists those shifts in increasing
+   order; u's neighbours below it are the shifts that wrap past n, so
+   its sorted slice is the wrapped shifts, then the rest.  The records
+   are written in [Graph.edges] order (u ascending, then v > u
+   ascending), the order the switches index; a vertex's lower
+   neighbours fill the front of its slice in the order the loop meets
+   them, which [lower] counts. *)
+let circulant_start ~n ~r =
+  let h = r / 2 in
+  let offset t = if t < h then t + 1 else if t < r - h then n / 2 else n - r + t in
+  let slots = Array.make (n * r) 0 and recs = Array.make (2 * n * r) 0 in
+  let lower = Array.make n 0 in
+  let e = ref 0 in
+  for u = 0 to n - 1 do
+    let base = u * r in
+    let p = ref 0 in
+    while !p < r && u + offset !p < n do
+      incr p
+    done;
+    let p = !p in
+    for t = p to r - 1 do
+      slots.(base + t - p) <- u + offset t - n
+    done;
+    for t = 0 to p - 1 do
+      let k = base + r - p + t and v = u + offset t in
+      slots.(k) <- v;
+      recs.(!e) <- u;
+      recs.(!e + 1) <- v;
+      recs.(!e + 2) <- k;
+      recs.(!e + 3) <- (v * r) + lower.(v);
+      lower.(v) <- lower.(v) + 1;
+      e := !e + 4
+    done
+  done;
+  (slots, recs)
 
 let random_regular ~n ~r ?(switches_per_edge = 30) ?(ensure_connected = true) rng =
   if r < 1 then invalid_arg "Gen.random_regular: r must be >= 1";
   if r >= n then invalid_arg "Gen.random_regular: need r < n";
   if n * r mod 2 = 1 then invalid_arg "Gen.random_regular: n * r must be even";
-  let base = circulant_regular n r in
-  let m = Graph.m base in
-  let edges = Array.of_list (Graph.edges base) in
-  let eu = Array.map fst edges and ev = Array.map snd edges in
-  let slots = Array.make (n * r) 0 and filled = Array.make n 0 in
-  let attach u v =
-    slots.((u * r) + filled.(u)) <- v;
-    filled.(u) <- filled.(u) + 1
-  in
-  Array.iter
-    (fun (u, v) ->
-      attach u v;
-      attach v u)
-    edges;
-  let run_switches = run_switches rng ~slots ~r ~eu ~ev in
+  let m = n * r / 2 in
+  let slots, recs = circulant_start ~n ~r in
+  let run_switches = run_switches rng ~slots ~r ~recs in
   run_switches (switches_per_edge * m);
-  let build () = Graph.of_edge_array ~n (Array.init m (fun i -> (eu.(i), ev.(i)))) in
+  let build () =
+    let b = Builder.create ~n ~edges_hint:m () in
+    for e = 0 to m - 1 do
+      Builder.add_edge b recs.(4 * e) recs.((4 * e) + 1)
+    done;
+    Builder.finish b
+  in
   if not ensure_connected then build ()
   else begin
     let rec go tries g =

@@ -4,21 +4,23 @@ let cartesian_product g h =
   let ng = Graph.n g and nh = Graph.n h in
   if ng = 0 || nh = 0 then invalid_arg "Gen_extra.cartesian_product: empty factor";
   let encode u v = (u * nh) + v in
-  let edges = ref [] in
+  let b =
+    Builder.create ~n:(ng * nh) ~edges_hint:((ng * Graph.m h) + (nh * Graph.m g)) ()
+  in
   for u = 0 to ng - 1 do
-    Graph.iter_edges h (fun v1 v2 -> edges := (encode u v1, encode u v2) :: !edges)
+    Graph.iter_edges h (fun v1 v2 -> Builder.add_edge b (encode u v1) (encode u v2))
   done;
   for v = 0 to nh - 1 do
-    Graph.iter_edges g (fun u1 u2 -> edges := (encode u1 v, encode u2 v) :: !edges)
+    Graph.iter_edges g (fun u1 u2 -> Builder.add_edge b (encode u1 v) (encode u2 v))
   done;
-  Graph.of_edges ~n:(ng * nh) !edges
+  Builder.finish b
 
 let cycle_plus_matching ~n rng =
   if n < 6 || n mod 2 = 1 then
     invalid_arg "Gen_extra.cycle_plus_matching: need even n >= 6";
-  let cycle_edges = List.init n (fun i -> (i, (i + 1) mod n)) in
   (* Sample a perfect matching avoiding cycle edges and self-pairs by
-     shuffling and pairing consecutive entries, retrying locally. *)
+     shuffling and pairing consecutive entries, retrying locally: the
+     matching pairs entries 2i and 2i + 1 of the accepted shuffle. *)
   let rec sample attempts =
     if attempts = 0 then
       failwith "Gen_extra.cycle_plus_matching: failed to sample a valid matching"
@@ -26,16 +28,22 @@ let cycle_plus_matching ~n rng =
       let perm = Array.init n (fun i -> i) in
       Rng.shuffle_in_place rng perm;
       let ok = ref true in
-      let pairs = ref [] in
       for i = 0 to (n / 2) - 1 do
         let a = perm.(2 * i) and b = perm.((2 * i) + 1) in
-        let adjacent_on_cycle = (a + 1) mod n = b || (b + 1) mod n = a in
-        if adjacent_on_cycle then ok := false else pairs := (a, b) :: !pairs
+        if (a + 1) mod n = b || (b + 1) mod n = a then ok := false
       done;
-      if !ok then !pairs else sample (attempts - 1)
+      if !ok then perm else sample (attempts - 1)
     end
   in
-  Graph.of_edges ~n (cycle_edges @ sample 1000)
+  let perm = sample 1000 in
+  let b = Builder.create ~n ~edges_hint:(n + (n / 2)) () in
+  for i = 0 to n - 1 do
+    Builder.add_edge b i ((i + 1) mod n)
+  done;
+  for i = 0 to (n / 2) - 1 do
+    Builder.add_edge b perm.(2 * i) perm.((2 * i) + 1)
+  done;
+  Builder.finish b
 
 let watts_strogatz ~n ~k ~beta rng =
   if k < 2 || k mod 2 = 1 || k >= n then
@@ -79,8 +87,9 @@ let watts_strogatz ~n ~k ~beta rng =
       end
     done
   done;
-  let edges = Hashtbl.fold (fun key () acc -> (key / n, key mod n) :: acc) tbl [] in
-  Graph.of_edges ~n edges
+  let b = Builder.create ~n ~edges_hint:(Hashtbl.length tbl) () in
+  Hashtbl.iter (fun key () -> Builder.add_edge b (key / n) (key mod n)) tbl;
+  Builder.finish b
 
 let barabasi_albert ~n ~m rng =
   (* m >= n is the one genuinely impossible prescription: every vertex
@@ -147,41 +156,42 @@ let cube_connected_cycles d =
   let corners = 1 lsl d in
   let n = d * corners in
   let id corner pos = (corner * d) + pos in
-  let edges = ref [] in
+  (* n ring edges and n / 2 hypercube edges. *)
+  let b = Builder.create ~n ~edges_hint:(n + (n / 2)) () in
   for corner = 0 to corners - 1 do
     for pos = 0 to d - 1 do
       (* Cycle edge inside the corner's ring. *)
-      edges := (id corner pos, id corner ((pos + 1) mod d)) :: !edges;
+      Builder.add_edge b (id corner pos) (id corner ((pos + 1) mod d));
       (* Hypercube edge along dimension [pos]. *)
       let other = corner lxor (1 lsl pos) in
-      if other > corner then edges := (id corner pos, id other pos) :: !edges
+      if other > corner then Builder.add_edge b (id corner pos) (id other pos)
     done
   done;
-  Graph.of_edges ~n !edges
+  Builder.finish b
 
 let caterpillar ~spine ~legs =
   if spine < 1 || legs < 0 then invalid_arg "Gen_extra.caterpillar: need spine >= 1, legs >= 0";
   let n = spine * (1 + legs) in
-  let edges = ref [] in
+  let b = Builder.create ~n ~edges_hint:(n - 1) () in
   for i = 0 to spine - 2 do
-    edges := (i, i + 1) :: !edges
+    Builder.add_edge b i (i + 1)
   done;
   for i = 0 to spine - 1 do
     for l = 0 to legs - 1 do
-      edges := (i, spine + (i * legs) + l) :: !edges
+      Builder.add_edge b i (spine + (i * legs) + l)
     done
   done;
-  Graph.of_edges ~n !edges
+  Builder.finish b
 
 let broom ~handle ~bristles =
   if handle < 1 || bristles < 0 then
     invalid_arg "Gen_extra.broom: need handle >= 1, bristles >= 0";
   let n = handle + bristles in
-  let edges = ref [] in
+  let b = Builder.create ~n ~edges_hint:(n - 1) () in
   for i = 0 to handle - 2 do
-    edges := (i, i + 1) :: !edges
+    Builder.add_edge b i (i + 1)
   done;
-  for b = 0 to bristles - 1 do
-    edges := (handle - 1, handle + b) :: !edges
+  for k = 0 to bristles - 1 do
+    Builder.add_edge b (handle - 1) (handle + k)
   done;
-  Graph.of_edges ~n !edges
+  Builder.finish b

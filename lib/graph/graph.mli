@@ -25,6 +25,11 @@ val of_edges : n:int -> (int * int) list -> t
     the given undirected edges.  Edge direction and duplicates are
     ignored; self-loops raise.
 
+    No program calls it or {!of_edge_array}: every generator, parser and
+    extraction adds its edges to a {!Builder}, which allocates no tuple
+    per edge.  The two stay for the tests, which write small graphs as
+    edge lists, and for the bench ledger's [of_edge_array] row.
+
     @raise Invalid_argument on [n < 0], endpoints out of range, a
     self-loop, or [n] or twice the edge count above [2^31 - 1]. *)
 

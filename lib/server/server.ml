@@ -519,7 +519,16 @@ let serve_loop st sh =
     | ready, _, _ ->
         if List.mem st.wake_r ready then begin
           drain_wake_pipe st;
-          drain_completions st sh
+          drain_completions st sh;
+          (* With the replies written and nothing running or queued, empty
+             the minor heaps now, off every job's latency.  A minor
+             collection stops every domain, so this one call empties the
+             executor's and the pool's too: no domain's minor heap grows
+             resident past one job's allocation. *)
+          Mutex.lock sh.mutex;
+          let idle = sh.running = None && Sched.queued sh.sched = 0 in
+          Mutex.unlock sh.mutex;
+          if idle then Gc.minor ()
         end;
         if List.mem st.listen_fd ready then accept_clients st;
         List.iter

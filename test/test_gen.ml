@@ -173,6 +173,16 @@ let test_random_regular_switches_allocate_nothing () =
         (w <= 64.))
     [ 1024; 4096 ]
 
+(* A whole call, circulant start, switches, Builder and connectivity
+   check, allocates at most 512 minor words: the slot table, the edge
+   records and the builder's buffer are major-heap arrays. *)
+let test_random_regular_allocates_little () =
+  let w =
+    Alloc.words (fun () ->
+        ignore (Sys.opaque_identity (Gen.random_regular ~n:512 ~r:8 (Rng.create 3))))
+  in
+  check_bool (Printf.sprintf "%.0f minor words" w) true (w <= 512.)
+
 let test_random_regular_errors () =
   let rng = Rng.create 5 in
   Alcotest.check_raises "odd n*r" (Invalid_argument "Gen.random_regular: n * r must be even")
@@ -294,6 +304,21 @@ let test_by_name_all_families () =
       check_bool (name ^ " non-trivial") true (Graph.n g >= 2))
     Gen.family_names
 
+(* Every seed-free family adds its edges to one Builder, so a whole
+   [Gen.by_name] call at n = 1 024 allocates at most 512 minor words,
+   where a tuple list cost thousands (3.1 M for complete). *)
+let test_seed_free_families_allocate_little () =
+  List.iter
+    (fun name ->
+      let build () = ignore (Sys.opaque_identity (Gen.by_name name ~n:1024 (Rng.create 1))) in
+      build ();
+      let w = Alloc.words build in
+      check_bool (Printf.sprintf "%s: %.0f minor words" name w) true (w <= 512.))
+    [
+      "path"; "cycle"; "star"; "wheel"; "complete"; "binary-tree"; "grid2d"; "torus2d";
+      "torus3d"; "hypercube"; "lollipop"; "barbell"; "ladder"; "petersen"; "ccc"; "broom";
+    ]
+
 let test_by_name_unknown () =
   let rng = Rng.create 8 in
   Alcotest.check_raises "unknown family" (Invalid_argument "Gen.by_name: unknown family \"nope\"")
@@ -379,6 +404,8 @@ let () =
           Alcotest.test_case "random regular errors" `Quick test_random_regular_errors;
           Alcotest.test_case "random regular switches allocate nothing" `Quick
             test_random_regular_switches_allocate_nothing;
+          Alcotest.test_case "random regular allocates little" `Quick
+            test_random_regular_allocates_little;
           Alcotest.test_case "random tree" `Quick test_random_tree;
         ] );
       ( "gen_extra",
@@ -395,6 +422,8 @@ let () =
       ( "registry",
         [
           Alcotest.test_case "by_name all" `Quick test_by_name_all_families;
+          Alcotest.test_case "seed-free families allocate little" `Quick
+            test_seed_free_families_allocate_little;
           Alcotest.test_case "by_name unknown" `Quick test_by_name_unknown;
           Alcotest.test_case "generator errors" `Quick test_generator_errors;
         ] );
