@@ -45,7 +45,6 @@ let wheel n =
   if n < 4 then invalid_arg "Gen.wheel: n must be >= 4";
   let b = Builder.create ~n ~edges_hint:(2 * (n - 1)) () in
   for i = 0 to n - 2 do
-    (* Rim edge, then spoke. *)
     Builder.add_edge b (1 + i) (1 + ((i + 1) mod (n - 1)));
     Builder.add_edge b 0 (i + 1)
   done;
