@@ -205,7 +205,8 @@ let graph_rows () =
         timed ~layer:"estimator" ~family:"ba:8" ba ~reps:10
           [ ("start_heuristic", 1, run (fun () -> Cobra_core.Estimate.start_heuristic ba)) ]
       in
-      builder @ tuples @ gen_ba @ gen_cl @ gen_regular @ gen_hypercube @ stream @ write @ mmap @ start
+      builder @ tuples @ gen_ba @ gen_cl @ gen_regular @ gen_hypercube @ stream @ write @ mmap
+      @ start
       @ [
           {
             Ledger.layer = "graph";
