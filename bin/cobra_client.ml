@@ -326,4 +326,4 @@ let main_cmd =
   let info = Cmd.info "cobra-client" ~version:"1.0.0" ~doc in
   Cmd.group info [ ping_cmd; stats_cmd; submit_cmd; load_cmd ]
 
-let () = exit (Cmd.eval main_cmd)
+let () = exit (Cli.eval main_cmd)

@@ -7,16 +7,20 @@
    Boots a Cobra_server.Server, prints the bound address (port 0 picks
    an ephemeral port, handy for tests), then waits for SIGINT/SIGTERM.
    Either signal shuts down gracefully: the in-flight job is cancelled
-   cooperatively, journals and obs sinks flush, and the process exits
-   130 (SIGINT) or 143 (SIGTERM).  With --journal, a server killed hard
-   (kill -9) resumes its unfinished jobs at the next boot. *)
+   cooperatively, the job journal and obs sinks flush, and the process
+   exits 130 (SIGINT) or 143 (SIGTERM).  With --journal, a server
+   stopped mid-job, by a signal or by kill -9, runs its unfinished jobs
+   again from trial 0 at the next boot.  Flag defaults other than
+   --port come from Server.default_config. *)
 
 module Server = Cobra_server.Server
 open Cmdliner
 
+let default = Server.default_config
+
 let host_arg =
   let doc = "Numeric address to bind." in
-  Arg.(value & opt string "127.0.0.1" & info [ "host" ] ~docv:"ADDR" ~doc)
+  Arg.(value & opt string default.host & info [ "host" ] ~docv:"ADDR" ~doc)
 
 let port_arg =
   let doc = "TCP port to listen on; 0 picks an ephemeral port." in
@@ -28,21 +32,21 @@ let domains_arg =
 
 let cache_arg =
   let doc = "Result cache capacity (LRU entries)." in
-  Arg.(value & opt int 1024 & info [ "cache" ] ~docv:"N" ~doc)
+  Arg.(value & opt int default.cache_capacity & info [ "cache" ] ~docv:"N" ~doc)
 
 let queue_client_arg =
   let doc = "Per-client queue bound; beyond it submissions get $(b,overloaded)." in
-  Arg.(value & opt int 64 & info [ "queue-per-client" ] ~docv:"N" ~doc)
+  Arg.(value & opt int default.queue_per_client & info [ "queue-per-client" ] ~docv:"N" ~doc)
 
 let queue_global_arg =
   let doc = "Global queue bound across all clients." in
-  Arg.(value & opt int 1024 & info [ "queue-global" ] ~docv:"N" ~doc)
+  Arg.(value & opt int default.queue_global & info [ "queue-global" ] ~docv:"N" ~doc)
 
 let journal_arg =
   let doc =
-    "Persist accepted jobs to $(docv)/jobs.jsonl and trial checkpoints to \
-     $(docv)/trials.jsonl; at boot, completed results preload the cache and unfinished \
-     jobs are re-run (completed trials replayed) with bit-identical results."
+    "Persist every job's accepted, done and failed records to $(docv)/jobs.jsonl; at \
+     boot, completed results preload the cache and unfinished jobs run again from trial \
+     0 with bit-identical results."
   in
   Arg.(value & opt (some string) None & info [ "journal" ] ~docv:"DIR" ~doc)
 
@@ -59,7 +63,7 @@ let deadline_arg =
 
 let max_frame_arg =
   let doc = "Largest accepted request frame, in bytes." in
-  Arg.(value & opt int Cobra_server.Wire.default_max_frame & info [ "max-frame" ] ~docv:"BYTES" ~doc)
+  Arg.(value & opt int default.max_frame & info [ "max-frame" ] ~docv:"BYTES" ~doc)
 
 let serve host port domains cache queue_per_client queue_global journal_dir obs_dir deadline
     max_frame =
@@ -120,4 +124,4 @@ let main_cmd =
   in
   Cmd.v (Cmd.info "cobra-serve" ~version:"1.0.0" ~doc) term
 
-let () = exit (Cmd.eval main_cmd)
+let () = exit (Cli.eval main_cmd)

@@ -10,7 +10,9 @@
    is checkpointed to DIR/journal.jsonl, Ctrl-C cancels cooperatively
    (in-flight chunks finish, the journal is flushed) and --resume
    replays checkpointed trials so the regenerated tables are
-   bit-identical to an uninterrupted run with the same seed. *)
+   bit-identical to an uninterrupted run with the same seed.  A trial
+   that raises is reported with its backtrace and writes no checkpoint;
+   the rest of its sweep is checkpointed, and --resume runs it again. *)
 
 module Experiment = Cobra_experiments.Experiment
 module Registry = Cobra_experiments.Registry
@@ -51,7 +53,8 @@ let journal_arg =
   let doc =
     "Checkpoint every completed Monte-Carlo trial to $(docv)/journal.jsonl (directory is \
      created, an existing journal is truncated).  A run killed by Ctrl-C, a deadline or a \
-     crashing trial can then be continued with --resume $(docv)."
+     crashing trial can then be continued with --resume $(docv); a trial that raised \
+     wrote no checkpoint and runs again."
   in
   Arg.(value & opt (some string) None & info [ "journal" ] ~docv:"DIR" ~doc)
 
@@ -71,10 +74,6 @@ let deadline_arg =
      --resume) and the harness moves on to the next experiment."
   in
   Arg.(value & opt (some float) None & info [ "deadline" ] ~docv:"SECS" ~doc)
-
-let retries_arg =
-  let doc = "Re-run a failing trial up to $(docv) times before recording it as failed." in
-  Arg.(value & opt int 0 & info [ "retries" ] ~docv:"N" ~doc)
 
 let list_cmd =
   let run () =
@@ -147,7 +146,7 @@ let resume_hint journal =
   | Some j -> Printf.sprintf "; resume with --resume %s" (Filename.dirname (Journal.path j))
   | None -> ""
 
-let run_experiments ids seed domains full out obs_out journal_dir resume_dir deadline retries =
+let run_experiments ids seed domains full out obs_out journal_dir resume_dir deadline =
   let scale = if full then Experiment.Full else Experiment.Quick in
   Option.iter mkdir_p out;
   (match deadline with
@@ -155,10 +154,6 @@ let run_experiments ids seed domains full out obs_out journal_dir resume_dir dea
       prerr_endline "--deadline must be positive";
       exit 2
   | _ -> ());
-  if retries < 0 then begin
-    prerr_endline "--retries must be >= 0";
-    exit 2
-  end;
   match (Registry.select ids, journal_of ~journal:journal_dir ~resume:resume_dir) with
   | Error msg, _ | _, Error msg ->
       prerr_endline msg;
@@ -210,8 +205,7 @@ let run_experiments ids seed domains full out obs_out journal_dir resume_dir dea
                       Fun.protect
                         ~finally:(fun () -> finish ())
                         (fun () ->
-                          Montecarlo.with_context ?journal ~cancel ?deadline_s:deadline
-                            ~retries (fun () ->
+                          Montecarlo.with_context ?journal ~cancel ?deadline_s:deadline (fun () ->
                               Experiment.run_observed ~obs e ~pool ~master_seed:seed ~scale))
                     with
                     | output ->
@@ -237,9 +231,9 @@ let run_experiments ids seed domains full out obs_out journal_dir resume_dir dea
                           "[%s abandoned: sweep deadline exceeded after %d/%d trials%s]\n\n%!"
                           e.id completed total (resume_hint journal)
                     | exception exn ->
-                        (* A trial that still fails after its retries: the
-                           rest of its ensemble is checkpointed, so report
-                           and move on to the next experiment. *)
+                        (* A failing trial: the rest of its ensemble is
+                           checkpointed, so report and move on to the next
+                           experiment. *)
                         failed := (e.id, Printexc.to_string exn) :: !failed;
                         Printf.printf "[%s failed: %s%s]\n%s\n%!" e.id (Printexc.to_string exn)
                           (resume_hint journal) (Printexc.get_backtrace ())
@@ -262,7 +256,7 @@ let run_cmd =
   let term =
     Term.(
       const run_experiments $ ids_arg $ seed_arg $ domains_arg $ full_arg $ out_arg
-      $ obs_out_arg $ journal_arg $ resume_arg $ deadline_arg $ retries_arg)
+      $ obs_out_arg $ journal_arg $ resume_arg $ deadline_arg)
   in
   Cmd.v (Cmd.info "run" ~doc:"Run experiments and print their tables") term
 
@@ -271,4 +265,4 @@ let main_cmd =
   let info = Cmd.info "cobra-experiments" ~version:"1.0.0" ~doc in
   Cmd.group info [ list_cmd; run_cmd ]
 
-let () = exit (Cmd.eval main_cmd)
+let () = exit (Cli.eval main_cmd)

@@ -75,7 +75,9 @@ let conv to_repr of_repr c =
    master seed and trial count, and the trial index.  A recorded value
    is only ever replayed at exactly the same address, so a journal
    written with a different seed, scale or model silently contributes
-   nothing. *)
+   nothing.  Only [load] fills the table: within one process every
+   sweep has its own address, so a line this process appends is never
+   looked up again. *)
 type key = {
   experiment : string;
   sweep : int;
@@ -87,7 +89,7 @@ type key = {
 type t = {
   path : string;
   mutable oc : out_channel option;
-  ok_entries : (key, Json.t) Hashtbl.t;
+  ok_entries : (key, Json.t) Hashtbl.t;  (* what [load] read *)
   mutable experiment : string;
   mutable next_sweep : int;
   mutable loaded : int;
@@ -137,7 +139,7 @@ let parse_line t line =
           | Some "ok", Some value ->
               Hashtbl.replace t.ok_entries key value;
               t.loaded <- t.loaded + 1
-          | Some "error", _ -> () (* a recorded failure is re-run, not replayed *)
+          | Some "error", _ -> () (* older journals recorded failures; they re-run *)
           | _ -> t.malformed <- t.malformed + 1)
       | _ -> t.malformed <- t.malformed + 1)
 
@@ -202,36 +204,24 @@ let find sw ~trial =
       Some v
   | None -> None
 
-let write_line sw ~trial fields =
+let record_ok sw ~trial value =
   match sw.j.oc with
   | None -> ()
   | Some oc ->
       let line =
         Json.to_string
           (Json.Obj
-             ([
-                ("model", Json.String model);
-                ("experiment", Json.String sw.sweep_experiment);
-                ("sweep", Json.Int sw.index);
-                ("master_seed", Json.Int sw.master_seed);
-                ("trials", Json.Int sw.trials);
-                ("trial", Json.Int trial);
-              ]
-             @ fields))
+             [
+               ("model", Json.String model);
+               ("experiment", Json.String sw.sweep_experiment);
+               ("sweep", Json.Int sw.index);
+               ("master_seed", Json.Int sw.master_seed);
+               ("trials", Json.Int sw.trials);
+               ("trial", Json.Int trial);
+               ("status", Json.String "ok");
+               ("value", value);
+             ])
       in
       output_string oc line;
       output_char oc '\n';
       sw.j.appended <- sw.j.appended + 1
-
-let record_ok sw ~trial value =
-  Hashtbl.replace sw.j.ok_entries (key sw ~trial) value;
-  write_line sw ~trial [ ("status", Json.String "ok"); ("value", value) ]
-
-let record_failure sw ~trial ~exn ~backtrace ~attempts =
-  write_line sw ~trial
-    [
-      ("status", Json.String "error");
-      ("exn", Json.String exn);
-      ("backtrace", Json.String backtrace);
-      ("attempts", Json.Int attempts);
-    ]

@@ -11,21 +11,23 @@
     significant digits and round-trip exactly; [nan] round-trips through
     JSON [null]).
 
-    Line format (one object per line):
+    Line format (one object per line, one line per completed trial):
     {v
     {"model":"keyed-1","experiment":"e4","sweep":2,"master_seed":2017,
      "trials":24,"trial":7,"status":"ok","value":[123.0,456.0]}
-    {"model":"keyed-1","experiment":"e4",...,"trial":8,"status":"error",
-     "exn":"Failure(\"boom\")","backtrace":"...","attempts":2}
     v}
 
-    Only ["ok"] lines are replayed — a recorded failure documents what
-    happened and is re-run on resume.  Mismatched addresses (a different
-    seed, scale or code path, or a line written under another randomness
-    model — including untagged lines, which predate the tag) contribute
-    nothing, so resuming with the
-    wrong configuration degrades to a fresh run rather than corrupting
-    results.
+    A trial that raised writes no line and runs again on resume.
+    Journals written before that rule may hold ["status":"error"] lines;
+    {!load} skips them.  Mismatched addresses (a different seed, scale
+    or code path, or a line written under another randomness model —
+    including untagged lines, which predate the tag) contribute nothing,
+    so resuming with the wrong configuration degrades to a fresh run
+    rather than corrupting results.
+
+    Only what {!load} read is replayed.  Within one process every sweep
+    has its own address, so the lines a journal appends are never looked
+    up by the process that wrote them.
 
     The journal is single-domain: the Monte-Carlo driver records from
     the submitting thread after each sweep joins, never from workers. *)
@@ -100,8 +102,8 @@ val begin_sweep : t -> master_seed:int -> trials:int -> sweep
 (** Allocates the next sweep index under the current experiment. *)
 
 val find : sweep -> trial:int -> Cobra_obs.Json.t option
-(** The recorded value for a trial of this sweep, if any; bumps the
-    replay counter when found. *)
+(** The value {!load} read for a trial of this sweep, if any; bumps
+    the replay counter when found. *)
 
 val record_ok : sweep -> trial:int -> Cobra_obs.Json.t -> unit
-val record_failure : sweep -> trial:int -> exn:string -> backtrace:string -> attempts:int -> unit
+(** Appends the trial's line; replay reads only what {!load} read. *)

@@ -3,7 +3,6 @@ module Obs = Cobra_obs.Obs
 module Trace = Cobra_obs.Trace
 module Timer = Cobra_obs.Timer
 module Pool = Cobra_parallel.Pool
-module Journal = Cobra_parallel.Journal
 module Montecarlo = Cobra_parallel.Montecarlo
 module Estimate = Cobra_core.Estimate
 module Gen = Cobra_graph.Gen
@@ -62,20 +61,15 @@ let wake sh =
 
 (* --- executor --- *)
 
-let execute ~pool ~journal ~obs ~cancel (qj : queued_job) =
+let execute ~pool ~obs ~cancel (qj : queued_job) =
   let job = qj.job in
   try
-    (* Scope the trial journal to this job's digest: every checkpoint
-       is addressed by (digest, sweep 0, master seed, trials, trial),
-       so a re-execution of the same digest — crash-resume or a cache
-       miss after eviction — replays completed trials for free. *)
-    Option.iter (fun j -> Journal.set_experiment j qj.digest) journal;
     let family = String.lowercase_ascii (String.trim job.graph.family) in
     let g = Gen.by_name family ~n:job.graph.n (Cobra_prng.Rng.create job.graph.gseed) in
     if Obs.enabled obs then Obs.emit obs (Trace.Experiment_started { id = qj.digest });
     let timer = Timer.start () in
     let est =
-      Montecarlo.with_context ?journal ~cancel ?deadline_s:qj.deadline_s (fun () ->
+      Montecarlo.with_context ~cancel ?deadline_s:qj.deadline_s (fun () ->
           match job.kind with
           | Proto.Cover_time ->
               Estimate.cover_time ~obs ~pool ~master_seed:job.master_seed ~trials:job.trials
@@ -99,7 +93,7 @@ let execute ~pool ~journal ~obs ~cancel (qj : queued_job) =
   | Invalid_argument m -> Failed (Proto.Bad_request, m)
   | e -> Failed (Proto.Internal, Printexc.to_string e)
 
-let executor_loop sh ~pool ~journal ~obs =
+let executor_loop sh ~pool ~obs =
   let rec loop () =
     Mutex.lock sh.mutex;
     let rec take () =
@@ -123,7 +117,7 @@ let executor_loop sh ~pool ~journal ~obs =
     | None -> ()
     | Some (qj, cancel) ->
         let timer = Timer.start () in
-        let outcome = execute ~pool ~journal ~obs ~cancel qj in
+        let outcome = execute ~pool ~obs ~cancel qj in
         let elapsed_ms = Timer.elapsed_s timer *. 1000.0 in
         Mutex.lock sh.mutex;
         sh.running <- None;
@@ -169,7 +163,6 @@ type loop_state = {
   started_at : float;
   mutable next_cid : int;
   pool : Pool.t;
-  trials_journal : Journal.t option;
 }
 
 let jobs_line st fields =
@@ -261,16 +254,6 @@ let stats_json st sh =
             ("jobs_in_flight", Json.Int ps.jobs_in_flight);
             ("jobs_completed", Json.Int ps.jobs_completed);
           ] );
-      ( "journal",
-        match st.trials_journal with
-        | None -> Json.Null
-        | Some j ->
-            Json.Obj
-              [
-                ("trials_loaded", Json.Int (Journal.loaded j));
-                ("trials_replayed", Json.Int (Journal.replayed j));
-                ("trials_appended", Json.Int (Journal.appended j));
-              ] );
     ]
 
 let handle_submit st sh cl ~req_id job deadline_s =
@@ -478,7 +461,19 @@ let read_client st sh cl buf =
   | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
   | 0 -> disconnect st sh cl
   | n -> (
-      match Wire.Decoder.feed cl.decoder buf n with
+      let rec frames () =
+        if cl.alive then
+          match Wire.Decoder.next cl.decoder with
+          | Some payload ->
+              handle_frame st sh cl payload;
+              frames ()
+          | None -> ()
+      in
+      match
+        Wire.Decoder.feed cl.decoder buf n;
+        frames ()
+      with
+      | () -> if not cl.alive then disconnect st sh cl
       | exception Wire.Frame_too_large len ->
           send st cl ~req_id:""
             (Proto.Error
@@ -487,28 +482,7 @@ let read_client st sh cl buf =
                  message = Printf.sprintf "frame of %d bytes exceeds the %d-byte limit" len
                      st.cfg.max_frame;
                });
-          disconnect st sh cl
-      | () ->
-          let rec frames () =
-            if cl.alive then
-              match Wire.Decoder.next cl.decoder with
-              | exception Wire.Frame_too_large len ->
-                  send st cl ~req_id:""
-                    (Proto.Error
-                       {
-                         code = Proto.Bad_request;
-                         message =
-                           Printf.sprintf "frame of %d bytes exceeds the %d-byte limit" len
-                             st.cfg.max_frame;
-                       });
-                  disconnect st sh cl
-              | Some payload ->
-                  handle_frame st sh cl payload;
-                  frames ()
-              | None -> ()
-          in
-          frames ();
-          if not cl.alive then disconnect st sh cl)
+          disconnect st sh cl)
 
 let serve_loop st sh =
   let buf = Bytes.create 65536 in
@@ -563,8 +537,8 @@ type scan_state = {
   mutable s_job : Proto.job option;
 }
 
-(* Fold jobs.jsonl into the last known status per digest, preserving
-   first-seen order so the cache preload approximates recency. *)
+(* Fold jobs.jsonl into the last known status per digest, in first-seen
+   order so the cache preload approximates recency. *)
 let scan_jobs_journal path =
   let table : (string, scan_state) Hashtbl.t = Hashtbl.create 64 in
   let order = ref [] in
@@ -613,7 +587,7 @@ let scan_jobs_journal path =
           done
         with End_of_file -> ())
   end;
-  (List.rev !order, table)
+  List.rev_map (fun digest -> (digest, Hashtbl.find table digest)) !order
 
 (* --- lifecycle --- *)
 
@@ -642,24 +616,14 @@ let start cfg =
   Unix.set_nonblock wake_r;
   Unix.set_nonblock wake_w;
   let pool = Pool.create ?num_domains:cfg.pool_domains () in
-  let jobs_oc, trials_journal, resumable =
+  let jobs_oc, boot_jobs =
     match cfg.journal_dir with
-    | None -> (None, None, [])
+    | None -> (None, [])
     | Some dir ->
         mkdir_p dir;
-        let jobs_path = Filename.concat dir "jobs.jsonl" in
-        let order, table = scan_jobs_journal jobs_path in
-        let trials = Journal.load (Filename.concat dir "trials.jsonl") in
-        let oc = open_out_gen [ Open_wronly; Open_append; Open_creat ] 0o644 jobs_path in
-        let resumable =
-          List.filter_map
-            (fun digest ->
-              match Hashtbl.find_opt table digest with
-              | Some { s_status = `Accepted; s_job = Some job } -> Some (digest, job)
-              | _ -> None)
-            order
-        in
-        (Some oc, Some trials, (order, table, resumable) :: [])
+        let path = Filename.concat dir "jobs.jsonl" in
+        let scanned = scan_jobs_journal path in
+        (Some (open_out_gen [ Open_wronly; Open_append; Open_creat ] 0o644 path), scanned)
   in
   let sh =
     {
@@ -695,33 +659,24 @@ let start cfg =
       started_at = Unix.gettimeofday ();
       next_cid = 0;
       pool;
-      trials_journal;
     }
   in
   (* Warm the cache with completed results and re-queue jobs the last
-     process accepted but never finished (kill -9 leaves exactly this
-     shape behind).  Orphans run before any client can submit — they
-     are first in FIFO order — and their results enter cache+journal. *)
-  (match resumable with
-  | [ (order, table, orphans) ] ->
-      List.iter
-        (fun digest ->
-          match Hashtbl.find_opt table digest with
-          | Some { s_status = `Done r; _ } -> Cache.add st.cache digest r
-          | _ -> ())
-        order;
-      List.iter
-        (fun (digest, job) ->
-          match Proto.validate_job job with
-          | Error _ -> ()
-          | Ok () ->
-              let qj = { digest; job; deadline_s = None } in
-              (match Sched.enqueue sh.sched ~client:(-1) qj with
-              | `Accepted -> Hashtbl.replace st.pending digest { waiters = []; orphan = true }
-              | `Overloaded -> ()))
-        orphans
-  | _ -> ());
-  let journal = trials_journal in
+     process accepted but never finished (a kill -9, or a shutdown that
+     cancelled the job, leaves exactly this shape behind).  Orphans run
+     before any client can submit — they are first in FIFO order — and
+     their results enter cache+journal. *)
+  List.iter
+    (fun (digest, state) ->
+      match state with
+      | { s_status = `Done r; _ } -> Cache.add st.cache digest r
+      | { s_status = `Accepted; s_job = Some job } when Result.is_ok (Proto.validate_job job)
+        -> (
+          match Sched.enqueue sh.sched ~client:(-1) { digest; job; deadline_s = None } with
+          | `Accepted -> Hashtbl.replace st.pending digest { waiters = []; orphan = true }
+          | `Overloaded -> ())
+      | _ -> ())
+    boot_jobs;
   let obs =
     match cfg.obs_dir with
     | None -> Obs.null
@@ -729,7 +684,7 @@ let start cfg =
         mkdir_p dir;
         Obs.create ~sink:(Trace.jsonl (Filename.concat dir "events.jsonl")) ()
   in
-  let executor = Domain.spawn (fun () -> executor_loop sh ~pool ~journal ~obs) in
+  let executor = Domain.spawn (fun () -> executor_loop sh ~pool ~obs) in
   let loop = Domain.spawn (fun () -> serve_loop st sh) in
   { sh; st; bound_port; executor; loop; obs; stopped = false }
 
@@ -784,7 +739,6 @@ let stop t =
           ^ "\n")
     | _ -> ());
     Obs.close t.obs;
-    (match st.trials_journal with Some j -> Journal.close j | None -> ());
     (match st.jobs_oc with Some oc -> close_out oc | None -> ());
     Hashtbl.iter (fun _ cl -> try Unix.close cl.fd with Unix.Unix_error _ -> ()) st.clients;
     Hashtbl.reset st.clients;

@@ -17,13 +17,13 @@
     - Identical jobs {b dedup}: while a digest is queued or running,
       further submissions of the same digest attach as waiters and all
       receive the one result.
-    - With a journal directory, every accepted job is persisted to
-      [jobs.jsonl] and every Monte-Carlo trial checkpoints to
-      [trials.jsonl] (a {!Cobra_parallel.Journal}).  A server killed
-      hard — [kill -9] included — re-runs journalled-but-unfinished
-      jobs at the next boot, replaying completed trials, and produces
-      bit-identical results because trials are pure functions of
-      [(job key, trial index)].  Completed results preload the cache.
+    - With a journal directory, every job's transitions (accepted,
+      done, failed) are persisted to [jobs.jsonl], the one journal.
+      A server stopped mid-job — by SIGTERM or by [kill -9] — re-runs
+      journalled-but-unfinished jobs from trial 0 at the next boot and
+      produces bit-identical results because trials are pure functions
+      of [(job key, trial index)].  Completed results preload the
+      cache, the one cache.
     - With an observability directory, per-job and per-trial trace
       events stream to [events.jsonl] and a metrics snapshot is written
       at shutdown ({!Cobra_obs}).
@@ -49,15 +49,19 @@ type config = {
 val default_config : config
 (** Loopback, port 0, cores-1 pool, 1024-entry cache, 64/1024 queue
     bounds, no journal, no obs, 16 MiB frames, no default deadline: the
-    base the in-process server tests override. *)
+    base [cobra-serve]'s flags and the in-process server tests
+    override. *)
 
 type t
 
 val start : config -> t
 (** Binds and listens (so a client may connect as soon as [start]
-    returns), loads the journal and preloads the cache, re-queues
+    returns), scans [jobs.jsonl] and preloads the cache, re-queues
     unfinished journalled jobs, then spawns the serve-loop and executor
-    domains.  @raise Unix.Unix_error if the bind fails. *)
+    domains.  A [trials.jsonl] left in the journal directory is ignored.
+    @raise Unix.Unix_error if the bind fails.
+    @raise Sys_error if the journal or obs directory cannot be made.
+    @raise Failure if [host] is not a numeric address. *)
 
 val port : t -> int
 (** The bound port — the ephemeral one when [config.port = 0]. *)
@@ -70,7 +74,7 @@ val request_stop : t -> unit
 val stop : t -> unit
 (** Graceful shutdown: {!request_stop}, then joins both domains (the
     in-flight job is cancelled cooperatively and stays journalled as
-    accepted, so the next boot resumes it), sends [cancelled] errors to
-    clients still waiting, flushes and closes journals and obs sinks,
+    accepted, so the next boot runs it again), sends [cancelled] errors to
+    clients still waiting, flushes and closes the journal and obs sinks,
     writes [stats.json] next to the journal, closes every socket and
     shuts the pool down.  Idempotent. *)

@@ -1,5 +1,5 @@
-(* Fault-tolerance layer: per-trial failure isolation, bounded retry,
-   JSONL checkpoint journals, cooperative cancellation and deadlines.
+(* Fault-tolerance layer: per-trial failure isolation, JSONL checkpoint
+   journals, cooperative cancellation and deadlines.
    The headline property mirrors the CLI acceptance test: a sweep that
    is interrupted and resumed produces bit-identical results to an
    uninterrupted run with the same seed. *)
@@ -25,90 +25,64 @@ let with_tmp_journal f =
     ~finally:(fun () -> if Sys.file_exists path then Sys.remove path)
     (fun () -> f path)
 
-(* ---------- failure isolation and retry ---------- *)
+(* ---------- failure isolation ---------- *)
 
 let test_failure_isolation () =
-  Pool.with_pool ~num_domains:2 (fun pool ->
-      let work ~trial rng =
-        if trial = 7 then failwith "trial 7 crashes";
-        Rng.float01 rng
-      in
-      let results = Montecarlo.run_results ~pool ~master_seed:5 ~trials:20 work in
+  with_tmp_journal (fun path ->
+      let codec = Journal.float_ in
+      Pool.with_pool ~num_domains:2 (fun pool ->
+          let j = Journal.create path in
+          Journal.set_experiment j "unit";
+          Fun.protect
+            ~finally:(fun () -> Journal.close j)
+            (fun () ->
+              match
+                Montecarlo.with_context ~journal:j (fun () ->
+                    Montecarlo.run ~codec ~pool ~master_seed:5 ~trials:20 (fun ~trial rng ->
+                        if trial = 7 then failwith "trial 7 crashes";
+                        Rng.float01 rng))
+              with
+              | _ -> Alcotest.fail "run must re-raise trial 7's failure"
+              | exception Failure msg ->
+                  Alcotest.(check string) "trial 7's exception" "trial 7 crashes" msg;
+                  check_int "the other 19 trials journaled" 19 (Journal.appended j)));
+      (* The journal holds the other trials at the serial oracle's
+         values: a resume replays them bit for bit and runs trial 7. *)
       let reference =
         Serial_oracle.run ~master_seed:5 ~trials:20 (fun ~trial rng ->
             ignore trial;
             Rng.float01 rng)
       in
-      Array.iteri
-        (fun trial r ->
-          match r with
-          | Ok v ->
-              check_bool "only trial 7 fails" true (trial <> 7);
-              Alcotest.(check (float 0.0))
-                (Printf.sprintf "trial %d unaffected" trial)
-                reference.(trial) v
-          | Error (f : Montecarlo.failure) ->
-              check_int "failing trial" 7 trial;
-              check_int "no retries by default" 1 f.attempts;
-              check_bool "exception recorded" true (match f.exn with Failure _ -> true | _ -> false))
-        results)
+      Pool.with_pool ~num_domains:2 (fun pool ->
+          let j = Journal.load path in
+          check_int "19 checkpoints loaded" 19 (Journal.loaded j);
+          Journal.set_experiment j "unit";
+          let executed = Array.make 20 false in
+          let resumed =
+            Fun.protect
+              ~finally:(fun () -> Journal.close j)
+              (fun () ->
+                Montecarlo.with_context ~journal:j (fun () ->
+                    Montecarlo.run ~codec ~pool ~master_seed:5 ~trials:20 (fun ~trial rng ->
+                        executed.(trial) <- true;
+                        Rng.float01 rng)))
+          in
+          Alcotest.(check (list int))
+            "only trial 7 re-ran" [ 7 ]
+            (List.filter (fun trial -> executed.(trial)) (List.init 20 Fun.id));
+          Alcotest.(check (array (float 0.0))) "resumed = serial oracle" reference resumed))
 
 let test_run_reraises_first_failure () =
-  Printexc.record_backtrace true;
-  Pool.with_pool ~num_domains:0 (fun pool ->
-      let raised =
-        try
-          ignore
-            (Montecarlo.run ~pool ~master_seed:5 ~trials:10 (fun ~trial rng ->
-                 ignore (Rng.float01 rng);
-                 if trial = 3 then failwith "boom";
-                 0.0));
-          false
-        with Failure msg -> msg = "boom"
-      in
-      check_bool "run re-raises the failure" true raised)
-
-let test_retry_recovers_flaky_trial () =
-  Pool.with_pool ~num_domains:0 (fun pool ->
-      let attempts = Array.make 10 0 in
-      let work ~trial rng =
-        attempts.(trial) <- attempts.(trial) + 1;
-        (* Trial 4 fails on its first attempt only. *)
-        if trial = 4 && attempts.(trial) = 1 then failwith "flaky";
-        Rng.float01 rng
-      in
-      let results =
-        Montecarlo.with_context ~retries:1 (fun () ->
-            Montecarlo.run_results ~pool ~master_seed:9 ~trials:10 work)
-      in
-      let reference =
-        Serial_oracle.run ~master_seed:9 ~trials:10 (fun ~trial rng ->
-            ignore trial;
-            Rng.float01 rng)
-      in
-      check_int "trial 4 ran twice" 2 attempts.(4);
-      (match results.(4) with
-      | Ok v ->
-          (* The retry reuses the identical per-trial PRNG, so the
-             recovered value matches an uninterrupted run bitwise. *)
-          Alcotest.(check (float 0.0)) "retried value deterministic" reference.(4) v
-      | Error _ -> Alcotest.fail "retry should have recovered trial 4");
-      Array.iteri
-        (fun trial n -> if trial <> 4 then check_int "one attempt elsewhere" 1 n)
-        attempts)
-
-let test_retry_exhaustion_counts_attempts () =
-  Pool.with_pool ~num_domains:0 (fun pool ->
-      let results =
-        Montecarlo.with_context ~retries:2 (fun () ->
-            Montecarlo.run_results ~pool ~master_seed:1 ~trials:3 (fun ~trial rng ->
-                ignore (Rng.float01 rng);
-                if trial = 1 then failwith "always fails";
-                trial))
-      in
-      match results.(1) with
-      | Error (f : Montecarlo.failure) -> check_int "1 + 2 retries" 3 f.attempts
-      | Ok _ -> Alcotest.fail "trial 1 must fail")
+  Pool.with_pool ~num_domains:1 (fun pool ->
+      match
+        Montecarlo.run ~pool ~master_seed:5 ~trials:10 (fun ~trial rng ->
+            ignore (Rng.float01 rng);
+            if trial = 3 || trial = 8 then failwith (Printf.sprintf "boom %d" trial);
+            0.0)
+      with
+      | _ -> Alcotest.fail "run must re-raise a failure"
+      | exception Failure msg ->
+          Alcotest.(check string) "the lowest-numbered failure" "boom 3" msg)
 
 (* ---------- journal: checkpoint, replay, resume ---------- *)
 
@@ -237,24 +211,35 @@ let test_journal_tolerates_truncated_tail () =
 let test_journal_failures_not_replayed () =
   with_tmp_journal (fun path ->
       let codec = Journal.int_ in
-      (* First run: trial 2 fails and is journaled as an error line. *)
+      (* First run: trial 2 fails and writes no line. *)
       Pool.with_pool ~num_domains:0 (fun pool ->
           let j = Journal.create path in
           Journal.set_experiment j "unit";
-          let results =
-            Montecarlo.with_context ~journal:j (fun () ->
-                Montecarlo.run_results ~codec ~pool ~master_seed:11 ~trials:5 (fun ~trial rng ->
-                    ignore (Rng.float01 rng);
-                    if trial = 2 then failwith "transient outage";
-                    trial * 10))
-          in
-          check_bool "failure recorded" true (Result.is_error results.(2));
+          (match
+             Montecarlo.with_context ~journal:j (fun () ->
+                 Montecarlo.run ~codec ~pool ~master_seed:11 ~trials:5 (fun ~trial rng ->
+                     ignore (Rng.float01 rng);
+                     if trial = 2 then failwith "transient outage";
+                     trial * 10))
+           with
+          | _ -> Alcotest.fail "trial 2 must fail"
+          | exception Failure _ -> ());
+          check_int "only the ok trials appended" 4 (Journal.appended j);
           Journal.close j);
+      (* Journals written before failures stopped being recorded carry
+         an error line for the failed trial; load skips it. *)
+      let oc = open_out_gen [ Open_wronly; Open_append ] 0o644 path in
+      output_string oc
+        ({|{"model":"|} ^ Cobra_prng.Keyed.model_tag
+       ^ {|","experiment":"unit","sweep":0,"master_seed":11,"trials":5,"trial":2,"status":"error","exn":"Failure(\"transient outage\")","backtrace":"","attempts":1}|}
+       ^ "\n");
+      close_out oc;
       (* Resume: the four ok trials replay, the failed one re-executes
          (and succeeds this time). *)
       Pool.with_pool ~num_domains:0 (fun pool ->
           let j = Journal.load path in
-          check_int "only ok lines replayable" 4 (Journal.loaded j);
+          check_int "the ok lines loaded" 4 (Journal.loaded j);
+          check_int "the old error line skipped, not malformed" 0 (Journal.malformed j);
           Journal.set_experiment j "unit";
           let executed = ref [] in
           let results =
@@ -291,6 +276,42 @@ let test_journal_address_mismatch_is_fresh_run () =
                  Montecarlo.run ~codec ~pool ~master_seed:2 ~trials:5 work));
           check_int "wrong-seed checkpoints ignored" 0 (Journal.replayed j);
           Journal.close j))
+
+let test_journal_replays_only_what_load_read () =
+  with_tmp_journal (fun path ->
+      let codec = Journal.int_ in
+      Pool.with_pool ~num_domains:0 (fun pool ->
+          let j = Journal.create path in
+          let executed = ref 0 in
+          (* Same experiment, sweep 0, seed and trial count: both sweeps
+             have one address. *)
+          let sweep () =
+            Journal.set_experiment j "unit";
+            Montecarlo.with_context ~journal:j (fun () ->
+                Montecarlo.run ~codec ~pool ~master_seed:4 ~trials:6 (fun ~trial _ ->
+                    incr executed;
+                    trial))
+          in
+          Fun.protect
+            ~finally:(fun () -> Journal.close j)
+            (fun () ->
+              ignore (sweep ());
+              ignore (sweep ());
+              check_int "the second sweep executed every trial" 12 !executed;
+              check_int "nothing replayed by the writing process" 0 (Journal.replayed j)));
+      Pool.with_pool ~num_domains:0 (fun pool ->
+          let j = Journal.load path in
+          Journal.set_experiment j "unit";
+          Fun.protect
+            ~finally:(fun () -> Journal.close j)
+            (fun () ->
+              let results =
+                Montecarlo.with_context ~journal:j (fun () ->
+                    Montecarlo.run ~codec ~pool ~master_seed:4 ~trials:6 (fun ~trial _ ->
+                        Alcotest.failf "trial %d executed despite load" trial))
+              in
+              check_int "every trial replayed" 6 (Journal.replayed j);
+              Alcotest.(check (array int)) "replayed values" [| 0; 1; 2; 3; 4; 5 |] results)))
 
 let test_journal_other_model_not_replayed () =
   (* Lines without the randomness-model tag were written before keyed
@@ -390,36 +411,31 @@ let test_completed_sweep_ignores_cancel () =
 
 let test_ambient_context_applies () =
   Pool.with_pool ~num_domains:0 (fun pool ->
-      let attempts = ref 0 in
-      let v =
-        Montecarlo.with_context ~retries:1 (fun () ->
-            Montecarlo.run ~pool ~master_seed:21 ~trials:1 (fun ~trial rng ->
-                ignore trial;
-                incr attempts;
-                if !attempts = 1 then failwith "flaky";
+      let cancel = Pool.Cancel.create () in
+      Pool.Cancel.cancel cancel;
+      let executed = ref 0 in
+      match
+        Montecarlo.with_context ~cancel (fun () ->
+            Montecarlo.run ~pool ~master_seed:21 ~trials:4 (fun ~trial:_ rng ->
+                incr executed;
                 Rng.float01 rng))
-      in
-      check_int "ambient retries picked up" 2 !attempts;
-      check_int "recovered" 1 (Array.length v))
+      with
+      | _ -> Alcotest.fail "the ambient cancelled token must stop the sweep"
+      | exception Montecarlo.Interrupted { reason = `Cancelled; completed; total } ->
+          check_int "total" 4 total;
+          check_int "no trial completed" 0 completed;
+          check_int "no trial executed" 0 !executed)
 
 let test_ambient_context_restored () =
   Pool.with_pool ~num_domains:0 (fun pool ->
-      Montecarlo.with_context ~retries:5 (fun () -> ());
-      (* Outside the context the default (no retries) applies again. *)
-      let attempts = ref 0 in
-      let failed =
-        try
-          ignore
-            (Montecarlo.run ~pool ~master_seed:21 ~trials:1 (fun ~trial rng ->
-                 ignore trial;
-                 incr attempts;
-                 if !attempts = 1 then failwith "flaky";
-                 Rng.float01 rng));
-          false
-        with Failure _ -> true
+      let cancel = Pool.Cancel.create () in
+      Pool.Cancel.cancel cancel;
+      Montecarlo.with_context ~cancel (fun () -> ());
+      (* Outside the context no token applies again. *)
+      let results =
+        Montecarlo.run ~pool ~master_seed:21 ~trials:4 (fun ~trial:_ rng -> Rng.float01 rng)
       in
-      check_bool "no ambient retries after the context" true failed;
-      check_int "single attempt" 1 !attempts)
+      check_int "sweep completed" 4 (Array.length results))
 
 (* ---------- experiments layer: estimator under a journal ---------- *)
 
@@ -488,8 +504,6 @@ let () =
         [
           Alcotest.test_case "failing trial isolated" `Quick test_failure_isolation;
           Alcotest.test_case "run re-raises" `Quick test_run_reraises_first_failure;
-          Alcotest.test_case "retry recovers" `Quick test_retry_recovers_flaky_trial;
-          Alcotest.test_case "retry exhaustion" `Quick test_retry_exhaustion_counts_attempts;
         ] );
       ( "journal",
         [
@@ -502,6 +516,8 @@ let () =
             test_journal_other_model_not_replayed;
           Alcotest.test_case "address mismatch = fresh run" `Quick
             test_journal_address_mismatch_is_fresh_run;
+          Alcotest.test_case "replays only what load read" `Quick
+            test_journal_replays_only_what_load_read;
         ] );
       ( "interrupt",
         [

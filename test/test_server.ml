@@ -497,11 +497,16 @@ let test_e2e_resume_from_journal () =
           | r ->
               Alcotest.failf "resume did not produce a result: %s"
                 (Json.to_string (Proto.response_to_json ~id:"" r)));
-          match Client.request c (Proto.Submit { job; deadline_s = None }) with
+          (match Client.request c (Proto.Submit { job; deadline_s = None }) with
           | Proto.Result { cached; result; _ } ->
               check_bool "now served from cache" true cached;
               check_bool "cached bits identical" true (result = expect)
-          | _ -> Alcotest.fail "repeat after resume failed"));
+          | _ -> Alcotest.fail "repeat after resume failed");
+          match Client.request c Proto.Stats with
+          | Proto.Stats_reply j ->
+              check_bool "stats carry no trial-journal member" true
+                (Json.member j "journal" = None)
+          | _ -> Alcotest.fail "no stats reply"));
   (* The journal now carries the done record: a fresh boot must serve
      the job from the preloaded cache without re-running anything. *)
   with_server (test_config ~journal_dir:dir ()) (fun srv ->
@@ -510,7 +515,10 @@ let test_e2e_resume_from_journal () =
           | Proto.Result { cached; result; _ } ->
               check_bool "warm boot serves from preloaded cache" true cached;
               check_bool "warm boot bits identical" true (result = expect)
-          | _ -> Alcotest.fail "warm boot failed"))
+          | _ -> Alcotest.fail "warm boot failed"));
+  (* The job journal is the server's one journal. *)
+  check_bool "jobs.jsonl written" true (Sys.file_exists (Filename.concat dir "jobs.jsonl"));
+  check_bool "no trials.jsonl" false (Sys.file_exists (Filename.concat dir "trials.jsonl"))
 
 let test_e2e_warm_cache_no_rerun () =
   (* A sentinel result in the journal proves preloads are served as-is,
