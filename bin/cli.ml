@@ -25,3 +25,17 @@ let eval cmd =
   | exception Unix.Unix_error (e, fn, arg) ->
       error
         (Printf.sprintf "%s%s: %s" fn (if arg = "" then "" else " " ^ arg) (Unix.error_message e))
+
+(* The [--host] flag of cobra-serve and cobra-client.  It takes a numeric
+   address, and [Unix.inet_addr_of_string] rejects anything else with a
+   bare [Failure "inet_addr_of_string"], so the value is parsed here,
+   where the error can name the flag and the value it rejected. *)
+let host_arg ~default ~doc =
+  let check host =
+    match Unix.inet_addr_of_string host with
+    | _ -> host
+    | exception Failure _ ->
+        failwith (Printf.sprintf "--host %S is not a numeric IPv4 or IPv6 address" host)
+  in
+  Cmdliner.(
+    Term.(const check $ Arg.(value & opt string default & info [ "host" ] ~docv:"ADDR" ~doc)))

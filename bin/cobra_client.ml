@@ -20,9 +20,7 @@ module Quantile = Cobra_stats.Quantile
 module Summary = Cobra_stats.Summary
 open Cmdliner
 
-let host_arg =
-  let doc = "Server address." in
-  Arg.(value & opt string "127.0.0.1" & info [ "host" ] ~docv:"ADDR" ~doc)
+let host_arg = Cli.host_arg ~default:"127.0.0.1" ~doc:"Numeric server address."
 
 let port_arg =
   let doc = "Server port." in

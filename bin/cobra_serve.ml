@@ -18,9 +18,7 @@ open Cmdliner
 
 let default = Server.default_config
 
-let host_arg =
-  let doc = "Numeric address to bind." in
-  Arg.(value & opt string default.host & info [ "host" ] ~docv:"ADDR" ~doc)
+let host_arg = Cli.host_arg ~default:default.host ~doc:"Numeric address to bind."
 
 let port_arg =
   let doc = "TCP port to listen on; 0 picks an ephemeral port." in

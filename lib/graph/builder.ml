@@ -61,6 +61,13 @@ let add_edge t u v =
   Array.unsafe_set t.packed t.count ((u lsl 31) lor v);
   t.count <- t.count + 1
 
+let endpoint t j =
+  if t.finished then invalid_arg "Builder.endpoint: builder already finished";
+  if j < 0 || j >= 2 * t.count then
+    invalid_arg (Printf.sprintf "Builder.endpoint: %d outside [0, %d)" j (2 * t.count));
+  let p = Array.unsafe_get t.packed (j lsr 1) in
+  if j land 1 = 0 then p lsr 31 else p land max_id
+
 let finish t =
   if t.finished then invalid_arg "Builder.finish: builder already finished";
   t.finished <- true;

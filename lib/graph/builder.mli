@@ -35,6 +35,17 @@ val add_edge : t -> int -> int -> unit
     endpoint, an out-of-range endpoint in fixed-[n] mode, or a builder
     that has already been finished. *)
 
+val endpoint : t -> int -> int
+(** [endpoint b j] is endpoint [j] of the edges added so far, in the
+    order {!add_edge} received them: for even [j] the first vertex of
+    edge [j / 2], for odd [j] its second.  It reads the edge buffer
+    {!finish} will sort, so no copy of the edges is needed to sample
+    them: a uniform [j] picks a vertex with probability proportional to
+    its degree so far (duplicates included), which is how preferential
+    attachment draws its targets.
+    @raise Invalid_argument if [j] is outside [[0, 2 * added)] or the
+    builder has been finished. *)
+
 val finish : t -> Graph.t
 (** [finish b] counting-sorts the buffered edges into a CSR graph and
     consumes the builder.  The CSR values are identical (same offsets

@@ -55,17 +55,20 @@ let expected_size ~n ~m = header_bytes + (4 * (n + 1)) + (4 * 2 * m)
 
 (* Entries stream through a fixed 64 KiB staging buffer; the writer
    never materialises a second copy of the graph, so packing an
-   m ~ 10^8 instance costs O(1) memory beyond the graph itself. *)
+   m ~ 10^8 instance costs O(1) memory beyond the graph itself.  The
+   loop takes the typed int32 array, not an accessor closure: under
+   -opaque a closure returning [int32] boxes every entry (three minor
+   words each). *)
 let chunk_entries = 16384
 
-let write_entries oc buf ~count get =
+let write_entries oc buf (a : Graph.int32_array) =
   let pos = ref 0 in
-  for i = 0 to count - 1 do
+  for i = 0 to A1.dim a - 1 do
     if !pos = chunk_entries then begin
       output_bytes oc buf;
       pos := 0
     end;
-    Bytes.set_int32_le buf (4 * !pos) (get i);
+    Bytes.set_int32_le buf (4 * !pos) (A1.unsafe_get a i);
     incr pos
   done;
   if !pos > 0 then output oc buf 0 (4 * !pos)
@@ -73,7 +76,6 @@ let write_entries oc buf ~count get =
 let write path g =
   check_endianness path;
   let n = Graph.n g and m = Graph.m g in
-  let offsets = Graph.csr_offsets g and adj = Graph.csr_adjacency g in
   let oc = open_out_bin path in
   Fun.protect
     ~finally:(fun () -> close_out oc)
@@ -86,8 +88,8 @@ let write path g =
       Bytes.set_int64_le header 24 (Int64.of_int m);
       output_bytes oc header;
       let buf = Bytes.create (4 * chunk_entries) in
-      write_entries oc buf ~count:(n + 1) (fun i -> A1.unsafe_get offsets i);
-      write_entries oc buf ~count:(2 * m) (fun i -> A1.unsafe_get adj i))
+      write_entries oc buf (Graph.csr_offsets g);
+      write_entries oc buf (Graph.csr_adjacency g))
 
 (* --- Loader --- *)
 

@@ -96,56 +96,48 @@ let barabasi_albert ~n ~m rng =
      after the seed clique sees at least m + 1 distinct earlier vertices,
      so with 1 <= m < n each attachment round below always terminates. *)
   if m < 1 || m >= n then invalid_arg "Gen_extra.barabasi_albert: need 1 <= m < n";
-  (* Degree-proportional sampling via the repeated-endpoints trick: every
-     edge endpoint lives in a growable array (amortised O(1) appends —
-     the old list-rebuild-per-vertex was O(n·m) overall) and a uniform
-     slot is degree-biased for free. *)
-  let total_edges = (m * (m + 1) / 2) + (m * (n - m - 1)) in
-  let endpoints = ref (Array.make (max 16 (2 * total_edges)) 0) in
-  let count = ref 0 in
-  let builder = Builder.create ~n ~edges_hint:total_edges () in
-  let push x =
-    if !count = Array.length !endpoints then begin
-      let bigger = Array.make (2 * Array.length !endpoints) 0 in
-      Array.blit !endpoints 0 bigger 0 !count;
-      endpoints := bigger
-    end;
-    !endpoints.(!count) <- x;
-    incr count
-  in
-  let add_edge u v =
-    Builder.add_edge builder u v;
-    push u;
-    push v
-  in
+  (* Degree-proportional sampling via the repeated-endpoints trick: a
+     vertex of degree d holds d of the 2·(edges so far) endpoint slots,
+     so a uniform slot is degree-biased for free.  The slots are the
+     builder's own edge buffer, read through [Builder.endpoint], so no
+     second copy of the edges exists.  Past the seed clique, edge e was
+     added by vertex m + 1 + (e - clique) / m as its first endpoint, so
+     an even slot there is computed rather than read. *)
+  let clique = m * (m + 1) / 2 in
+  let builder = Builder.create ~n ~edges_hint:(clique + (m * (n - m - 1))) () in
   for u = 0 to m do
     for v = u + 1 to m do
-      add_edge u v
+      Builder.add_edge builder u v
     done
   done;
   let chosen = Array.make m (-1) in
   for v = m + 1 to n - 1 do
+    let slots = 2 * (clique + (m * (v - m - 1))) in
     (* Exactly m distinct targets: a draw that repeats an already-chosen
-       target or hits v itself is re-drawn (the old bounded guard gave
-       up and silently attached fewer than m edges on dense prefixes).
-       Termination is sure: at least m + 1 distinct candidates exist and
-       each holds at least one endpoint slot. *)
+       target is re-drawn (the old bounded guard gave up and silently
+       attached fewer than m edges on dense prefixes); v holds no slot
+       until its own edges are added below.  Termination is sure: at
+       least m + 1 distinct candidates exist and each holds at least one
+       endpoint slot. *)
     let k = ref 0 in
     while !k < m do
-      let target = !endpoints.(Rng.int_below rng !count) in
-      if target <> v then begin
-        let dup = ref false in
-        for i = 0 to !k - 1 do
-          if chosen.(i) = target then dup := true
-        done;
-        if not !dup then begin
-          chosen.(!k) <- target;
-          incr k
-        end
+      let j = Rng.int_below rng slots in
+      let e = j lsr 1 in
+      let target =
+        if j land 1 = 0 && e >= clique then m + 1 + ((e - clique) / m)
+        else Builder.endpoint builder j
+      in
+      let dup = ref false in
+      for i = 0 to !k - 1 do
+        if chosen.(i) = target then dup := true
+      done;
+      if not !dup then begin
+        chosen.(!k) <- target;
+        incr k
       end
     done;
     for i = 0 to m - 1 do
-      add_edge v chosen.(i)
+      Builder.add_edge builder v chosen.(i)
     done
   done;
   Builder.finish builder

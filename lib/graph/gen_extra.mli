@@ -44,10 +44,13 @@ val barabasi_albert : n:int -> m:int -> Cobra_prng.Rng.t -> Graph.t
     clique on [m + 1] vertices, then each new vertex attaches to
     exactly [m] distinct existing vertices chosen proportionally to
     degree (collision draws are retried, never dropped), giving
-    [m(m+1)/2 + m(n-m-1)] edges in total.  Runs in expected O(n·m) via
-    an amortised growable endpoint array, so [n] in the hundreds of
-    thousands builds in seconds.  Produces a connected heavy-tailed
-    graph with tail exponent 3.
+    [m(m+1)/2 + m(n-m-1)] edges in total.  A target is a uniformly
+    drawn endpoint slot of the edges added so far (so it is chosen
+    proportionally to degree), read from the {!Builder}'s own edge
+    buffer with {!Builder.endpoint}: the edges are held once, one word
+    each, while the graph grows, and the call runs in expected O(n·m)
+    time (ba:8 at n = 10^6 in about a second).  Produces a connected
+    heavy-tailed graph with tail exponent 3.
     @raise Invalid_argument unless [1 <= m < n] (the one genuinely
     impossible prescription — every later vertex sees at least [m + 1]
     distinct attachment candidates). *)

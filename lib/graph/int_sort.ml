@@ -115,13 +115,15 @@ let sort_slice (a : int32_array) ~lo ~hi =
 
 (* --- CSR assembly by counting sort ---
 
-   One pass counts degrees, a prefix sum turns them into offsets, one
-   pass scatters both directions straight into the int32 adjacency,
-   then each slice is sorted and deduplicated in place (the write
-   pointer never overtakes the read position because compaction only
-   ever shrinks earlier slices).  Peak memory is the caller's key
-   buffer (1 word/edge) plus the int32 adjacency (1 word-equivalent per
-   edge) plus O(n) counters. *)
+   One pass counts degrees, a prefix sum turns them into a scatter
+   cursor per vertex, one pass scatters both directions straight into
+   the int32 adjacency, then each slice is sorted and deduplicated in
+   place (the write pointer never overtakes the read position because
+   compaction only ever shrinks earlier slices) and its final start
+   goes straight into the int32 offsets the graph keeps.  Peak memory
+   is the caller's key buffer (1 word/edge) plus the int32 adjacency
+   (1 word-equivalent per edge) plus one int per vertex and the int32
+   offsets. *)
 
 let max_entry = Int32.to_int Int32.max_int
 
@@ -141,13 +143,15 @@ let assemble_csr ~who ~n ~count keys =
     deg.(u) <- deg.(u) + 1;
     deg.(v) <- deg.(v) + 1
   done;
-  let offsets = Array.make (n + 1) 0 in
+  (* [deg] becomes the scatter cursor: slice u starts at deg.(u), and
+     after the scatter deg.(u) is where it ends. *)
+  let sum = ref 0 in
   for u = 0 to n - 1 do
-    offsets.(u + 1) <- offsets.(u) + deg.(u)
+    let d = deg.(u) in
+    deg.(u) <- !sum;
+    sum := !sum + d
   done;
   let adj = A1.create Bigarray.int32 Bigarray.c_layout (2 * count) in
-  (* Reuse [deg] as the scatter cursor to avoid a second O(n) array. *)
-  Array.blit offsets 0 deg 0 n;
   for k = 0 to count - 1 do
     let p = Array.unsafe_get keys k in
     let u = p lsr 31 and v = p land max_entry in
@@ -156,10 +160,11 @@ let assemble_csr ~who ~n ~count keys =
     A1.unsafe_set adj deg.(v) (Int32.of_int u);
     deg.(v) <- deg.(v) + 1
   done;
-  let write = ref 0 in
+  let offsets = A1.create Bigarray.int32 Bigarray.c_layout (n + 1) in
+  let write = ref 0 and slice_start = ref 0 in
   for u = 0 to n - 1 do
-    let lo = offsets.(u) and hi = offsets.(u + 1) in
-    offsets.(u) <- !write;
+    let lo = !slice_start and hi = deg.(u) in
+    A1.unsafe_set offsets u (Int32.of_int !write);
     if hi > lo then begin
       sort_slice adj ~lo ~hi;
       A1.unsafe_set adj !write (A1.unsafe_get adj lo);
@@ -171,10 +176,11 @@ let assemble_csr ~who ~n ~count keys =
           incr write
         end
       done
-    end
+    end;
+    slice_start := hi
   done;
   let total = !write in
-  offsets.(n) <- total;
+  A1.unsafe_set offsets n (Int32.of_int total);
   (* Duplicates leave slack at the end: copy to an exact-size array
      rather than returning an [Array1.sub] view, which would keep the
      whole pre-dedup buffer alive for the graph's lifetime. *)
@@ -186,8 +192,4 @@ let assemble_csr ~who ~n ~count keys =
       exact
     end
   in
-  let poffsets = A1.create Bigarray.int32 Bigarray.c_layout (n + 1) in
-  for i = 0 to n do
-    A1.unsafe_set poffsets i (Int32.of_int (Array.unsafe_get offsets i))
-  done;
-  (poffsets, adj)
+  (offsets, adj)

@@ -267,6 +267,21 @@ let test_barabasi_albert () =
   Alcotest.check_raises "bad m" (Invalid_argument "Gen_extra.barabasi_albert: need 1 <= m < n")
     (fun () -> ignore (Gen_extra.barabasi_albert ~n:5 ~m:0 rng))
 
+(* Preferential attachment keeps one word per edge: the builder's edge
+   buffer is also the endpoint table the draws read, so a whole build
+   allocates the buffer plus one int per vertex for the CSR assembly's
+   counters, at most 1.3 heap words per edge at n = 10^5, m = 8 (a
+   separate endpoint table cost 3.25). *)
+let test_barabasi_albert_heap_words () =
+  let rng = Rng.create 22 in
+  let before = Gc.allocated_bytes () in
+  let g = Gen_extra.barabasi_albert ~n:100_000 ~m:8 rng in
+  let words = (Gc.allocated_bytes () -. before) /. float_of_int (Sys.word_size / 8) in
+  let per_edge = words /. float_of_int (Graph.m g) in
+  check_bool
+    (Printf.sprintf "%.0f heap words for %d edges (%.3f per edge)" words (Graph.m g) per_edge)
+    true (per_edge <= 1.3)
+
 let test_cube_connected_cycles () =
   let g = Gen_extra.cube_connected_cycles 3 in
   check_int "n = d 2^d" 24 (Graph.n g);
@@ -374,6 +389,23 @@ let regular_matches_oracle_test =
           Regular_oracle.random_regular ~n ~r ~switches_per_edge ~ensure_connected
             (Rng.create seed)))
 
+(* The builder-buffer generator against the endpoint-table one it
+   replaced ([Ba_oracle]): the same draws over the same slots, so the
+   same offsets and adjacency.  Every case also checks the clique alone
+   (n = m + 1) and m = 1 at its seed. *)
+let ba_matches_oracle_test =
+  let int32s a = Array.init (Bigarray.Array1.dim a) (Bigarray.Array1.get a) in
+  let csr g = (int32s (Graph.csr_offsets g), int32s (Graph.csr_adjacency g)) in
+  let same ~n ~m seed =
+    csr (Gen_extra.barabasi_albert ~n ~m (Rng.create seed))
+    = csr (Ba_oracle.barabasi_albert ~n ~m (Rng.create seed))
+  in
+  QCheck2.Test.make ~name:"barabasi_albert equals the endpoint-table oracle" ~count:100
+    QCheck2.Gen.(triple (int_range 1 12) (int_range 0 2987) (int_bound 10_000))
+    (fun (m, extra, seed) ->
+      let n = m + 1 + extra in
+      same ~n ~m seed && same ~n:(m + 1) ~m seed && same ~n ~m:1 seed)
+
 let () =
   Alcotest.run "gen"
     [
@@ -415,6 +447,7 @@ let () =
           Alcotest.test_case "cycle+matching expands" `Quick test_cycle_plus_matching_expands;
           Alcotest.test_case "watts-strogatz" `Quick test_watts_strogatz;
           Alcotest.test_case "barabasi-albert" `Quick test_barabasi_albert;
+          Alcotest.test_case "barabasi-albert heap words" `Quick test_barabasi_albert_heap_words;
           Alcotest.test_case "cube-connected cycles" `Quick test_cube_connected_cycles;
           Alcotest.test_case "caterpillar/broom" `Quick test_caterpillar_and_broom;
           QCheck_alcotest.to_alcotest product_regularity_property;
@@ -432,5 +465,6 @@ let () =
           QCheck_alcotest.to_alcotest tree_leaf_test;
           QCheck_alcotest.to_alcotest regular_switch_preserves_test;
           QCheck_alcotest.to_alcotest regular_matches_oracle_test;
+          QCheck_alcotest.to_alcotest ba_matches_oracle_test;
         ] );
     ]

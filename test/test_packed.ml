@@ -133,6 +133,18 @@ let test_cgr_roundtrip () =
           check_csr_equal (fam ^ ": read_file dispatch") g (Graph_io.read_file path)))
     (zoo_graphs ())
 
+(* The writer streams the int32 arrays through one staging buffer and
+   boxes nothing per entry: writing about 2·10^4 entries allocates at
+   most 1 024 minor words (an int32 boxed per entry would be three
+   words each). *)
+let test_cgr_write_allocates_little () =
+  let g = Gen.by_name "ba:4" ~n:2_500 (Rng.create 9) in
+  let entries = Graph.n g + 1 + (2 * Graph.m g) in
+  check_bool (Printf.sprintf "%d entries" entries) true (entries >= 10_000);
+  with_tmp (fun path ->
+      let w = Alloc.words (fun () -> Cgr.write path g) in
+      check_bool (Printf.sprintf "%.0f minor words for %d entries" w entries) true (w <= 1024.))
+
 (* A simulation driven off the mmap-backed graph is bit-identical to
    one on the original: storage is invisible to the draw sequence. *)
 let test_cgr_simulation_identical () =
@@ -354,6 +366,7 @@ let () =
       ( "cgr",
         [
           Alcotest.test_case "write/mmap round trip" `Quick test_cgr_roundtrip;
+          Alcotest.test_case "write allocates little" `Quick test_cgr_write_allocates_little;
           Alcotest.test_case "simulation on mmap graph" `Quick test_cgr_simulation_identical;
           Alcotest.test_case "malformed files rejected" `Quick test_cgr_rejects_malformed;
           Alcotest.test_case "corrupted payload rejected" `Quick test_cgr_rejects_bad_payload;

@@ -123,6 +123,31 @@ let test_builder_of_edge_seq () =
   check_int "n respects fixed bound" 5 (Graph.n g);
   check_int "m deduped" 2 (Graph.m g)
 
+(* [endpoint] reads the buffer in insertion order, both endpoints of
+   every edge as given (duplicates and orientation kept, the largest
+   ids included), and raises outside [0, 2 * added) and after finish. *)
+let test_builder_endpoint () =
+  let edges = [| (3, 1); (0, 2); (3, 1); (2, 0); (5, (1 lsl 31) - 1) |] in
+  let b = Builder.create () in
+  Array.iter (fun (u, v) -> Builder.add_edge b u v) edges;
+  let flat = Array.concat (Array.to_list (Array.map (fun (u, v) -> [| u; v |]) edges)) in
+  Alcotest.(check (array int))
+    "endpoints" flat
+    (Array.init (2 * Array.length edges) (Builder.endpoint b));
+  let raises msg j =
+    Alcotest.check_raises msg
+      (Invalid_argument (Printf.sprintf "Builder.endpoint: %d outside [0, 10)" j))
+      (fun () -> ignore (Builder.endpoint b j))
+  in
+  raises "negative slot" (-1);
+  raises "slot past the buffer" 10;
+  let b = Builder.create ~n:2 () in
+  Builder.add_edge b 0 1;
+  ignore (Builder.finish b);
+  Alcotest.check_raises "after finish"
+    (Invalid_argument "Builder.endpoint: builder already finished") (fun () ->
+      ignore (Builder.endpoint b 0))
+
 (* --- Barabasi-Albert (repaired) --- *)
 
 (* Exactly m distinct attachments per post-seed vertex: the old
@@ -338,6 +363,7 @@ let () =
           Alcotest.test_case "dedup and sort" `Quick test_builder_dedup_and_sort;
           Alcotest.test_case "errors" `Quick test_builder_errors;
           Alcotest.test_case "of_edge_seq" `Quick test_builder_of_edge_seq;
+          Alcotest.test_case "endpoint" `Quick test_builder_endpoint;
         ] );
       ( "barabasi-albert",
         [
